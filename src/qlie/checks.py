@@ -313,9 +313,11 @@ def suite_ybe(
                 }
             )
 
-    family = _specialize(sigma_cg_family(n), subs)
+    raw_family = sigma_cg_family(n)
+    family = _specialize(raw_family, subs)
     _ybe_into(compose(Operator.flip(n, lo=1), family), col, {"part": "cg-family", "side": "matrix"})
-    at_one = family.map_entries(lambda s: s.substitute(p=1))
+    # set p = 1 before any --p value is substituted
+    at_one = _specialize(raw_family.map_entries(lambda s: s.substitute(p=1)), subs)
     col.extend_compare(at_one, _specialize(sigma_cg(n), subs), {"part": "cg-family-p1"})
     return _finish("ybe", n, subs, col, t0)
 

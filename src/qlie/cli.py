@@ -10,7 +10,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,9 +20,11 @@ from .laurent import SpaceConfig, op_r
 from .operators import Operator, from_functional
 from .scalars import Scalar, ScalarParseError
 
-DEFAULT_SEED = 20090
-
 VERIFY_SUITES = ("braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt")
+
+
+class InputError(Exception):
+    """A flag value that parses but cannot be used; exits 2 like a bad flag."""
 
 
 @dataclass
@@ -34,8 +35,6 @@ class Config:
     p: Optional[Fraction] = None
     fmt: str = "json"
     out: Optional[str] = None
-    seed: int = DEFAULT_SEED
-    jobs: int = 1
 
     @property
     def subs(self) -> Optional[dict]:
@@ -62,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_cross_check(args, cfg)
         if args.command == "dump-relations":
             return _cmd_dump(args, cfg)
-    except ScalarParseError as exc:
+    except (ScalarParseError, InputError) as exc:
         parser.error(str(exc))
     raise AssertionError(f"unhandled command {args.command}")
 
@@ -89,13 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=VERIFY_SUITES + ("hecke", "all"))
     common(ver)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized pre-filters")
-    ver.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("QLIE_JOBS", "1")),
-        help="suite-level parallelism (default: QLIE_JOBS or 1)",
-    )
     ver.add_argument(
         "--corrupt",
         default=None,
@@ -139,6 +131,8 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     p = rational(args.p, "--p")
     if p is not None and p == 0:
         parser.error("--p must be nonzero")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"--out {args.out!r}: no such directory")
     return Config(
         n=args.n,
         beta=beta,
@@ -146,15 +140,16 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         p=p,
         fmt=getattr(args, "fmt", "json"),
         out=args.out,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        jobs=max(1, getattr(args, "jobs", 1)),
     )
 
 
 def _emit(text: str, cfg: Config) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"--out {cfg.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -219,13 +214,19 @@ def _run_one_suite(name: str, cfg: Config, args: argparse.Namespace) -> checks.V
         if not corrupt:
             return op
         out, inp, coeff = _parse_entry_override(corrupt)
-        return op.with_entry(out, inp, coeff)
+        try:
+            return op.with_entry(out, inp, coeff)
+        except ValueError as exc:
+            raise InputError(f"--corrupt {corrupt!r}: {exc}") from None
 
     def corrupted_constants(ct: StructureTensor) -> StructureTensor:
         if not corrupt_ct:
             return ct
         upper, lower, coeff = _parse_constant_override(corrupt_ct)
-        return ct.with_entry(upper, lower[0], lower[1], coeff)
+        try:
+            return ct.with_entry(upper, lower[0], lower[1], coeff)
+        except ValueError as exc:
+            raise InputError(f"--corrupt-constants {corrupt_ct!r}: {exc}") from None
 
     if name == "braid":
         return checks.suite_braid(cfg.n, subs, rhat=corrupted(extended_rhat(cfg.n)))
@@ -248,7 +249,6 @@ def _run_one_suite(name: str, cfg: Config, args: argparse.Namespace) -> checks.V
     if name == "rtt":
         return rtt.compare_relation_spans(
             cfg.n,
-            seed=cfg.seed,
             bcc_constants=corrupted_constants(structure_constants(cfg.n)) if corrupt_ct else None,
         )
     if name == "hecke":
@@ -258,11 +258,7 @@ def _run_one_suite(name: str, cfg: Config, args: argparse.Namespace) -> checks.V
 
 def _cmd_verify(args: argparse.Namespace, cfg: Config, parser: argparse.ArgumentParser) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    if cfg.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(lambda s: _run_one_suite(s, cfg, args), names))
-    else:
-        reports = [_run_one_suite(name, cfg, args) for name in names]
+    reports = [_run_one_suite(name, cfg, args) for name in names]
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     _emit(payload, cfg)
     for report in reports:

@@ -9,12 +9,16 @@ entry being a minor of the original matrix), so no rational-function
 arithmetic or polynomial gcd is ever needed.  Membership of a vector in the
 row span over the fraction field is decided by replaying the recorded pivot
 steps against the vector and testing for zero.
+
+Every step multiplies each remaining row by the pivot, whether or not the row
+meets the pivot's columns, so entries grow with the number of steps taken.
+Callers with a sparse, decomposable matrix eliminate each independent block
+on its own (see `rtt.compare_relation_spans`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .scalars import ONE, Scalar
@@ -105,38 +109,3 @@ def echelon(rows: list[Row], ncols: int) -> Echelon:
         prev = pivot
     return ech
 
-
-# -- numeric specialization pre-filter --------------------------------------
-
-
-NumRow = dict[int, Fraction]
-
-
-def numeric_echelon(rows: list[NumRow], ncols: int) -> list[NumRow]:
-    """Plain Gaussian elimination over Fraction; rows normalized to pivot 1."""
-    basis: list[NumRow] = []
-    for row in rows:
-        vec = numeric_reduce(dict(row), basis)
-        if vec:
-            col = min(vec)
-            inv = 1 / vec[col]
-            basis.append({j: v * inv for j, v in vec.items()})
-            basis.sort(key=lambda r: min(r))
-    return basis
-
-def numeric_reduce(vec: NumRow, basis: list[NumRow]) -> NumRow:
-    for brow in basis:
-        col = min(brow)
-        coeff = vec.get(col)
-        if coeff:
-            for j, v in brow.items():
-                acc = vec.get(j, Fraction(0)) - coeff * v
-                if acc:
-                    vec[j] = acc
-                else:
-                    vec.pop(j, None)
-    return vec
-
-
-def numeric_contains(vec: NumRow, basis: list[NumRow]) -> bool:
-    return not numeric_reduce(dict(vec), basis)

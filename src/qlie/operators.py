@@ -136,6 +136,8 @@ class Operator:
     def with_entry(self, out: Index, inp: Index, coeff: Scalar) -> "Operator":
         """Copy with one entry overridden (zero coefficient deletes it)."""
         key = (tuple(out), tuple(inp))
+        if len(key[0]) != self.legs or len(key[1]) != self.legs:
+            raise ValueError(f"index tuple of wrong length in {key}")
         for i in (*key[0], *key[1]):
             if i < self.lo or i > self.n:
                 raise ValueError(f"index {i} outside {self.lo}..{self.n}")

@@ -14,15 +14,13 @@ bicovariant calculus.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from itertools import product
-from random import Random
 from typing import Iterator, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
 from .checks import WITNESS_CAP, VerificationReport, _symbolic_names
 from .freealg import NCPoly, chi, ff, word_key
-from .linalg import Row, echelon, numeric_contains, numeric_echelon
+from .linalg import Echelon, Row, echelon
 from .operators import Operator
 from .scalars import ONE, Scalar
 
@@ -159,16 +157,19 @@ def all_bcc_relations(
 
 def compare_relation_spans(
     n: int,
-    seed: int = 20090,
     rhat: Optional[Operator] = None,
     bcc_constants: Optional[StructureTensor] = None,
 ) -> VerificationReport:
     """Mutual span inclusion of the two relation sets, exactly.
 
-    Relations are coordinatized over the common word basis.  A seeded random
-    rational specialization of (b, C) acts as a cheap pre-filter; the
-    fraction-free elimination then settles every membership exactly, in both
-    directions.  Witnesses name relations outside the opposing span.
+    Relations are coordinatized over the common word basis.  A row that
+    equals an opposing row up to sign is in the opposing span outright.  Rows
+    that share no word are independent, so span membership splits over the
+    connected components of the row-word graph (the trivial case of the
+    block triangular form): every other row is tested by fraction-free
+    elimination against the opposing rows of its own block only, in
+    block-local columns.  A block's elimination is built the first time one
+    of its rows needs it.  Witnesses name relations outside the opposing span.
     """
     t0 = time.perf_counter()
     rtt_rel = [(key, p) for key, p in all_rtt_relations(n, rhat=rhat) if not p.is_zero()]
@@ -183,7 +184,6 @@ def compare_relation_spans(
     for _, poly in rtt_rel + bcc_rel:
         for word, _ in poly.terms():
             columns.setdefault(word_key(word), len(columns))
-    ncols = len(columns)
 
     def to_row(poly: NCPoly) -> Row:
         return {columns[word_key(w)]: c for w, c in poly.terms()}
@@ -191,57 +191,55 @@ def compare_relation_spans(
     rtt_rows = [(key, to_row(p)) for key, p in rtt_rel]
     bcc_rows = [(key, to_row(p)) for key, p in bcc_rel]
 
-    # pre-filter at a random rational point; exact elimination decides
-    rng = Random(seed)
-    point = {
-        "beta": Fraction(rng.randint(2, 19), rng.randint(2, 19)),
-        "c": Fraction(rng.randint(2, 19), rng.randint(2, 19)),
-    }
+    # union-find over columns: a row joins all of its words into one block
+    parent = list(range(len(columns)))
 
-    def specialize_row(row: Row) -> dict[int, Fraction]:
-        out = {}
-        for col, coeff in row.items():
-            v = coeff.substitute(**point)
-            if v:
-                out[col] = v.as_rational()
-        return out
+    def find(col: int) -> int:
+        while parent[col] != col:
+            parent[col] = parent[parent[col]]
+            col = parent[col]
+        return col
 
-    rtt_num = [(key, specialize_row(row)) for key, row in rtt_rows]
-    bcc_num = [(key, specialize_row(row)) for key, row in bcc_rows]
-    suspects = set()
-    num_rtt = numeric_echelon([r for _, r in rtt_num], ncols)
-    num_bcc = numeric_echelon([r for _, r in bcc_num], ncols)
-    for key, row in rtt_num:
-        if not numeric_contains(row, num_bcc):
-            suspects.add(key)
-    for key, row in bcc_num:
-        if not numeric_contains(row, num_rtt):
-            suspects.add(key)
+    for _, row in rtt_rows + bcc_rows:
+        first, *rest = row
+        for col in rest:
+            parent[find(col)] = find(first)
+    # block-local column indices, in global column order
+    local = [0] * len(columns)
+    width: dict[int, int] = {}
+    for col in range(len(columns)):
+        root = find(col)
+        local[col] = width.get(root, 0)
+        width[root] = local[col] + 1
 
-    # exact pass; rows that literally equal an opposing row up to sign are in
-    # the span outright, the elimination is replayed only for the rest
+    def localize(row: Row) -> Row:
+        return {local[col]: v for col, v in row.items()}
+
+    # per block root, the rows of each side (0: rtt, 1: bcc)
+    members: dict[int, tuple[list[Row], list[Row]]] = {}
+    for side, rows in enumerate((rtt_rows, bcc_rows)):
+        for _, row in rows:
+            members.setdefault(find(next(iter(row))), ([], []))[side].append(row)
+    echelons: dict[tuple[int, int], Echelon] = {}
+
     rtt_sigs = {_row_signature(row) for _, row in rtt_rows}
     bcc_sigs = {_row_signature(row) for _, row in bcc_rows}
     witnesses = []
-    ech_rtt = ech_bcc = None
-    for key, row in rtt_rows:
-        if _row_signature(row) in bcc_sigs:
-            continue
-        if ech_bcc is None:
-            ech_bcc = echelon([r for _, r in bcc_rows], ncols)
-        if not ech_bcc.contains(row):
-            witnesses.append(
-                {"relation": list(key), "outside": "bcc-span", "prefilter": key in suspects}
-            )
-    for key, row in bcc_rows:
-        if _row_signature(row) in rtt_sigs:
-            continue
-        if ech_rtt is None:
-            ech_rtt = echelon([r for _, r in rtt_rows], ncols)
-        if not ech_rtt.contains(row):
-            witnesses.append(
-                {"relation": list(key), "outside": "rtt-span", "prefilter": key in suspects}
-            )
+    for rows, sigs, side, outside in (
+        (rtt_rows, bcc_sigs, 1, "bcc-span"),
+        (bcc_rows, rtt_sigs, 0, "rtt-span"),
+    ):
+        for key, row in rows:
+            if _row_signature(row) in sigs:
+                continue
+            root = find(next(iter(row)))
+            ech = echelons.get((root, side))
+            if ech is None:
+                ech = echelons[root, side] = echelon(
+                    [localize(r) for r in members[root][side]], width[root]
+                )
+            if not ech.contains(localize(row)):
+                witnesses.append({"relation": list(key), "outside": outside})
 
     return VerificationReport(
         suite="rtt",

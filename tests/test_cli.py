@@ -10,10 +10,8 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ, PYTHONPATH=SRC)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "qlie.cli", *args],
         capture_output=True,
@@ -119,20 +117,48 @@ def test_verify_all_passes_and_is_deterministic():
     assert suites == ["braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt"]
 
 
-def test_verify_accepts_jobs_flag_and_env():
-    direct = run_cli("verify", "all", "--n", "1", "--jobs", "2")
-    via_env = run_cli("verify", "all", "--n", "1", env_extra={"QLIE_JOBS": "2"})
-    assert direct.returncode == 0 and via_env.returncode == 0
-    strip = lambda s: re.sub(r'"millis": \d+', '"millis": 0', s)
-    assert strip(direct.stdout) == strip(via_env.stdout)
+def test_verify_rtt_p_valued_constant_fails():
+    proc = run_cli("verify", "rtt", "--n", "2", "--corrupt-constants", "(1;1,2)=p")
+    assert proc.returncode == 1
+    reports = json.loads(proc.stdout)
+    assert reports[0]["pass"] is False and reports[0]["failures"] > 0
+
+
+def test_verify_ybe_with_p_passes():
+    proc = run_cli("verify", "ybe", "--n", "3", "--p", "3/4")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)[0]["pass"] is True
+
+
+def test_verify_rejects_jobs_flag():
+    proc = run_cli("verify", "all", "--n", "1", "--jobs", "2")
+    assert proc.returncode == 2
 
 
 def test_verify_seed_flag():
-    a = run_cli("verify", "rtt", "--n", "2", "--seed", "7")
-    b = run_cli("verify", "rtt", "--n", "2", "--seed", "7")
-    assert a.returncode == 0
-    strip = lambda s: re.sub(r'"millis": \d+', '"millis": 0', s)
-    assert strip(a.stdout) == strip(b.stdout)
+    proc = run_cli("verify", "rtt", "--n", "2", "--seed", "7")
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "all", "--n", "2", "--corrupt", "(0,1;1,1)=2"),  # index out of range
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,1,1;1,1)=2"),  # wrong arity
+        ("verify", "rtt", "--n", "2", "--corrupt-constants", "(3;1,2)=C"),  # out of range
+    ],
+    ids=["corrupt-range", "corrupt-arity", "corrupt-constants-range"],
+)
+def test_bad_overrides_exit_2_without_traceback(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
+
+
+def test_out_into_missing_directory_exits_2(tmp_path):
+    proc = run_cli("verify", "braid", "--n", "1", "--out", str(tmp_path / "no" / "report.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
 
 
 def test_cross_check_passes():

@@ -140,3 +140,5 @@ def test_with_entry_override_and_bounds():
     assert op.coeff((0, 2), (2, 1)) == Scalar.zero()  # original untouched
     with pytest.raises(ValueError):
         op.with_entry((0, 5), (0, 0), ONE)
+    with pytest.raises(ValueError):
+        op.with_entry((1, 1, 1), (1, 1), ONE)  # wrong arity

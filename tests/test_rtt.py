@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from qlie.cg import structure_constants
-from qlie.freealg import NCPoly, chi, ff
+from qlie.checks import WITNESS_CAP
+from qlie.freealg import NCPoly, chi, ff, word_key
+from qlie.linalg import echelon
 from qlie.rtt import (
     all_bcc_relations,
     all_rtt_relations,
@@ -132,13 +134,75 @@ def test_span_mismatch_with_corrupted_constants():
     sides = {w["outside"] for w in report.witnesses}
     # both directions are checked, and both must notice
     assert sides == {"bcc-span", "rtt-span"}
-    assert all(w["prefilter"] for w in report.witnesses)
 
 
-def test_span_comparison_is_seeded_deterministic():
-    a = compare_relation_spans(2, seed=1)
-    b = compare_relation_spans(2, seed=1)
-    assert a.witnesses == b.witnesses and a.passed == b.passed
+def test_span_comparison_is_deterministic():
+    ct = structure_constants(2).with_entry(2, 2, 1, C + C)
+    a = compare_relation_spans(2, bcc_constants=ct)
+    b = compare_relation_spans(2, bcc_constants=ct)
+    assert a.witnesses and a.witnesses == b.witnesses and a.passed == b.passed
+
+
+def _whole_matrix_witnesses(n, constants):
+    """Span comparison with one elimination of all rows per side, as reference."""
+    rtt_rel = [(k, p) for k, p in all_rtt_relations(n) if not p.is_zero()]
+    bcc_rel = [(k, p) for k, p in all_bcc_relations(n, constants=constants) if not p.is_zero()]
+    columns = {}
+    for _, poly in rtt_rel + bcc_rel:
+        for word, _ in poly.terms():
+            columns.setdefault(word_key(word), len(columns))
+    rows = lambda rel: [(k, {columns[word_key(w)]: c for w, c in p.terms()}) for k, p in rel]
+    rtt_rows, bcc_rows = rows(rtt_rel), rows(bcc_rel)
+    ech_rtt = echelon([r for _, r in rtt_rows], len(columns))
+    ech_bcc = echelon([r for _, r in bcc_rows], len(columns))
+    witnesses = [
+        {"relation": list(k), "outside": "bcc-span"}
+        for k, r in rtt_rows
+        if not ech_bcc.contains(r)
+    ]
+    witnesses += [
+        {"relation": list(k), "outside": "rtt-span"}
+        for k, r in bcc_rows
+        if not ech_rtt.contains(r)
+    ]
+    return witnesses
+
+
+@pytest.mark.parametrize("position", list(product((1, 2), repeat=3)))
+def test_block_elimination_matches_whole_matrix(position):
+    base = structure_constants(2)
+    for delta in (ONE, -BETA, C + C):
+        ct = base.with_entry(*position, base.coeff(*position) + delta)
+        expect = _whole_matrix_witnesses(2, ct)
+        report = compare_relation_spans(2, bcc_constants=ct)
+        assert expect and report.failures == len(expect)
+        assert report.witnesses == expect[:WITNESS_CAP]
+
+
+# the recorded witnesses of C^2_{12} = 2C at n = 3 (18 failures, capped at 16)
+_N3_WITNESSES = [
+    *[("rtt", i, j, 0, 2) for i, j in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))],
+    ("bcc", 1, 1, 2),
+    *[("bcc", 3, *idx) for idx in (
+        (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 1, 2), (2, 2, 2), (2, 3, 2),
+        (3, 1, 2),
+    )],
+]
+
+
+def test_corrupted_constant_at_n3_gives_recorded_witnesses():
+    ct = structure_constants(3).with_entry(2, 1, 2, C + C)
+    report = compare_relation_spans(3, bcc_constants=ct)
+    assert report.failures == 18
+    assert [tuple(w["relation"]) for w in report.witnesses] == _N3_WITNESSES
+    assert [w["outside"] for w in report.witnesses] == ["bcc-span"] * 6 + ["rtt-span"] * 10
+
+
+@pytest.mark.slow
+def test_corrupted_constant_at_n4_fails_32_relations():
+    ct = structure_constants(4).with_entry(2, 1, 2, C + C)
+    report = compare_relation_spans(4, bcc_constants=ct)
+    assert not report.passed and report.failures == 32
 
 
 def test_relation_dump_is_stable():
