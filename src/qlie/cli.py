@@ -22,6 +22,19 @@ from .scalars import Scalar, ScalarParseError
 
 VERIFY_SUITES = ("braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt")
 
+# the flags each suite uses; giving a selected suite any other flag exits 2
+_VALUES = ("--beta", "--C", "--p")
+SUITE_FLAGS = {
+    "braid": (*_VALUES, "--corrupt"),
+    "ybe": (*_VALUES, "--corrupt"),
+    "cybe": (*_VALUES, "--corrupt"),
+    "components": _VALUES,
+    "ybfr": _VALUES,
+    "qlie": (*_VALUES, "--corrupt", "--corrupt-constants"),
+    "rtt": ("--corrupt-constants",),
+    "hecke": _VALUES,
+}
+
 
 class InputError(Exception):
     """A flag value that parses but cannot be used; exits 2 like a bad flag."""
@@ -56,7 +69,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args, cfg)
         if args.command == "verify":
-            return _cmd_verify(args, cfg, parser)
+            return _cmd_verify(args, cfg)
         if args.command == "cross-check":
             return _cmd_cross_check(args, cfg)
         if args.command == "dump-relations":
@@ -75,19 +88,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n", type=int, required=True, help="space size, >= 1")
+        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+    def values(p: argparse.ArgumentParser) -> None:
         p.add_argument("--beta", default="symbolic", help="rational value for b, or 'symbolic'")
         p.add_argument("--C", dest="c", default="symbolic", help="rational value for C, or 'symbolic'")
         p.add_argument("--p", default="symbolic", help="nonzero rational value for p, or 'symbolic'")
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     gen = sub.add_parser("gen", help="emit a matrix or the structure constants")
     gen.add_argument("target", choices=("sigma", "sigma-family", "extended", "constants"))
     common(gen)
+    values(gen)
     gen.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=VERIFY_SUITES + ("hecke", "all"))
     common(ver)
+    values(ver)
     ver.add_argument(
         "--corrupt",
         default=None,
@@ -126,9 +143,9 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         except (ValueError, ZeroDivisionError):
             parser.error(f"{flag} expects a rational number or 'symbolic', got {text!r}")
 
-    beta = rational(args.beta, "--beta")
-    c = rational(args.c, "--C")
-    p = rational(args.p, "--p")
+    beta = rational(getattr(args, "beta", "symbolic"), "--beta")
+    c = rational(getattr(args, "c", "symbolic"), "--C")
+    p = rational(getattr(args, "p", "symbolic"), "--p")
     if p is not None and p == 0:
         parser.error("--p must be nonzero")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -205,60 +222,95 @@ def _parse_constant_override(text: str) -> tuple[int, tuple[int, int], Scalar]:
     return int(m.group(1)), lower, Scalar.parse(m.group(3))
 
 
-def _run_one_suite(name: str, cfg: Config, args: argparse.Namespace) -> checks.VerificationReport:
+def _run_one_suite(
+    name: str,
+    cfg: Config,
+    op: Optional[Operator] = None,
+    constants: Optional[StructureTensor] = None,
+) -> checks.VerificationReport:
+    """Run one suite; op and constants replace its defaults when given."""
     subs = cfg.subs
-    corrupt = getattr(args, "corrupt", None)
-    corrupt_ct = getattr(args, "corrupt_constants", None)
-
-    def corrupted(op: Operator) -> Operator:
-        if not corrupt:
-            return op
-        out, inp, coeff = _parse_entry_override(corrupt)
-        try:
-            return op.with_entry(out, inp, coeff)
-        except ValueError as exc:
-            raise InputError(f"--corrupt {corrupt!r}: {exc}") from None
-
-    def corrupted_constants(ct: StructureTensor) -> StructureTensor:
-        if not corrupt_ct:
-            return ct
-        upper, lower, coeff = _parse_constant_override(corrupt_ct)
-        try:
-            return ct.with_entry(upper, lower[0], lower[1], coeff)
-        except ValueError as exc:
-            raise InputError(f"--corrupt-constants {corrupt_ct!r}: {exc}") from None
-
     if name == "braid":
-        return checks.suite_braid(cfg.n, subs, rhat=corrupted(extended_rhat(cfg.n)))
+        return checks.suite_braid(cfg.n, subs, rhat=op)
     if name == "ybe":
-        return checks.suite_ybe(cfg.n, subs, rhat=corrupted(extended_rhat(cfg.n)))
+        return checks.suite_ybe(cfg.n, subs, rhat=op)
     if name == "cybe":
-        r = from_functional(op_r, SpaceConfig(cfg.n))
-        return checks.suite_cybe(cfg.n, subs, r_matrix=corrupted(r))
+        return checks.suite_cybe(cfg.n, subs, r_matrix=op)
     if name == "components":
         return checks.check_component_identities(cfg.n, subs)
     if name == "ybfr":
         return checks.check_quadratic_ybe_components(cfg.n, subs)
     if name == "qlie":
-        return checks.suite_qlie(
-            cfg.n,
-            subs,
-            sigma=corrupted(sigma_cg(cfg.n)) if corrupt else None,
-            constants=corrupted_constants(structure_constants(cfg.n)),
-        )
+        return checks.suite_qlie(cfg.n, subs, sigma=op, constants=constants)
     if name == "rtt":
-        return rtt.compare_relation_spans(
-            cfg.n,
-            bcc_constants=corrupted_constants(structure_constants(cfg.n)) if corrupt_ct else None,
-        )
+        return rtt.compare_relation_spans(cfg.n, bcc_constants=constants)
     if name == "hecke":
         return checks.suite_hecke(cfg.n, subs)
     raise AssertionError(f"unhandled suite {name}")
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: Config, parser: argparse.ArgumentParser) -> int:
+def _corrupt_target(name: str, n: int) -> Operator:
+    """The operator whose entry `--corrupt` overrides in the named suite."""
+    if name in ("braid", "ybe"):
+        return extended_rhat(n)
+    if name == "cybe":
+        return from_functional(op_r, SpaceConfig(n))
+    if name == "qlie":
+        return sigma_cg(n)
+    raise AssertionError(f"suite {name} takes no --corrupt")
+
+
+def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
+    given = [
+        flag
+        for flag, value, unset in (
+            ("--beta", args.beta, "symbolic"),
+            ("--C", args.c, "symbolic"),
+            ("--p", args.p, "symbolic"),
+            ("--corrupt", args.corrupt, None),
+            ("--corrupt-constants", args.corrupt_constants, None),
+        )
+        if value != unset
+    ]
+    for flag in given:
+        ignoring = [name for name in names if flag not in SUITE_FLAGS[name]]
+        if ignoring:
+            suites = "suite" if len(ignoring) == 1 else "suites"
+            raise InputError(
+                f"{flag} has no effect on {suites} {', '.join(ignoring)}; "
+                f"select only suites that use it"
+            )
+
+
+def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dict[str, dict]:
+    """Apply every override for every selected suite, before any suite runs.
+
+    Returns per suite the keyword arguments of `_run_one_suite`.
+    """
+    inputs: dict[str, dict] = {name: {} for name in names}
+    if args.corrupt:
+        out, inp, coeff = _parse_entry_override(args.corrupt)
+        for name in names:
+            try:
+                inputs[name]["op"] = _corrupt_target(name, n).with_entry(out, inp, coeff)
+            except ValueError as exc:
+                raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
+    if args.corrupt_constants:
+        upper, lower, coeff = _parse_constant_override(args.corrupt_constants)
+        try:
+            constants = structure_constants(n).with_entry(upper, lower[0], lower[1], coeff)
+        except ValueError as exc:
+            raise InputError(f"--corrupt-constants {args.corrupt_constants!r}: {exc}") from None
+        for name in names:
+            inputs[name]["constants"] = constants
+    return inputs
+
+
+def _cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    reports = [_run_one_suite(name, cfg, args) for name in names]
+    _reject_unused_flags(args, names)
+    inputs = _corrupted_inputs(args, names, cfg.n)
+    reports = [_run_one_suite(name, cfg, **inputs[name]) for name in names]
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     _emit(payload, cfg)
     for report in reports:

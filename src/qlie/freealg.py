@@ -126,8 +126,6 @@ class NCPoly:
         return NCPoly._wrap(out)
 
     def scale(self, factor: Union[Scalar, int]) -> "NCPoly":
-        if isinstance(factor, int):
-            factor = Scalar.rational(factor)
         out = {}
         for word, coeff in self._terms.items():
             acc = coeff * factor

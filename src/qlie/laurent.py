@@ -123,8 +123,6 @@ class LaurentFn:
         return self + (-other)
 
     def scale(self, factor: Union[Scalar, int]) -> "LaurentFn":
-        if isinstance(factor, int):
-            factor = Scalar.rational(factor)
         out = {}
         for exps, coeff in self._terms.items():
             acc = coeff * factor
@@ -223,8 +221,9 @@ def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
             raise ValueError(f"divided difference on a singular term {exps}")
         if ea == eb:
             continue
-        # swap minus identity on x^ea y^eb gives -(sign) * geometric sum
-        sign = -1 if ea > eb else 1
+        # swap minus identity on x^ea y^eb is the geometric sum, negated
+        # when ea > eb
+        term = -coeff if ea > eb else coeff
         lo, hi = min(ea, eb), max(ea, eb)
         for t in range(hi - lo):
             e = list(exps)
@@ -232,7 +231,7 @@ def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
             e[b] = hi - 1 - t
             key = tuple(e)
             acc = out.get(key)
-            acc = coeff * sign if acc is None else acc + coeff * sign
+            acc = term if acc is None else acc + term
             if acc:
                 out[key] = acc
             else:

@@ -115,8 +115,6 @@ class Operator:
         return self + (-other)
 
     def scale(self, factor: Union[Scalar, int]) -> "Operator":
-        if isinstance(factor, int):
-            factor = Scalar.rational(factor)
         out = {}
         for key, coeff in self.entries.items():
             acc = coeff * factor

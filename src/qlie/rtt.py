@@ -15,27 +15,61 @@ from __future__ import annotations
 
 import time
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
 from .checks import WITNESS_CAP, VerificationReport, _symbolic_names
-from .freealg import NCPoly, chi, ff, word_key
+from .freealg import NCPoly, Word, chi, ff, word_key
 from .linalg import Echelon, Row, echelon
 from .operators import Operator
 from .scalars import ONE, Scalar
 
 RelationKey = tuple
 
+# an operator's entries grouped by input pair and by output pair:
+# by_in[(i, j)] lists (out, coeff), by_out[(k, l)] lists (in, coeff)
+EntryIndex = tuple[dict, dict]
+# structure constants C^k_{ij} grouped by lower pair, listing (k, coeff),
+# and by upper index, listing ((i, j), coeff)
+ConstantIndex = tuple[dict, dict]
 
-def _t_entry(upper: int, lower: int) -> Optional[NCPoly]:
-    """Entry of the block matrix T; None encodes a structural zero."""
+
+def _index_entries(op: Operator) -> EntryIndex:
+    by_in: dict[tuple[int, int], list] = {}
+    by_out: dict[tuple[int, int], list] = {}
+    for (out, inp), coeff in op.entries.items():
+        by_in.setdefault(inp, []).append((out, coeff))
+        by_out.setdefault(out, []).append((inp, coeff))
+    return by_in, by_out
+
+
+def _index_constants(ct: StructureTensor) -> ConstantIndex:
+    by_lower: dict[tuple[int, int], list] = {}
+    by_upper: dict[int, list] = {}
+    for (k, i, j), v in ct.entries.items():
+        by_lower.setdefault((i, j), []).append((k, v))
+        by_upper.setdefault(k, []).append(((i, j), v))
+    return by_lower, by_upper
+
+
+def _collect(terms: Iterable[tuple[Word, Scalar]]) -> NCPoly:
+    """Sum of scalar multiples of words; zero coefficients are dropped."""
+    out: dict[Word, Scalar] = {}
+    for word, coeff in terms:
+        acc = out.get(word)
+        out[word] = coeff if acc is None else acc + coeff
+    return NCPoly(out)
+
+
+def _t_entry(upper: int, lower: int) -> Optional[Word]:
+    """Entry of the block matrix T as a word; None encodes a structural zero."""
     if upper == 0 and lower == 0:
-        return NCPoly.unit()
+        return ()
     if upper == 0:
-        return NCPoly.generator(chi(lower))
+        return (chi(lower),)
     if lower == 0:
         return None
-    return NCPoly.generator(ff(upper, lower))
+    return (ff(upper, lower),)
 
 
 def rtt_relation(
@@ -50,18 +84,25 @@ def rtt_relation(
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
             raise ValueError(f"index {idx} outside 0..{n}")
-    total = NCPoly.zero()
-    for ((K, L), (i2, j2)), coeff in R.entries.items():
-        if (i2, j2) == (I, J):
+    return _rtt_relation(I, J, A, B, _index_entries(R))
+
+
+def _rtt_relation(I: int, J: int, A: int, B: int, rhat: EntryIndex) -> NCPoly:
+    by_in, by_out = rhat
+
+    def terms() -> Iterator[tuple[Word, Scalar]]:
+        # Rhat^{KL}_{IJ} T^A_K T^B_L
+        for (K, L), coeff in by_in.get((I, J), ()):
             ta, tb = _t_entry(A, K), _t_entry(B, L)
             if ta is not None and tb is not None:
-                total = total + (ta * tb).scale(coeff)
-        if (K, L) == (A, B):
-            # here the entry is Rhat^{AB}_{K'L'} with (K', L') = (i2, j2)
-            ta, tb = _t_entry(i2, I), _t_entry(j2, J)
+                yield ta + tb, coeff
+        # T^K_I T^L_J Rhat^{AB}_{KL}
+        for (K, L), coeff in by_out.get((A, B), ()):
+            ta, tb = _t_entry(K, I), _t_entry(L, J)
             if ta is not None and tb is not None:
-                total = total - (ta * tb).scale(coeff)
-    return total
+                yield ta + tb, -coeff
+
+    return _collect(terms())
 
 
 def bcc_relation(
@@ -81,60 +122,50 @@ def bcc_relation(
     """
     sig = sigma_cg(n) if sigma is None else sigma
     ct = structure_constants(n) if constants is None else constants
-    by_in: dict[tuple[int, int], list] = {}
-    by_out: dict[tuple[int, int], list] = {}
-    for (out, inp), coeff in sig.entries.items():
-        by_in.setdefault(inp, []).append((out, coeff))
-        by_out.setdefault(out, []).append((inp, coeff))
+    return _bcc_relation(family, indices, _index_entries(sig), _index_constants(ct))
 
-    def gen2(g1, g2) -> NCPoly:
-        return NCPoly.generator(g1) * NCPoly.generator(g2)
 
+def _bcc_relation(
+    family: int, indices: tuple[int, ...], sigma: EntryIndex, constants: ConstantIndex
+) -> NCPoly:
+    by_in, by_out = sigma
+    ct_lower, ct_upper = constants
     if family == 1:
         i, j = indices
-        total = gen2(chi(i), chi(j))
-        for (k, l), w in by_in.get((i, j), ()):
-            total = total - gen2(chi(k), chi(l)).scale(w)
-        for (k, i2, j2), v in ct.entries.items():
-            if (i2, j2) == (i, j):
-                total = total - NCPoly.generator(chi(k)).scale(v)
-        return total
+        return _collect([
+            ((chi(i), chi(j)), ONE),
+            *(((chi(k), chi(l)), -w) for (k, l), w in by_in.get((i, j), ())),
+            *(((chi(k),), -v) for k, v in ct_lower.get((i, j), ())),
+        ])
     if family == 2:
         i, j, a, b = indices
-        total = NCPoly.zero()
-        for (k, l), w in by_in.get((i, j), ()):
-            total = total + gen2(ff(a, k), ff(b, l)).scale(w)
-        for (k, l), w in by_out.get((a, b), ()):
-            total = total - gen2(ff(k, i), ff(l, j)).scale(w)
-        return total
+        return _collect([
+            *(((ff(a, k), ff(b, l)), w) for (k, l), w in by_in.get((i, j), ())),
+            *(((ff(k, i), ff(l, j)), -w) for (k, l), w in by_out.get((a, b), ())),
+        ])
     if family == 3:
         i, j, a = indices
-        total = NCPoly.zero()
-        for (k, l), w in by_in.get((i, j), ()):
-            total = total + gen2(chi(k), ff(a, l)).scale(w)
-        for (l, i2, j2), v in ct.entries.items():
-            if (i2, j2) == (i, j):
-                total = total + NCPoly.generator(ff(a, l)).scale(v)
-        for (a2, k, l), v in ct.entries.items():
-            if a2 == a:
-                total = total - gen2(ff(k, i), ff(l, j)).scale(v)
-        total = total - gen2(ff(a, i), chi(j))
-        return total
+        return _collect([
+            *(((chi(k), ff(a, l)), w) for (k, l), w in by_in.get((i, j), ())),
+            *(((ff(a, l),), v) for l, v in ct_lower.get((i, j), ())),
+            *(((ff(k, i), ff(l, j)), -v) for (k, l), v in ct_upper.get(a, ())),
+            ((ff(a, i), chi(j)), -ONE),
+        ])
     if family == 4:
         i, j, a = indices
-        total = gen2(chi(i), ff(a, j))
-        for (k, l), w in by_in.get((i, j), ()):
-            total = total - gen2(ff(a, k), chi(l)).scale(w)
-        return total
+        return _collect([
+            ((chi(i), ff(a, j)), ONE),
+            *(((ff(a, k), chi(l)), -w) for (k, l), w in by_in.get((i, j), ())),
+        ])
     raise ValueError(f"unknown relation family {family}")
 
 
 def all_rtt_relations(
     n: int, rhat: Optional[Operator] = None
 ) -> Iterator[tuple[RelationKey, NCPoly]]:
-    R = extended_rhat(n) if rhat is None else rhat
+    R = _index_entries(extended_rhat(n) if rhat is None else rhat)
     for I, J, A, B in product(range(0, n + 1), repeat=4):
-        yield ("rtt", I, J, A, B), rtt_relation(I, J, A, B, n, rhat=R)
+        yield ("rtt", I, J, A, B), _rtt_relation(I, J, A, B, R)
 
 
 def all_bcc_relations(
@@ -142,17 +173,17 @@ def all_bcc_relations(
     sigma: Optional[Operator] = None,
     constants: Optional[StructureTensor] = None,
 ) -> Iterator[tuple[RelationKey, NCPoly]]:
-    sig = sigma_cg(n) if sigma is None else sigma
-    ct = structure_constants(n) if constants is None else constants
+    sig = _index_entries(sigma_cg(n) if sigma is None else sigma)
+    ct = _index_constants(structure_constants(n) if constants is None else constants)
     small = range(1, n + 1)
     for i, j in product(small, repeat=2):
-        yield ("bcc", 1, i, j), bcc_relation(1, (i, j), n, sig, ct)
+        yield ("bcc", 1, i, j), _bcc_relation(1, (i, j), sig, ct)
     for i, j, a, b in product(small, repeat=4):
-        yield ("bcc", 2, i, j, a, b), bcc_relation(2, (i, j, a, b), n, sig, ct)
+        yield ("bcc", 2, i, j, a, b), _bcc_relation(2, (i, j, a, b), sig, ct)
     for i, j, a in product(small, repeat=3):
-        yield ("bcc", 3, i, j, a), bcc_relation(3, (i, j, a), n, sig, ct)
+        yield ("bcc", 3, i, j, a), _bcc_relation(3, (i, j, a), sig, ct)
     for i, j, a in product(small, repeat=3):
-        yield ("bcc", 4, i, j, a), bcc_relation(4, (i, j, a), n, sig, ct)
+        yield ("bcc", 4, i, j, a), _bcc_relation(4, (i, j, a), sig, ct)
 
 
 def compare_relation_spans(

@@ -3,12 +3,23 @@
 Every quantity in this package is a sparse polynomial in the formal
 parameters b and C and the Laurent parameter p, with rational coefficients.
 Scalars are immutable; all operations return new values.
+
+Coefficients are stored as Python ints wherever they are integral, which is
+everywhere on symbolic input: the Cremmer-Gervais entries, the structure
+constants and the flips have integer coefficients, and fraction-free
+elimination keeps them integral.  A Fraction appears only where a
+non-integer rational does: after a rational substitution, in a parsed
+"a/b", or as a non-integral exact quotient.  Since 1 == Fraction(1) and
+hash(1) == hash(Fraction(1)), equality, hashing and printing do not depend
+on which of the two types holds an integral value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
+
+Coeff = Union[int, Fraction]
 
 # exponent triple (deg b, deg C, deg p); b and C are never negative, p may be
 Exponents = tuple[int, int, int]
@@ -24,6 +35,15 @@ class ScalarParseError(ValueError):
         self.pos = pos
 
 
+def _coerce(value: Union[int, Fraction, str]) -> Coeff:
+    """An int stays an int; any other rational becomes an int if integral."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _grlex(e: Exponents) -> tuple:
     # total degree first, then lexicographic; a group order on Z^3, so it is
     # compatible with monomial multiplication (needed by exact_div)
@@ -35,14 +55,14 @@ class Scalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[Exponents, Fraction]] = None):
-        canon: dict[Exponents, Fraction] = {}
+    def __init__(self, terms: Optional[Mapping[Exponents, Coeff]] = None):
+        canon: dict[Exponents, Coeff] = {}
         if terms:
             for exps, coeff in terms.items():
                 db, dc, dp = exps
                 if db < 0 or dc < 0:
                     raise ValueError(f"negative exponent for b or C: {exps}")
-                coeff = Fraction(coeff)
+                coeff = _coerce(coeff)
                 if coeff:
                     canon[(db, dc, dp)] = coeff
         self._terms = canon
@@ -54,12 +74,12 @@ class Scalar:
         return cls()
 
     @classmethod
-    def rational(cls, value: Union[int, Fraction]) -> "Scalar":
-        return cls({(0, 0, 0): Fraction(value)})
+    def rational(cls, value: Coeff) -> "Scalar":
+        return cls({(0, 0, 0): _coerce(value)})
 
     @classmethod
-    def monomial(cls, exps: Exponents, coeff: Union[int, Fraction] = 1) -> "Scalar":
-        return cls({exps: Fraction(coeff)})
+    def monomial(cls, exps: Exponents, coeff: Coeff = 1) -> "Scalar":
+        return cls({exps: _coerce(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -72,7 +92,7 @@ class Scalar:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def terms(self) -> Iterator[tuple[Exponents, Coeff]]:
         """Terms in the canonical (graded-lexicographic) order."""
         return iter(sorted(self._terms.items(), key=lambda t: _grlex(t[0])))
 
@@ -82,7 +102,7 @@ class Scalar:
             return Fraction(0)
         if set(self._terms) != {(0, 0, 0)}:
             raise ValueError(f"not a constant: {self}")
-        return self._terms[(0, 0, 0)]
+        return Fraction(self._terms[(0, 0, 0)])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
@@ -118,14 +138,24 @@ class Scalar:
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
-    def __mul__(self, other: Union["Scalar", int, Fraction]) -> "Scalar":
+    def __mul__(self, other: Union["Scalar", Coeff]) -> "Scalar":
         if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
+            return self._scaled(_coerce(other))
         if not isinstance(other, Scalar):
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for (a0, a1, a2), ca in self._terms.items():
-            for (b0, b1, b2), cb in other._terms.items():
+        a, b = (other, self) if len(self._terms) == 1 else (self, other)
+        if len(b._terms) == 1:
+            # times one monomial: distinct exponents stay distinct, and a
+            # product of nonzero rationals is nonzero, so nothing cancels
+            ((b0, b1, b2), cb), = b._terms.items()
+            if not (b0 or b1 or b2):
+                return a._scaled(cb)
+            s = Scalar.__new__(Scalar)
+            s._terms = {(a0 + b0, a1 + b1, a2 + b2): ca * cb for (a0, a1, a2), ca in a._terms.items()}
+            return s
+        out: dict[Exponents, Coeff] = {}
+        for (a0, a1, a2), ca in a._terms.items():
+            for (b0, b1, b2), cb in b._terms.items():
                 e = (a0 + b0, a1 + b1, a2 + b2)
                 acc = out.get(e, 0) + ca * cb
                 if acc:
@@ -137,6 +167,14 @@ class Scalar:
         return s
 
     __rmul__ = __mul__
+
+    def _scaled(self, factor: Coeff) -> "Scalar":
+        # scalars are immutable, so a product with 1 may share its factor
+        if factor == 1:
+            return self
+        s = Scalar.__new__(Scalar)
+        s._terms = {e: c * factor for e, c in self._terms.items()} if factor else {}
+        return s
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -150,29 +188,31 @@ class Scalar:
 
     def substitute(
         self,
-        beta: Optional[Union[int, Fraction]] = None,
-        c: Optional[Union[int, Fraction]] = None,
-        p: Optional[Union[int, Fraction]] = None,
+        beta: Optional[Coeff] = None,
+        c: Optional[Coeff] = None,
+        p: Optional[Coeff] = None,
     ) -> "Scalar":
         """Partially evaluate some of b, C, p at rational values.
 
         p must be nonzero (it occurs with negative exponents).
         """
-        if p is not None and Fraction(p) == 0:
+        beta, c, p = (None if v is None else _coerce(v) for v in (beta, c, p))
+        if p == 0:
             raise ValueError("p must be nonzero")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for (db, dc, dp), coeff in self._terms.items():
             if beta is not None:
-                coeff = coeff * Fraction(beta) ** db
+                coeff = coeff * beta ** db
                 db = 0
             if c is not None:
-                coeff = coeff * Fraction(c) ** dc
+                coeff = coeff * c ** dc
                 dc = 0
             if p is not None:
-                coeff = coeff * Fraction(p) ** dp
+                # an int to a negative power would be a float
+                coeff = coeff * (p ** dp if dp >= 0 else Fraction(p) ** dp)
                 dp = 0
             e = (db, dc, dp)
-            acc = out.get(e, 0) + coeff
+            acc = _coerce(out.get(e, 0) + coeff)
             if acc:
                 out[e] = acc
             else:
@@ -183,9 +223,9 @@ class Scalar:
 
     def eval(
         self,
-        beta: Union[int, Fraction],
-        c: Union[int, Fraction],
-        p: Union[int, Fraction],
+        beta: Coeff,
+        c: Coeff,
+        p: Coeff,
     ) -> Fraction:
         """Evaluate fully; a ring homomorphism Q[b,C,p,p^-1] -> Q."""
         return self.substitute(beta=beta, c=c, p=p).as_rational()
@@ -209,13 +249,19 @@ class Scalar:
         den = {(e[0], e[1], e[2] - shift_d): c for e, c in divisor._terms.items()}
         lt_d = max(den, key=_grlex)
         cd = den[lt_d]
-        quo: dict[Exponents, Fraction] = {}
+        quo: dict[Exponents, Coeff] = {}
         while rem:
             lt_r = max(rem, key=_grlex)
             e = (lt_r[0] - lt_d[0], lt_r[1] - lt_d[1], lt_r[2] - lt_d[2])
             if e[0] < 0 or e[1] < 0 or e[2] < 0:
                 raise ValueError("inexact scalar division")
-            cq = rem[lt_r] / cd
+            cr = rem[lt_r]
+            if type(cr) is int and type(cd) is int:
+                cq, r = divmod(cr, cd)
+                if r:
+                    cq = Fraction(cr, cd)
+            else:
+                cq = _coerce(Fraction(cr) / cd)
             quo[e] = cq
             for ed, cden in den.items():
                 key = (e[0] + ed[0], e[1] + ed[1], e[2] + ed[2])

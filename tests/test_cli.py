@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from qlie import cli
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -198,3 +200,52 @@ def test_bad_flags_exit_2():
     assert run_cli("verify", "nosuch", "--n", "1").returncode == 2
     assert run_cli("verify", "braid", "--n", "1", "--beta", "x").returncode == 2
     assert run_cli("verify", "braid", "--n", "1", "--corrupt", "junk").returncode == 2
+
+
+SUMMARY_LINE = re.compile(r"^[\w-]+: (PASS|FAIL) \(", re.MULTILINE)
+
+
+def test_bad_override_is_rejected_before_any_suite_runs():
+    proc = run_cli("verify", "all", "--n", "2", "--corrupt", "(0,1;1,1)=2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not SUMMARY_LINE.search(proc.stderr)
+    assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
+
+
+def test_every_override_is_checked_against_every_selected_suite():
+    # index 0 exists in braid's extended matrix but not in qlie's braid matrix
+    args = cli._build_parser().parse_args(["verify", "braid", "--n", "2", "--corrupt", "(0,1;1,1)=2"])
+    assert set(cli._corrupted_inputs(args, ["braid", "ybe"], 2)) == {"braid", "ybe"}
+    with pytest.raises(cli.InputError, match="index 0 outside 1..2"):
+        cli._corrupted_inputs(args, ["braid", "ybe", "qlie"], 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "rtt", "--n", "2", "--beta", "1/2"),
+        ("verify", "rtt", "--n", "2", "--C", "1"),
+        ("verify", "rtt", "--n", "2", "--p", "2"),
+        ("verify", "components", "--n", "2", "--corrupt", "(1,1;1,1)=2"),
+        ("verify", "ybfr", "--n", "2", "--corrupt", "(1,1;1,1)=2"),
+        ("verify", "hecke", "--n", "2", "--corrupt", "(1,1;1,1)=2"),
+        ("verify", "braid", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "ybe", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "cybe", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "components", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "ybfr", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "hecke", "--n", "2", "--corrupt-constants", "(2;1,2)=C"),
+        ("verify", "all", "--n", "2", "--beta", "1/2"),
+        ("cross-check", "--n", "2", "--beta", "1/2"),
+        ("dump-relations", "--n", "1", "--p", "2"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_flag_a_selected_suite_ignores_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not SUMMARY_LINE.search(proc.stderr)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("qlie: error: ") and args[-2] in last

@@ -1,0 +1,42 @@
+"""Byte-identity of reports against recorded outputs.
+
+`data/golden_outputs.json` holds, per command line, the exit code and the
+stdout of `qlie`, with every `"millis": N` replaced by `"millis": 0`.  The
+cases are `verify all --n 1..4` plus failing, specialized and generated
+outputs whose scalars print rationals.  They were recorded before the scalar
+layer stored int coefficients; any later change to them must be intended.
+To re-record after an intended change, run `PYTHONPATH=src python
+tests/test_golden.py` and say in the change what moved and why.
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from qlie.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
+CASES = json.loads(DATA.read_text())
+
+
+def run(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, re.sub(r'"millis": \d+', '"millis": 0', stdout.getvalue())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_output_matches_recording(case):
+    code, stdout = run(case["argv"])
+    assert code == case["exit"]
+    assert stdout == case["stdout"]
+
+
+if __name__ == "__main__":
+    recorded = [dict(zip(("argv", "exit", "stdout"), (c["argv"], *run(c["argv"])))) for c in CASES]
+    DATA.write_text(json.dumps(recorded, indent=1) + "\n")

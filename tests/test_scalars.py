@@ -125,3 +125,65 @@ def test_partial_substitution():
     assert at_p1 == BETA + C
     assert s.substitute(beta=0) == C * P_INV
     assert s.substitute(beta=1, c=2, p=2) == Scalar.rational(3)
+
+
+# -- int coefficients, Fraction only where a rational appears ---------------
+
+int_scalars = st.dictionaries(exponents, st.integers(-5, 5), max_size=6).map(Scalar)
+values = st.one_of(st.integers(-4, 4), fractions)
+
+
+def _coefficient_types(a):
+    return {type(coeff) for _, coeff in a.terms()}
+
+
+def test_int_and_integral_fraction_coefficients_are_interchangeable():
+    for exps in ((0, 0, 0), (1, 0, 0), (0, 2, -1)):
+        a = Scalar.monomial(exps, 2)
+        b = Scalar.monomial(exps, Fraction(2))
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert {a: "found"}[b] == "found"
+    assert Scalar.rational(2) == Scalar.rational(Fraction(4, 2)) == 2 == Fraction(2)
+    assert Scalar({(1, 0, 0): Fraction(3), (0, 0, 0): 1}) == BETA * 3 + ONE
+
+
+def test_non_integral_exact_quotient_is_a_fraction():
+    q = (BETA * 2).exact_div(Scalar.rational(3))
+    assert q == Scalar.monomial((1, 0, 0), Fraction(2, 3))
+    assert str(q) == "2/3*b"
+    assert _coefficient_types(q) == {Fraction}
+    assert _coefficient_types((BETA * 6 - C * 3).exact_div(Scalar.rational(3))) == {int}
+
+
+def test_as_rational_returns_a_fraction():
+    for s in (ZERO, ONE, Scalar.rational(-7), Scalar.rational(Fraction(1, 3))):
+        assert type(s.as_rational()) is Fraction
+    assert type((BETA * 2).eval(3, 0, 1)) is Fraction
+
+
+def test_integer_substitution_keeps_int_coefficients():
+    s = BETA * BETA * C * 3 + BETA * P * 2 - C * P_INV
+    for beta in (2, Fraction(2)):
+        assert _coefficient_types(s.substitute(beta=beta)) == {int}
+    at_p2 = s.substitute(p=2)
+    assert at_p2 == BETA * BETA * C * 3 + BETA * 4 - C * Fraction(1, 2)
+    assert _coefficient_types(at_p2) == {int, Fraction}
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_scalars, int_scalars, st.integers(-4, 4), fractions, values, values,
+       values.filter(lambda v: v != 0))
+def test_coefficients_are_ints_or_fractions_never_floats(a, b, k, q, beta0, c0, p0):
+    # int coefficients stay ints under ring operations and exact quotients
+    results = [a + b, a - b, a * b, a * k, k * a]
+    if b:
+        results.append((a * b).exact_div(b))
+    for value in results:
+        assert _coefficient_types(value) <= {int}
+    # a rational factor or substitution may bring in a Fraction, never a float,
+    # and substitution leaves no Fraction with denominator 1
+    assert _coefficient_types(a * q) <= {int, Fraction}
+    for value in (a.substitute(beta=beta0), a.substitute(c=c0, p=p0),
+                  a.substitute(beta=beta0, c=c0, p=p0)):
+        assert _coefficient_types(value) <= {int, Fraction}
+        assert all(type(c) is int or c.denominator != 1 for _, c in value.terms())
