@@ -2,19 +2,19 @@
 
 Each suite checks an identity exactly, over symbolic coefficients unless a
 specialization is requested, and returns a VerificationReport.  Failures are
-collected as witnesses, never raised.  Operator identities are verified on
-two independent routes wherever both exist: functionally, by applying
-composed operators to basis monomials, and matrix-wise, by composing sparse
-restriction matrices.
+collected as witnesses, never raised.  Operator identities are stated as
+data, signed sums of words in named two-slot operators, and one engine,
+`check_identities`, verifies them on two independent routes wherever both
+exist: functionally, by applying the words to basis monomials, and
+matrix-wise, by composing sparse restriction matrices.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .laurent import (
@@ -28,7 +28,7 @@ from .laurent import (
     op_s,
     permute,
 )
-from .operators import Operator, compose, embed, from_functional, op_equal
+from .operators import Operator, compose, embed, from_functional
 from .scalars import BETA, ONE, Scalar
 
 WITNESS_CAP = 16
@@ -39,12 +39,13 @@ Subs = Optional[dict]
 S12 = (0, 1)
 S13 = (0, 2)
 S23 = (1, 2)
-_PAIR_NAME = {S12: "12", S13: "13", S23: "23"}
 
 # a word is a composition of elementary two-slot operators, leftmost applied
-# last; an expression is a signed sum of words and must vanish
+# last; an expression is a sum of words, each with sign +1 or -1
 Word = Sequence[tuple[str, tuple[int, int]]]
 Expression = Sequence[tuple[int, Word]]
+# (witness tag, lhs, rhs): lhs = rhs, or lhs = 0 when rhs is empty
+Identity = tuple[dict, Expression, Expression]
 
 _FUNCTIONAL_OPS: dict[str, Callable] = {
     "rho": op_rho,
@@ -81,145 +82,138 @@ class VerificationReport:
         }
 
 
-class _Collector:
-    def __init__(self) -> None:
+class Collector:
+    """Specialization, check count and witnesses of one suite run.
+
+    Create it when the suite starts; `report()` takes the elapsed time from
+    then and caps the witness list.
+    """
+
+    def __init__(self, suite: str, n: int, subs: Subs = None) -> None:
+        self.suite = suite
+        self.n = n
+        self.subs = subs
         self.checked = 0
         self.witnesses: list[dict] = []
+        self._t0 = time.perf_counter()
 
-    def count(self, k: int = 1) -> None:
-        self.checked += k
+    def scalar(self, s: Scalar) -> Scalar:
+        return s.substitute(**self.subs) if self.subs else s
 
-    def witness(self, w: dict) -> None:
-        self.witnesses.append(w)
+    def leaf(self, op: Operator) -> Operator:
+        return op.map_entries(self.scalar) if self.subs else op
 
-    def extend_compare(self, a: Operator, b: Operator, tag: dict) -> None:
+    def vanishes(self, fn: LaurentFn) -> bool:
+        if not self.subs:
+            return fn.is_zero()
+        return all(not self.scalar(coeff) for _, coeff in fn.terms())
+
+    def compare(self, a: Operator, b: Operator, tag: dict) -> None:
         """Count one comparison per entry position; collect all discrepancies."""
-        keys = set(a.entries) | set(b.entries)
-        self.count((a.n + 1 - a.lo) ** (2 * a.legs))
-        for key in sorted(keys):
-            ca = a.entries.get(key, Scalar.zero())
-            cb = b.entries.get(key, Scalar.zero())
+        self.checked += (a.n + 1 - a.lo) ** (2 * a.legs)
+        zero = Scalar.zero()
+        for key in sorted(set(a.entries) | set(b.entries)):
+            ca = a.entries.get(key, zero)
+            cb = b.entries.get(key, zero)
             if ca != cb:
                 out, inp = key
-                self.witness(
+                self.witnesses.append(
                     {**tag, "out": list(out), "in": list(inp), "lhs": str(ca), "rhs": str(cb)}
                 )
 
-
-def _symbolic_names(subs: Subs) -> list[str]:
-    fixed = set(subs or ())
-    return [name for key, name in (("beta", "b"), ("c", "C"), ("p", "p")) if key not in fixed]
-
-
-def _finish(suite: str, n: int, subs: Subs, col: _Collector, t0: float) -> VerificationReport:
-    return VerificationReport(
-        suite=suite,
-        n=n,
-        symbolic=_symbolic_names(subs),
-        passed=not col.witnesses,
-        checked=col.checked,
-        failures=len(col.witnesses),
-        witnesses=col.witnesses[:WITNESS_CAP],
-        millis=int((time.perf_counter() - t0) * 1000),
-    )
-
-
-def _subst(scalar: Scalar, subs: Subs) -> Scalar:
-    return scalar if not subs else scalar.substitute(**subs)
-
-
-def _specialize(op: Operator, subs: Subs) -> Operator:
-    return op if not subs else op.map_entries(lambda s: s.substitute(**subs))
+    def report(self) -> VerificationReport:
+        fixed = set(self.subs or ())
+        symbolic = [name for key, name in (("beta", "b"), ("c", "C"), ("p", "p")) if key not in fixed]
+        return VerificationReport(
+            suite=self.suite,
+            n=self.n,
+            symbolic=symbolic,
+            passed=not self.witnesses,
+            checked=self.checked,
+            failures=len(self.witnesses),
+            witnesses=self.witnesses[:WITNESS_CAP],
+            millis=int((time.perf_counter() - self._t0) * 1000),
+        )
 
 
 # ---------------------------------------------------------------------------
-# elementary matrix / functional evaluation of operator words
+# the identity engine
 # ---------------------------------------------------------------------------
 
 
-def _apply_word(word: Word, fn: LaurentFn) -> LaurentFn:
-    for name, slots in reversed(list(word)):
-        fn = _FUNCTIONAL_OPS[name](fn, slots)
-    return fn
-
-
-def _apply_expression(expr: Expression, fn: LaurentFn) -> LaurentFn:
-    total = LaurentFn.zero(fn.cfg, fn.arity)
+def _signed_sum(expr: Expression, term: Callable):
+    total = None
     for sign, word in expr:
-        total = total + _apply_word(word, fn).scale(sign)
+        value = term(word)
+        if total is None:
+            total = value if sign > 0 else -value
+        else:
+            total = total + value if sign > 0 else total - value
     return total
 
 
-def _word_matrix(word: Word, cfg: SpaceConfig, cache: dict) -> Operator:
-    result: Optional[Operator] = None
-    for name, slots in word:
-        key = (name, slots)
-        if key not in cache:
-            if name not in cache:
-                cache[name] = from_functional(lambda f, op=_FUNCTIONAL_OPS[name]: op(f, (0, 1)), cfg)
-            cache[key] = embed(cache[name], _PAIR_NAME[slots])
-        m = cache[key]
-        result = m if result is None else compose(result, m)
-    assert result is not None
-    return result
-
-
-def _expression_matrix(expr: Expression, cfg: SpaceConfig, cache: dict) -> Operator:
-    total = Operator(cfg.n, 3, {}, lo=0)
-    for sign, word in expr:
-        total = total + _word_matrix(word, cfg, cache).scale(sign)
-    return total
-
-
-def _check_expressions_vanish(
-    labeled: Sequence[tuple[str, Expression]],
-    n: int,
-    col: _Collector,
-    subs: Subs,
-    monomial_degree: int,
+def check_identities(
+    col: Collector,
+    identities: Sequence[Identity],
+    leaves: dict[str, Operator],
+    domain: Optional[range] = None,
+    sided: bool = True,
 ) -> None:
-    """Verify each expression vanishes, functionally and matrix-wise.
+    """Verify each identity functionally, then matrix-wise.
 
-    Functional route: apply to every monomial with exponents in
-    [0, monomial_degree] per variable (the polynomial domain).  Matrix route:
-    assemble the expression on the truncated space of size n and compare with
-    the zero operator.
+    Functional route, only when a monomial domain is given: apply both sides
+    to every monomial in three variables with exponents in `domain`, in the
+    space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
+    SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
+    variable.  Matrix route: compose the embedded `leaves`, the two-leg
+    matrices (already specialized) of the operators the words name.
+    Witnesses start with the identity's tag, then name the route under
+    `side` unless `sided` is false.
     """
-    cfg_poly = SpaceConfig(monomial_degree + 1)
-    domain = list(product(range(0, monomial_degree + 1), repeat=3))
-    cfg_mat = SpaceConfig(n)
-    cache: dict = {}
-    for label, expr in labeled:
-        for exps in domain:
-            col.count()
-            value = _apply_expression(expr, LaurentFn.monomial(cfg_poly, exps))
-            if not _vanishes_fn(value, subs):
-                col.witness(
-                    {
-                        "identity": label,
-                        "side": "functional",
-                        "monomial": list(exps),
-                        "value": str(value),
-                    }
-                )
-        mat = _specialize(_expression_matrix(expr, cfg_mat, cache), subs)
-        col.count((n + 1) ** 6)
-        for (out, inp), coeff in mat.sorted_entries():
-            col.witness(
-                {
-                    "identity": label,
-                    "side": "matrix",
-                    "out": list(out),
-                    "in": list(inp),
-                    "value": str(coeff),
-                }
+    embedded: dict[tuple[str, tuple[int, int]], Operator] = {}
+
+    def word_matrix(word: Word) -> Operator:
+        result = None
+        for name, slots in word:
+            m = embedded.get((name, slots))
+            if m is None:
+                m = embedded[name, slots] = embed(leaves[name], slots)
+            result = m if result is None else compose(result, m)
+        return result
+
+    def apply_word(word: Word, fn: LaurentFn) -> LaurentFn:
+        for name, slots in reversed(word):
+            fn = _FUNCTIONAL_OPS[name](fn, slots)
+        return fn
+
+    cfg = SpaceConfig(domain.stop) if domain is not None else None
+    for tag, lhs, rhs in identities:
+        if domain is not None:
+            difference = [*lhs, *((-sign, word) for sign, word in rhs)]
+            for exps in product(domain, repeat=3):
+                col.checked += 1
+                fn = LaurentFn.monomial(cfg, exps)
+                value = _signed_sum(difference, lambda word: apply_word(word, fn))
+                if not col.vanishes(value):
+                    col.witnesses.append(
+                        {**tag, "side": "functional", "monomial": list(exps), "value": str(value)}
+                    )
+        matrix_tag = {**tag, "side": "matrix"} if sided else tag
+        lhs_matrix = _signed_sum(lhs, word_matrix)
+        if rhs:
+            col.compare(lhs_matrix, _signed_sum(rhs, word_matrix), matrix_tag)
+            continue
+        col.checked += (lhs_matrix.n + 1 - lhs_matrix.lo) ** 6
+        for (out, inp), coeff in lhs_matrix.sorted_entries():
+            col.witnesses.append(
+                {**matrix_tag, "out": list(out), "in": list(inp), "value": str(coeff)}
             )
 
 
-def _vanishes_fn(fn: LaurentFn, subs: Subs) -> bool:
-    if not subs:
-        return fn.is_zero()
-    return all(not coeff.substitute(**subs) for _, coeff in fn.terms())
+def _functional_matrix(name: str, n: int) -> Operator:
+    """Matrix of the named two-slot functional operator on SpaceConfig(n)."""
+    op = _FUNCTIONAL_OPS[name]
+    return from_functional(lambda fn: op(fn, S12), SpaceConfig(n))
 
 
 # ---------------------------------------------------------------------------
@@ -227,182 +221,91 @@ def _vanishes_fn(fn: LaurentFn, subs: Subs) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_braid(R: Operator, suite: str = "braid") -> VerificationReport:
-    """R12 R23 R12 = R23 R12 R23 for a 2-leg operator, exactly."""
-    t0 = time.perf_counter()
-    col = _Collector()
-    _braid_into(R, col, {})
-    return _finish(suite, R.n, None, col, t0)
+def _braid(op: str) -> tuple[Expression, Expression]:
+    return [(1, [(op, S12), (op, S23), (op, S12)])], [(1, [(op, S23), (op, S12), (op, S23)])]
 
 
-def _braid_into(R: Operator, col: _Collector, tag: dict) -> None:
-    R12, R23 = embed(R, "12"), embed(R, "23")
-    lhs = compose(compose(R12, R23), R12)
-    rhs = compose(compose(R23, R12), R23)
-    col.extend_compare(lhs, rhs, tag)
-
-
-def check_ybe_R(R: Operator, suite: str = "ybe") -> VerificationReport:
-    """R12 R13 R23 = R23 R13 R12 for a 2-leg operator, exactly."""
-    t0 = time.perf_counter()
-    col = _Collector()
-    _ybe_into(R, col, {})
-    return _finish(suite, R.n, None, col, t0)
-
-
-def _ybe_into(R: Operator, col: _Collector, tag: dict) -> None:
-    R12, R13, R23 = embed(R, "12"), embed(R, "13"), embed(R, "23")
-    lhs = compose(compose(R12, R13), R23)
-    rhs = compose(compose(R23, R13), R12)
-    col.extend_compare(lhs, rhs, tag)
+def _ybe(op: str) -> tuple[Expression, Expression]:
+    return [(1, [(op, S12), (op, S13), (op, S23)])], [(1, [(op, S23), (op, S13), (op, S12)])]
 
 
 def suite_braid(
     n: int, subs: Subs = None, rhat: Optional[Operator] = None
 ) -> VerificationReport:
-    """Braid equation for the extended matrix, on both routes.
+    """Braid equation R12 R23 R12 = R23 R12 R23, on both routes.
 
-    The matrix route composes the closed-form extended matrix; the functional
-    route applies the braid words built from the functional operator to every
-    basis monomial of the 3-fold truncated space.
+    The matrix route composes the extended matrix, or `rhat` when given; the
+    functional route applies the braid words built from the functional
+    operator to every basis monomial of the 3-fold truncated space.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
-    R = _specialize(extended_rhat(n) if rhat is None else rhat, subs)
-    _braid_into(R, col, {"side": "matrix"})
-    cfg = SpaceConfig(n)
-    lhs_w: Expression = [(1, [("rhat", S12), ("rhat", S23), ("rhat", S12)])]
-    rhs_w: Expression = [(1, [("rhat", S23), ("rhat", S12), ("rhat", S23)])]
-    for exps in product(range(-1, n), repeat=3):
-        col.count()
-        fn = LaurentFn.monomial(cfg, exps)
-        diff = _apply_expression(lhs_w, fn) - _apply_expression(rhs_w, fn)
-        if not _vanishes_fn(diff, subs):
-            col.witness(
-                {"side": "functional", "monomial": list(exps), "value": str(diff)}
-            )
-    return _finish("braid", n, subs, col, t0)
+    col = Collector("braid", n, subs)
+    R = col.leaf(extended_rhat(n) if rhat is None else rhat)
+    check_identities(col, [({}, *_braid("rhat"))], {"rhat": R}, range(-1, n))
+    return col.report()
 
 
 def suite_ybe(
     n: int, subs: Subs = None, rhat: Optional[Operator] = None
 ) -> VerificationReport:
-    """Yang-Baxter equation for P.Rhat and for the p-family P.R_CG,p.
+    """Yang-Baxter equation R12 R13 R23 = R23 R13 R12 for P.Rhat and P.R_CG,p.
 
-    Also checks that the family at p = 1 reproduces the plain braid matrix.
+    Rhat is the extended matrix, or `rhat` when given; P.Rhat is checked on
+    both routes, the p-family on the matrix route.  Also checks that the
+    family at p = 1 reproduces the plain braid matrix.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
-    R = _specialize(extended_rhat(n) if rhat is None else rhat, subs)
-    _ybe_into(compose(Operator.flip(n, lo=R.lo), R), col, {"part": "extended", "side": "matrix"})
-
-    cfg = SpaceConfig(n)
-    word = [("R", S12), ("R", S13), ("R", S23)]
-    word_r = [("R", S23), ("R", S13), ("R", S12)]
-    for exps in product(range(-1, n), repeat=3):
-        col.count()
-        fn = LaurentFn.monomial(cfg, exps)
-        diff = _apply_word(word, fn) - _apply_word(word_r, fn)
-        if not _vanishes_fn(diff, subs):
-            col.witness(
-                {
-                    "part": "extended",
-                    "side": "functional",
-                    "monomial": list(exps),
-                    "value": str(diff),
-                }
-            )
+    col = Collector("ybe", n, subs)
+    R = col.leaf(extended_rhat(n) if rhat is None else rhat)
+    flipped = compose(Operator.flip(n, lo=R.lo), R)
+    check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": flipped}, range(-1, n))
 
     raw_family = sigma_cg_family(n)
-    family = _specialize(raw_family, subs)
-    _ybe_into(compose(Operator.flip(n, lo=1), family), col, {"part": "cg-family", "side": "matrix"})
+    flipped = compose(Operator.flip(n, lo=1), col.leaf(raw_family))
+    check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": flipped})
     # set p = 1 before any --p value is substituted
-    at_one = _specialize(raw_family.map_entries(lambda s: s.substitute(p=1)), subs)
-    col.extend_compare(at_one, _specialize(sigma_cg(n), subs), {"part": "cg-family-p1"})
-    return _finish("ybe", n, subs, col, t0)
+    at_one = col.leaf(raw_family.map_entries(lambda s: s.substitute(p=1)))
+    col.compare(at_one, col.leaf(sigma_cg(n)), {"part": "cg-family-p1"})
+    return col.report()
 
 
 # ---------------------------------------------------------------------------
 # classical Yang-Baxter and graded component suites
 # ---------------------------------------------------------------------------
 
-_CYBE_EXPR: Callable[[str], Expression] = lambda op: [
-    (1, [(op, S12), (op, S13)]),
-    (-1, [(op, S13), (op, S12)]),
-    (1, [(op, S12), (op, S23)]),
-    (-1, [(op, S23), (op, S12)]),
-    (1, [(op, S13), (op, S23)]),
-    (-1, [(op, S23), (op, S13)]),
-]
 
-
-def check_cybe(
-    r: Union[Operator, Callable], n: Optional[int] = None, suite: str = "cybe"
-) -> VerificationReport:
-    """[r12, r13] + [r12, r23] + [r13, r23] = 0.
-
-    Accepts either the sparse matrix of r (checked on the 3-fold truncated
-    space) or a two-slot functional operator (checked on every monomial with
-    exponents up to n per variable, as for polynomials).
-    """
-    t0 = time.perf_counter()
-    col = _Collector()
-    if isinstance(r, Operator):
-        _cybe_matrix_into(r, col, {"side": "matrix"})
-        return _finish(suite, r.n, None, col, t0)
-    if n is None:
-        raise ValueError("a functional operator needs the degree bound n")
-    cfg = SpaceConfig(n + 1)
-    name = "__cybe_op__"
-    ops = dict(_FUNCTIONAL_OPS)
-    ops[name] = r
-    expr = _CYBE_EXPR(name)
-    for exps in product(range(0, n + 1), repeat=3):
-        col.count()
-        fn = LaurentFn.monomial(cfg, exps)
-        total = LaurentFn.zero(cfg, 3)
-        for sign, word in expr:
-            val = fn
-            for wname, slots in reversed(word):
-                val = ops[wname](val, slots)
-            total = total + val.scale(sign)
-        if not total.is_zero():
-            col.witness(
-                {"side": "functional", "monomial": list(exps), "value": str(total)}
-            )
-    return _finish(suite, n, None, col, t0)
-
-
-def _cybe_matrix_into(r: Operator, col: _Collector, tag: dict) -> None:
-    r12, r13, r23 = embed(r, "12"), embed(r, "13"), embed(r, "23")
-
-    def comm(a: Operator, b: Operator) -> Operator:
-        return compose(a, b) - compose(b, a)
-
-    total = comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
-    col.count((r.n + 1 - r.lo) ** 6)
-    for (out, inp), coeff in total.sorted_entries():
-        col.witness({**tag, "out": list(out), "in": list(inp), "value": str(coeff)})
+def _cybe(op: str) -> Expression:
+    """[r12, r13] + [r12, r23] + [r13, r23] for r the named operator."""
+    return [
+        (1, [(op, S12), (op, S13)]),
+        (-1, [(op, S13), (op, S12)]),
+        (1, [(op, S12), (op, S23)]),
+        (-1, [(op, S23), (op, S12)]),
+        (1, [(op, S13), (op, S23)]),
+        (-1, [(op, S23), (op, S13)]),
+    ]
 
 
 def suite_cybe(
     n: int, subs: Subs = None, r_matrix: Optional[Operator] = None
 ) -> VerificationReport:
-    """Classical Yang-Baxter equation for r, functional and matrix routes."""
-    t0 = time.perf_counter()
-    col = _Collector()
-    labeled = [("cybe r", _CYBE_EXPR("r"))]
-    cfg_poly = SpaceConfig(n + 1)
-    for exps in product(range(0, n + 1), repeat=3):
-        col.count()
-        value = _apply_expression(labeled[0][1], LaurentFn.monomial(cfg_poly, exps))
-        if not _vanishes_fn(value, subs):
-            col.witness(
-                {"side": "functional", "monomial": list(exps), "value": str(value)}
-            )
-    r = r_matrix if r_matrix is not None else from_functional(op_r, SpaceConfig(n))
-    _cybe_matrix_into(_specialize(r, subs), col, {"side": "matrix"})
-    return _finish("cybe", n, subs, col, t0)
+    """Classical Yang-Baxter equation for r, functional and matrix routes.
+
+    The functional route covers every monomial of degree at most n per
+    variable; the matrix route uses the matrix of r, or `r_matrix` when given.
+    """
+    col = Collector("cybe", n, subs)
+    r = col.leaf(_functional_matrix("r", n) if r_matrix is None else r_matrix)
+    check_identities(col, [({}, _cybe("r"), ())], {"r": r}, range(0, n + 1))
+    return col.report()
+
+
+def _check_vanishing(
+    col: Collector, labeled: list[tuple[str, Expression]], names: tuple[str, ...]
+) -> None:
+    """Each labeled expression vanishes, on the polynomial domain of degree n."""
+    n = col.n
+    identities = [({"identity": label}, expr, ()) for label, expr in labeled]
+    leaves = {name: col.leaf(_functional_matrix(name, n)) for name in names}
+    check_identities(col, identities, leaves, range(0, n + 1))
 
 
 COMPONENT_IDENTITIES: list[tuple[str, Expression]] = [
@@ -439,8 +342,8 @@ COMPONENT_IDENTITIES: list[tuple[str, Expression]] = [
             (1, [("s", S12), ("s", S23)]),
         ],
     ),
-    ("cybe-rho", _CYBE_EXPR("rho")),
-    ("cybe-s", _CYBE_EXPR("s")),
+    ("cybe-rho", _cybe("rho")),
+    ("cybe-s", _cybe("s")),
 ]
 
 
@@ -451,10 +354,9 @@ def check_component_identities(n: int, subs: Subs = None) -> VerificationReport:
     classical Yang-Baxter equation, the pure-s list giving the C^2 component,
     and the classical Yang-Baxter equations for rho and s themselves.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
-    _check_expressions_vanish(COMPONENT_IDENTITIES, n, col, subs, monomial_degree=n)
-    return _finish("components", n, subs, col, t0)
+    col = Collector("components", n, subs)
+    _check_vanishing(col, COMPONENT_IDENTITIES, ("rho", "s"))
+    return col.report()
 
 
 QUADRATIC_COMPONENTS: list[tuple[str, Expression]] = [
@@ -486,11 +388,6 @@ QUADRATIC_COMPONENTS: list[tuple[str, Expression]] = [
     ("C^3: s23*s13*s12", [(1, [("s", S23), ("s", S13), ("s", S12)])]),
 ]
 
-_QUADRATIC_FULL: Expression = [
-    (1, [("r", S12), ("r", S13), ("r", S23)]),
-    (-1, [("r", S23), ("r", S13), ("r", S12)]),
-]
-
 
 def check_quadratic_ybe_components(n: int, subs: Subs = None) -> VerificationReport:
     """r12 r13 r23 = r23 r13 r12 plus each of its four graded components.
@@ -499,12 +396,12 @@ def check_quadratic_ybe_components(n: int, subs: Subs = None) -> VerificationRep
     the b^3 equation for rho, the five b^2 C identities, the six b C^2
     products and the two C^3 products, each checked separately.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
-    labeled = [("full: r12*r13*r23-r23*r13*r12", _QUADRATIC_FULL)]
-    labeled += QUADRATIC_COMPONENTS
-    _check_expressions_vanish(labeled, n, col, subs, monomial_degree=n)
-    return _finish("ybfr", n, subs, col, t0)
+    col = Collector("ybfr", n, subs)
+    lhs, rhs = _ybe("r")
+    full = [*lhs, *((-sign, word) for sign, word in rhs)]
+    labeled = [("full: r12*r13*r23-r23*r13*r12", full), *QUADRATIC_COMPONENTS]
+    _check_vanishing(col, labeled, ("r", "rho", "s"))
+    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +409,27 @@ def check_quadratic_ybe_components(n: int, subs: Subs = None) -> VerificationRep
 # ---------------------------------------------------------------------------
 
 
-def check_qlie_axioms(
-    sigma: Operator,
-    constants: StructureTensor,
+def suite_qlie(
+    n: int,
     subs: Subs = None,
-    suite: str = "qlie",
+    sigma: Optional[Operator] = None,
+    constants: Optional[StructureTensor] = None,
 ) -> VerificationReport:
     """The four component relations tying sigma to the structure constants.
 
-    Family 1 is the braided Jacobi identity, family 2 the braid relation for
-    sigma, families 3 and 4 the mixed sigma-C compatibilities.  All free
-    index tuples are covered; the contractions run over nonzero entries only.
+    sigma is the braid matrix and the constants are the closed-form ones,
+    unless given.  Family 1 is the braided Jacobi identity, family 2 the
+    braid relation for sigma, families 3 and 4 the mixed sigma-C
+    compatibilities.  All free index tuples are covered; the contractions
+    run over nonzero entries only.
     """
-    t0 = time.perf_counter()
-    if sigma.n != constants.n:
-        raise ValueError("sigma and structure tensor sizes differ")
-    n = sigma.n
-    sigma = _specialize(sigma, subs)
-    ct = constants.entries if not subs else {
-        key: coeff.substitute(**subs)
-        for key, coeff in constants.entries.items()
-        if coeff.substitute(**subs)
-    }
-    col = _Collector()
+    sigma = sigma_cg(n) if sigma is None else sigma
+    constants = structure_constants(n) if constants is None else constants
+    if sigma.n != n or constants.n != n:
+        raise ValueError(f"sigma and structure tensor must both have size {n}")
+    col = Collector("qlie", n, subs)
+    sigma = col.leaf(sigma)
+    ct = {key: v for key, coeff in constants.entries.items() if (v := col.scalar(coeff))}
 
     sig_by_in: dict[tuple[int, int], list] = {}
     sig_by_out: dict[tuple[int, int], list] = {}
@@ -576,15 +471,15 @@ def check_qlie_axioms(
     for (k, i, j), v1 in ct.items():
         for (m, N, v2) in ct_by_lower2.get(k, ()):
             acc(diff1, (m, N, i, j), -(v1 * v2))
-    col.count(n ** 4)
+    col.checked += n ** 4
     for key in sorted(diff1):
         m, N, i, j = key
-        col.witness(
+        col.witnesses.append(
             {"family": 1, "indices": [N, i, j, m], "value": str(diff1[key])}
         )
 
-    # family 2: braid relation for sigma, via operator composition
-    _braid_into(sigma, col, {"family": 2})
+    # family 2: braid relation for sigma, matrix route only, no side key
+    check_identities(col, [({"family": 2}, *_braid("rhat"))], {"rhat": sigma}, sided=False)
 
     # family 3, keys (N, i, j, a, m):
     #   sigma^{kl}_{ij} C^s_{Nk} sigma^{am}_{sl} + C^l_{ij} sigma^{am}_{Nl}
@@ -604,10 +499,10 @@ def check_qlie_axioms(
     for ((a, s), (N, i)), w in sigma.entries.items():
         for (m, j, v) in ct_by_lower1.get(s, ()):
             acc(diff3, (N, i, j, a, m), -(w * v))
-    col.count(n ** 5)
+    col.checked += n ** 5
     for key in sorted(diff3):
         N, i, j, a, m = key
-        col.witness(
+        col.witnesses.append(
             {"family": 3, "indices": [N, i, j, a, m], "value": str(diff3[key])}
         )
 
@@ -621,27 +516,14 @@ def check_qlie_axioms(
         for ((a, s), (N, _), w2) in sig_in_second.get(k, ()):
             for (m, v) in ct_by_lower.get((s, l), ()):
                 acc(diff4, (N, i, j, a, m), -(w1 * w2 * v))
-    col.count(n ** 5)
+    col.checked += n ** 5
     for key in sorted(diff4):
         N, i, j, a, m = key
-        col.witness(
+        col.witnesses.append(
             {"family": 4, "indices": [N, i, j, a, m], "value": str(diff4[key])}
         )
 
-    return _finish(suite, n, subs, col, t0)
-
-
-def suite_qlie(
-    n: int,
-    subs: Subs = None,
-    sigma: Optional[Operator] = None,
-    constants: Optional[StructureTensor] = None,
-) -> VerificationReport:
-    return check_qlie_axioms(
-        sigma if sigma is not None else sigma_cg(n),
-        constants if constants is not None else structure_constants(n),
-        subs=subs,
-    )
+    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +542,11 @@ def suite_cross_check(n: int, flip_s_sign: bool = False) -> VerificationReport:
     The flip_s_sign flag negates the C-term of the functional operator, a
     deliberate corruption used to prove the comparison has teeth.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
+    col = Collector("cross-check", n)
     op = _op_rhat_flipped if flip_s_sign else op_rhat
     functional = from_functional(op, SpaceConfig(n))
-    closed = extended_rhat(n)
-    col.extend_compare(functional, closed, {})
-    return _finish("cross-check", n, None, col, t0)
+    col.compare(functional, extended_rhat(n), {})
+    return col.report()
 
 
 def suite_hecke(n: int, subs: Subs = None) -> VerificationReport:
@@ -674,12 +554,11 @@ def suite_hecke(n: int, subs: Subs = None) -> VerificationReport:
 
     Not part of the acceptance surface; reported for curiosity.
     """
-    t0 = time.perf_counter()
-    col = _Collector()
-    sigma = _specialize(sigma_cg(n), subs)
+    col = Collector("hecke", n, subs)
+    sigma = col.leaf(sigma_cg(n))
     lhs = compose(sigma, sigma)
-    rhs = sigma.scale(_subst(BETA, subs)) + Operator.identity(n, 2, lo=1).scale(
-        _subst(ONE - BETA, subs)
+    rhs = sigma.scale(col.scalar(BETA)) + Operator.identity(n, 2, lo=1).scale(
+        col.scalar(ONE - BETA)
     )
-    col.extend_compare(lhs, rhs, {})
-    return _finish("hecke", n, subs, col, t0)
+    col.compare(lhs, rhs, {})
+    return col.report()

@@ -158,14 +158,6 @@ class Operator:
         if self.shape() != other.shape():
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
-    # -- composition and embedding ------------------------------------------
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return compose(self, other)
-
-    def embed(self, pair: Union[str, tuple[int, int]]) -> "Operator":
-        return embed(self, pair)
-
     # -- export --------------------------------------------------------------
 
     def sorted_entries(self) -> Iterator[tuple[Entry, Scalar]]:

@@ -13,13 +13,12 @@ bicovariant calculus.
 
 from __future__ import annotations
 
-import time
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
-from .checks import WITNESS_CAP, VerificationReport, _symbolic_names
-from .freealg import NCPoly, Word, chi, ff, word_key
+from .checks import Collector, VerificationReport
+from .freealg import NCPoly, Word, chi, ff
 from .linalg import Echelon, Row, echelon
 from .operators import Operator
 from .scalars import ONE, Scalar
@@ -72,19 +71,16 @@ def _t_entry(upper: int, lower: int) -> Optional[Word]:
     return (ff(upper, lower),)
 
 
-def rtt_relation(
-    I: int, J: int, A: int, B: int, n: int, rhat: Optional[Operator] = None
-) -> NCPoly:
+def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> NCPoly:
     """One exchange relation, as left side minus right side.
 
     Zero-pattern rows of T silently drop their terms, so many index tuples
     produce the zero polynomial.
     """
-    R = extended_rhat(n) if rhat is None else rhat
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
             raise ValueError(f"index {idx} outside 0..{n}")
-    return _rtt_relation(I, J, A, B, _index_entries(R))
+    return _rtt_relation(I, J, A, B, _index_entries(extended_rhat(n)))
 
 
 def _rtt_relation(I: int, J: int, A: int, B: int, rhat: EntryIndex) -> NCPoly:
@@ -109,7 +105,6 @@ def bcc_relation(
     family: int,
     indices: tuple[int, ...],
     n: int,
-    sigma: Optional[Operator] = None,
     constants: Optional[StructureTensor] = None,
 ) -> NCPoly:
     """A defining relation of the bicovariant calculus, left minus right.
@@ -120,9 +115,8 @@ def bcc_relation(
                          - f^k_i f^l_j C^a_{kl} - f^a_i x_j
     family 4, (i, j, a): x_i f^a_j - sigma^{kl}_{ij} f^a_k x_l
     """
-    sig = sigma_cg(n) if sigma is None else sigma
     ct = structure_constants(n) if constants is None else constants
-    return _bcc_relation(family, indices, _index_entries(sig), _index_constants(ct))
+    return _bcc_relation(family, indices, _index_entries(sigma_cg(n)), _index_constants(ct))
 
 
 def _bcc_relation(
@@ -160,20 +154,16 @@ def _bcc_relation(
     raise ValueError(f"unknown relation family {family}")
 
 
-def all_rtt_relations(
-    n: int, rhat: Optional[Operator] = None
-) -> Iterator[tuple[RelationKey, NCPoly]]:
-    R = _index_entries(extended_rhat(n) if rhat is None else rhat)
+def all_rtt_relations(n: int) -> Iterator[tuple[RelationKey, NCPoly]]:
+    R = _index_entries(extended_rhat(n))
     for I, J, A, B in product(range(0, n + 1), repeat=4):
         yield ("rtt", I, J, A, B), _rtt_relation(I, J, A, B, R)
 
 
 def all_bcc_relations(
-    n: int,
-    sigma: Optional[Operator] = None,
-    constants: Optional[StructureTensor] = None,
+    n: int, constants: Optional[StructureTensor] = None
 ) -> Iterator[tuple[RelationKey, NCPoly]]:
-    sig = _index_entries(sigma_cg(n) if sigma is None else sigma)
+    sig = _index_entries(sigma_cg(n))
     ct = _index_constants(structure_constants(n) if constants is None else constants)
     small = range(1, n + 1)
     for i, j in product(small, repeat=2):
@@ -187,9 +177,7 @@ def all_bcc_relations(
 
 
 def compare_relation_spans(
-    n: int,
-    rhat: Optional[Operator] = None,
-    bcc_constants: Optional[StructureTensor] = None,
+    n: int, bcc_constants: Optional[StructureTensor] = None
 ) -> VerificationReport:
     """Mutual span inclusion of the two relation sets, exactly.
 
@@ -202,22 +190,20 @@ def compare_relation_spans(
     block-local columns.  A block's elimination is built the first time one
     of its rows needs it.  Witnesses name relations outside the opposing span.
     """
-    t0 = time.perf_counter()
-    rtt_rel = [(key, p) for key, p in all_rtt_relations(n, rhat=rhat) if not p.is_zero()]
+    collector = Collector("rtt", n)
+    rtt_rel = [(key, p) for key, p in all_rtt_relations(n) if not p.is_zero()]
     bcc_rel = [
         (key, p)
         for key, p in all_bcc_relations(n, constants=bcc_constants)
         if not p.is_zero()
     ]
-    checked = (n + 1) ** 4 + n * n + n ** 4 + 2 * n ** 3
+    collector.checked += (n + 1) ** 4 + n * n + n ** 4 + 2 * n ** 3
 
-    columns: dict[tuple, int] = {}
-    for _, poly in rtt_rel + bcc_rel:
-        for word, _ in poly.terms():
-            columns.setdefault(word_key(word), len(columns))
+    # columns numbered by first appearance, in the pass that builds the rows
+    columns: dict[Word, int] = {}
 
     def to_row(poly: NCPoly) -> Row:
-        return {columns[word_key(w)]: c for w, c in poly.terms()}
+        return {columns.setdefault(w, len(columns)): c for w, c in poly.terms()}
 
     rtt_rows = [(key, to_row(p)) for key, p in rtt_rel]
     bcc_rows = [(key, to_row(p)) for key, p in bcc_rel]
@@ -255,7 +241,6 @@ def compare_relation_spans(
 
     rtt_sigs = {_row_signature(row) for _, row in rtt_rows}
     bcc_sigs = {_row_signature(row) for _, row in bcc_rows}
-    witnesses = []
     for rows, sigs, side, outside in (
         (rtt_rows, bcc_sigs, 1, "bcc-span"),
         (bcc_rows, rtt_sigs, 0, "rtt-span"),
@@ -270,18 +255,8 @@ def compare_relation_spans(
                     [localize(r) for r in members[root][side]], width[root]
                 )
             if not ech.contains(localize(row)):
-                witnesses.append({"relation": list(key), "outside": outside})
-
-    return VerificationReport(
-        suite="rtt",
-        n=n,
-        symbolic=_symbolic_names(None),
-        passed=not witnesses,
-        checked=checked,
-        failures=len(witnesses),
-        witnesses=witnesses[:WITNESS_CAP],
-        millis=int((time.perf_counter() - t0) * 1000),
-    )
+                collector.witnesses.append({"relation": list(key), "outside": outside})
+    return collector.report()
 
 
 def _row_signature(row: Row) -> tuple:

@@ -19,7 +19,7 @@ import pytest
 from qlie import checks, rtt
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_r, op_rhat
-from qlie.operators import Operator, compose, from_functional, op_equal
+from qlie.operators import from_functional, op_equal
 from qlie.scalars import C, Scalar
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -49,17 +49,17 @@ def test_criterion_1_cross_construction_identity():
 def test_criterion_2_braid_equation():
     with criterion(2, "braid equation for the extended matrix, n=1..4", 60):
         for n in (1, 2, 3, 4):
-            report = checks.check_braid(extended_rhat(n))
+            report = checks.suite_braid(n, rhat=extended_rhat(n))
             assert report.passed, (n, report.witnesses[:3])
 
 
 def test_criterion_3_cg_family_yang_baxter():
     with criterion(3, "Yang-Baxter for P.R_CG,p with symbolic p, n=1..4", 60):
         for n in (1, 2, 3, 4):
-            family = sigma_cg_family(n)
-            R = compose(Operator.flip(n, lo=1), family)
-            report = checks.check_ybe_R(R)
+            # the cg-family part of suite_ybe checks P.sigma_cg_family(n)
+            report = checks.suite_ybe(n)
             assert report.passed, (n, report.witnesses[:3])
+            family = sigma_cg_family(n)
             at_one = family.map_entries(lambda s: s.substitute(p=1))
             eq, witness = op_equal(at_one, sigma_cg(n))
             assert eq, (n, witness)
@@ -82,7 +82,7 @@ def test_criterion_5_quadratic_identity_and_graded_components():
 def test_criterion_6_quantum_lie_axioms():
     with criterion(6, "quantum Lie algebra axioms, symbolic, n=1..5", 60):
         for n in (1, 2, 3, 4, 5):
-            report = checks.check_qlie_axioms(sigma_cg(n), structure_constants(n))
+            report = checks.suite_qlie(n, sigma=sigma_cg(n), constants=structure_constants(n))
             assert report.passed, (n, report.witnesses[:3])
 
 
@@ -113,7 +113,7 @@ def test_criterion_9_mutation_sensitivity():
     with criterion(9, "suites 2, 4, 6, 8 fail under documented corruptions", 60):
         # braid: one C-block entry doubled
         bad = extended_rhat(2).with_entry((0, 2), (2, 1), C + C)
-        report = checks.check_braid(bad)
+        report = checks.suite_braid(2, rhat=bad)
         assert not report.passed and report.witnesses
 
         # classical Yang-Baxter: one spurious matrix entry
@@ -123,7 +123,7 @@ def test_criterion_9_mutation_sensitivity():
 
         # quantum Lie axioms: sign of one structure constant flipped
         ct = structure_constants(2).with_entry(2, 1, 2, C)
-        report = checks.check_qlie_axioms(sigma_cg(2), ct)
+        report = checks.suite_qlie(2, sigma=sigma_cg(2), constants=ct)
         assert not report.passed and report.witnesses
 
         # span comparison: one structure constant doubled on the calculus side

@@ -4,9 +4,9 @@ from random import Random
 import pytest
 
 from qlie import checks
-from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from qlie.cg import extended_rhat, sigma_cg, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rho, op_s
-from qlie.operators import Operator, compose, from_functional
+from qlie.operators import Operator, from_functional
 from qlie.scalars import C, ONE, Scalar
 
 
@@ -14,18 +14,18 @@ from qlie.scalars import C, ONE, Scalar
 
 
 def test_braid_passes_for_the_flip():
-    report = checks.check_braid(Operator.flip(2, lo=0))
+    report = checks.suite_braid(2, rhat=Operator.flip(2, lo=0))
     assert report.passed and report.failures == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_braid_passes_for_the_extended_matrix(n):
-    assert checks.check_braid(extended_rhat(n)).passed
+    assert checks.suite_braid(n, rhat=extended_rhat(n)).passed
 
 
 def test_braid_fails_under_the_documented_corruption():
     bad = extended_rhat(2).with_entry((0, 2), (2, 1), C + C)
-    report = checks.check_braid(bad)
+    report = checks.suite_braid(2, rhat=bad)
     assert not report.passed
     assert report.failures > 0
     assert report.witnesses, "corruption must produce witnesses"
@@ -42,19 +42,22 @@ def test_suite_braid_runs_both_routes():
 
 
 def test_ybe_passes_for_identity():
-    assert checks.check_ybe_R(Operator.identity(2, 2, lo=0)).passed
+    # suite_ybe checks P.rhat, which is the identity for rhat = P
+    report = checks.suite_ybe(2, rhat=Operator.flip(2, lo=0))
+    assert report.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ybe_for_flipped_extended_matrix(n):
-    R = compose(Operator.flip(n, lo=0), extended_rhat(n))
-    assert checks.check_ybe_R(R).passed
+    # the extended part of suite_ybe is R = P.rhat
+    assert checks.suite_ybe(n, rhat=extended_rhat(n)).passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ybe_for_flipped_family_with_symbolic_p(n):
-    R = compose(Operator.flip(n, lo=1), sigma_cg_family(n))
-    assert checks.check_ybe_R(R).passed
+    # the cg-family part of suite_ybe is R = P.sigma_cg_family(n), p symbolic
+    report = checks.suite_ybe(n)
+    assert report.passed and report.symbolic == ["b", "C", "p"]
 
 
 def test_suite_ybe_parts(n=2):
@@ -66,32 +69,38 @@ def test_suite_ybe_parts(n=2):
 
 
 def test_cybe_zero_operator_passes():
-    assert checks.check_cybe(Operator(2, 2, {}, lo=0)).passed
+    assert checks.suite_cybe(2, r_matrix=Operator(2, 2, {}, lo=0)).passed
 
 
 def test_cybe_matrix_route():
     r = from_functional(op_r, SpaceConfig(3))
-    assert checks.check_cybe(r).passed
-
-
-def test_cybe_functional_route_needs_n():
-    with pytest.raises(ValueError):
-        checks.check_cybe(op_r)
+    assert checks.suite_cybe(3, r_matrix=r).passed
 
 
 def test_cybe_functional_route():
-    assert checks.check_cybe(op_r, n=3).passed
+    report = checks.suite_cybe(3)
+    assert report.passed
+    # one check per monomial of degree <= 3 per variable, then the matrix
+    assert report.checked == 4 ** 3 + 4 ** 6
+
+
+def _cybe_report(name, op, n):
+    """Classical Yang-Baxter equation for one two-slot operator, both routes."""
+    col = checks.Collector("cybe", n)
+    expr = dict(checks.COMPONENT_IDENTITIES)[f"cybe-{name}"]
+    leaves = {name: from_functional(op, SpaceConfig(n))}
+    checks.check_identities(col, [({}, expr, ())], leaves, range(0, n + 1))
+    return col.report()
 
 
 def test_cybe_for_rho_alone():
     # the divided-difference part is itself a classical r-matrix
-    assert checks.check_cybe(op_rho, n=3).passed
-    r_rho = from_functional(op_rho, SpaceConfig(2))
-    assert checks.check_cybe(r_rho).passed
+    assert _cybe_report("rho", op_rho, 3).passed
+    assert _cybe_report("rho", op_rho, 2).passed
 
 
 def test_cybe_for_s_alone():
-    assert checks.check_cybe(op_s, n=3).passed
+    assert _cybe_report("s", op_s, 3).passed
 
 
 def test_suite_cybe_fails_with_corrupted_matrix():
@@ -157,7 +166,7 @@ def test_full_quadratic_passes_iff_components_pass():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_qlie_axioms_hold_symbolically(n):
-    report = checks.check_qlie_axioms(sigma_cg(n), structure_constants(n))
+    report = checks.suite_qlie(n, sigma=sigma_cg(n), constants=structure_constants(n))
     assert report.passed, report.witnesses[:3]
 
 
@@ -165,14 +174,14 @@ def test_qlie_axioms_with_zero_constants():
     # braided Jacobi holds trivially, the braid relation is still checked
     from qlie.cg import StructureTensor
 
-    report = checks.check_qlie_axioms(sigma_cg(2), StructureTensor(2, {}))
+    report = checks.suite_qlie(2, sigma=sigma_cg(2), constants=StructureTensor(2, {}))
     assert report.passed
     assert report.checked >= 2 ** 6
 
 
 def test_qlie_axioms_fail_with_flipped_sign():
     ct = structure_constants(2).with_entry(2, 1, 2, C)  # should be -C
-    report = checks.check_qlie_axioms(sigma_cg(2), ct)
+    report = checks.suite_qlie(2, sigma=sigma_cg(2), constants=ct)
     assert not report.passed
     families = {w["family"] for w in report.witnesses}
     assert families, "flipped sign must be caught"
@@ -180,9 +189,42 @@ def test_qlie_axioms_fail_with_flipped_sign():
 
 def test_qlie_axioms_fail_with_corrupted_sigma():
     bad = sigma_cg(2).with_entry((1, 2), (2, 1), ONE)
-    report = checks.check_qlie_axioms(bad, structure_constants(2))
+    report = checks.suite_qlie(2, sigma=bad, constants=structure_constants(2))
     assert not report.passed
     assert any(w["family"] == 2 for w in report.witnesses)
+
+
+def test_qlie_rejects_inputs_of_another_size():
+    with pytest.raises(ValueError):
+        checks.suite_qlie(2, constants=structure_constants(3))
+    with pytest.raises(ValueError):
+        checks.suite_qlie(2, sigma=sigma_cg(3))
+
+
+# -- the identity engine ---------------------------------------------------------------
+
+
+def test_engine_witness_keys_for_a_failing_identity():
+    # no CLI input makes components/ybfr fail, so their witness shapes are
+    # pinned here: s12 neither vanishes nor equals rho12
+    s12: checks.Expression = [(1, [("s", checks.S12)])]
+    rho12: checks.Expression = [(1, [("rho", checks.S12)])]
+    leaves = {name: from_functional(op, SpaceConfig(2)) for name, op in (("s", op_s), ("rho", op_rho))}
+    for rhs, matrix_keys in (
+        ([], ["identity", "side", "out", "in", "value"]),
+        (rho12, ["identity", "side", "out", "in", "lhs", "rhs"]),
+    ):
+        col = checks.Collector("components", 2)
+        checks.check_identities(col, [({"identity": "s12"}, s12, rhs)], leaves, range(0, 3))
+        report = col.report()
+        assert not report.passed
+        assert report.checked == 3 ** 3 + 3 ** 6
+        keys = {side: [list(w) for w in col.witnesses if w["side"] == side] for side in ("functional", "matrix")}
+        assert keys["functional"] and keys["matrix"]
+        assert all(k == ["identity", "side", "monomial", "value"] for k in keys["functional"])
+        assert all(k == matrix_keys for k in keys["matrix"])
+        # functional witnesses come before matrix ones
+        assert col.witnesses[0]["side"] == "functional" and col.witnesses[-1]["side"] == "matrix"
 
 
 # -- specialization soundness --------------------------------------------------------

@@ -119,6 +119,25 @@ def test_verify_all_passes_and_is_deterministic():
     assert suites == ["braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt"]
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("verify", "all", "--n", "2"), 0),
+        (("verify", "rtt", "--n", "2", "--corrupt-constants", "(2;1,2)=2C"), 1),
+    ],
+)
+def test_verify_output_does_not_depend_on_the_hash_seed(args, code):
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlie.cli", *args], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == code, proc.stderr
+        outputs.append(re.sub(r'"millis": \d+', '"millis": 0', proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_rtt_p_valued_constant_fails():
     proc = run_cli("verify", "rtt", "--n", "2", "--corrupt-constants", "(1;1,2)=p")
     assert proc.returncode == 1

@@ -3,8 +3,11 @@
 `data/golden_outputs.json` holds, per command line, the exit code and the
 stdout of `qlie`, with every `"millis": N` replaced by `"millis": 0`.  The
 cases are `verify all --n 1..4` plus failing, specialized and generated
-outputs whose scalars print rationals.  They were recorded before the scalar
-layer stored int coefficients; any later change to them must be intended.
+outputs whose scalars print rationals, recorded before the scalar layer
+stored int coefficients, and three failing runs that pin witness shapes
+(`ybe` extended parts, `qlie` families 2 and 3, a specialized `cybe`),
+recorded before `checks` had one identity engine.  Any later change to them
+must be intended.
 To re-record after an intended change, run `PYTHONPATH=src python
 tests/test_golden.py` and say in the change what moved and why.
 """
