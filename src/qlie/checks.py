@@ -6,7 +6,7 @@ collected as witnesses, never raised.  Operator identities are stated as
 data, signed sums of words in named two-slot operators, and one engine,
 `check_identities`, verifies them on two independent routes wherever both
 exist: functionally, by applying the words to basis monomials, and
-matrix-wise, by composing sparse restriction matrices.
+matrix-wise, by multiplying out sparse restriction matrices row by row.
 """
 
 from __future__ import annotations
@@ -17,19 +17,9 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
-from .laurent import (
-    LaurentFn,
-    SpaceConfig,
-    _rhat_beta_term,
-    _rhat_c_term,
-    op_r,
-    op_rhat,
-    op_rho,
-    op_s,
-    permute,
-)
+from .laurent import LaurentFn, SpaceConfig, _accumulate, _single_pass, op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, embed, from_functional
-from .scalars import BETA, ONE, Scalar
+from .scalars import BETA, C, ONE, Scalar
 
 WITNESS_CAP = 16
 
@@ -52,7 +42,8 @@ _FUNCTIONAL_OPS: dict[str, Callable] = {
     "s": op_s,
     "r": op_r,
     "rhat": op_rhat,
-    "R": lambda fn, slots: permute(op_rhat(fn, slots), slots),
+    # permute o op_rhat = identity + r, the flipped braid operator
+    "R": lambda fn, slots: _single_pass(fn, slots, identity=True, beta=BETA, c=C),
 }
 
 
@@ -111,12 +102,27 @@ class Collector:
     def compare(self, a: Operator, b: Operator, tag: dict) -> None:
         """Count one comparison per entry position; collect all discrepancies."""
         self.checked += (a.n + 1 - a.lo) ** (2 * a.legs)
+        left, right = _rows(a), _rows(b)
+        for out in sorted(left.keys() | right.keys()):
+            self.row(out, left.get(out, {}), right.get(out, {}), tag)
+
+    def row(self, out: tuple, lhs: dict, rhs: Optional[dict], tag: dict) -> None:
+        """Witnesses of one output row, `lhs` and `rhs` mapping input to entry.
+
+        Every nonzero entry of lhs when rhs is None, else every position where
+        the two differ; in input order.
+        """
+        if rhs is None:
+            for inp in sorted(lhs):
+                self.witnesses.append(
+                    {**tag, "out": list(out), "in": list(inp), "value": str(lhs[inp])}
+                )
+            return
         zero = Scalar.zero()
-        for key in sorted(set(a.entries) | set(b.entries)):
-            ca = a.entries.get(key, zero)
-            cb = b.entries.get(key, zero)
+        for inp in sorted(lhs.keys() | rhs.keys()):
+            ca = lhs.get(inp, zero)
+            cb = rhs.get(inp, zero)
             if ca != cb:
-                out, inp = key
                 self.witnesses.append(
                     {**tag, "out": list(out), "in": list(inp), "lhs": str(ca), "rhs": str(cb)}
                 )
@@ -141,15 +147,12 @@ class Collector:
 # ---------------------------------------------------------------------------
 
 
-def _signed_sum(expr: Expression, term: Callable):
-    total = None
-    for sign, word in expr:
-        value = term(word)
-        if total is None:
-            total = value if sign > 0 else -value
-        else:
-            total = total + value if sign > 0 else total - value
-    return total
+def _rows(op: Operator) -> dict[tuple, dict[tuple, Scalar]]:
+    """The entries of op grouped by output: rows[out][in] = coefficient."""
+    rows: dict[tuple, dict[tuple, Scalar]] = {}
+    for (out, inp), coeff in op.entries.items():
+        rows.setdefault(out, {})[inp] = coeff
+    return rows
 
 
 def check_identities(
@@ -165,49 +168,81 @@ def check_identities(
     to every monomial in three variables with exponents in `domain`, in the
     space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
     SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
-    variable.  Matrix route: compose the embedded `leaves`, the two-leg
-    matrices (already specialized) of the operators the words name.
+    variable.  Matrix route: multiply out the embedded `leaves`, the two-leg
+    matrices (already specialized) of the operators the words name, one
+    output row at a time, as in Gustavson's row-wise sparse product (ACM
+    TOMS 1978).  Row `out` of a word is its first factor's row, carried
+    through each later factor's rows; the last factor of every word of a
+    side adds into one dict for that row, which is compared or reported
+    before the next row, so no product matrix is ever built.
     Witnesses start with the identity's tag, then name the route under
     `side` unless `sided` is false.
     """
-    embedded: dict[tuple[str, tuple[int, int]], Operator] = {}
+    # embedded leaves grouped by output row, built once per (name, slots)
+    embedded: dict[tuple[str, tuple[int, int]], dict] = {}
 
-    def word_matrix(word: Word) -> Operator:
-        result = None
-        for name, slots in word:
-            m = embedded.get((name, slots))
-            if m is None:
-                m = embedded[name, slots] = embed(leaves[name], slots)
-            result = m if result is None else compose(result, m)
-        return result
+    def rows_of(name: str, slots: tuple[int, int]) -> dict:
+        rows = embedded.get((name, slots))
+        if rows is None:
+            rows = embedded[name, slots] = _rows(embed(leaves[name], slots))
+        return rows
 
-    def apply_word(word: Word, fn: LaurentFn) -> LaurentFn:
-        for name, slots in reversed(word):
-            fn = _FUNCTIONAL_OPS[name](fn, slots)
-        return fn
+    no_row: dict = {}
+
+    def side_row(expr: Expression, out: tuple) -> dict:
+        total: dict = {}
+        for sign, word in expr:
+            pairs = rows_of(*word[0]).get(out, no_row).items()
+            if sign < 0:
+                pairs = [(mid, -c) for mid, c in pairs]
+            for k in range(1, len(word)):
+                rows = rows_of(*word[k])
+                acc = total if k == len(word) - 1 else {}
+                for mid, c in pairs:
+                    for inp, d in rows.get(mid, no_row).items():
+                        p = c * d
+                        cur = acc.get(inp)
+                        if cur is None:
+                            acc[inp] = p
+                        elif cur := cur + p:
+                            acc[inp] = cur
+                        else:
+                            del acc[inp]
+                pairs = acc.items()
+            if len(word) == 1:
+                for inp, c in pairs:
+                    _accumulate(total, inp, c)
+        return total
+
+    def apply(expr: Expression, fn: LaurentFn) -> LaurentFn:
+        total: dict = {}
+        for sign, word in expr:
+            value = fn
+            for name, slots in reversed(word):
+                value = _FUNCTIONAL_OPS[name](value, slots)
+            for exps, coeff in value._terms.items():
+                _accumulate(total, exps, coeff if sign > 0 else -coeff)
+        return LaurentFn(fn.cfg, fn.arity, total)
 
     cfg = SpaceConfig(domain.stop) if domain is not None else None
+    leaf = next(iter(leaves.values()))
     for tag, lhs, rhs in identities:
         if domain is not None:
             difference = [*lhs, *((-sign, word) for sign, word in rhs)]
             for exps in product(domain, repeat=3):
                 col.checked += 1
-                fn = LaurentFn.monomial(cfg, exps)
-                value = _signed_sum(difference, lambda word: apply_word(word, fn))
+                value = apply(difference, LaurentFn.monomial(cfg, exps))
                 if not col.vanishes(value):
                     col.witnesses.append(
                         {**tag, "side": "functional", "monomial": list(exps), "value": str(value)}
                     )
         matrix_tag = {**tag, "side": "matrix"} if sided else tag
-        lhs_matrix = _signed_sum(lhs, word_matrix)
-        if rhs:
-            col.compare(lhs_matrix, _signed_sum(rhs, word_matrix), matrix_tag)
-            continue
-        col.checked += (lhs_matrix.n + 1 - lhs_matrix.lo) ** 6
-        for (out, inp), coeff in lhs_matrix.sorted_entries():
-            col.witnesses.append(
-                {**matrix_tag, "out": list(out), "in": list(inp), "value": str(coeff)}
-            )
+        col.checked += (leaf.n + 1 - leaf.lo) ** 6
+        outs = set()
+        for _, word in (*lhs, *rhs):
+            outs.update(rows_of(*word[0]))
+        for out in sorted(outs):
+            col.row(out, side_row(lhs, out), side_row(rhs, out) if rhs else None, matrix_tag)
 
 
 def _functional_matrix(name: str, n: int) -> Operator:
@@ -531,11 +566,6 @@ def suite_qlie(
 # ---------------------------------------------------------------------------
 
 
-def _op_rhat_flipped(fn: LaurentFn, slots: tuple[int, int] = (0, 1)) -> LaurentFn:
-    # debug variant with the sign of the C-term reversed
-    return permute(fn, slots) + _rhat_beta_term(fn, slots) - _rhat_c_term(fn, slots)
-
-
 def suite_cross_check(n: int, flip_s_sign: bool = False) -> VerificationReport:
     """Matrix of the functional braid operator vs the closed-form blocks.
 
@@ -543,8 +573,8 @@ def suite_cross_check(n: int, flip_s_sign: bool = False) -> VerificationReport:
     deliberate corruption used to prove the comparison has teeth.
     """
     col = Collector("cross-check", n)
-    op = _op_rhat_flipped if flip_s_sign else op_rhat
-    functional = from_functional(op, SpaceConfig(n))
+    c_sign = -1 if flip_s_sign else 1
+    functional = from_functional(lambda fn: op_rhat(fn, _c_sign=c_sign), SpaceConfig(n))
     col.compare(functional, extended_rhat(n), {})
     return col.report()
 

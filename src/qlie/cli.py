@@ -207,8 +207,8 @@ def _parse_entry_override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], 
     m = re.fullmatch(r"\s*\(([\d\s,]+);([\d\s,]+)\)\s*=\s*(.+)", text)
     if not m:
         raise ScalarParseError(f"bad entry override {text!r}", 0)
-    out = tuple(int(x) for x in m.group(1).split(","))
-    inp = tuple(int(x) for x in m.group(2).split(","))
+    out = _indices(m.group(1), f"entry override {text!r}")
+    inp = _indices(m.group(2), f"entry override {text!r}")
     return out, inp, Scalar.parse(m.group(3))
 
 
@@ -216,10 +216,18 @@ def _parse_constant_override(text: str) -> tuple[int, tuple[int, int], Scalar]:
     m = re.fullmatch(r"\s*\((\d+)\s*;([\d\s,]+)\)\s*=\s*(.+)", text)
     if not m:
         raise ScalarParseError(f"bad constant override {text!r}", 0)
-    lower = tuple(int(x) for x in m.group(2).split(","))
+    lower = _indices(m.group(2), f"constant override {text!r}")
     if len(lower) != 2:
         raise ScalarParseError(f"bad constant override {text!r}", 0)
     return int(m.group(1)), lower, Scalar.parse(m.group(3))
+
+
+def _indices(field: str, what: str) -> tuple[int, ...]:
+    """Comma-separated indices; an empty or space-split field is an input error."""
+    parts = field.split(",")
+    if not all(re.fullmatch(r"\s*\d+\s*", part) for part in parts):
+        raise InputError(f"bad {what}: every index must be one nonnegative integer")
+    return tuple(int(part) for part in parts)
 
 
 def _run_one_suite(

@@ -14,6 +14,13 @@ variables an operator acts on a chosen pair of slots, treating the third
 exponent as a passive index.  Divided differences are expanded through the
 closed geometric-sum formula per monomial, so the division by x - y never
 materializes an out-of-range term.
+
+`op_rho`, `op_s`, `op_r` and `op_rhat` are single-pass kernels over one
+private routine, `_single_pass`: one loop over the input terms tests
+regularity inline and writes the identity (or swap), b-term and C-term
+contributions into one accumulator, with no intermediate function built.
+`reg`, `permute` and `divided_difference` remain the public primitives the
+operators are defined by, and the tests check every kernel against them.
 """
 
 from __future__ import annotations
@@ -241,82 +248,74 @@ def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
 
 def op_rho(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(rho F)(x, y) = x * (f(y,x) - f(x,y)) / (x - y), f the regular part."""
-    _check_slots(fn, slots)
-    a, _ = slots
-    dd = divided_difference(reg(fn, slots), slots)
-    out = {}
-    for exps, coeff in dd._terms.items():
-        e = list(exps)
-        e[a] += 1
-        out[tuple(e)] = coeff
-    return fn._wrap(out)
+    return _single_pass(fn, slots, beta=ONE)
 
 
 def op_s(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(s F)(x, y) = (f(x, 0) - f(0, x)) / y, f the regular part."""
-    _check_slots(fn, slots)
-    a, b = slots
-    f = reg(fn, slots)
-    out: dict[tuple[int, ...], Scalar] = {}
-    for exps, coeff in f._terms.items():
-        # f(x, 0): terms constant in slot b, exponent kept in slot a
-        if exps[b] == 0:
-            e = list(exps)
-            e[b] = -1
-            _accumulate(out, tuple(e), coeff)
-        # f(0, x): terms constant in slot a, their slot-b exponent moves to a
-        if exps[a] == 0:
-            e = list(exps)
-            e[a] = exps[b]
-            e[b] = -1
-            _accumulate(out, tuple(e), -coeff)
-    return fn._wrap(out)
+    return _single_pass(fn, slots, c=ONE)
 
 
 def op_r(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(r F) = b * (rho F) + C * (s F); the classical r-matrix operator."""
-    return op_rho(fn, slots).scale(BETA) + op_s(fn, slots).scale(C)
+    return _single_pass(fn, slots, beta=BETA, c=C)
 
 
-def op_rhat(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
+def op_rhat(fn: LaurentFn, slots: Slots = (0, 1), _c_sign: int = 1) -> LaurentFn:
     """The braid operator, by its three-term closed form.
 
     Equals permute o (identity + r) as an operator; both routes are compared
-    in the test suite.
+    in the test suite.  `_c_sign=-1` negates the C-term, a deliberate
+    corruption for the cross-check.
     """
-    return permute(fn, slots) + _rhat_beta_term(fn, slots) + _rhat_c_term(fn, slots)
+    return _single_pass(fn, slots, identity=True, beta=BETA, c=C if _c_sign > 0 else -C, swap=True)
 
 
-def _rhat_beta_term(fn: LaurentFn, slots: Slots) -> LaurentFn:
-    # b * y * (f(y,x) - f(x,y)) / (x - y)
-    _check_slots(fn, slots)
-    _, b = slots
-    dd = divided_difference(reg(fn, slots), slots)
-    out = {}
-    for exps, coeff in dd._terms.items():
-        e = list(exps)
-        e[b] += 1
-        out[tuple(e)] = coeff * BETA
-    return fn._wrap(out)
+def _single_pass(
+    fn: LaurentFn,
+    slots: Slots,
+    identity: bool = False,
+    beta: Optional[Scalar] = None,
+    c: Optional[Scalar] = None,
+    swap: bool = False,
+) -> LaurentFn:
+    """[permute o] (identity + beta * rho + c * s), in one pass over fn.
 
-
-def _rhat_c_term(fn: LaurentFn, slots: Slots) -> LaurentFn:
-    # C * (f(y,0) - f(0,y)) / x : a function of y alone, divided by x
+    Each input term writes its identity, rho and s contributions straight
+    into one accumulator, the rho part from the geometric-sum formula of
+    `divided_difference` shifted by one in slot a.  A term with a negative
+    active exponent is singular: its regular part, hence its rho and s
+    parts, vanish.  With `swap` every output key has slots a and b
+    exchanged.
+    """
     _check_slots(fn, slots)
     a, b = slots
-    f = reg(fn, slots)
+    pa, pb = (b, a) if swap else (a, b)
     out: dict[tuple[int, ...], Scalar] = {}
-    for exps, coeff in f._terms.items():
-        if exps[b] == 0:
-            e = list(exps)
-            e[a] = -1
-            e[b] = exps[a]
-            _accumulate(out, tuple(e), coeff * C)
-        if exps[a] == 0:
-            e = list(exps)
-            e[a] = -1
-            e[b] = exps[b]
-            _accumulate(out, tuple(e), -(coeff * C))
+    for exps, coeff in fn._terms.items():
+        ea, eb = exps[a], exps[b]
+        e = list(exps)
+        if identity:
+            e[pa], e[pb] = ea, eb
+            _accumulate(out, tuple(e), coeff)
+        # the regular part of x^ea y^eb contributes only when ea != eb
+        if ea < 0 or eb < 0 or ea == eb:
+            continue
+        if beta is not None:
+            # x * (y^ea x^eb - x^ea y^eb) / (x - y) is the sum of
+            # x^u y^(lo+hi-u) over u in (lo, hi], negated when ea > eb
+            term = coeff if beta is ONE else coeff * beta
+            lo, hi = (eb, ea) if ea > eb else (ea, eb)
+            if ea > eb:
+                term = -term
+            for u in range(lo + 1, hi + 1):
+                e[pa], e[pb] = u, lo + hi - u
+                _accumulate(out, tuple(e), term)
+        if c is not None and (ea == 0 or eb == 0):
+            # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0
+            term = coeff if c is ONE else coeff * c
+            e[pa], e[pb] = ea or eb, -1
+            _accumulate(out, tuple(e), term if eb == 0 else -term)
     return fn._wrap(out)
 
 

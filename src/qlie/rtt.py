@@ -191,22 +191,24 @@ def compare_relation_spans(
     of its rows needs it.  Witnesses name relations outside the opposing span.
     """
     collector = Collector("rtt", n)
-    rtt_rel = [(key, p) for key, p in all_rtt_relations(n) if not p.is_zero()]
-    bcc_rel = [
-        (key, p)
-        for key, p in all_bcc_relations(n, constants=bcc_constants)
-        if not p.is_zero()
-    ]
     collector.checked += (n + 1) ** 4 + n * n + n ** 4 + 2 * n ** 3
 
     # columns numbered by first appearance, in the pass that builds the rows
     columns: dict[Word, int] = {}
 
-    def to_row(poly: NCPoly) -> Row:
-        return {columns.setdefault(w, len(columns)): c for w, c in poly.terms()}
+    def to_rows(relations: Iterator[tuple[RelationKey, NCPoly]]) -> list[tuple[RelationKey, tuple]]:
+        rows = []
+        for key, poly in relations:
+            if not poly.is_zero():
+                pairs = tuple((columns.setdefault(w, len(columns)), c) for w, c in poly.terms())
+                rows.append((key, _row_signature(pairs)))
+        return rows
 
-    rtt_rows = [(key, to_row(p)) for key, p in rtt_rel]
-    bcc_rows = [(key, to_row(p)) for key, p in bcc_rel]
+    # each nonzero relation as its sign-normalized row: a row and its
+    # negative span the same line, so the normalized rows serve both the
+    # signature match and the elimination
+    rtt_rows = to_rows(all_rtt_relations(n))
+    bcc_rows = to_rows(all_bcc_relations(n, constants=bcc_constants))
 
     # union-find over columns: a row joins all of its words into one block
     parent = list(range(len(columns)))
@@ -218,9 +220,9 @@ def compare_relation_spans(
         return col
 
     for _, row in rtt_rows + bcc_rows:
-        first, *rest = row
-        for col in rest:
-            parent[find(col)] = find(first)
+        first = find(row[0][0])
+        for col, _ in row[1:]:
+            parent[find(col)] = first
     # block-local column indices, in global column order
     local = [0] * len(columns)
     width: dict[int, int] = {}
@@ -229,26 +231,26 @@ def compare_relation_spans(
         local[col] = width.get(root, 0)
         width[root] = local[col] + 1
 
-    def localize(row: Row) -> Row:
-        return {local[col]: v for col, v in row.items()}
+    def localize(row: tuple) -> Row:
+        return {local[col]: v for col, v in row}
 
     # per block root, the rows of each side (0: rtt, 1: bcc)
-    members: dict[int, tuple[list[Row], list[Row]]] = {}
+    members: dict[int, tuple[list[tuple], list[tuple]]] = {}
     for side, rows in enumerate((rtt_rows, bcc_rows)):
         for _, row in rows:
-            members.setdefault(find(next(iter(row))), ([], []))[side].append(row)
+            members.setdefault(find(row[0][0]), ([], []))[side].append(row)
     echelons: dict[tuple[int, int], Echelon] = {}
 
-    rtt_sigs = {_row_signature(row) for _, row in rtt_rows}
-    bcc_sigs = {_row_signature(row) for _, row in bcc_rows}
-    for rows, sigs, side, outside in (
-        (rtt_rows, bcc_sigs, 1, "bcc-span"),
-        (bcc_rows, rtt_sigs, 0, "rtt-span"),
+    rtt_set = {row for _, row in rtt_rows}
+    bcc_set = {row for _, row in bcc_rows}
+    for rows, opposing, side, outside in (
+        (rtt_rows, bcc_set, 1, "bcc-span"),
+        (bcc_rows, rtt_set, 0, "rtt-span"),
     ):
         for key, row in rows:
-            if _row_signature(row) in sigs:
+            if row in opposing:
                 continue
-            root = find(next(iter(row)))
+            root = find(row[0][0])
             ech = echelons.get((root, side))
             if ech is None:
                 ech = echelons[root, side] = echelon(
@@ -259,14 +261,13 @@ def compare_relation_spans(
     return collector.report()
 
 
-def _row_signature(row: Row) -> tuple:
-    """Hashable form of a row, normalized so that sign-opposite rows agree."""
-    items = sorted(row.items())
-    lead = items[0][1]
-    _, coeff = max(lead.terms(), key=lambda t: (sum(t[0]), t[0]))
-    if coeff < 0:
-        items = [(col, -v) for col, v in items]
-    return tuple(items)
+def _row_signature(pairs: tuple) -> tuple:
+    """A row's (column, coefficient) pairs, negated unless the first is positive.
+
+    The pairs come in word order, so sign-opposite relations agree.
+    """
+    _, coeff = max(pairs[0][1].terms(), key=lambda t: (sum(t[0]), t[0]))
+    return pairs if coeff > 0 else tuple((col, -v) for col, v in pairs)
 
 
 def dump_relations(n: int) -> str:

@@ -6,8 +6,8 @@ import pytest
 from qlie import checks
 from qlie.cg import extended_rhat, sigma_cg, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rho, op_s
-from qlie.operators import Operator, from_functional
-from qlie.scalars import C, ONE, Scalar
+from qlie.operators import Operator, compose, embed, from_functional
+from qlie.scalars import BETA, C, ONE, Scalar
 
 
 # -- braid ---------------------------------------------------------------------
@@ -225,6 +225,75 @@ def test_engine_witness_keys_for_a_failing_identity():
         assert all(k == matrix_keys for k in keys["matrix"])
         # functional witnesses come before matrix ones
         assert col.witnesses[0]["side"] == "functional" and col.witnesses[-1]["side"] == "matrix"
+
+
+def _reference_matrix_route(col, identities, leaves, sided=True):
+    """The matrix route by whole products: embed, compose, Collector.compare."""
+
+    def word_matrix(word):
+        result = None
+        for name, slots in word:
+            m = embed(leaves[name], slots)
+            result = m if result is None else compose(result, m)
+        return result
+
+    def signed_sum(expr):
+        total = None
+        for sign, word in expr:
+            value = word_matrix(word) if sign > 0 else -word_matrix(word)
+            total = value if total is None else total + value
+        return total
+
+    for tag, lhs, rhs in identities:
+        matrix_tag = {**tag, "side": "matrix"} if sided else tag
+        lhs_matrix = signed_sum(lhs)
+        if rhs:
+            col.compare(lhs_matrix, signed_sum(rhs), matrix_tag)
+            continue
+        col.checked += (lhs_matrix.n + 1 - lhs_matrix.lo) ** 6
+        for (out, inp), coeff in lhs_matrix.sorted_entries():
+            col.witnesses.append(
+                {**matrix_tag, "out": list(out), "in": list(inp), "value": str(coeff)}
+            )
+
+
+# (kind, identities, leaf name, leaf builder, sided): an equality identity,
+# a vanishing six-word identity, and the unsided qlie family 2
+MATRIX_ROUTE_CASES = [
+    ("braid", [({}, *checks._braid("rhat"))], "rhat", extended_rhat, True),
+    ("cybe", [({}, checks._cybe("r"), ())], "r", lambda n: checks._functional_matrix("r", n), True),
+    ("qlie-family-2", [({"family": 2}, *checks._braid("rhat"))], "rhat", sigma_cg, False),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "kind, identities, name, build, sided", MATRIX_ROUTE_CASES, ids=[c[0] for c in MATRIX_ROUTE_CASES]
+)
+def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, build, sided, n):
+    leaf = build(n)
+    rng = Random(f"{kind}/{n}")
+    positions = sorted(leaf.entries)
+    indices = leaf.indices()
+    mutants = [leaf]
+    for delta in (ONE, C, -BETA):
+        # one existing entry and one structural zero, each shifted by delta
+        out, inp = rng.choice(positions)
+        mutants.append(leaf.with_entry(out, inp, leaf.coeff(out, inp) + delta))
+        out = tuple(rng.choice(indices) for _ in range(2))
+        inp = tuple(rng.choice(indices) for _ in range(2))
+        mutants.append(leaf.with_entry(out, inp, leaf.coeff(out, inp) + delta))
+    failing = 0
+    for mutant in mutants:
+        engine, reference = checks.Collector(kind, n), checks.Collector(kind, n)
+        checks.check_identities(engine, identities, {name: mutant}, sided=sided)
+        _reference_matrix_route(reference, identities, {name: mutant}, sided=sided)
+        assert engine.witnesses == reference.witnesses
+        got, want = engine.report(), reference.report()
+        assert (got.checked, got.failures) == (want.checked, want.failures)
+        assert got.witnesses == want.witnesses
+        failing += not got.passed
+    assert failing >= 3
 
 
 # -- specialization soundness --------------------------------------------------------

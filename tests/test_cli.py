@@ -119,6 +119,14 @@ def test_verify_all_passes_and_is_deterministic():
     assert suites == ["braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt"]
 
 
+@pytest.mark.slow
+def test_verify_all_n7_passes():
+    # every suite, both kernels and the row-wise matrix route at n = 7
+    proc = run_cli("verify", "all", "--n", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert all(r["pass"] for r in json.loads(proc.stdout))
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -174,6 +182,31 @@ def test_bad_overrides_exit_2_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,,1;1,1)=1"),
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,1,;1,1)=1"),
+        ("verify", "braid", "--n", "2", "--corrupt", "(1 2,1;1,1)=1"),
+        ("verify", "qlie", "--n", "2", "--corrupt-constants", "(1;1,,2)=1"),
+        ("verify", "qlie", "--n", "2", "--corrupt-constants", "(1;,)=1"),
+    ],
+    ids=[
+        "corrupt-empty",
+        "corrupt-trailing-comma",
+        "corrupt-space-split",
+        "constants-empty",
+        "constants-no-index",
+    ],
+)
+def test_empty_index_fields_exit_2_with_one_error_line(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("qlie: error: ")]
+    assert len(errors) == 1 and "index" in errors[0]
 
 
 def test_out_into_missing_directory_exits_2(tmp_path):

@@ -6,8 +6,11 @@ cases are `verify all --n 1..4` plus failing, specialized and generated
 outputs whose scalars print rationals, recorded before the scalar layer
 stored int coefficients, and three failing runs that pin witness shapes
 (`ybe` extended parts, `qlie` families 2 and 3, a specialized `cybe`),
-recorded before `checks` had one identity engine.  Any later change to them
-must be intended.
+recorded before `checks` had one identity engine.  The last three,
+`cross-check --n 3 --flip-s-sign`, `verify all --n 5` and a `braid` run with
+19 failures (more than the witness cap), were recorded before the functional
+operators became single-pass kernels and the matrix route went row by row.
+Any later change to them must be intended.
 To re-record after an intended change, run `PYTHONPATH=src python
 tests/test_golden.py` and say in the change what moved and why.
 """

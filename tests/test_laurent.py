@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlie.checks import _FUNCTIONAL_OPS
 from qlie.laurent import (
     LaurentFn,
     SpaceConfig,
@@ -265,15 +266,110 @@ def test_rhat_preserves_the_truncated_space(n):
 # -- linearity over the scalar ring --------------------------------------------
 
 
+SLOT_PAIRS = ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_operators_are_scalar_linear(data):
-    fn = data.draw(laurent_fns(2))
-    gn = data.draw(laurent_fns(2))
+    fn = data.draw(laurent_fns(3))
+    gn = data.draw(laurent_fns(3))
     factor = BETA * 2 + C
-    for op in (reg, permute, op_rho, op_s, op_r, op_rhat):
-        assert op(fn + gn) == op(fn) + op(gn)
-        assert op(fn.scale(factor)) == op(fn).scale(factor)
+    for slots in SLOT_PAIRS:
+        for op in (reg, permute, op_rho, op_s, op_r, op_rhat):
+            assert op(fn + gn, slots) == op(fn, slots) + op(gn, slots)
+            assert op(fn.scale(factor), slots) == op(fn, slots).scale(factor)
+
+
+# -- single-pass kernels against their definitions -------------------------------
+#
+# The operators are fused kernels; these references build each one from the
+# primitives reg, divided_difference and permute, term by term.
+
+
+def _shifted(fn, slot):
+    """fn times the variable in `slot`."""
+    out = {}
+    for exps, coeff in fn.terms():
+        e = list(exps)
+        e[slot] += 1
+        out[tuple(e)] = coeff
+    return LaurentFn(fn.cfg, fn.arity, out)
+
+
+def _from_terms(fn, terms):
+    """Sum of (exponents, coefficient) pairs, in the space of fn."""
+    total = LaurentFn.zero(fn.cfg, fn.arity)
+    for exps, coeff in terms:
+        total = total + LaurentFn.monomial(fn.cfg, exps, coeff)
+    return total
+
+
+def _with(exps, values):
+    """exps with the exponent of each slot in `values` replaced."""
+    e = list(exps)
+    for slot, value in values.items():
+        e[slot] = value
+    return tuple(e)
+
+
+def rho_ref(fn, slots):
+    a, _ = slots
+    return _shifted(divided_difference(reg(fn, slots), slots), a)
+
+
+def s_ref(fn, slots):
+    # (f(x, 0) - f(0, x)) / y on the regular part f
+    a, b = slots
+    f = reg(fn, slots)
+    return _from_terms(fn, [
+        *((_with(e, {b: -1}), c) for e, c in f.terms() if e[b] == 0),
+        *((_with(e, {a: e[b], b: -1}), -c) for e, c in f.terms() if e[a] == 0),
+    ])
+
+
+def r_ref(fn, slots):
+    return rho_ref(fn, slots).scale(BETA) + s_ref(fn, slots).scale(C)
+
+
+def rhat_c_term_ref(fn, slots):
+    # (f(y, 0) - f(0, y)) / x on the regular part f
+    a, b = slots
+    f = reg(fn, slots)
+    return _from_terms(fn, [
+        *((_with(e, {a: -1, b: e[a]}), c) for e, c in f.terms() if e[b] == 0),
+        *((_with(e, {a: -1}), -c) for e, c in f.terms() if e[a] == 0),
+    ])
+
+
+def rhat_ref(fn, slots, c_sign=1):
+    _, b = slots
+    beta_term = _shifted(divided_difference(reg(fn, slots), slots), b).scale(BETA)
+    return permute(fn, slots) + beta_term + rhat_c_term_ref(fn, slots).scale(C * c_sign)
+
+
+KERNELS = [
+    ("rho", op_rho, rho_ref),
+    ("s", op_s, s_ref),
+    ("r", op_r, r_ref),
+    ("rhat", op_rhat, rhat_ref),
+    ("R", _FUNCTIONAL_OPS["R"], lambda fn, slots: permute(rhat_ref(fn, slots), slots)),
+    (
+        "rhat-flipped-C",
+        lambda fn, slots: op_rhat(fn, slots, _c_sign=-1),
+        lambda fn, slots: rhat_ref(fn, slots, -1),
+    ),
+]
+
+
+@pytest.mark.parametrize("name, kernel, reference", KERNELS, ids=[k[0] for k in KERNELS])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_kernel_equals_its_definition(name, kernel, reference, data):
+    n = data.draw(st.integers(1, 4))
+    fn = data.draw(laurent_fns(3, SpaceConfig(n), symbolic_scalars()))
+    for slots in SLOT_PAIRS:
+        assert kernel(fn, slots) == reference(fn, slots)
 
 
 # -- three-slot behavior --------------------------------------------------------
@@ -300,14 +396,22 @@ def test_bounds_are_enforced_at_construction():
 # -- strategies ----------------------------------------------------------------
 
 
-def laurent_fns(arity, cfg=CFG3):
+def laurent_fns(arity, cfg=CFG3, coeffs=None):
     exps = st.tuples(*[st.integers(cfg.min_exp, cfg.max_exp)] * arity)
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
-        Scalar.rational
-    )
+    if coeffs is None:
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
+            Scalar.rational
+        )
     return st.dictionaries(exps, coeffs, max_size=5).map(
         lambda terms: LaurentFn(cfg, arity, terms)
     )
+
+
+def symbolic_scalars():
+    """Nonzero polynomials in b, C, p, p^-1 with small rational coefficients."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.dictionaries(exps, rationals, min_size=1, max_size=3).map(Scalar)
 
 
 def random_fn(rng, cfg, arity):
