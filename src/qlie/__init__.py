@@ -20,7 +20,6 @@ from .operators import (
     embed,
     from_functional,
     matrix_of,
-    op_equal,
 )
 from .cg import (
     StructureTensor,
@@ -55,7 +54,6 @@ __all__ = [
     "embed",
     "from_functional",
     "matrix_of",
-    "op_equal",
     "StructureTensor",
     "extended_rhat",
     "sigma_cg",

@@ -7,6 +7,11 @@ data, signed sums of words in named two-slot operators, and one engine,
 `check_identities`, verifies them on two independent routes wherever both
 exist: functionally, by applying the words to basis monomials, and
 matrix-wise, by multiplying out sparse restriction matrices row by row.
+
+Both routes run on flat terms: a rational per (index, packed monomial) key,
+as the `laurent` kernel produces them, so their hot loops add ints and
+multiply rationals, with no Scalar built.  The Collector turns flat terms
+back into Scalars only to decide a specialized verdict or print a witness.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
-from .laurent import LaurentFn, SpaceConfig, _accumulate, _single_pass, op_r, op_rhat, op_rho, op_s
+from .laurent import _KERNELS, Flat, SpaceConfig, _apply_kernel, _from_flat, _single_pass
+from .laurent import op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, embed, from_functional
-from .scalars import BETA, C, ONE, Scalar
+from .scalars import BETA, ONE, ZERO, Scalar, _by_index
 
 WITNESS_CAP = 16
 
@@ -42,8 +48,7 @@ _FUNCTIONAL_OPS: dict[str, Callable] = {
     "s": op_s,
     "r": op_r,
     "rhat": op_rhat,
-    # permute o op_rhat = identity + r, the flipped braid operator
-    "R": lambda fn, slots: _single_pass(fn, slots, identity=True, beta=BETA, c=C),
+    "R": lambda fn, slots: _apply_kernel(fn, slots, "R"),
 }
 
 
@@ -94,10 +99,12 @@ class Collector:
     def leaf(self, op: Operator) -> Operator:
         return op.map_entries(self.scalar) if self.subs else op
 
-    def vanishes(self, fn: LaurentFn) -> bool:
+    def vanishes(self, terms: Flat) -> bool:
+        """Do nonzero flat terms {(*index, packed monomial): q} vanish once specialized?"""
         if not self.subs:
-            return fn.is_zero()
-        return all(not self.scalar(coeff) for _, coeff in fn.terms())
+            return not terms
+        by_index = _by_index((k[:-1], k[-1], q) for k, q in terms.items())
+        return not any(self.scalar(s) for s in by_index.values())
 
     def compare(self, a: Operator, b: Operator, tag: dict) -> None:
         """Count one comparison per entry position; collect all discrepancies."""
@@ -107,21 +114,24 @@ class Collector:
             self.row(out, left.get(out, {}), right.get(out, {}), tag)
 
     def row(self, out: tuple, lhs: dict, rhs: Optional[dict], tag: dict) -> None:
-        """Witnesses of one output row, `lhs` and `rhs` mapping input to entry.
+        """Witnesses of one output row, `lhs` and `rhs` flat rows {(in, packed monomial): q}.
 
         Every nonzero entry of lhs when rhs is None, else every position where
         the two differ; in input order.
         """
+        if lhs == rhs:
+            return
+        lhs = _by_index((inp, m, q) for (inp, m), q in lhs.items())
         if rhs is None:
             for inp in sorted(lhs):
                 self.witnesses.append(
                     {**tag, "out": list(out), "in": list(inp), "value": str(lhs[inp])}
                 )
             return
-        zero = Scalar.zero()
+        rhs = _by_index((inp, m, q) for (inp, m), q in rhs.items())
         for inp in sorted(lhs.keys() | rhs.keys()):
-            ca = lhs.get(inp, zero)
-            cb = rhs.get(inp, zero)
+            ca = lhs.get(inp, ZERO)
+            cb = rhs.get(inp, ZERO)
             if ca != cb:
                 self.witnesses.append(
                     {**tag, "out": list(out), "in": list(inp), "lhs": str(ca), "rhs": str(cb)}
@@ -147,11 +157,13 @@ class Collector:
 # ---------------------------------------------------------------------------
 
 
-def _rows(op: Operator) -> dict[tuple, dict[tuple, Scalar]]:
-    """The entries of op grouped by output: rows[out][in] = coefficient."""
-    rows: dict[tuple, dict[tuple, Scalar]] = {}
+def _rows(op: Operator) -> dict[tuple, dict]:
+    """The entries of op as flat rows: rows[out][(in, packed monomial)] = q."""
+    rows: dict[tuple, dict] = {}
     for (out, inp), coeff in op.entries.items():
-        rows.setdefault(out, {})[inp] = coeff
+        row = rows.setdefault(out, {})
+        for m, q in coeff._terms.items():
+            row[inp, m] = q
     return rows
 
 
@@ -164,21 +176,22 @@ def check_identities(
 ) -> None:
     """Verify each identity functionally, then matrix-wise.
 
-    Functional route, only when a monomial domain is given: apply both sides
+    Functional route, only when a monomial domain is given: apply lhs - rhs
     to every monomial in three variables with exponents in `domain`, in the
     space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
     SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
-    variable.  Matrix route: multiply out the embedded `leaves`, the two-leg
-    matrices (already specialized) of the operators the words name, one
-    output row at a time, as in Gustavson's row-wise sparse product (ACM
-    TOMS 1978).  Row `out` of a word is its first factor's row, carried
-    through each later factor's rows; the last factor of every word of a
-    side adds into one dict for that row, which is compared or reported
-    before the next row, so no product matrix is ever built.
-    Witnesses start with the identity's tag, then name the route under
-    `side` unless `sided` is false.
+    variable.  Each word maps the signed monomial through its kernels, the
+    last of which adds into one total.  Matrix route: multiply out the
+    embedded `leaves`, the two-leg matrices (already specialized) of the
+    operators the words name, one output row at a time, as in Gustavson's
+    row-wise sparse product (ACM TOMS 1978).  Each word carries its sign, as
+    the unit row `out`, through its factors' rows, and its last factor adds
+    into one dict for that side's row, which is compared or reported before
+    the next row, so no product matrix is ever built.  Witnesses start with
+    the identity's tag, then name the route under `side` unless `sided` is
+    false.
     """
-    # embedded leaves grouped by output row, built once per (name, slots)
+    # embedded leaves as flat rows, built once per (name, slots)
     embedded: dict[tuple[str, tuple[int, int]], dict] = {}
 
     def rows_of(name: str, slots: tuple[int, int]) -> dict:
@@ -192,49 +205,41 @@ def check_identities(
     def side_row(expr: Expression, out: tuple) -> dict:
         total: dict = {}
         for sign, word in expr:
-            pairs = rows_of(*word[0]).get(out, no_row).items()
-            if sign < 0:
-                pairs = [(mid, -c) for mid, c in pairs]
-            for k in range(1, len(word)):
-                rows = rows_of(*word[k])
+            terms = {(out, 0): sign}
+            for k, factor in enumerate(word):
+                rows = rows_of(*factor)
                 acc = total if k == len(word) - 1 else {}
-                for mid, c in pairs:
-                    for inp, d in rows.get(mid, no_row).items():
-                        p = c * d
-                        cur = acc.get(inp)
-                        if cur is None:
-                            acc[inp] = p
-                        elif cur := cur + p:
-                            acc[inp] = cur
-                        else:
-                            del acc[inp]
-                pairs = acc.items()
-            if len(word) == 1:
-                for inp, c in pairs:
-                    _accumulate(total, inp, c)
+                for (mid, m1), c1 in terms.items():
+                    for (inp, m2), c2 in rows.get(mid, no_row).items():
+                        key = (inp, m1 + m2)
+                        v = acc[key] = acc.get(key, 0) + c1 * c2
+                        if not v:
+                            del acc[key]
+                terms = acc
         return total
-
-    def apply(expr: Expression, fn: LaurentFn) -> LaurentFn:
-        total: dict = {}
-        for sign, word in expr:
-            value = fn
-            for name, slots in reversed(word):
-                value = _FUNCTIONAL_OPS[name](value, slots)
-            for exps, coeff in value._terms.items():
-                _accumulate(total, exps, coeff if sign > 0 else -coeff)
-        return LaurentFn(fn.cfg, fn.arity, total)
 
     cfg = SpaceConfig(domain.stop) if domain is not None else None
     leaf = next(iter(leaves.values()))
     for tag, lhs, rhs in identities:
         if domain is not None:
-            difference = [*lhs, *((-sign, word) for sign, word in rhs)]
+            # lhs - rhs as signed words of kernels, in the order they apply
+            words = [
+                (sign, [(slots, _KERNELS[name]) for name, slots in reversed(word)])
+                for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))
+            ]
             for exps in product(domain, repeat=3):
                 col.checked += 1
-                value = apply(difference, LaurentFn.monomial(cfg, exps))
-                if not col.vanishes(value):
+                total: Flat = {}
+                for sign, word in words:
+                    value: Flat = {(*exps, 0): sign}
+                    for slots, kernel in word[:-1]:
+                        value = _single_pass(value, slots, *kernel)
+                    slots, kernel = word[-1]
+                    _single_pass(value, slots, *kernel, out=total)
+                if not col.vanishes(total):
+                    fn = _from_flat(cfg, 3, total)
                     col.witnesses.append(
-                        {**tag, "side": "functional", "monomial": list(exps), "value": str(value)}
+                        {**tag, "side": "functional", "monomial": list(exps), "value": str(fn)}
                     )
         matrix_tag = {**tag, "side": "matrix"} if sided else tag
         col.checked += (leaf.n + 1 - leaf.lo) ** 6

@@ -15,12 +15,16 @@ exponent as a passive index.  Divided differences are expanded through the
 closed geometric-sum formula per monomial, so the division by x - y never
 materializes an out-of-range term.
 
-`op_rho`, `op_s`, `op_r` and `op_rhat` are single-pass kernels over one
-private routine, `_single_pass`: one loop over the input terms tests
-regularity inline and writes the identity (or swap), b-term and C-term
-contributions into one accumulator, with no intermediate function built.
-`reg`, `permute` and `divided_difference` remain the public primitives the
-operators are defined by, and the tests check every kernel against them.
+`op_rho`, `op_s`, `op_r` and `op_rhat` run one private kernel,
+`_single_pass`: one loop over the input terms tests regularity inline and
+writes the identity (or swap), b-term and C-term contributions into one
+accumulator, with no intermediate function built.  The kernel works on flat
+terms {(e0, e1[, e2], m): q}, m a packed monomial of `scalars` and q a plain
+rational, so multiplying by b or C adds a constant to m and a sign flip
+negates q; the `op_*` functions convert a LaurentFn to flat terms and back,
+and `checks` runs the kernel on flat terms directly.  `reg`, `permute` and
+`divided_difference` remain the public primitives the operators are defined
+by, and the tests check every kernel against them.
 """
 
 from __future__ import annotations
@@ -29,9 +33,25 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional, Union
 
-from .scalars import BETA, C, ONE, Scalar
+from .scalars import ONE, Coeff, Scalar, _by_index, _pack
 
 Slots = tuple[int, int]
+# flat terms: exponents followed by a packed monomial, mapped to a rational
+Flat = dict[tuple[int, ...], Coeff]
+
+_BETA, _C = _pack((1, 0, 0)), _pack((0, 1, 0))
+
+# `_single_pass` arguments (identity, beta, c, swap) of each named two-slot
+# operator; beta and c are the packed monomials multiplying its rho and s
+# parts, None where the part is absent
+_KERNELS = {
+    "rho": (False, 0, None, False),
+    "s": (False, None, 0, False),
+    "r": (False, _BETA, _C, False),
+    "rhat": (True, _BETA, _C, True),
+    # permute o rhat = identity + r, the flipped braid operator
+    "R": (True, _BETA, _C, False),
+}
 
 
 @dataclass(frozen=True)
@@ -248,17 +268,17 @@ def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
 
 def op_rho(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(rho F)(x, y) = x * (f(y,x) - f(x,y)) / (x - y), f the regular part."""
-    return _single_pass(fn, slots, beta=ONE)
+    return _apply_kernel(fn, slots, "rho")
 
 
 def op_s(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(s F)(x, y) = (f(x, 0) - f(0, x)) / y, f the regular part."""
-    return _single_pass(fn, slots, c=ONE)
+    return _apply_kernel(fn, slots, "s")
 
 
 def op_r(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """(r F) = b * (rho F) + C * (s F); the classical r-matrix operator."""
-    return _single_pass(fn, slots, beta=BETA, c=C)
+    return _apply_kernel(fn, slots, "r")
 
 
 def op_rhat(fn: LaurentFn, slots: Slots = (0, 1), _c_sign: int = 1) -> LaurentFn:
@@ -268,63 +288,68 @@ def op_rhat(fn: LaurentFn, slots: Slots = (0, 1), _c_sign: int = 1) -> LaurentFn
     in the test suite.  `_c_sign=-1` negates the C-term, a deliberate
     corruption for the cross-check.
     """
-    return _single_pass(fn, slots, identity=True, beta=BETA, c=C if _c_sign > 0 else -C, swap=True)
+    return _apply_kernel(fn, slots, "rhat", _c_sign)
+
+
+def _apply_kernel(fn: LaurentFn, slots: Slots, name: str, c_sign: int = 1) -> LaurentFn:
+    """The named operator of _KERNELS on fn, through flat terms."""
+    _check_slots(fn, slots)
+    flat = {(*exps, m): q for exps, coeff in fn._terms.items() for m, q in coeff._terms.items()}
+    return _from_flat(fn.cfg, fn.arity, _single_pass(flat, slots, *_KERNELS[name], c_sign))
+
+
+def _from_flat(cfg: SpaceConfig, arity: int, flat: Flat) -> LaurentFn:
+    """The LaurentFn of nonzero flat terms."""
+    return LaurentFn(cfg, arity, _by_index((k[:-1], k[-1], q) for k, q in flat.items()))
 
 
 def _single_pass(
-    fn: LaurentFn,
-    slots: Slots,
-    identity: bool = False,
-    beta: Optional[Scalar] = None,
-    c: Optional[Scalar] = None,
-    swap: bool = False,
-) -> LaurentFn:
-    """[permute o] (identity + beta * rho + c * s), in one pass over fn.
+    terms: Flat, slots: Slots, identity: bool, beta: Optional[int], c: Optional[int], swap: bool,
+    c_sign: int = 1, out: Optional[Flat] = None,
+) -> Flat:
+    """[permute o] (identity + beta * rho + c * s), in one pass over flat terms.
 
     Each input term writes its identity, rho and s contributions straight
-    into one accumulator, the rho part from the geometric-sum formula of
-    `divided_difference` shifted by one in slot a.  A term with a negative
-    active exponent is singular: its regular part, hence its rho and s
-    parts, vanish.  With `swap` every output key has slots a and b
-    exchanged.
+    into one accumulator, `out` when given (the image is added to it), the
+    rho part from the geometric-sum formula of `divided_difference` shifted
+    by one in slot a.  A term with a negative active exponent is singular:
+    its regular part, hence its rho and s parts, vanish.  With `swap` every
+    output key has slots a and b exchanged; `c_sign=-1` negates the s part.
+    Terms that cancel are dropped.
     """
-    _check_slots(fn, slots)
     a, b = slots
     pa, pb = (b, a) if swap else (a, b)
-    out: dict[tuple[int, ...], Scalar] = {}
-    for exps, coeff in fn._terms.items():
-        ea, eb = exps[a], exps[b]
-        e = list(exps)
+    out = {} if out is None else out
+    get = out.get
+    for key, q in terms.items():
+        ea, eb = key[a], key[b]
+        e = list(key)
         if identity:
             e[pa], e[pb] = ea, eb
-            _accumulate(out, tuple(e), coeff)
+            k = tuple(e)
+            v = out[k] = get(k, 0) + q
+            if not v:
+                del out[k]
         # the regular part of x^ea y^eb contributes only when ea != eb
         if ea < 0 or eb < 0 or ea == eb:
             continue
         if beta is not None:
             # x * (y^ea x^eb - x^ea y^eb) / (x - y) is the sum of
             # x^u y^(lo+hi-u) over u in (lo, hi], negated when ea > eb
-            term = coeff if beta is ONE else coeff * beta
-            lo, hi = (eb, ea) if ea > eb else (ea, eb)
-            if ea > eb:
-                term = -term
+            e[-1] = key[-1] + beta
+            lo, hi, t = (eb, ea, -q) if ea > eb else (ea, eb, q)
             for u in range(lo + 1, hi + 1):
                 e[pa], e[pb] = u, lo + hi - u
-                _accumulate(out, tuple(e), term)
+                k = tuple(e)
+                v = out[k] = get(k, 0) + t
+                if not v:
+                    del out[k]
         if c is not None and (ea == 0 or eb == 0):
             # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0
-            term = coeff if c is ONE else coeff * c
+            e[-1] = key[-1] + c
             e[pa], e[pb] = ea or eb, -1
-            _accumulate(out, tuple(e), term if eb == 0 else -term)
-    return fn._wrap(out)
-
-
-def _accumulate(
-    out: dict[tuple[int, ...], Scalar], key: tuple[int, ...], coeff: Scalar
-) -> None:
-    acc = out.get(key)
-    acc = coeff if acc is None else acc + coeff
-    if acc:
-        out[key] = acc
-    else:
-        out.pop(key, None)
+            k = tuple(e)
+            v = out[k] = get(k, 0) + (q if (eb == 0) == (c_sign > 0) else -q)
+            if not v:
+                del out[k]
+    return out

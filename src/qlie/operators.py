@@ -234,28 +234,6 @@ def embed(op: Operator, pair: Union[str, tuple[int, int]]) -> Operator:
     return Operator(op.n, 3, ent, op.lo)
 
 
-def op_equal(a: Operator, b: Operator) -> tuple[bool, Optional[dict]]:
-    """Exact entrywise equality; on failure, the first discrepancy.
-
-    The witness reports the lexicographically first differing (out, in) pair
-    together with both coefficients, for deterministic failure messages.
-    """
-    a._require_shape(b)
-    keys = set(a.entries) | set(b.entries)
-    for key in sorted(keys):
-        ca = a.entries.get(key, Scalar.zero())
-        cb = b.entries.get(key, Scalar.zero())
-        if ca != cb:
-            out, inp = key
-            return False, {
-                "out": list(out),
-                "in": list(inp),
-                "lhs": str(ca),
-                "rhs": str(cb),
-            }
-    return True, None
-
-
 def from_functional(
     op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig
 ) -> Operator:

@@ -12,12 +12,23 @@ non-integer rational does: after a rational substitution, in a parsed
 "a/b", or as a non-integral exact quotient.  Since 1 == Fraction(1) and
 hash(1) == hash(Fraction(1)), equality, hashing and printing do not depend
 on which of the two types holds an integral value.
+
+A monomial b^i C^j p^k is one packed int key i + (j << 32) + (k << 64)
+(Monagan & Pearce, CASC 2007): b and C own 32-bit fields and the signed top
+field holds p, so p^-1 needs no offset and a monomial product is one integer
+addition.  The constructor, `monomial` and `parse` take b and C exponents up
+to EXP_MAX = 65535.  No Scalar holds one of 2^24 or more: `*`, `**` and the
+conversion of flat terms (`_by_index`) raise ValueError instead.  A sum of
+fewer than 256 such exponents stays below 2^32, so a kernel of `laurent` or
+`checks`, which adds one exponent per factor of a word, cannot carry one
+field into the next.  Those kernels run on packed keys and plain rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Coeff = Union[int, Fraction]
 
@@ -25,6 +36,15 @@ Coeff = Union[int, Fraction]
 Exponents = tuple[int, int, int]
 
 _SYMBOLS = ("b", "C", "p")
+
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+# the largest b or C exponent taken from input
+EXP_MAX = (1 << 16) - 1
+# no Scalar holds a b or C exponent of _LIMIT or more; _OVER has the bits of
+# both fields that such an exponent sets
+_LIMIT = 1 << 24
+_OVER = (_MASK & -_LIMIT) * (1 | 1 << _BITS)
 
 
 class ScalarParseError(ValueError):
@@ -44,10 +64,58 @@ def _coerce(value: Union[int, Fraction, str]) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
-def _grlex(e: Exponents) -> tuple:
-    # total degree first, then lexicographic; a group order on Z^3, so it is
-    # compatible with monomial multiplication (needed by exact_div)
-    return (e[0] + e[1] + e[2], e)
+def _pack(exps: Exponents) -> int:
+    """The packed key of b^i C^j p^k; raises ValueError unless 0 <= i, j <= EXP_MAX."""
+    db, dc, dp = exps
+    if not (0 <= db <= EXP_MAX and 0 <= dc <= EXP_MAX):
+        raise ValueError(f"exponent for b or C outside [0, {EXP_MAX}]: {exps}")
+    return db | dc << _BITS | dp << 2 * _BITS
+
+
+def _unpack(key: int) -> Exponents:
+    return (key & _MASK, key >> _BITS & _MASK, key >> 2 * _BITS)
+
+
+def _from_packed(terms: Mapping[int, Coeff]) -> "Scalar":
+    """A Scalar holding `terms`, packed key -> nonzero rational, as given."""
+    s = Scalar.__new__(Scalar)
+    s._terms = terms
+    return s
+
+
+def _within_limit(terms: Mapping[int, Coeff]) -> Mapping[int, Coeff]:
+    """`terms`, or ValueError if a b or C exponent of theirs reached _LIMIT."""
+    if any(key & _OVER for key in terms):
+        raise ValueError(f"a b or C exponent reached {_LIMIT}")
+    return terms
+
+
+def _by_index(terms: Iterable[tuple[tuple, int, Coeff]]) -> dict[tuple, "Scalar"]:
+    """The Scalars of nonzero (index, packed key, rational) terms, by index."""
+    grouped: dict[tuple, dict[int, Coeff]] = {}
+    for index, key, q in terms:
+        grouped.setdefault(index, {})[key] = q
+    return {index: _from_packed(_within_limit(t)) for index, t in grouped.items()}
+
+
+@lru_cache(maxsize=1 << 12)
+def _substitute_key(key: int, beta: Optional[Coeff], c: Optional[Coeff],
+                    p: Optional[Coeff]) -> tuple[int, Coeff]:
+    """(key', factor) with monomial(key) = factor * monomial(key') once the
+    given values (None keeps a symbol) are substituted; p must be nonzero."""
+    db, dc, dp = _unpack(key)
+    factor: Coeff = 1
+    if beta is not None:
+        factor *= beta ** db
+        db = 0
+    if c is not None:
+        factor *= c ** dc
+        dc = 0
+    if p is not None:
+        # an int to a negative power would be a float
+        factor *= p ** dp if dp >= 0 else Fraction(p) ** dp
+        dp = 0
+    return _pack((db, dc, dp)), factor
 
 
 class Scalar:
@@ -56,15 +124,12 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Exponents, Coeff]] = None):
-        canon: dict[Exponents, Coeff] = {}
+        canon: dict[int, Coeff] = {}
         if terms:
             for exps, coeff in terms.items():
-                db, dc, dp = exps
-                if db < 0 or dc < 0:
-                    raise ValueError(f"negative exponent for b or C: {exps}")
-                coeff = _coerce(coeff)
-                if coeff:
-                    canon[(db, dc, dp)] = coeff
+                key = _pack(exps)
+                if coeff := _coerce(coeff):
+                    canon[key] = coeff
         self._terms = canon
 
     # -- constructors ------------------------------------------------------
@@ -93,16 +158,19 @@ class Scalar:
         return len(self._terms)
 
     def terms(self) -> Iterator[tuple[Exponents, Coeff]]:
-        """Terms in the canonical (graded-lexicographic) order."""
-        return iter(sorted(self._terms.items(), key=lambda t: _grlex(t[0])))
+        """Terms in the canonical order: total degree, then lexicographic."""
+        items = [(_unpack(k), c) for k, c in self._terms.items()]
+        if len(items) > 1:
+            items.sort(key=lambda t: (sum(t[0]), t[0]))
+        return iter(items)
 
     def as_rational(self) -> Fraction:
         """The value of a constant scalar; raises if any symbol is present."""
         if not self._terms:
             return Fraction(0)
-        if set(self._terms) != {(0, 0, 0)}:
+        if set(self._terms) != {0}:
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._terms[(0, 0, 0)])
+        return Fraction(self._terms[0])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
@@ -120,51 +188,43 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps, 0) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
+        for key, coeff in other._terms.items():
+            acc = out[key] = out.get(key, 0) + coeff
+            if not acc:
+                del out[key]
         s = Scalar.__new__(Scalar)
         s._terms = out
         return s
 
     def __neg__(self) -> "Scalar":
         s = Scalar.__new__(Scalar)
-        s._terms = {e: -c for e, c in self._terms.items()}
+        s._terms = {k: -c for k, c in self._terms.items()}
         return s
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: Union["Scalar", Coeff]) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_coerce(other))
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(_coerce(other))
             return NotImplemented
         a, b = (other, self) if len(self._terms) == 1 else (self, other)
         if len(b._terms) == 1:
-            # times one monomial: distinct exponents stay distinct, and a
-            # product of nonzero rationals is nonzero, so nothing cancels
-            ((b0, b1, b2), cb), = b._terms.items()
-            if not (b0 or b1 or b2):
+            # times one monomial: distinct keys stay distinct, and a product
+            # of nonzero rationals is nonzero, so nothing cancels
+            (kb, cb), = b._terms.items()
+            if not kb:
                 return a._scaled(cb)
-            s = Scalar.__new__(Scalar)
-            s._terms = {(a0 + b0, a1 + b1, a2 + b2): ca * cb for (a0, a1, a2), ca in a._terms.items()}
-            return s
-        out: dict[Exponents, Coeff] = {}
-        for (a0, a1, a2), ca in a._terms.items():
-            for (b0, b1, b2), cb in b._terms.items():
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                acc = out.get(e, 0) + ca * cb
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        s = Scalar.__new__(Scalar)
-        s._terms = out
-        return s
+            return _from_packed(_within_limit({ka + kb: ca * cb for ka, ca in a._terms.items()}))
+        out: dict[int, Coeff] = {}
+        for ka, ca in a._terms.items():
+            for kb, cb in b._terms.items():
+                key = ka + kb
+                acc = out[key] = out.get(key, 0) + ca * cb
+                if not acc:
+                    del out[key]
+        return _from_packed(_within_limit(out))
 
     __rmul__ = __mul__
 
@@ -172,13 +232,14 @@ class Scalar:
         # scalars are immutable, so a product with 1 may share its factor
         if factor == 1:
             return self
-        s = Scalar.__new__(Scalar)
-        s._terms = {e: c * factor for e, c in self._terms.items()} if factor else {}
-        return s
+        return _from_packed({e: c * factor for e, c in self._terms.items()} if factor else {})
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             raise ValueError("negative powers of a general scalar are not defined")
+        for db, dc, _ in map(_unpack, self._terms):
+            if max(db, dc) * k >= _LIMIT:
+                raise ValueError(f"({self})^{k} has a b or C exponent of {_LIMIT} or more")
         acc = ONE
         for _ in range(k):
             acc = acc * self
@@ -199,27 +260,13 @@ class Scalar:
         beta, c, p = (None if v is None else _coerce(v) for v in (beta, c, p))
         if p == 0:
             raise ValueError("p must be nonzero")
-        out: dict[Exponents, Coeff] = {}
-        for (db, dc, dp), coeff in self._terms.items():
-            if beta is not None:
-                coeff = coeff * beta ** db
-                db = 0
-            if c is not None:
-                coeff = coeff * c ** dc
-                dc = 0
-            if p is not None:
-                # an int to a negative power would be a float
-                coeff = coeff * (p ** dp if dp >= 0 else Fraction(p) ** dp)
-                dp = 0
-            e = (db, dc, dp)
-            acc = _coerce(out.get(e, 0) + coeff)
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-        s = Scalar.__new__(Scalar)
-        s._terms = out
-        return s
+        out: dict[int, Coeff] = {}
+        for key, coeff in self._terms.items():
+            key, factor = _substitute_key(key, beta, c, p)
+            acc = out[key] = _coerce(out.get(key, 0) + coeff * factor)
+            if not acc:
+                del out[key]
+        return _from_packed(out)
 
     def eval(
         self,
@@ -236,24 +283,28 @@ class Scalar:
         """Exact quotient self / divisor; raises ValueError when not exact.
 
         Used by the fraction-free elimination, where divisions are exact by
-        construction.  p-exponents are first shifted to be nonnegative so the
-        division runs in an honestly graded polynomial ring and terminates.
+        construction.  p-exponents are first shifted to be nonnegative, so the
+        division runs in a polynomial ring, where the integer order of packed
+        keys is the lexicographic monomial order on (p, C, b); it terminates,
+        and the quotient, being unique, does not depend on the order.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self.is_zero():
             return ZERO
-        shift_r = min(e[2] for e in self._terms)
-        shift_d = min(e[2] for e in divisor._terms)
-        rem = {(e[0], e[1], e[2] - shift_r): c for e, c in self._terms.items()}
-        den = {(e[0], e[1], e[2] - shift_d): c for e, c in divisor._terms.items()}
-        lt_d = max(den, key=_grlex)
+        shift_r = min(self._terms) >> 2 * _BITS << 2 * _BITS
+        shift_d = min(divisor._terms) >> 2 * _BITS << 2 * _BITS
+        rem = {k - shift_r: c for k, c in self._terms.items()}
+        den = {k - shift_d: c for k, c in divisor._terms.items()}
+        lt_d = max(den)
         cd = den[lt_d]
-        quo: dict[Exponents, Coeff] = {}
+        db_d, dc_d, _ = _unpack(lt_d)
+        quo: dict[int, Coeff] = {}
         while rem:
-            lt_r = max(rem, key=_grlex)
-            e = (lt_r[0] - lt_d[0], lt_r[1] - lt_d[1], lt_r[2] - lt_d[2])
-            if e[0] < 0 or e[1] < 0 or e[2] < 0:
+            lt_r = max(rem)
+            e = lt_r - lt_d
+            db, dc, _ = _unpack(lt_r)
+            if e < 0 or db < db_d or dc < dc_d:
                 raise ValueError("inexact scalar division")
             cr = rem[lt_r]
             if type(cr) is int and type(cd) is int:
@@ -263,17 +314,12 @@ class Scalar:
             else:
                 cq = _coerce(Fraction(cr) / cd)
             quo[e] = cq
-            for ed, cden in den.items():
-                key = (e[0] + ed[0], e[1] + ed[1], e[2] + ed[2])
-                acc = rem.get(key, 0) - cq * cden
-                if acc:
-                    rem[key] = acc
-                else:
-                    rem.pop(key, None)
-        out = {(e[0], e[1], e[2] + shift_r - shift_d): c for e, c in quo.items()}
-        s = Scalar.__new__(Scalar)
-        s._terms = out
-        return s
+            for kd, cden in den.items():
+                key = e + kd
+                acc = rem[key] = rem.get(key, 0) - cq * cden
+                if not acc:
+                    del rem[key]
+        return _from_packed({k + shift_r - shift_d: c for k, c in quo.items()})
 
     # -- text form ---------------------------------------------------------
 
@@ -346,6 +392,7 @@ class _Parser:
         self._skip_ws()
         if self.pos >= len(self.text):
             raise ScalarParseError("expected a term", self.pos)
+        start = self.pos
         coeff = Fraction(sign)
         exps = [0, 0, 0]
         saw_factor = False
@@ -371,6 +418,8 @@ class _Parser:
                 break
         if not saw_factor:
             raise ScalarParseError("expected a number or symbol", self.pos)
+        if not (0 <= exps[0] <= EXP_MAX and 0 <= exps[1] <= EXP_MAX):
+            raise ScalarParseError(f"exponent for b or C outside [0, {EXP_MAX}]", start)
         return Scalar.monomial((exps[0], exps[1], exps[2]), coeff)
 
     def _exponent(self) -> int:

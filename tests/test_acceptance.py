@@ -19,7 +19,7 @@ import pytest
 from qlie import checks, rtt
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_r, op_rhat
-from qlie.operators import from_functional, op_equal
+from qlie.operators import from_functional
 from qlie.scalars import C, Scalar
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -42,8 +42,9 @@ def test_criterion_1_cross_construction_identity():
     with criterion(1, "functional matrix equals closed-form blocks, n=1..4", 10):
         for n in (1, 2, 3, 4):
             functional = from_functional(op_rhat, SpaceConfig(n))
-            eq, witness = op_equal(functional, extended_rhat(n))
-            assert eq, (n, witness)
+            col = checks.Collector("cross-check", n)
+            col.compare(functional, extended_rhat(n), {})
+            assert functional == extended_rhat(n), (n, col.witnesses[:1])
 
 
 def test_criterion_2_braid_equation():
@@ -61,8 +62,9 @@ def test_criterion_3_cg_family_yang_baxter():
             assert report.passed, (n, report.witnesses[:3])
             family = sigma_cg_family(n)
             at_one = family.map_entries(lambda s: s.substitute(p=1))
-            eq, witness = op_equal(at_one, sigma_cg(n))
-            assert eq, (n, witness)
+            col = checks.Collector("ybe", n)
+            col.compare(at_one, sigma_cg(n), {})
+            assert at_one == sigma_cg(n), (n, col.witnesses[:1])
 
 
 def test_criterion_4_classical_ybe_and_component_identities():

@@ -4,7 +4,8 @@ import pytest
 
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_rhat
-from qlie.operators import Operator, from_functional, op_equal
+from qlie.checks import Collector
+from qlie.operators import Operator, from_functional
 from qlie.scalars import BETA, C, ONE, Scalar
 
 
@@ -174,5 +175,6 @@ def test_extended_zero_pattern():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cross_construction_equality(n):
     functional = from_functional(op_rhat, SpaceConfig(n))
-    eq, witness = op_equal(functional, extended_rhat(n))
-    assert eq, witness
+    col = Collector("cross-check", n)
+    col.compare(functional, extended_rhat(n), {})
+    assert functional == extended_rhat(n), col.witnesses[:1]

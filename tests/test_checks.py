@@ -1,11 +1,15 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlie import checks
 from qlie.cg import extended_rhat, sigma_cg, structure_constants
-from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rho, op_s
+from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, embed, from_functional
 from qlie.scalars import BETA, C, ONE, Scalar
 
@@ -294,6 +298,63 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
         assert got.witnesses == want.witnesses
         failing += not got.passed
     assert failing >= 3
+
+
+OPS = ("rho", "s", "r", "R")
+ORDERED_SLOTS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
+REFERENCE_OPS = {
+    "rho": op_rho,
+    "s": op_s,
+    "r": op_r,
+    # R = P.Rhat: the flipped braid operator
+    "R": lambda fn, slots: permute(op_rhat(fn, slots), slots),
+}
+words = st.lists(st.tuples(st.sampled_from(OPS), st.sampled_from(ORDERED_SLOTS)), min_size=1, max_size=3)
+signed_words = st.lists(st.tuples(st.sampled_from([1, -1]), words), min_size=1, max_size=3)
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+specializations = st.fixed_dictionaries(
+    {}, optional={"beta": small_fractions, "c": small_fractions, "p": small_fractions.filter(bool)}
+)
+
+
+@lru_cache(maxsize=None)
+def _leaf(name, n):
+    return checks._functional_matrix(name, n)
+
+
+def _reference_functional_route(col, identities, domain):
+    """The functional route by composing the public LaurentFn operators."""
+    cfg = SpaceConfig(domain.stop)
+    for tag, lhs, rhs in identities:
+        for exps in product(domain, repeat=3):
+            col.checked += 1
+            total = LaurentFn.zero(cfg, 3)
+            for sign, word in (*lhs, *((-sign, word) for sign, word in rhs)):
+                value = LaurentFn.monomial(cfg, exps)
+                for name, slots in reversed(word):
+                    value = REFERENCE_OPS[name](value, slots)
+                total = total + value if sign > 0 else total - value
+            if any(col.scalar(coeff) for _, coeff in total.terms()):
+                col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": str(total)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    polynomial=st.booleans(),
+    sides=st.lists(st.tuples(signed_words, st.one_of(st.just([]), signed_words)), min_size=1, max_size=2),
+    subs=st.one_of(st.none(), specializations),
+)
+def test_functional_route_matches_composed_public_operators(n, polynomial, sides, subs):
+    domain = range(0, n + 1) if polynomial else range(-1, n)
+    identities = [({"identity": str(k)}, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)]
+    engine = checks.Collector("engine", n, subs or None)
+    reference = checks.Collector("engine", n, subs or None)
+    leaves = {name: engine.leaf(_leaf(name, n)) for name in OPS}
+    checks.check_identities(engine, identities, leaves, domain)
+    _reference_functional_route(reference, identities, domain)
+    assert [w for w in engine.witnesses if w["side"] == "functional"] == reference.witnesses
+    assert engine.checked == reference.checked + len(identities) * (n + 1) ** 6
 
 
 # -- specialization soundness --------------------------------------------------------

@@ -301,3 +301,39 @@ def test_flag_a_selected_suite_ignores_exits_2(args):
     assert not SUMMARY_LINE.search(proc.stderr)
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("qlie: error: ") and args[-2] in last
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=b^-1"),
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=C^65536"),
+        ("verify", "qlie", "--n", "2", "--corrupt-constants", "(2;1,2)=b^70000"),
+    ],
+    ids=["negative-b", "C-beyond-field", "constant-b-beyond-field"],
+)
+def test_exponents_outside_their_field_exit_2_with_one_error_line(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("qlie: error: ")]
+    assert len(errors) == 1 and "exponent" in errors[0]
+
+
+@pytest.mark.parametrize("entry", ["(2,2;2,2)", "(1,2;1,2)"])
+def test_large_accepted_exponents_chain_exactly(entry):
+    # the braid words meet the entry twice, so b^E shows up as b^(2E) + ...;
+    # with E = 40000 the witnesses are those of E = 400 with every exponent
+    # 400 k + j read as 40000 k + j
+    def witnesses(e: int) -> list:
+        proc = run_cli("verify", "braid", "--n", "2", "--corrupt", f"{entry}=b^{e}")
+        assert proc.returncode == 1
+        (report,) = json.loads(proc.stdout)
+        return report["witnesses"]
+
+    def scaled(text: str) -> str:
+        return re.sub(r"b\^(\d+)", lambda m: f"b^{int(m[1]) // 400 * 40000 + int(m[1]) % 400}", text)
+
+    large = witnesses(40000)
+    assert "b^80000" in json.dumps(large)
+    assert large == json.loads(scaled(json.dumps(witnesses(400))))

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from qlie.checks import Collector
 from qlie.laurent import LaurentFn, SpaceConfig, op_rho, op_rhat, permute
 from qlie.operators import (
     Operator,
@@ -11,7 +12,6 @@ from qlie.operators import (
     embed,
     from_functional,
     matrix_of,
-    op_equal,
 )
 from qlie.scalars import BETA, C, ONE, Scalar
 
@@ -64,13 +64,15 @@ def test_compose_examples():
     assert a != b
 
 
-def test_op_equal_reports_first_discrepancy():
+def test_compare_reports_first_discrepancy():
     P = Operator.flip(1, lo=0)
-    eq, wit = op_equal(P, P)
-    assert eq and wit is None
-    eq, wit = op_equal(P, Operator.identity(1, 2, lo=0))
-    assert not eq
-    assert wit == {"out": [0, 1], "in": [0, 1], "lhs": "0", "rhs": "1"}
+    col = Collector("compare", 1)
+    col.compare(P, P, {})
+    assert P == P and not col.witnesses
+    ident = Operator.identity(1, 2, lo=0)
+    col.compare(P, ident, {})
+    assert P != ident
+    assert col.witnesses[0] == {"out": [0, 1], "in": [0, 1], "lhs": "0", "rhs": "1"}
 
 
 def test_shape_mismatch_raises():

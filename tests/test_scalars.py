@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, ScalarParseError
+from qlie.cg import sigma_cg_family
+from qlie.scalars import (
+    BETA, C, EXP_MAX, ONE, P, P_INV, ZERO, Scalar, ScalarParseError, _by_index, _pack, _unpack,
+)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 exponents = st.tuples(
@@ -187,3 +190,74 @@ def test_coefficients_are_ints_or_fractions_never_floats(a, b, k, q, beta0, c0, 
                   a.substitute(beta=beta0, c=c0, p=p0)):
         assert _coefficient_types(value) <= {int, Fraction}
         assert all(type(c) is int or c.denominator != 1 for _, c in value.terms())
+
+
+# -- packed monomial keys ---------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, EXP_MAX), st.integers(0, EXP_MAX), st.integers(-2 ** 20, 2 ** 20),
+       st.integers(0, EXP_MAX), st.integers(0, EXP_MAX), st.integers(-2 ** 20, 2 ** 20))
+def test_packed_keys_round_trip_and_add_as_exponents(b1, c1, p1, b2, c2, p2):
+    for exps in ((b1, c1, p1), (b2, c2, p2)):
+        assert _unpack(_pack(exps)) == exps
+    assert _unpack(_pack((b1, c1, p1)) + _pack((b2, c2, p2))) == (b1 + b2, c1 + c2, p1 + p2)
+
+
+def test_negative_p_exponents_pack_without_offset():
+    for exps in ((0, 0, -1), (3, 0, -1), (0, 5, -7), (EXP_MAX, EXP_MAX, -(2 ** 40))):
+        assert _unpack(_pack(exps)) == exps
+        assert Scalar.parse(str(Scalar.monomial(exps, -2))) == Scalar.monomial(exps, -2)
+    assert P * P_INV == ONE and next((P_INV * P_INV).terms())[0] == (0, 0, -2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_sigma_cg_family_degrees_survive_packing(n):
+    degrees = set()
+    for coeff in sigma_cg_family(n).entries.values():
+        for exps, value in coeff.terms():
+            assert _unpack(_pack(exps)) == exps
+            assert Scalar.monomial(exps, value) * Scalar.monomial(exps, 1) == Scalar.monomial(
+                tuple(2 * e for e in exps), value
+            )
+            degrees.add(exps)
+    # the flip term carries p^(k-l) and the b-summand b p^(k-s), k, l, s in 1..n
+    assert {d[2] for d in degrees} == set(range(1 - n, n))
+    assert {d[:2] for d in degrees} <= {(0, 0), (1, 0)}
+
+
+def test_exponents_outside_their_field_are_rejected():
+    for exps in ((EXP_MAX + 1, 0, 0), (0, EXP_MAX + 1, 0), (-1, 0, 0), (0, -1, 0)):
+        with pytest.raises(ValueError):
+            Scalar({exps: 1})
+        with pytest.raises(ValueError):
+            Scalar.monomial(exps)
+    for text in (f"b^{EXP_MAX + 1}", f"2*C^{EXP_MAX + 1}", "b^-1", "1 + C^-2"):
+        with pytest.raises(ScalarParseError):
+            Scalar.parse(text)
+    with pytest.raises(ValueError):
+        BETA ** 2 ** 24
+    edge = Scalar.monomial((EXP_MAX, EXP_MAX, -3))
+    assert str(edge) == f"b^{EXP_MAX}*C^{EXP_MAX}*p^-3"
+    assert Scalar.parse(str(edge)) == edge
+
+
+def test_products_past_the_input_limit_stay_exact():
+    top = Scalar.monomial((EXP_MAX, EXP_MAX, -3), 5)
+    assert next((top * BETA).terms()) == ((EXP_MAX + 1, EXP_MAX, -3), 5)
+    assert top * BETA != top * C and Scalar.monomial((EXP_MAX, 0, 0)) * BETA != C
+    square = (top + ONE) * (top - ONE)
+    assert dict(square.terms()) == {(2 * EXP_MAX, 2 * EXP_MAX, -6): 25, (0, 0, 0): -1}
+    assert str(BETA ** 3 * top ** 2) == f"25*b^{2 * EXP_MAX + 3}*C^{2 * EXP_MAX}*p^-6"
+
+
+def test_no_scalar_reaches_two_to_the_24():
+    big = Scalar.monomial((EXP_MAX, 0, 0)) ** 256  # b^(2^24 - 256)
+    assert next(big.terms())[0] == (2 ** 24 - 256, 0, 0)
+    with pytest.raises(ValueError):
+        big * BETA ** 256
+    with pytest.raises(ValueError):
+        (C ** 255) ** 65794  # C^(2^24 + 14)
+    # flat terms whose sum reached the limit are refused on their way back
+    with pytest.raises(ValueError):
+        _by_index([((0,), 2 ** 24, 1)])
+    assert _by_index([((0,), 2 ** 24 - 1, 1)])[0,] == big * BETA ** 255
