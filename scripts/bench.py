@@ -31,7 +31,7 @@ from pathlib import Path
 
 from qlie import cli
 
-N = (5, 6, 7, 8)
+N = (5, 6, 7, 8, 9, 10)
 REPEATS = 5
 CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
 

@@ -121,16 +121,9 @@ def structure_constants(n: int) -> StructureTensor:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ent: dict[tuple[int, int, int], Scalar] = {}
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                coeff = Scalar.zero()
-                if l == 1 and j == k:
-                    coeff = coeff + C
-                if k == 1 and j == l:
-                    coeff = coeff - C
-                if coeff:
-                    ent[(j, k, l)] = coeff
+    for j in range(2, n + 1):
+        ent[(j, 1, j)] = Scalar.monomial((0, 1, 0), -1)
+        ent[(j, j, 1)] = C
     return StructureTensor(n, ent)
 
 

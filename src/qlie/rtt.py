@@ -9,66 +9,86 @@ over all capital index tuples yields quadratic relations in the free algebra
 on x and f; these are compared, as linear spans over the fraction field of
 the scalar ring, with the four directly-substituted relation families of the
 bicovariant calculus.
+
+Each side's one builder emits flat rows {(word, packed monomial): rational}
+(Monagan & Pearce, CASC 2007), a word coding x_i as i and f(i,j) as (n+1)*i + j,
+so the sums and signs are int arithmetic; the public functions convert the rows
+to `NCPoly`s.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
 from .checks import Collector, VerificationReport
-from .freealg import NCPoly, Word, chi, ff
+from .freealg import NCPoly, chi, ff
 from .linalg import Echelon, Row, echelon
-from .operators import Operator
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _by_index
 
 RelationKey = tuple
+# {(word, packed monomial): nonzero rational}, a word a tuple of generator codes
+FlatRow = dict
 
-# an operator's entries grouped by input pair and by output pair:
-# by_in[(i, j)] lists (out, coeff), by_out[(k, l)] lists (in, coeff)
+# entries {(out, in): coefficient} grouped by input and by output: by_in[in]
+# lists (out, terms), by_out[out] lists (in, terms), where terms are the
+# coefficient's (packed monomial, rational) pairs; the structure constants
+# C^k_{ij} are indexed as entries {(k, (i, j)): coefficient}
 EntryIndex = tuple[dict, dict]
-# structure constants C^k_{ij} grouped by lower pair, listing (k, coeff),
-# and by upper index, listing ((i, j), coeff)
-ConstantIndex = tuple[dict, dict]
+
+_UNIT = tuple(ONE._terms.items())
 
 
-def _index_entries(op: Operator) -> EntryIndex:
-    by_in: dict[tuple[int, int], list] = {}
-    by_out: dict[tuple[int, int], list] = {}
-    for (out, inp), coeff in op.entries.items():
-        by_in.setdefault(inp, []).append((out, coeff))
-        by_out.setdefault(out, []).append((inp, coeff))
+def _index(entries: Mapping[tuple, Scalar]) -> EntryIndex:
+    by_in: dict[tuple, list] = {}
+    by_out: dict[tuple, list] = {}
+    for (out, inp), coeff in entries.items():
+        terms = tuple(coeff._terms.items())
+        by_in.setdefault(inp, []).append((out, terms))
+        by_out.setdefault(out, []).append((inp, terms))
     return by_in, by_out
 
 
-def _index_constants(ct: StructureTensor) -> ConstantIndex:
-    by_lower: dict[tuple[int, int], list] = {}
-    by_upper: dict[int, list] = {}
-    for (k, i, j), v in ct.entries.items():
-        by_lower.setdefault((i, j), []).append((k, v))
-        by_upper.setdefault(k, []).append(((i, j), v))
-    return by_lower, by_upper
+def _index_constants(ct: StructureTensor) -> EntryIndex:
+    return _index({(k, (i, j)): v for (k, i, j), v in ct.entries.items()})
 
 
-def _collect(terms: Iterable[tuple[Word, Scalar]]) -> NCPoly:
-    """Sum of scalar multiples of words; zero coefficients are dropped."""
-    out: dict[Word, Scalar] = {}
-    for word, coeff in terms:
-        acc = out.get(word)
-        out[word] = coeff if acc is None else acc + coeff
-    return NCPoly(out)
+def _flat_row(parts: Iterable[tuple[tuple, tuple, int]]) -> FlatRow:
+    """The sum of (word, terms, sign) parts; zero coefficients are dropped."""
+    row: FlatRow = {}
+    for word, terms, sign in parts:
+        for key, q in terms:
+            k = word, key
+            row[k] = row.get(k, 0) + (q if sign > 0 else -q)
+    return {k: q for k, q in row.items() if q}
 
 
-def _t_entry(upper: int, lower: int) -> Optional[Word]:
-    """Entry of the block matrix T as a word; None encodes a structural zero."""
-    if upper == 0 and lower == 0:
-        return ()
-    if upper == 0:
-        return (chi(lower),)
-    if lower == 0:
-        return None
-    return (ff(upper, lower),)
+def _poly(row: FlatRow, n: int) -> NCPoly:
+    """A flat row as a polynomial in the generators x_i and f(i,j)."""
+    def letter(g: int):
+        return chi(g) if g <= n else ff(*divmod(g, n + 1))
+
+    scalars = _by_index((w, key, q) for (w, key), q in row.items())
+    return NCPoly({tuple(map(letter, w)): s for w, s in scalars.items()})
+
+
+def _rtt_tables(n: int) -> tuple[dict, dict, list]:
+    """Rhat by input and output pair, and T[upper][lower] as a word or None, a structural zero."""
+    m = n + 1
+    t = [[(m * upper + lower,) if lower else None for lower in range(m)] for upper in range(m)]
+    t[0] = [(lower,) if lower else () for lower in range(m)]
+    return (*_index(extended_rhat(n).entries), t)
+
+
+def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) -> FlatRow:
+    by_in, by_out, t = tables
+    # Rhat^{KL}_{IJ} T^A_K T^B_L  -  T^K_I T^L_J Rhat^{AB}_{KL}
+    parts = [(t[A][K], t[B][L], terms, 1) for (K, L), terms in by_in.get((I, J), ())]
+    parts += [(t[K][I], t[L][J], terms, -1) for (K, L), terms in by_out.get((A, B), ())]
+    return _flat_row(
+        (ta + tb, terms, sign) for ta, tb, terms, sign in parts if ta is not None and tb is not None
+    )
 
 
 def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> NCPoly:
@@ -80,25 +100,7 @@ def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> NCPoly:
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
             raise ValueError(f"index {idx} outside 0..{n}")
-    return _rtt_relation(I, J, A, B, _index_entries(extended_rhat(n)))
-
-
-def _rtt_relation(I: int, J: int, A: int, B: int, rhat: EntryIndex) -> NCPoly:
-    by_in, by_out = rhat
-
-    def terms() -> Iterator[tuple[Word, Scalar]]:
-        # Rhat^{KL}_{IJ} T^A_K T^B_L
-        for (K, L), coeff in by_in.get((I, J), ()):
-            ta, tb = _t_entry(A, K), _t_entry(B, L)
-            if ta is not None and tb is not None:
-                yield ta + tb, coeff
-        # T^K_I T^L_J Rhat^{AB}_{KL}
-        for (K, L), coeff in by_out.get((A, B), ()):
-            ta, tb = _t_entry(K, I), _t_entry(L, J)
-            if ta is not None and tb is not None:
-                yield ta + tb, -coeff
-
-    return _collect(terms())
+    return _poly(_rtt_row(I, J, A, B, _rtt_tables(n)), n)
 
 
 def bcc_relation(
@@ -116,64 +118,79 @@ def bcc_relation(
     family 4, (i, j, a): x_i f^a_j - sigma^{kl}_{ij} f^a_k x_l
     """
     ct = structure_constants(n) if constants is None else constants
-    return _bcc_relation(family, indices, _index_entries(sigma_cg(n)), _index_constants(ct))
+    row = _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct))
+    return _poly(row, n)
 
 
-def _bcc_relation(
-    family: int, indices: tuple[int, ...], sigma: EntryIndex, constants: ConstantIndex
-) -> NCPoly:
+def _bcc_row(
+    family: int, indices: tuple[int, ...], n: int, sigma: EntryIndex, constants: EntryIndex
+) -> FlatRow:
     by_in, by_out = sigma
     ct_lower, ct_upper = constants
+    m = n + 1
     if family == 1:
         i, j = indices
-        return _collect([
-            ((chi(i), chi(j)), ONE),
-            *(((chi(k), chi(l)), -w) for (k, l), w in by_in.get((i, j), ())),
-            *(((chi(k),), -v) for k, v in ct_lower.get((i, j), ())),
+        return _flat_row([
+            ((i, j), _UNIT, 1),
+            *(((k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
+            *(((k,), v, -1) for k, v in ct_lower.get((i, j), ())),
         ])
     if family == 2:
         i, j, a, b = indices
-        return _collect([
-            *(((ff(a, k), ff(b, l)), w) for (k, l), w in by_in.get((i, j), ())),
-            *(((ff(k, i), ff(l, j)), -w) for (k, l), w in by_out.get((a, b), ())),
+        return _flat_row([
+            *(((m * a + k, m * b + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
+            *(((m * k + i, m * l + j), w, -1) for (k, l), w in by_out.get((a, b), ())),
         ])
     if family == 3:
         i, j, a = indices
-        return _collect([
-            *(((chi(k), ff(a, l)), w) for (k, l), w in by_in.get((i, j), ())),
-            *(((ff(a, l),), v) for l, v in ct_lower.get((i, j), ())),
-            *(((ff(k, i), ff(l, j)), -v) for (k, l), v in ct_upper.get(a, ())),
-            ((ff(a, i), chi(j)), -ONE),
+        return _flat_row([
+            *(((k, m * a + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
+            *(((m * a + l,), v, 1) for l, v in ct_lower.get((i, j), ())),
+            *(((m * k + i, m * l + j), v, -1) for (k, l), v in ct_upper.get(a, ())),
+            ((m * a + i, j), _UNIT, -1),
         ])
     if family == 4:
         i, j, a = indices
-        return _collect([
-            ((chi(i), ff(a, j)), ONE),
-            *(((ff(a, k), chi(l)), -w) for (k, l), w in by_in.get((i, j), ())),
+        return _flat_row([
+            ((i, m * a + j), _UNIT, 1),
+            *(((m * a + k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
         ])
     raise ValueError(f"unknown relation family {family}")
 
 
-def all_rtt_relations(n: int) -> Iterator[tuple[RelationKey, NCPoly]]:
-    R = _index_entries(extended_rhat(n))
+def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
+    tables = _rtt_tables(n)
     for I, J, A, B in product(range(0, n + 1), repeat=4):
-        yield ("rtt", I, J, A, B), _rtt_relation(I, J, A, B, R)
+        yield ("rtt", I, J, A, B), _rtt_row(I, J, A, B, tables)
+
+
+def _bcc_rows(
+    n: int, constants: Optional[StructureTensor] = None
+) -> Iterator[tuple[RelationKey, FlatRow]]:
+    sig = _index(sigma_cg(n).entries)
+    ct = _index_constants(structure_constants(n) if constants is None else constants)
+    for family, arity in ((1, 2), (2, 4), (3, 3), (4, 3)):
+        for indices in product(range(1, n + 1), repeat=arity):
+            yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
+
+
+def all_rtt_relations(n: int) -> Iterator[tuple[RelationKey, NCPoly]]:
+    return ((key, _poly(row, n)) for key, row in _rtt_rows(n))
 
 
 def all_bcc_relations(
     n: int, constants: Optional[StructureTensor] = None
 ) -> Iterator[tuple[RelationKey, NCPoly]]:
-    sig = _index_entries(sigma_cg(n))
-    ct = _index_constants(structure_constants(n) if constants is None else constants)
-    small = range(1, n + 1)
-    for i, j in product(small, repeat=2):
-        yield ("bcc", 1, i, j), _bcc_relation(1, (i, j), sig, ct)
-    for i, j, a, b in product(small, repeat=4):
-        yield ("bcc", 2, i, j, a, b), _bcc_relation(2, (i, j, a, b), sig, ct)
-    for i, j, a in product(small, repeat=3):
-        yield ("bcc", 3, i, j, a), _bcc_relation(3, (i, j, a), sig, ct)
-    for i, j, a in product(small, repeat=3):
-        yield ("bcc", 4, i, j, a), _bcc_relation(4, (i, j, a), sig, ct)
+    return ((key, _poly(row, n)) for key, row in _bcc_rows(n, constants))
+
+
+def _signature(row: FlatRow) -> tuple:
+    """A row's sorted ((word, packed monomial), q) items, negated unless the last is positive.
+
+    A row and its negative span one line and share one signature.
+    """
+    items = sorted(row.items())
+    return tuple(items) if items[-1][1] > 0 else tuple((wk, -q) for wk, q in items)
 
 
 def compare_relation_spans(
@@ -181,34 +198,36 @@ def compare_relation_spans(
 ) -> VerificationReport:
     """Mutual span inclusion of the two relation sets, exactly.
 
-    Relations are coordinatized over the common word basis.  A row that
-    equals an opposing row up to sign is in the opposing span outright.  Rows
-    that share no word are independent, so span membership splits over the
+    A row that equals an opposing row up to sign is in the opposing span
+    outright; this match compares signatures, tuples of ints and rationals,
+    and on correct input it settles every row.  Only when some row is left
+    over are relations coordinatized over the common word basis.  Rows that
+    share no word are independent, so span membership splits over the
     connected components of the row-word graph (the trivial case of the
-    block triangular form): every other row is tested by fraction-free
+    block triangular form): every unmatched row is tested by fraction-free
     elimination against the opposing rows of its own block only, in
     block-local columns.  A block's elimination is built the first time one
     of its rows needs it.  Witnesses name relations outside the opposing span.
     """
+    if bcc_constants is not None and bcc_constants.n != n:
+        raise ValueError(f"structure tensor must have size {n}, got {bcc_constants.n}")
     collector = Collector("rtt", n)
     collector.checked += (n + 1) ** 4 + n * n + n ** 4 + 2 * n ** 3
 
-    # columns numbered by first appearance, in the pass that builds the rows
-    columns: dict[Word, int] = {}
+    # each nonzero relation as its signature, which also spans its line
+    rtt_rows = [(key, _signature(row)) for key, row in _rtt_rows(n) if row]
+    bcc_rows = [(key, _signature(row)) for key, row in _bcc_rows(n, bcc_constants) if row]
+    rtt_set, bcc_set = {row for _, row in rtt_rows}, {row for _, row in bcc_rows}
+    unmatched = [(key, row, 1, "bcc-span") for key, row in rtt_rows if row not in bcc_set]
+    unmatched += [(key, row, 0, "rtt-span") for key, row in bcc_rows if row not in rtt_set]
+    if not unmatched:
+        return collector.report()
 
-    def to_rows(relations: Iterator[tuple[RelationKey, NCPoly]]) -> list[tuple[RelationKey, tuple]]:
-        rows = []
-        for key, poly in relations:
-            if not poly.is_zero():
-                pairs = tuple((columns.setdefault(w, len(columns)), c) for w, c in poly.terms())
-                rows.append((key, _row_signature(pairs)))
-        return rows
-
-    # each nonzero relation as its sign-normalized row: a row and its
-    # negative span the same line, so the normalized rows serve both the
-    # signature match and the elimination
-    rtt_rows = to_rows(all_rtt_relations(n))
-    bcc_rows = to_rows(all_bcc_relations(n, constants=bcc_constants))
+    # columns numbered by first appearance, a row's words by length, then letters
+    columns: dict[tuple, int] = {}
+    for _, row in rtt_rows + bcc_rows:
+        for w in sorted({w for (w, _), _ in row}, key=lambda w: (len(w), w)):
+            columns.setdefault(w, len(columns))
 
     # union-find over columns: a row joins all of its words into one block
     parent = list(range(len(columns)))
@@ -219,10 +238,13 @@ def compare_relation_spans(
             col = parent[col]
         return col
 
+    def block(row: tuple) -> int:
+        return find(columns[row[0][0][0]])
+
     for _, row in rtt_rows + bcc_rows:
-        first = find(row[0][0])
-        for col, _ in row[1:]:
-            parent[find(col)] = first
+        first = block(row)
+        for (w, _), _ in row[1:]:
+            parent[find(columns[w])] = first
     # block-local column indices, in global column order
     local = [0] * len(columns)
     width: dict[int, int] = {}
@@ -232,42 +254,25 @@ def compare_relation_spans(
         width[root] = local[col] + 1
 
     def localize(row: tuple) -> Row:
-        return {local[col]: v for col, v in row}
+        scalars = _by_index((w, key, q) for (w, key), q in row)
+        return {local[columns[w]]: s for w, s in scalars.items()}
 
     # per block root, the rows of each side (0: rtt, 1: bcc)
     members: dict[int, tuple[list[tuple], list[tuple]]] = {}
     for side, rows in enumerate((rtt_rows, bcc_rows)):
         for _, row in rows:
-            members.setdefault(find(row[0][0]), ([], []))[side].append(row)
+            members.setdefault(block(row), ([], []))[side].append(row)
     echelons: dict[tuple[int, int], Echelon] = {}
-
-    rtt_set = {row for _, row in rtt_rows}
-    bcc_set = {row for _, row in bcc_rows}
-    for rows, opposing, side, outside in (
-        (rtt_rows, bcc_set, 1, "bcc-span"),
-        (bcc_rows, rtt_set, 0, "rtt-span"),
-    ):
-        for key, row in rows:
-            if row in opposing:
-                continue
-            root = find(row[0][0])
-            ech = echelons.get((root, side))
-            if ech is None:
-                ech = echelons[root, side] = echelon(
-                    [localize(r) for r in members[root][side]], width[root]
-                )
-            if not ech.contains(localize(row)):
-                collector.witnesses.append({"relation": list(key), "outside": outside})
+    for key, row, side, outside in unmatched:
+        root = block(row)
+        ech = echelons.get((root, side))
+        if ech is None:
+            ech = echelons[root, side] = echelon(
+                [localize(r) for r in members[root][side]], width[root]
+            )
+        if not ech.contains(localize(row)):
+            collector.witnesses.append({"relation": list(key), "outside": outside})
     return collector.report()
-
-
-def _row_signature(pairs: tuple) -> tuple:
-    """A row's (column, coefficient) pairs, negated unless the first is positive.
-
-    The pairs come in word order, so sign-opposite relations agree.
-    """
-    _, coeff = max(pairs[0][1].terms(), key=lambda t: (sum(t[0]), t[0]))
-    return pairs if coeff > 0 else tuple((col, -v) for col, v in pairs)
 
 
 def dump_relations(n: int) -> str:

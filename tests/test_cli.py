@@ -127,6 +127,14 @@ def test_verify_all_n7_passes():
     assert all(r["pass"] for r in json.loads(proc.stdout))
 
 
+@pytest.mark.slow
+def test_verify_all_n10_passes():
+    # the exhaustive check beyond the interactive target, every suite at n = 10
+    proc = run_cli("verify", "all", "--n", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert all(r["pass"] for r in json.loads(proc.stdout))
+
+
 @pytest.mark.parametrize(
     "args, code",
     [

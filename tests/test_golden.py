@@ -10,6 +10,8 @@ recorded before `checks` had one identity engine.  The last three,
 `cross-check --n 3 --flip-s-sign`, `verify all --n 5` and a `braid` run with
 19 failures (more than the witness cap), were recorded before the functional
 operators became single-pass kernels and the matrix route went row by row.
+`dump-relations --n 2`, every exchange and calculus relation as text, was
+recorded before the relation builders moved to flat packed-key rows.
 Any later change to them must be intended.
 To re-record after an intended change, run `PYTHONPATH=src python
 tests/test_golden.py` and say in the change what moved and why.

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from qlie import rtt
 from qlie.cg import structure_constants
 from qlie.checks import WITNESS_CAP
 from qlie.freealg import NCPoly, chi, ff, word_key
@@ -14,7 +15,7 @@ from qlie.rtt import (
     dump_relations,
     rtt_relation,
 )
-from qlie.scalars import BETA, C, ONE, Scalar
+from qlie.scalars import BETA, C, ONE, P, P_INV, Scalar
 
 
 def gen2(a, b):
@@ -127,6 +128,20 @@ def test_spans_equal_n3():
     assert compare_relation_spans(3).passed
 
 
+def test_correct_input_is_settled_without_elimination(monkeypatch):
+    # every relation matches an opposing one up to sign
+    def refuse(rows, ncols):
+        raise AssertionError("elimination ran on correct input")
+
+    monkeypatch.setattr(rtt, "echelon", refuse)
+    assert compare_relation_spans(4).passed
+
+
+def test_constants_of_another_size_are_rejected():
+    with pytest.raises(ValueError, match="size 2"):
+        compare_relation_spans(2, bcc_constants=structure_constants(3))
+
+
 def test_span_mismatch_with_corrupted_constants():
     ct = structure_constants(2).with_entry(2, 2, 1, C + C)
     report = compare_relation_spans(2, bcc_constants=ct)
@@ -171,7 +186,8 @@ def _whole_matrix_witnesses(n, constants):
 @pytest.mark.parametrize("position", list(product((1, 2), repeat=3)))
 def test_block_elimination_matches_whole_matrix(position):
     base = structure_constants(2)
-    for delta in (ONE, -BETA, C + C):
+    # P and P_INV put positive and negative p fields into the packed keys
+    for delta in (ONE, -BETA, C + C, P, P_INV):
         ct = base.with_entry(*position, base.coeff(*position) + delta)
         expect = _whole_matrix_witnesses(2, ct)
         report = compare_relation_spans(2, bcc_constants=ct)
