@@ -4,14 +4,16 @@
 Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Each suite runs in-process through `qlie.cli.main`, exactly as `qlie verify
-SUITE --n N` would, with its report discarded.  Two paths are timed: the
-passing path of every suite, and the failing, witness-producing path of
-`verify braid --corrupt "(1,2;2,1)=C"`.  For each (path, suite, n in N) the
-file records the median `time.process_time` and `time.perf_counter` seconds
-over REPEATS runs, and the exit code.  The interpreter version, the git
-commit checked out and the git tree hash of `src/` as measured are recorded
-with them; `git rev-parse COMMIT:src` gives that hash for the commit that
-holds the measured code, also when it was measured before being committed.
+SUITE --n N` would, with its report discarded.  Three paths are timed: the
+passing path of every suite; the specialized path, every suite but `rtt`
+(which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`; and the
+failing, witness-producing path of `verify braid --corrupt "(1,2;2,1)=C"`.
+For each (path, suite, n in N) the file records the median
+`time.process_time` and `time.perf_counter` seconds over REPEATS runs, and
+the exit code.  The interpreter version, the git commit checked out and the
+git tree hash of `src/` as measured are recorded with them; `git rev-parse
+COMMIT:src` gives that hash for the commit that holds the measured code,
+also when it was measured before being committed.
 Standard library only.
 """
 
@@ -33,6 +35,7 @@ from qlie import cli
 
 N = (5, 6, 7, 8, 9, 10)
 REPEATS = 5
+SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
 
 
@@ -85,6 +88,11 @@ def main(argv: list[str]) -> int:
         suite: {str(n): _time(["verify", suite, "--n", str(n)]) for n in N}
         for suite in cli.VERIFY_SUITES
     }
+    specialized = {
+        suite: {str(n): _time(["verify", suite, "--n", str(n), *SPECIALIZED]) for n in N}
+        for suite in cli.VERIFY_SUITES
+        if suite != "rtt"
+    }
     corrupt = {str(n): _time(["verify", CORRUPT[0], "--n", str(n), *CORRUPT[1:]]) for n in N}
     result = {
         "label": label,
@@ -93,6 +101,7 @@ def main(argv: list[str]) -> int:
         **_git_ids(),
         "repeats": REPEATS,
         "passing": passing,
+        "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED], **specialized},
         "corrupt": {"argv": ["verify", CORRUPT[0], "--n", "N", *CORRUPT[1:]], "braid": corrupt},
     }
     path = Path(f"BENCH_{label}.json")

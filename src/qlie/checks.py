@@ -8,24 +8,30 @@ data, signed sums of words in named two-slot operators, and one engine,
 exist: functionally, by applying the words to basis monomials, and
 matrix-wise, by multiplying out sparse restriction matrices row by row.
 
-Both routes run on flat terms: a rational per (index, packed monomial) key,
-as the `laurent` kernel produces them, so their hot loops add ints and
-multiply rationals, with no Scalar built.  The Collector turns flat terms
-back into Scalars only to decide a specialized verdict or print a witness.
+Both routes run on flat terms: a coefficient per (index, packed monomial)
+key, as the `laurent` kernel produces them, and their hot loops add and
+multiply ints, with no Scalar built.  The functional kernels have int
+coefficients; the matrix route clears the denominators of its leaves once
+per call, so a specialized run multiplies ints as well, and a Fraction
+appears only in a witness, divided back from a row that differs.  The
+Collector turns flat terms back into Scalars only to decide a specialized
+verdict or print a witness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
-from .laurent import _KERNELS, Flat, SpaceConfig, _apply_kernel, _from_flat, _single_pass
+from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _single_pass
 from .laurent import op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, embed, from_functional
-from .scalars import BETA, ONE, ZERO, Scalar, _by_index
+from .scalars import BETA, ONE, ZERO, Scalar, _by_index, _coerce, _from_packed
 
 WITNESS_CAP = 16
 
@@ -99,12 +105,13 @@ class Collector:
     def leaf(self, op: Operator) -> Operator:
         return op.map_entries(self.scalar) if self.subs else op
 
-    def vanishes(self, terms: Flat) -> bool:
-        """Do nonzero flat terms {(*index, packed monomial): q} vanish once specialized?"""
-        if not self.subs:
-            return not terms
+    def specialize(self, terms: Flat) -> dict[tuple, Scalar]:
+        """The Scalars of flat terms {(*index, packed monomial): q}, by index,
+        specialized; those that vanish are left out."""
         by_index = _by_index((k[:-1], k[-1], q) for k, q in terms.items())
-        return not any(self.scalar(s) for s in by_index.values())
+        if not self.subs:
+            return by_index
+        return {index: v for index, s in by_index.items() if (v := self.scalar(s))}
 
     def compare(self, a: Operator, b: Operator, tag: dict) -> None:
         """Count one comparison per entry position; collect all discrepancies."""
@@ -187,10 +194,29 @@ def check_identities(
     row-wise sparse product (ACM TOMS 1978).  Each word carries its sign, as
     the unit row `out`, through its factors' rows, and its last factor adds
     into one dict for that side's row, which is compared or reported before
-    the next row, so no product matrix is ever built.  Witnesses start with
-    the identity's tag, then name the route under `side` unless `sided` is
-    false.
+    the next row, so no product matrix is ever built.  On specialized leaves
+    the route runs in ints: each leaf is multiplied once by its denominator
+    d, the lcm of its rationals' denominators (a leaf with d = 1, as every
+    leaf on symbolic input, is used as it is), and with D the lcm of all d
+    and K the identity's longest word, a word starts from sign * D^K over
+    the product of its factors' d, so both sides of every row carry the
+    factor D^K.  A passing row compares ints; only a differing row is
+    divided back by D^K, exactly, into the rationals its witnesses print.
+    Witnesses start with the identity's tag, then name the route under
+    `side` unless `sided` is false; a functional witness prints the
+    specialized value.
     """
+    # the matrix route runs on each leaf times its denominator, in ints
+    dens = {
+        name: lcm(*{q.denominator for s in op.entries.values() for q in s._terms.values()
+                    if type(q) is not int})
+        for name, op in leaves.items()
+    }
+    den = lcm(*dens.values())
+    leaves = {
+        name: op if dens[name] == 1 else _scaled(op, dens[name]) for name, op in leaves.items()
+    }
+
     # embedded leaves as flat rows, built once per (name, slots)
     embedded: dict[tuple[str, tuple[int, int]], dict] = {}
 
@@ -204,8 +230,8 @@ def check_identities(
 
     def side_row(expr: Expression, out: tuple) -> dict:
         total: dict = {}
-        for sign, word in expr:
-            terms = {(out, 0): sign}
+        for unit, word in expr:
+            terms = {(out, 0): unit}
             for k, factor in enumerate(word):
                 rows = rows_of(*factor)
                 acc = total if k == len(word) - 1 else {}
@@ -236,8 +262,8 @@ def check_identities(
                         value = _single_pass(value, slots, *kernel)
                     slots, kernel = word[-1]
                     _single_pass(value, slots, *kernel, out=total)
-                if not col.vanishes(total):
-                    fn = _from_flat(cfg, 3, total)
+                if total and (values := col.specialize(total)):
+                    fn = LaurentFn(cfg, 3, values)
                     col.witnesses.append(
                         {**tag, "side": "functional", "monomial": list(exps), "value": str(fn)}
                     )
@@ -246,8 +272,32 @@ def check_identities(
         outs = set()
         for _, word in (*lhs, *rhs):
             outs.update(rows_of(*word[0]))
+        # each word starts from sign * scale over its leaves' denominators, so
+        # both sides of every row carry the factor scale
+        scale = den ** max(len(word) for _, word in (*lhs, *rhs))
+        if scale != 1:
+            lhs, rhs = (
+                [(sign * scale // prod(dens[name] for name, _ in word), word)
+                 for sign, word in expr]
+                for expr in (lhs, rhs)
+            )
         for out in sorted(outs):
-            col.row(out, side_row(lhs, out), side_row(rhs, out) if rhs else None, matrix_tag)
+            left, right = side_row(lhs, out), side_row(rhs, out) if rhs else None
+            if scale != 1 and left != right:
+                left = _unscaled(left, scale)
+                right = None if right is None else _unscaled(right, scale)
+            col.row(out, left, right, matrix_tag)
+
+
+def _scaled(op: Operator, den: int) -> Operator:
+    """op times den, a multiple of every denominator of its rationals: ints only."""
+    return op.map_entries(lambda s: _from_packed(
+        {m: q.numerator * (den // q.denominator) for m, q in s._terms.items()}))
+
+
+def _unscaled(row: dict, scale: int) -> dict:
+    """A flat row of ints divided, exactly, by scale."""
+    return {key: _coerce(Fraction(v, scale)) for key, v in row.items()}
 
 
 def _functional_matrix(name: str, n: int) -> Operator:

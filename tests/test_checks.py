@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlie import checks
-from qlie.cg import extended_rhat, sigma_cg, structure_constants
+from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, embed, from_functional
 from qlie.scalars import BETA, C, ONE, Scalar
@@ -300,6 +300,86 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
     assert failing >= 3
 
 
+def _matrix_routes_agree(identities, leaves, sided=True):
+    """Engine and whole-product reference give the same report; is it a failure?"""
+    engine, reference = checks.Collector("engine", 2), checks.Collector("engine", 2)
+    checks.check_identities(engine, identities, leaves, sided=sided)
+    _reference_matrix_route(reference, identities, leaves, sided=sided)
+    assert engine.witnesses == reference.witnesses
+    got, want = engine.report(), reference.report()
+    assert (got.checked, got.failures, got.witnesses) == (want.checked, want.failures, want.witnesses)
+    return not got.passed
+
+
+FULL = {"beta": Fraction(3, 8), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
+# with p alone the p-family's denominators come from p = 8/7 and from
+# p^-1 = 7/8; with beta alone, p and p^-1 stay symbolic beside them
+SPECIALIZED_ROUTE_CASES = [
+    ("braid-full", [({}, *checks._braid("rhat"))], "rhat", extended_rhat, FULL),
+    ("cybe-full", [({}, checks._cybe("r"), ())], "r", lambda n: checks._functional_matrix("r", n), FULL),
+    ("family-2-full", [({"family": 2}, *checks._braid("rhat"))], "rhat", sigma_cg, FULL),
+    ("ybe-family-beta", [({}, *checks._ybe("R"))], "R",
+     lambda n: compose(Operator.flip(n, lo=1), sigma_cg_family(n)), {"beta": Fraction(3, 8)}),
+    ("ybe-family-p", [({}, *checks._ybe("R"))], "R",
+     lambda n: compose(Operator.flip(n, lo=1), sigma_cg_family(n)), {"p": Fraction(8, 7)}),
+]
+
+
+@pytest.mark.parametrize(
+    "identities, name, build, subs", [c[1:] for c in SPECIALIZED_ROUTE_CASES],
+    ids=[c[0] for c in SPECIALIZED_ROUTE_CASES],
+)
+def test_integer_matrix_route_matches_rational_products(identities, name, build, subs):
+    n = 2
+    leaf = build(n)
+    rng = Random(f"{name}/{sorted(subs)}")
+    mutants = [leaf]
+    for delta in (ONE, C, Scalar.rational(Fraction(5, 3)), -BETA):
+        out, inp = rng.choice(sorted(leaf.entries))
+        mutants.append(leaf.with_entry(out, inp, leaf.coeff(out, inp) + delta))
+    col = checks.Collector("engine", n, subs)
+    failing = [_matrix_routes_agree(identities, {name: col.leaf(m)}) for m in mutants]
+    assert not failing[0] and sum(failing) >= 3
+
+
+def test_integer_matrix_route_with_leaves_of_different_denominators():
+    # rho, s and r carry the denominators 7, 15 and 40 (from b and C), and
+    # the words have lengths 1 and 3, so each starts from its own factor
+    n = 2
+    col = checks.Collector("engine", n, FULL)
+    leaves = {
+        "rho": _leaf("rho", n).scale(Scalar.rational(Fraction(2, 7))),
+        "s": _leaf("s", n).scale(Scalar.rational(Fraction(-4, 15))),
+        "r": col.leaf(_leaf("r", n)),
+    }
+    mixed: checks.Expression = [
+        (1, [("r", checks.S12)]),
+        (-1, [("rho", checks.S12), ("s", checks.S13), ("r", checks.S23)]),
+    ]
+    other: checks.Expression = [(1, [("s", checks.S23), ("rho", checks.S13), ("r", checks.S12)])]
+    identities = [({"identity": "equal"}, mixed, other), ({"identity": "vanish"}, mixed, ())]
+    assert _matrix_routes_agree(identities, leaves)
+    assert _matrix_routes_agree(identities, leaves, sided=False)
+    # the difference of a word and itself vanishes with either word length
+    same = [({}, [(1, [("r", checks.S13)]), *other], [*other, (1, [("r", checks.S13)])])]
+    assert not _matrix_routes_agree(same, leaves)
+
+
+def test_specialized_matrix_route_multiplies_no_fractions(monkeypatch):
+    n = 3
+    subs = {"beta": Fraction(2, 3), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
+    col = checks.Collector("braid", n, subs)
+    leaves = {"rhat": col.leaf(extended_rhat(n))}
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the matrix route")
+
+    for method in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, method, refuse)
+    checks.check_identities(col, [({}, *checks._braid("rhat"))], leaves)
+    assert col.report().passed
+
+
 OPS = ("rho", "s", "r", "R")
 ORDERED_SLOTS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
 REFERENCE_OPS = {
@@ -334,8 +414,11 @@ def _reference_functional_route(col, identities, domain):
                 for name, slots in reversed(word):
                     value = REFERENCE_OPS[name](value, slots)
                 total = total + value if sign > 0 else total - value
-            if any(col.scalar(coeff) for _, coeff in total.terms()):
-                col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": str(total)})
+            # a witness prints the specialized function
+            values = {e: v for e, coeff in total.terms() if (v := col.scalar(coeff))}
+            if values:
+                value = str(LaurentFn(cfg, 3, values))
+                col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": value})
 
 
 @settings(max_examples=60, deadline=None)

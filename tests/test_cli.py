@@ -135,6 +135,18 @@ def test_verify_all_n10_passes():
     assert all(r["pass"] for r in json.loads(proc.stdout))
 
 
+@pytest.mark.slow
+def test_verify_specialized_n8_passes():
+    # rational values whose powers, 3^k, 5^k and 7^k, give the leaves large
+    # common denominators, so the matrix route multiplies large ints
+    subs = ("--beta=-7/3", "--C=9/5", "--p=8/7")
+    for suite in ("braid", "ybe", "cybe", "components", "ybfr", "qlie"):
+        proc = run_cli("verify", suite, "--n", "8", *subs)
+        assert proc.returncode == 0, (suite, proc.stderr)
+        (report,) = json.loads(proc.stdout)
+        assert report["pass"] and report["symbolic"] == [], suite
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
