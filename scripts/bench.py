@@ -4,10 +4,12 @@
 Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Each suite runs in-process through `qlie.cli.main`, exactly as `qlie verify
-SUITE --n N` would, with its report discarded.  Three paths are timed: the
+SUITE --n N` would, with its report discarded.  Four paths are timed: the
 passing path of every suite; the specialized path, every suite but `rtt`
-(which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`; and the
-failing, witness-producing path of `verify braid --corrupt "(1,2;2,1)=C"`.
+(which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`; the
+failing, witness-producing path of `verify braid --corrupt "(1,2;2,1)=C"`;
+and the elimination path of `verify rtt --corrupt-constants "(2;1,2)=2C"`,
+the one path that runs `linalg`'s exact Bareiss elimination.
 For each (path, suite, n in N) the file records the median
 `time.process_time` and `time.perf_counter` seconds over REPEATS runs, and
 the exit code.  The interpreter version, the git commit checked out and the
@@ -37,6 +39,7 @@ N = (5, 6, 7, 8, 9, 10)
 REPEATS = 5
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
+ELIMINATION = ("rtt", "--corrupt-constants", "(2;1,2)=2C")
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -94,6 +97,9 @@ def main(argv: list[str]) -> int:
         if suite != "rtt"
     }
     corrupt = {str(n): _time(["verify", CORRUPT[0], "--n", str(n), *CORRUPT[1:]]) for n in N}
+    elimination = {
+        str(n): _time(["verify", ELIMINATION[0], "--n", str(n), *ELIMINATION[1:]]) for n in N
+    }
     result = {
         "label": label,
         "python": platform.python_version(),
@@ -103,6 +109,10 @@ def main(argv: list[str]) -> int:
         "passing": passing,
         "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED], **specialized},
         "corrupt": {"argv": ["verify", CORRUPT[0], "--n", "N", *CORRUPT[1:]], "braid": corrupt},
+        "elimination": {
+            "argv": ["verify", ELIMINATION[0], "--n", "N", *ELIMINATION[1:]],
+            "rtt": elimination,
+        },
     }
     path = Path(f"BENCH_{label}.json")
     path.write_text(json.dumps(result, indent=1) + "\n")

@@ -13,14 +13,7 @@ from .laurent import (
     permute,
     reg,
 )
-from .operators import (
-    Operator,
-    StabilityError,
-    compose,
-    embed,
-    from_functional,
-    matrix_of,
-)
+from .operators import Operator, StabilityError, compose, embed, from_functional
 from .cg import (
     StructureTensor,
     extended_rhat,
@@ -53,7 +46,6 @@ __all__ = [
     "compose",
     "embed",
     "from_functional",
-    "matrix_of",
     "StructureTensor",
     "extended_rhat",
     "sigma_cg",

@@ -642,8 +642,9 @@ def suite_hecke(n: int, subs: Subs = None) -> VerificationReport:
     col = Collector("hecke", n, subs)
     sigma = col.leaf(sigma_cg(n))
     lhs = compose(sigma, sigma)
-    rhs = sigma.scale(col.scalar(BETA)) + Operator.identity(n, 2, lo=1).scale(
-        col.scalar(ONE - BETA)
-    )
-    col.compare(lhs, rhs, {})
+    beta, one_minus_beta = col.scalar(BETA), col.scalar(ONE - BETA)
+    rhs = {key: coeff * beta for key, coeff in sigma.entries.items()}
+    for i in product(range(1, n + 1), repeat=2):
+        rhs[(i, i)] = rhs.get((i, i), ZERO) + one_minus_beta
+    col.compare(lhs, Operator(n, 2, rhs, lo=1), {})
     return col.report()

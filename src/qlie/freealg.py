@@ -1,16 +1,19 @@
 """Noncommutative polynomials in the free algebra on x_i and f(i,j).
 
-Words are plain tuples of generators with the unit absorbed (the empty word).
-No commutation rules are ever applied: two words are equal only if they are
-literally the same sequence.  Generators are ordered x_1 < x_2 < ... <
-f(1,1) < f(1,2) < ..., and words first by length, then letter by letter.
+`NCPoly` is the output type of the `rtt` relations: a canonical sparse map
+from words to scalars that is printed and compared, with no ring operations
+(the span comparison runs on `rtt`'s flat rows instead).  Words are plain
+tuples of generators, the empty word being the unit.  No commutation rules
+are ever applied: two words are equal only if they are literally the same
+sequence.  Generators are ordered x_1 < x_2 < ... < f(1,1) < f(1,2) < ...,
+and words first by length, then letter by letter.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 
 # ("x", i) is the vector-field generator x_i, ("f", i, j) the functional f(i,j)
 Generator = tuple
@@ -64,80 +67,16 @@ class NCPoly:
                     canon[tuple(word)] = coeff
         self._terms = canon
 
-    @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
-
-    @classmethod
-    def unit(cls, coeff: Scalar = ONE) -> "NCPoly":
-        return cls({(): coeff})
-
-    @classmethod
-    def generator(cls, g: Generator, coeff: Scalar = ONE) -> "NCPoly":
-        return cls({(g,): coeff})
-
     def terms(self) -> Iterator[tuple[Word, Scalar]]:
         return iter(sorted(self._terms.items(), key=lambda t: word_key(t[0])))
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
-        return NCPoly._wrap(out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._wrap({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        # free product: concatenate words, multiply coefficients
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                prod_ = c1 * c2
-                acc = out.get(word)
-                acc = prod_ if acc is None else acc + prod_
-                if acc:
-                    out[word] = acc
-                else:
-                    out.pop(word, None)
-        return NCPoly._wrap(out)
-
-    def scale(self, factor: Union[Scalar, int]) -> "NCPoly":
-        out = {}
-        for word, coeff in self._terms.items():
-            acc = coeff * factor
-            if acc:
-                out[word] = acc
-        return NCPoly._wrap(out)
-
-    @staticmethod
-    def _wrap(terms: dict[Word, Scalar]) -> "NCPoly":
-        poly = NCPoly.__new__(NCPoly)
-        poly._terms = terms
-        return poly
 
     def __str__(self) -> str:
         if not self._terms:

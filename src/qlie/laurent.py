@@ -127,9 +127,6 @@ class LaurentFn:
             return NotImplemented
         return self.arity == other.arity and self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self.arity, frozenset(self._terms.items())))
-
     def __add__(self, other: "LaurentFn") -> "LaurentFn":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
@@ -183,17 +180,10 @@ class LaurentFn:
         return f"LaurentFn({self})"
 
 
-def basis_monomials(
-    cfg: SpaceConfig, arity: int, lo: Optional[int] = None, hi: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors of the monomial basis, lexicographically ordered.
-
-    Defaults to the full truncated space [-1, n-1]; pass lo=0 to range over
-    plain polynomial monomials.
-    """
-    lo = cfg.min_exp if lo is None else lo
-    hi = cfg.max_exp if hi is None else hi
-    return product(range(lo, hi + 1), repeat=arity)
+def basis_monomials(cfg: SpaceConfig, arity: int) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of the monomial basis of the truncated space [-1, n-1],
+    lexicographically ordered."""
+    return product(range(cfg.min_exp, cfg.max_exp + 1), repeat=arity)
 
 
 def _check_slots(fn: LaurentFn, slots: Slots) -> None:

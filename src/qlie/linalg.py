@@ -6,7 +6,8 @@ Rows are sparse mappings column -> Scalar.  The one-step Bareiss recurrence
 
 keeps every intermediate entry a polynomial (the division is exact, each
 entry being a minor of the original matrix), so no rational-function
-arithmetic or polynomial gcd is ever needed.  Membership of a vector in the
+arithmetic or polynomial gcd is ever needed.  `_step` is that one step, run
+both by `echelon` and by `Echelon.reduce`.  Membership of a vector in the
 row span over the fraction field is decided by replaying the recorded pivot
 steps against the vector and testing for zero.
 
@@ -30,7 +31,6 @@ Row = dict[int, Scalar]
 class Echelon:
     """Pivot history of a fraction-free elimination, replayable on vectors."""
 
-    ncols: int
     # per elimination step: pivot column, pivot value, eliminated pivot row
     steps: list[tuple[int, Scalar, Row]] = field(default_factory=list)
 
@@ -45,17 +45,7 @@ class Echelon:
         for col, pivot, pivot_row in self.steps:
             if not vec:
                 return vec
-            coeff = vec.get(col)
-            new: Row = {}
-            if coeff is None:
-                for j, v in vec.items():
-                    new[j] = (pivot * v).exact_div(prev)
-            else:
-                for j in set(vec) | set(pivot_row):
-                    v = pivot * vec.get(j, _ZERO) - coeff * pivot_row.get(j, _ZERO)
-                    if v:
-                        new[j] = v.exact_div(prev)
-            vec = new
+            vec = _step(vec, col, pivot, pivot_row, prev)
             prev = pivot
         return vec
 
@@ -67,6 +57,21 @@ class Echelon:
 _ZERO = Scalar.zero()
 
 
+def _step(row: Row, col: int, pivot: Scalar, pivot_row: Row, prev: Scalar) -> Row:
+    """One Bareiss step: clear `col` of `row` against the pivot row."""
+    coeff = row.get(col)
+    new: Row = {}
+    if coeff is None:
+        for j, v in row.items():
+            new[j] = (pivot * v).exact_div(prev)
+    else:
+        for j in set(row) | set(pivot_row):
+            v = pivot * row.get(j, _ZERO) - coeff * pivot_row.get(j, _ZERO)
+            if v:
+                new[j] = v.exact_div(prev)
+    return new
+
+
 def echelon(rows: list[Row], ncols: int) -> Echelon:
     """Fraction-free row echelon form of sparse rows.
 
@@ -76,7 +81,7 @@ def echelon(rows: list[Row], ncols: int) -> Echelon:
     deterministic.
     """
     work = [dict(r) for r in rows if r]
-    ech = Echelon(ncols=ncols)
+    ech = Echelon()
     prev = ONE
     for col in range(ncols):
         best: Optional[int] = None
@@ -92,20 +97,10 @@ def echelon(rows: list[Row], ncols: int) -> Echelon:
         pivot = pivot_row[col]
         remaining = []
         for row in work:
-            coeff = row.get(col)
-            new: Row = {}
-            if coeff is None:
-                for j, v in row.items():
-                    new[j] = (pivot * v).exact_div(prev)
-            else:
-                for j in set(row) | set(pivot_row):
-                    v = pivot * row.get(j, _ZERO) - coeff * pivot_row.get(j, _ZERO)
-                    if v:
-                        new[j] = v.exact_div(prev)
+            new = _step(row, col, pivot, pivot_row, prev)
             if new:
                 remaining.append(new)
         ech.steps.append((col, pivot, pivot_row))
         work = remaining
         prev = pivot
     return ech
-

@@ -60,13 +60,6 @@ class Operator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, legs: int = 2, lo: int = 0) -> "Operator":
-        ent = {}
-        for idx in product(range(lo, n + 1), repeat=legs):
-            ent[(idx, idx)] = ONE
-        return cls(n, legs, ent, lo)
-
-    @classmethod
     def flip(cls, n: int, lo: int = 0) -> "Operator":
         """The permutation P on two legs: e_i (x) e_j -> e_j (x) e_i."""
         ent = {}
@@ -85,42 +78,10 @@ class Operator:
     def coeff(self, out: Index, inp: Index) -> Scalar:
         return self.entries.get((tuple(out), tuple(inp)), Scalar.zero())
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
         return self.shape() == other.shape() and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape(), frozenset(self.entries.items())))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_shape(other)
-        out = dict(self.entries)
-        for key, coeff in other.entries.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return self._wrap(out)
-
-    def __neg__(self) -> "Operator":
-        return self._wrap({k: -c for k, c in self.entries.items()})
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
-
-    def scale(self, factor: Union[Scalar, int]) -> "Operator":
-        out = {}
-        for key, coeff in self.entries.items():
-            acc = coeff * factor
-            if acc:
-                out[key] = acc
-        return self._wrap(out)
 
     def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "Operator":
         """Apply fn to every coefficient (e.g. a specialization)."""
@@ -134,17 +95,7 @@ class Operator:
     def with_entry(self, out: Index, inp: Index, coeff: Scalar) -> "Operator":
         """Copy with one entry overridden (zero coefficient deletes it)."""
         key = (tuple(out), tuple(inp))
-        if len(key[0]) != self.legs or len(key[1]) != self.legs:
-            raise ValueError(f"index tuple of wrong length in {key}")
-        for i in (*key[0], *key[1]):
-            if i < self.lo or i > self.n:
-                raise ValueError(f"index {i} outside {self.lo}..{self.n}")
-        ent = dict(self.entries)
-        if coeff:
-            ent[key] = coeff
-        else:
-            ent.pop(key, None)
-        return self._wrap(ent)
+        return Operator(self.n, self.legs, {**self.entries, key: coeff}, self.lo)
 
     def _wrap(self, entries: dict[Entry, Scalar]) -> "Operator":
         op = Operator.__new__(Operator)
@@ -235,20 +186,14 @@ def embed(op: Operator, pair: Union[str, tuple[int, int]]) -> Operator:
 
 
 def from_functional(
-    op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig
-) -> Operator:
-    """Matrix of a two-slot functional operator on the truncated space.
-
-    Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the image of
-    x^(K-1) y^(L-1).  Raises StabilityError when an image exponent leaves
-    [-1, n-1].
-    """
-    return matrix_of(op, cfg, legs=2)
-
-
-def matrix_of(
     op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig, legs: int = 2
 ) -> Operator:
+    """Matrix of a functional operator on the truncated space.
+
+    Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the image of
+    x^(K-1) y^(L-1), and likewise with three legs.  Raises StabilityError
+    when an image exponent leaves [-1, n-1].
+    """
     ent: dict[Entry, Scalar] = {}
     for exps in basis_monomials(cfg, legs):
         inp = tuple(e + 1 for e in exps)

@@ -11,7 +11,7 @@ from qlie import checks
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, embed, from_functional
-from qlie.scalars import BETA, C, ONE, Scalar
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar
 
 
 # -- braid ---------------------------------------------------------------------
@@ -242,11 +242,12 @@ def _reference_matrix_route(col, identities, leaves, sided=True):
         return result
 
     def signed_sum(expr):
-        total = None
+        total = {}
         for sign, word in expr:
-            value = word_matrix(word) if sign > 0 else -word_matrix(word)
-            total = value if total is None else total + value
-        return total
+            value = word_matrix(word)
+            for key, coeff in value.entries.items():
+                total[key] = total.get(key, ZERO) + (coeff if sign > 0 else -coeff)
+        return Operator(value.n, value.legs, total, value.lo)
 
     for tag, lhs, rhs in identities:
         matrix_tag = {**tag, "side": "matrix"} if sided else tag
@@ -348,8 +349,8 @@ def test_integer_matrix_route_with_leaves_of_different_denominators():
     n = 2
     col = checks.Collector("engine", n, FULL)
     leaves = {
-        "rho": _leaf("rho", n).scale(Scalar.rational(Fraction(2, 7))),
-        "s": _leaf("s", n).scale(Scalar.rational(Fraction(-4, 15))),
+        "rho": _leaf("rho", n).map_entries(lambda s: s * Scalar.rational(Fraction(2, 7))),
+        "s": _leaf("s", n).map_entries(lambda s: s * Scalar.rational(Fraction(-4, 15))),
         "r": col.leaf(_leaf("r", n)),
     }
     mixed: checks.Expression = [

@@ -190,18 +190,37 @@ def test_verify_seed_flag():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ("verify", "all", "--n", "2", "--corrupt", "(0,1;1,1)=2"),  # index out of range
-        ("verify", "braid", "--n", "2", "--corrupt", "(1,1,1;1,1)=2"),  # wrong arity
-        ("verify", "rtt", "--n", "2", "--corrupt-constants", "(3;1,2)=C"),  # out of range
+        (
+            ("verify", "all", "--n", "2", "--corrupt", "(0,1;1,1)=2"),
+            "--corrupt has no effect on suites components, ybfr, rtt; "
+            "select only suites that use it",
+        ),
+        (
+            ("verify", "braid", "--n", "2", "--corrupt", "(1,1,1;1,1)=2"),  # wrong arity
+            "--corrupt '(1,1,1;1,1)=2': index tuple of wrong length in ((1, 1, 1), (1, 1))",
+        ),
+        (
+            ("verify", "rtt", "--n", "2", "--corrupt-constants", "(3;1,2)=C"),  # out of range
+            "--corrupt-constants '(3;1,2)=C': index 3 outside 1..2",
+        ),
+        (
+            ("verify", "braid", "--n", "2", "--corrupt", "(0,5;0,0)=2"),  # out of range
+            "--corrupt '(0,5;0,0)=2': index 5 outside 0..2",
+        ),
+        (
+            ("verify", "qlie", "--n", "2", "--corrupt", "(0,1;1,1)=2"),  # below sigma's base 1
+            "--corrupt '(0,1;1,1)=2': index 0 outside 1..2",
+        ),
     ],
-    ids=["corrupt-range", "corrupt-arity", "corrupt-constants-range"],
+    ids=["corrupt-range", "corrupt-arity", "corrupt-constants-range", "corrupt-range-braid",
+         "corrupt-range-qlie"],
 )
-def test_bad_overrides_exit_2_without_traceback(args):
+def test_bad_overrides_exit_2_without_traceback(args, message):
     proc = run_cli(*args)
     assert proc.returncode == 2
-    assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
+    assert proc.stderr.strip().splitlines()[-1] == "qlie: error: " + message
 
 
 @pytest.mark.parametrize(
@@ -256,6 +275,18 @@ def test_verify_hecke_is_not_in_all():
     assert "hecke" not in suites
     proc = run_cli("verify", "hecke", "--n", "3")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [*(("--n", str(n)) for n in (1, 2, 3, 4)), ("--n", "3", "--beta=0"), ("--n", "3", "--beta=1")],
+    ids=["n1", "n2", "n3", "n4", "beta0", "beta1"],
+)
+def test_verify_hecke_passes(args):
+    # at b = 0 the b*sigma part of the right side vanishes, at b = 1 the (1-b)*id part
+    proc = run_cli("verify", "hecke", *args)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)[0]["pass"] is True
 
 
 def test_dump_relations_golden_n1():

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from random import Random
 
 import pytest
@@ -11,9 +12,12 @@ from qlie.operators import (
     compose,
     embed,
     from_functional,
-    matrix_of,
 )
 from qlie.scalars import BETA, C, ONE, Scalar
+
+
+def identity(n, legs=2, lo=0):
+    return Operator(n, legs, {(idx, idx): ONE for idx in product(range(lo, n + 1), repeat=legs)}, lo)
 
 
 def test_from_functional_examples():
@@ -22,7 +26,7 @@ def test_from_functional_examples():
     m2 = from_functional(op_rhat, SpaceConfig(2))
     assert m2.coeff((1, 2), (2, 1)) == ONE - BETA
     ident = from_functional(lambda fn: fn, SpaceConfig(2))
-    assert ident == Operator.identity(2, 2, lo=0)
+    assert ident == identity(2, 2, lo=0)
 
 
 def test_from_functional_reports_stability_violations():
@@ -37,8 +41,8 @@ def test_from_functional_reports_stability_violations():
 
 
 def test_embed_identity_and_flip():
-    ident = Operator.identity(2, 2, lo=0)
-    assert embed(ident, "12") == Operator.identity(2, 3, lo=0)
+    ident = identity(2, 2, lo=0)
+    assert embed(ident, "12") == identity(2, 3, lo=0)
     P = Operator.flip(2, lo=0)
     P12 = embed(P, "12")
     assert P12.coeff((1, 0, 2), (0, 1, 2)) == ONE
@@ -50,15 +54,15 @@ def test_embed_identity_and_flip():
 def test_embedded_matrix_agrees_with_three_slot_functional(n, pair, slots):
     cfg = SpaceConfig(n)
     two = from_functional(op_rho, cfg)
-    direct = matrix_of(lambda fn: op_rho(fn, slots), cfg, legs=3)
+    direct = from_functional(lambda fn: op_rho(fn, slots), cfg, legs=3)
     assert embed(two, pair) == direct
 
 
 def test_compose_examples():
     P = Operator.flip(2, lo=0)
-    assert compose(P, P) == Operator.identity(2, 2, lo=0)
+    assert compose(P, P) == identity(2, 2, lo=0)
     sigma = from_functional(op_rhat, SpaceConfig(2))
-    assert compose(sigma, Operator.identity(2, 2, lo=0)) == sigma
+    assert compose(sigma, identity(2, 2, lo=0)) == sigma
     a = compose(embed(P, "12"), embed(P, "23"))
     b = compose(embed(P, "23"), embed(P, "12"))
     assert a != b
@@ -69,7 +73,7 @@ def test_compare_reports_first_discrepancy():
     col = Collector("compare", 1)
     col.compare(P, P, {})
     assert P == P and not col.witnesses
-    ident = Operator.identity(1, 2, lo=0)
+    ident = identity(1, 2, lo=0)
     col.compare(P, ident, {})
     assert P != ident
     assert col.witnesses[0] == {"out": [0, 1], "in": [0, 1], "lhs": "0", "rhs": "1"}
@@ -112,7 +116,9 @@ def test_embed_is_multiplicative():
 def test_from_functional_is_linear_in_the_operator():
     cfg = SpaceConfig(2)
     sum_op = from_functional(lambda fn: op_rho(fn) + permute(fn), cfg)
-    assert sum_op == from_functional(op_rho, cfg) + from_functional(permute, cfg)
+    rho, perm = from_functional(op_rho, cfg), from_functional(permute, cfg)
+    for out, inp in sum_op.entries.keys() | rho.entries.keys() | perm.entries.keys():
+        assert sum_op.coeff(out, inp) == rho.coeff(out, inp) + perm.coeff(out, inp)
 
 
 def test_json_export_schema_and_determinism():
@@ -140,7 +146,8 @@ def test_with_entry_override_and_bounds():
     mutated = op.with_entry((0, 2), (2, 1), C + C)
     assert mutated.coeff((0, 2), (2, 1)) == C * 2
     assert op.coeff((0, 2), (2, 1)) == Scalar.zero()  # original untouched
-    with pytest.raises(ValueError):
+    assert ((1, 0), (0, 1)) not in op.with_entry((1, 0), (0, 1), Scalar.zero()).entries
+    with pytest.raises(ValueError, match=r"^index 5 outside 0\.\.2$"):
         op.with_entry((0, 5), (0, 0), ONE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index tuple of wrong length in \(\(1, 1, 1\), \(1, 1\)\)$"):
         op.with_entry((1, 1, 1), (1, 1), ONE)  # wrong arity
