@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
-"""Time every `verify` suite per n and write BENCH_<label>.json.
+"""Time every `verify` suite per n, for HEAD and for the working tree.
 
 Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
-Each suite runs in-process through `qlie.cli.main`, exactly as `qlie verify
-SUITE --n N` would, with its report discarded.  Four paths are timed: the
-passing path of every suite; the specialized path, every suite but `rtt`
-(which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`; the
-failing, witness-producing path of `verify braid --corrupt "(1,2;2,1)=C"`;
-and the elimination path of `verify rtt --corrupt-constants "(2;1,2)=2C"`,
-the one path that runs `linalg`'s exact Bareiss elimination.
-For each (path, suite, n in N) the file records the median
-`time.process_time` and `time.perf_counter` seconds over REPEATS runs, and
-the exit code.  The interpreter version, the git commit checked out and the
-git tree hash of `src/` as measured are recorded with them; `git rev-parse
-COMMIT:src` gives that hash for the commit that holds the measured code,
-also when it was measured before being committed.
+Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
+(HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
+`src/` on disk.  Four paths are timed: the passing path of every suite; the
+specialized path, every suite but `rtt` (which takes no specialization) with
+`--beta=2/3 --C=-9/5 --p=8/7`; the failing, witness-producing path of
+`verify braid --corrupt "(1,2;2,1)=C"`; and the elimination path of
+`verify rtt --corrupt-constants "(2;1,2)=2C"`, the one path that runs
+`linalg`'s exact Bareiss elimination.
+Each run is one fresh subprocess that imports `qlie` from one of the two
+trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
+with its report discarded.  For each (path, suite, n in N) cell the two
+trees run alternately, REPEATS times each, the first of each pair swapping
+every repeat, so the host's speed drift falls on both sides of a cell alike.
+Each file records, per cell, the median `time.process_time` and
+`time.perf_counter` seconds and the exit code, with the interpreter version,
+the git commit checked out and the git tree hash of the `src/` measured;
+`git rev-parse COMMIT:src` gives that hash for the commit that holds the
+measured code, also when it was measured before being committed.
 Standard library only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import os
@@ -29,8 +33,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 from qlie import cli
@@ -40,45 +44,67 @@ REPEATS = 5
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
 ELIMINATION = ("rtt", "--corrupt-constants", "(2;1,2)=2C")
+ROOT = Path(cli.__file__).resolve().parents[2]
+
+# one timed run in a subprocess: [exit code, process seconds, wall seconds]
+CHILD = """
+import contextlib, io, json, sys, time
+from qlie import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cpu, wall = time.process_time(), time.perf_counter()
+    code = cli.main(sys.argv[1:])
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+print(json.dumps([code, cpu, wall]))
+"""
 
 
-def _git(*args: str, env: dict | None = None) -> str:
-    root = Path(cli.__file__).resolve().parents[2]
+def _git(*args: str, env: dict | None = None, text: bool = True):
     out = subprocess.run(
-        ["git", "-C", str(root), *args], capture_output=True, text=True, check=True, env=env
+        ["git", "-C", str(ROOT), *args], capture_output=True, text=text, check=True, env=env
     )
-    return out.stdout.strip()
+    return out.stdout.strip() if text else out.stdout
 
 
-def _git_ids() -> dict:
-    """The commit checked out and the tree hash of src/ as it is on disk."""
+def _git_ids() -> tuple[dict, dict]:
+    """The commit checked out with the tree hash of its src/, and of src/ as it is on disk."""
     try:
+        commit = _git("rev-parse", "HEAD")
         with tempfile.TemporaryDirectory() as tmp:
             # stage src/ into a scratch index, so the real one is left alone
             env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
             _git("read-tree", "HEAD", env=env)
             _git("add", "--all", "src", env=env)
             tree = _git("write-tree", "--prefix=src/", env=env)
-        return {"commit": _git("rev-parse", "HEAD"), "src_tree": tree}
+        head = _git("rev-parse", "HEAD:src")
     except (OSError, subprocess.CalledProcessError):
-        return {"commit": "unknown", "src_tree": "unknown"}
+        commit = tree = head = "unknown"
+    return {"commit": commit, "src_tree": head}, {"commit": commit, "src_tree": tree}
 
 
-def _time(argv: list[str]) -> dict:
-    cpu, wall, codes = [], [], set()
-    for _ in range(REPEATS):
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            t_cpu, t_wall = time.process_time(), time.perf_counter()
-            codes.add(cli.main(argv))
-            cpu.append(time.process_time() - t_cpu)
-            wall.append(time.perf_counter() - t_wall)
-    (code,) = codes
-    return {
-        "exit": code,
-        "process_time_s": round(statistics.median(cpu), 4),
-        "perf_counter_s": round(statistics.median(wall), 4),
-    }
+def _run(src: Path, argv: list[str]) -> tuple[int, float, float]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True, env=env
+    )
+    return tuple(json.loads(out.stdout))
+
+
+def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
+    """Median times of argv on each tree, the trees run alternately."""
+    runs: tuple[list, list] = ([], [])
+    for r in range(REPEATS):
+        for side in (0, 1) if r % 2 == 0 else (1, 0):
+            runs[side].append(_run(trees[side], argv))
+
+    def summary(side_runs: list) -> dict:
+        (code,) = {code for code, _, _ in side_runs}
+        return {
+            "exit": code,
+            "process_time_s": round(statistics.median(cpu for _, cpu, _ in side_runs), 4),
+            "perf_counter_s": round(statistics.median(wall for _, _, wall in side_runs), 4),
+        }
+
+    return summary(runs[0]), summary(runs[1])
 
 
 def main(argv: list[str]) -> int:
@@ -87,36 +113,41 @@ def main(argv: list[str]) -> int:
         return 2
     (label,) = argv
 
-    passing = {
-        suite: {str(n): _time(["verify", suite, "--n", str(n)]) for n in N}
-        for suite in cli.VERIFY_SUITES
+    cells = {
+        ("passing", suite, n): ["verify", suite, "--n", str(n)]
+        for suite in cli.VERIFY_SUITES for n in N
     }
-    specialized = {
-        suite: {str(n): _time(["verify", suite, "--n", str(n), *SPECIALIZED]) for n in N}
-        for suite in cli.VERIFY_SUITES
-        if suite != "rtt"
-    }
-    corrupt = {str(n): _time(["verify", CORRUPT[0], "--n", str(n), *CORRUPT[1:]]) for n in N}
-    elimination = {
-        str(n): _time(["verify", ELIMINATION[0], "--n", str(n), *ELIMINATION[1:]]) for n in N
-    }
-    result = {
-        "label": label,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        **_git_ids(),
-        "repeats": REPEATS,
-        "passing": passing,
-        "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED], **specialized},
-        "corrupt": {"argv": ["verify", CORRUPT[0], "--n", "N", *CORRUPT[1:]], "braid": corrupt},
-        "elimination": {
-            "argv": ["verify", ELIMINATION[0], "--n", "N", *ELIMINATION[1:]],
-            "rtt": elimination,
-        },
-    }
-    path = Path(f"BENCH_{label}.json")
-    path.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {path}")
+    cells.update({
+        ("specialized", suite, n): ["verify", suite, "--n", str(n), *SPECIALIZED]
+        for suite in cli.VERIFY_SUITES if suite != "rtt" for n in N
+    })
+    for path, (suite, *flags) in (("corrupt", CORRUPT), ("elimination", ELIMINATION)):
+        cells.update({(path, suite, n): ["verify", suite, "--n", str(n), *flags] for n in N})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = _git("archive", "HEAD", "src", text=False)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        trees = (Path(tmp) / "src", ROOT / "src")
+        timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
+
+    for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):
+        result = {
+            "label": label + suffix,
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            **ids,
+            "repeats": REPEATS,
+            "passing": {},
+            "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED]},
+            "corrupt": {"argv": ["verify", CORRUPT[0], "--n", "N", *CORRUPT[1:]]},
+            "elimination": {"argv": ["verify", ELIMINATION[0], "--n", "N", *ELIMINATION[1:]]},
+        }
+        for (path, suite, n), pair in timed.items():
+            result[path].setdefault(suite, {})[str(n)] = pair[side]
+        path = Path(f"BENCH_{label}{suffix}.json")
+        path.write_text(json.dumps(result, indent=1) + "\n")
+        print(f"wrote {path}")
     return 0
 
 

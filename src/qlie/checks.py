@@ -28,10 +28,11 @@ from math import lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from .freealg import _ARITY, _bcc_row, _index, _index_constants
 from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _single_pass
 from .laurent import op_r, op_rhat, op_rho, op_s
-from .operators import Operator, compose, embed, from_functional
-from .scalars import BETA, ONE, ZERO, Scalar, _by_index, _coerce, _from_packed
+from .operators import Operator, compose, from_functional
+from .scalars import BETA, ONE, ZERO, Scalar, _by_index, _coerce
 
 WITNESS_CAP = 16
 
@@ -213,17 +214,23 @@ def check_identities(
         for name, op in leaves.items()
     }
     den = lcm(*dens.values())
-    leaves = {
-        name: op if dens[name] == 1 else _scaled(op, dens[name]) for name, op in leaves.items()
-    }
 
-    # embedded leaves as flat rows, built once per (name, slots)
+    # embedded leaves times their d as flat rows, built once per (name, slots)
     embedded: dict[tuple[str, tuple[int, int]], dict] = {}
 
     def rows_of(name: str, slots: tuple[int, int]) -> dict:
         rows = embedded.get((name, slots))
         if rows is None:
-            rows = embedded[name, slots] = _rows(embed(leaves[name], slots))
+            op, d, (a, b) = leaves[name], dens[name], slots
+            rows = embedded[name, slots] = {}
+            for ((o1, o2), (i1, i2)), coeff in op.entries.items():
+                terms = [(m, q.numerator * (d // q.denominator)) for m, q in coeff._terms.items()]
+                for s in op.indices():
+                    out, inp = [s, s, s], [s, s, s]
+                    out[a], out[b], inp[a], inp[b] = o1, o2, i1, i2
+                    row, inp = rows.setdefault(tuple(out), {}), tuple(inp)
+                    for m, q in terms:
+                        row[inp, m] = q
         return rows
 
     no_row: dict = {}
@@ -287,12 +294,6 @@ def check_identities(
                 left = _unscaled(left, scale)
                 right = None if right is None else _unscaled(right, scale)
             col.row(out, left, right, matrix_tag)
-
-
-def _scaled(op: Operator, den: int) -> Operator:
-    """op times den, a multiple of every denominator of its rationals: ints only."""
-    return op.map_entries(lambda s: _from_packed(
-        {m: q.numerator * (den // q.denominator) for m, q in s._terms.items()}))
 
 
 def _unscaled(row: dict, scale: int) -> dict:
@@ -508,10 +509,18 @@ def suite_qlie(
     """The four component relations tying sigma to the structure constants.
 
     sigma is the braid matrix and the constants are the closed-form ones,
-    unless given.  Family 1 is the braided Jacobi identity, family 2 the
-    braid relation for sigma, families 3 and 4 the mixed sigma-C
-    compatibilities.  All free index tuples are covered; the contractions
-    run over nonzero entries only.
+    unless given.  Families 1, 3 and 4 are the defining relations of the
+    bicovariant calculus (Woronowicz, CMP 1989; Delius & Hueffmann, J. Phys.
+    A 1996), built by `freealg._bcc_row` from this run's sigma and constants
+    and evaluated in the representation on the span of the x_N
+
+        x_k -> (C^m_{Nk})_{N,m},    f(a,l) -> (sigma^{am}_{Nl})_{N,m}:
+
+    entry (N, m) of calculus relation 1 at (i, j) is the braided Jacobi
+    identity, family 1, and entry (N, m) of calculus relation 3 or 4 at
+    (i, j, a) is a mixed sigma-C compatibility, family 3 or 4.  A word maps
+    to the product of its letter matrices, built once per run.  Family 2 is
+    the braid relation for sigma.  All free index tuples are covered.
     """
     sigma = sigma_cg(n) if sigma is None else sigma
     constants = structure_constants(n) if constants is None else constants
@@ -519,100 +528,57 @@ def suite_qlie(
         raise ValueError(f"sigma and structure tensor must both have size {n}")
     col = Collector("qlie", n, subs)
     sigma = col.leaf(sigma)
-    ct = {key: v for key, coeff in constants.entries.items() if (v := col.scalar(coeff))}
+    sig = _index(sigma.entries)
+    ct = _index_constants({key: v for key, c in constants.entries.items() if (v := col.scalar(c))})
 
-    sig_by_in: dict[tuple[int, int], list] = {}
-    sig_by_out: dict[tuple[int, int], list] = {}
-    sig_in_first: dict[int, list] = {}
-    sig_in_second: dict[int, list] = {}
-    for (out, inp), w in sigma.entries.items():
-        sig_by_in.setdefault(inp, []).append((out, w))
-        sig_by_out.setdefault(out, []).append((inp, w))
-        sig_in_first.setdefault(inp[0], []).append((out, inp, w))
-        sig_in_second.setdefault(inp[1], []).append((out, inp, w))
-    ct_by_upper: dict[int, list] = {}
-    ct_by_lower: dict[tuple[int, int], list] = {}
-    ct_by_lower2: dict[int, list] = {}
-    ct_by_lower1: dict[int, list] = {}
-    for (k, i, j), v in ct.items():
-        ct_by_upper.setdefault(k, []).append(((i, j), v))
-        ct_by_lower.setdefault((i, j), []).append((k, v))
-        ct_by_lower2.setdefault(j, []).append((k, i, v))
-        ct_by_lower1.setdefault(i, []).append((k, j, v))
+    # letters[code][N] lists (m, packed monomial, q) of the letter's matrix
+    letters: dict[int, dict[int, list]] = {}
+    for (N, k), outs in ct[0].items():
+        for m, terms in outs:
+            letters.setdefault(k, {}).setdefault(N, []).extend((m, key, q) for key, q in terms)
+    for (N, l), outs in sig[0].items():
+        for (a, m), terms in outs:
+            row = letters.setdefault((n + 1) * a + l, {}).setdefault(N, [])
+            row.extend((m, key, q) for key, q in terms)
 
-    def acc(d: dict, key: tuple, value: Scalar) -> None:
-        cur = d.get(key)
-        cur = value if cur is None else cur + value
-        if cur:
-            d[key] = cur
-        else:
-            d.pop(key, None)
+    words: dict[tuple, dict] = {}
 
-    # family 1, keys (m, N, i, j):
-    #   C^s_{Ni} C^m_{sj} - sigma^{kl}_{ij} C^s_{Nk} C^m_{sl} - C^k_{ij} C^m_{Nk}
-    diff1: dict = {}
-    for (s, N, i), v1 in ct.items():
-        for (m, j, v2) in ct_by_lower1.get(s, ()):
-            acc(diff1, (m, N, i, j), v1 * v2)
-    for (s, N, k), v1 in ct.items():
-        for (m, l, v2) in ct_by_lower1.get(s, ()):
-            for (i, j), w in sig_by_out.get((k, l), ()):
-                acc(diff1, (m, N, i, j), -(w * v1 * v2))
-    for (k, i, j), v1 in ct.items():
-        for (m, N, v2) in ct_by_lower2.get(k, ()):
-            acc(diff1, (m, N, i, j), -(v1 * v2))
-    col.checked += n ** 4
-    for key in sorted(diff1):
-        m, N, i, j = key
-        col.witnesses.append(
-            {"family": 1, "indices": [N, i, j, m], "value": str(diff1[key])}
-        )
+    def matrix(word: tuple) -> dict:
+        """The product of the word's letter matrices, flat {(N, m, packed monomial): q}."""
+        flat = words.get(word)
+        if flat is None:
+            flat = {(N, m, k): q for N, row in letters.get(word[0], {}).items() for m, k, q in row}
+            for code in word[1:]:
+                letter, acc = letters.get(code, {}), {}
+                for (N, s, k1), q1 in flat.items():
+                    for m, k2, q2 in letter.get(s, ()):
+                        key, v = (N, m, k1 + k2), q1 * q2
+                        acc[key] = acc[key] + v if key in acc else v
+                flat = acc
+            words[word] = flat
+        return flat
 
+    def check_family(family: int) -> None:
+        found = {}
+        for indices in product(range(1, n + 1), repeat=_ARITY[family]):
+            total: Flat = {}
+            for (word, k1), q1 in _bcc_row(family, indices, n, sig, ct).items():
+                for (N, m, k2), q2 in matrix(word).items():
+                    key, v = (N, m, k1 + k2), q1 * q2
+                    total[key] = total[key] + v if key in total else v
+            values = _by_index(((N, m), k, q) for (N, m, k), q in total.items() if q)
+            for (N, m), value in values.items():
+                found[(m, N, *indices) if family == 1 else (N, *indices, m)] = [N, *indices, m], value
+        col.checked += n ** (_ARITY[family] + 2)
+        for key in sorted(found):
+            indices, value = found[key]
+            col.witnesses.append({"family": family, "indices": indices, "value": str(value)})
+
+    check_family(1)
     # family 2: braid relation for sigma, matrix route only, no side key
     check_identities(col, [({"family": 2}, *_braid("rhat"))], {"rhat": sigma}, sided=False)
-
-    # family 3, keys (N, i, j, a, m):
-    #   sigma^{kl}_{ij} C^s_{Nk} sigma^{am}_{sl} + C^l_{ij} sigma^{am}_{Nl}
-    #   - sigma^{ks}_{Ni} sigma^{lm}_{sj} C^a_{kl} - sigma^{as}_{Ni} C^m_{sj}
-    diff3: dict = {}
-    for ((k, l), (i, j)), w1 in sigma.entries.items():
-        for (s, N, v) in ct_by_lower2.get(k, ()):
-            for (a, m), w2 in sig_by_in.get((s, l), ()):
-                acc(diff3, (N, i, j, a, m), w1 * v * w2)
-    for (l, i, j), v in ct.items():
-        for ((a, m), (N, l2), w) in sig_in_second.get(l, ()):
-            acc(diff3, (N, i, j, a, m), v * w)
-    for ((k, s), (N, i)), w1 in sigma.entries.items():
-        for ((l, m), (_, j), w2) in sig_in_first.get(s, ()):
-            for (a, v) in ct_by_lower.get((k, l), ()):
-                acc(diff3, (N, i, j, a, m), -(w1 * w2 * v))
-    for ((a, s), (N, i)), w in sigma.entries.items():
-        for (m, j, v) in ct_by_lower1.get(s, ()):
-            acc(diff3, (N, i, j, a, m), -(w * v))
-    col.checked += n ** 5
-    for key in sorted(diff3):
-        N, i, j, a, m = key
-        col.witnesses.append(
-            {"family": 3, "indices": [N, i, j, a, m], "value": str(diff3[key])}
-        )
-
-    # family 4, keys (N, i, j, a, m):
-    #   C^s_{Ni} sigma^{am}_{sj} - sigma^{kl}_{ij} sigma^{as}_{Nk} C^m_{sl}
-    diff4: dict = {}
-    for (s, N, i), v in ct.items():
-        for ((a, m), (_, j), w) in sig_in_first.get(s, ()):
-            acc(diff4, (N, i, j, a, m), v * w)
-    for ((k, l), (i, j)), w1 in sigma.entries.items():
-        for ((a, s), (N, _), w2) in sig_in_second.get(k, ()):
-            for (m, v) in ct_by_lower.get((s, l), ()):
-                acc(diff4, (N, i, j, a, m), -(w1 * w2 * v))
-    col.checked += n ** 5
-    for key in sorted(diff4):
-        N, i, j, a, m = key
-        col.witnesses.append(
-            {"family": 4, "indices": [N, i, j, a, m], "value": str(diff4[key])}
-        )
-
+    check_family(3)
+    check_family(4)
     return col.report()
 
 

@@ -1,4 +1,5 @@
-"""Noncommutative polynomials in the free algebra on x_i and f(i,j).
+"""Noncommutative polynomials in the free algebra on x_i and f(i,j), and
+the defining relations of the bicovariant calculus.
 
 `NCPoly` is the output type of the `rtt` relations: a canonical sparse map
 from words to scalars that is printed and compared, with no ring operations
@@ -7,13 +8,18 @@ tuples of generators, the empty word being the unit.  No commutation rules
 are ever applied: two words are equal only if they are literally the same
 sequence.  Generators are ordered x_1 < x_2 < ... < f(1,1) < f(1,2) < ...,
 and words first by length, then letter by letter.
+
+This module also owns the one builder of the calculus relations, `_bcc_row`,
+which `rtt` and `checks` both import: it emits a relation as a flat row
+{(word, packed monomial): rational}, a word coding x_i as i and f(i,j) as
+(n+1)*i + j.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .scalars import Scalar
+from .scalars import ONE, Scalar, _by_index
 
 # ("x", i) is the vector-field generator x_i, ("f", i, j) the functional f(i,j)
 Generator = tuple
@@ -85,3 +91,89 @@ class NCPoly:
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
+
+
+# {(word, packed monomial): nonzero rational}, a word a tuple of generator codes
+FlatRow = dict
+
+# entries {(out, in): coefficient} grouped by input and by output: by_in[in]
+# lists (out, terms), by_out[out] lists (in, terms), where terms are the
+# coefficient's (packed monomial, rational) pairs; the structure constants
+# C^k_{ij} are indexed as entries {(k, (i, j)): coefficient}
+EntryIndex = tuple[dict, dict]
+
+# the number of indices of each calculus relation family
+_ARITY = {1: 2, 2: 4, 3: 3, 4: 3}
+
+_UNIT = tuple(ONE._terms.items())
+
+
+def _index(entries: Mapping[tuple, Scalar]) -> EntryIndex:
+    by_in: dict[tuple, list] = {}
+    by_out: dict[tuple, list] = {}
+    for (out, inp), coeff in entries.items():
+        terms = tuple(coeff._terms.items())
+        by_in.setdefault(inp, []).append((out, terms))
+        by_out.setdefault(out, []).append((inp, terms))
+    return by_in, by_out
+
+
+def _index_constants(entries: Mapping[tuple[int, int, int], Scalar]) -> EntryIndex:
+    """`_index` of structure constants {(k, i, j): C^k_{ij}}."""
+    return _index({(k, (i, j)): v for (k, i, j), v in entries.items()})
+
+
+def _flat_row(parts: Iterable[tuple[tuple, tuple, int]]) -> FlatRow:
+    """The sum of (word, terms, sign) parts; zero coefficients are dropped."""
+    row: FlatRow = {}
+    for word, terms, sign in parts:
+        for key, q in terms:
+            k, v = (word, key), (q if sign > 0 else -q)
+            row[k] = row[k] + v if k in row else v
+    return {k: q for k, q in row.items() if q}
+
+
+def _poly(row: FlatRow, n: int) -> NCPoly:
+    """A flat row as a polynomial in the generators x_i and f(i,j)."""
+    def letter(g: int):
+        return chi(g) if g <= n else ff(*divmod(g, n + 1))
+
+    scalars = _by_index((w, key, q) for (w, key), q in row.items())
+    return NCPoly({tuple(map(letter, w)): s for w, s in scalars.items()})
+
+
+def _bcc_row(
+    family: int, indices: tuple[int, ...], n: int, sigma: EntryIndex, constants: EntryIndex
+) -> FlatRow:
+    """One calculus relation, left minus right, as `rtt.bcc_relation` states it."""
+    by_in, by_out = sigma
+    ct_lower, ct_upper = constants
+    m = n + 1
+    if family == 1:
+        i, j = indices
+        return _flat_row([
+            ((i, j), _UNIT, 1),
+            *(((k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
+            *(((k,), v, -1) for k, v in ct_lower.get((i, j), ())),
+        ])
+    if family == 2:
+        i, j, a, b = indices
+        return _flat_row([
+            *(((m * a + k, m * b + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
+            *(((m * k + i, m * l + j), w, -1) for (k, l), w in by_out.get((a, b), ())),
+        ])
+    if family == 3:
+        i, j, a = indices
+        return _flat_row([
+            *(((k, m * a + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
+            *(((m * a + l,), v, 1) for l, v in ct_lower.get((i, j), ())),
+            *(((m * k + i, m * l + j), v, -1) for (k, l), v in ct_upper.get(a, ())),
+            ((m * a + i, j), _UNIT, -1),
+        ])
+    if family == 4:
+        i, j, a = indices
+        return _flat_row([
+            ((i, m * a + j), _UNIT, 1),
+            *(((m * a + k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
+        ])
+    raise ValueError(f"unknown relation family {family}")

@@ -13,64 +13,22 @@ bicovariant calculus.
 Each side's one builder emits flat rows {(word, packed monomial): rational}
 (Monagan & Pearce, CASC 2007), a word coding x_i as i and f(i,j) as (n+1)*i + j,
 so the sums and signs are int arithmetic; the public functions convert the rows
-to `NCPoly`s.
+to `NCPoly`s.  The exchange-relation builder lives here; the calculus-relation
+builder, `freealg._bcc_row`, lives in `freealg`, which `checks` imports too.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
 from .checks import Collector, VerificationReport
-from .freealg import NCPoly, chi, ff
+from .freealg import _ARITY, FlatRow, NCPoly, _bcc_row, _flat_row, _index, _index_constants, _poly
 from .linalg import Echelon, Row, echelon
-from .scalars import ONE, Scalar, _by_index
+from .scalars import _by_index
 
 RelationKey = tuple
-# {(word, packed monomial): nonzero rational}, a word a tuple of generator codes
-FlatRow = dict
-
-# entries {(out, in): coefficient} grouped by input and by output: by_in[in]
-# lists (out, terms), by_out[out] lists (in, terms), where terms are the
-# coefficient's (packed monomial, rational) pairs; the structure constants
-# C^k_{ij} are indexed as entries {(k, (i, j)): coefficient}
-EntryIndex = tuple[dict, dict]
-
-_UNIT = tuple(ONE._terms.items())
-
-
-def _index(entries: Mapping[tuple, Scalar]) -> EntryIndex:
-    by_in: dict[tuple, list] = {}
-    by_out: dict[tuple, list] = {}
-    for (out, inp), coeff in entries.items():
-        terms = tuple(coeff._terms.items())
-        by_in.setdefault(inp, []).append((out, terms))
-        by_out.setdefault(out, []).append((inp, terms))
-    return by_in, by_out
-
-
-def _index_constants(ct: StructureTensor) -> EntryIndex:
-    return _index({(k, (i, j)): v for (k, i, j), v in ct.entries.items()})
-
-
-def _flat_row(parts: Iterable[tuple[tuple, tuple, int]]) -> FlatRow:
-    """The sum of (word, terms, sign) parts; zero coefficients are dropped."""
-    row: FlatRow = {}
-    for word, terms, sign in parts:
-        for key, q in terms:
-            k = word, key
-            row[k] = row.get(k, 0) + (q if sign > 0 else -q)
-    return {k: q for k, q in row.items() if q}
-
-
-def _poly(row: FlatRow, n: int) -> NCPoly:
-    """A flat row as a polynomial in the generators x_i and f(i,j)."""
-    def letter(g: int):
-        return chi(g) if g <= n else ff(*divmod(g, n + 1))
-
-    scalars = _by_index((w, key, q) for (w, key), q in row.items())
-    return NCPoly({tuple(map(letter, w)): s for w, s in scalars.items()})
 
 
 def _rtt_tables(n: int) -> tuple[dict, dict, list]:
@@ -117,45 +75,16 @@ def bcc_relation(
                          - f^k_i f^l_j C^a_{kl} - f^a_i x_j
     family 4, (i, j, a): x_i f^a_j - sigma^{kl}_{ij} f^a_k x_l
     """
+    if family in _ARITY and len(indices) != _ARITY[family]:
+        raise ValueError(f"family {family} takes {_ARITY[family]} indices, got {len(indices)}")
+    for idx in indices:
+        if idx < 1 or idx > n:
+            raise ValueError(f"index {idx} outside 1..{n}")
     ct = structure_constants(n) if constants is None else constants
-    row = _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct))
+    if ct.n != n:
+        raise ValueError(f"structure tensor must have size {n}, got {ct.n}")
+    row = _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct.entries))
     return _poly(row, n)
-
-
-def _bcc_row(
-    family: int, indices: tuple[int, ...], n: int, sigma: EntryIndex, constants: EntryIndex
-) -> FlatRow:
-    by_in, by_out = sigma
-    ct_lower, ct_upper = constants
-    m = n + 1
-    if family == 1:
-        i, j = indices
-        return _flat_row([
-            ((i, j), _UNIT, 1),
-            *(((k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
-            *(((k,), v, -1) for k, v in ct_lower.get((i, j), ())),
-        ])
-    if family == 2:
-        i, j, a, b = indices
-        return _flat_row([
-            *(((m * a + k, m * b + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
-            *(((m * k + i, m * l + j), w, -1) for (k, l), w in by_out.get((a, b), ())),
-        ])
-    if family == 3:
-        i, j, a = indices
-        return _flat_row([
-            *(((k, m * a + l), w, 1) for (k, l), w in by_in.get((i, j), ())),
-            *(((m * a + l,), v, 1) for l, v in ct_lower.get((i, j), ())),
-            *(((m * k + i, m * l + j), v, -1) for (k, l), v in ct_upper.get(a, ())),
-            ((m * a + i, j), _UNIT, -1),
-        ])
-    if family == 4:
-        i, j, a = indices
-        return _flat_row([
-            ((i, m * a + j), _UNIT, 1),
-            *(((m * a + k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
-        ])
-    raise ValueError(f"unknown relation family {family}")
 
 
 def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
@@ -168,8 +97,8 @@ def _bcc_rows(
     n: int, constants: Optional[StructureTensor] = None
 ) -> Iterator[tuple[RelationKey, FlatRow]]:
     sig = _index(sigma_cg(n).entries)
-    ct = _index_constants(structure_constants(n) if constants is None else constants)
-    for family, arity in ((1, 2), (2, 4), (3, 3), (4, 3)):
+    ct = _index_constants((structure_constants(n) if constants is None else constants).entries)
+    for family, arity in _ARITY.items():
         for indices in product(range(1, n + 1), repeat=arity):
             yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
 

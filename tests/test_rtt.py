@@ -140,6 +140,32 @@ def test_constants_of_another_size_are_rejected():
         compare_relation_spans(2, bcc_constants=structure_constants(3))
 
 
+@pytest.mark.parametrize(
+    "family, indices, message",
+    [
+        # x5 would be coded as f(1,2) at n = 2
+        (1, (1, 5), "index 5 outside 1..2"),
+        # f(3,1) is no generator at n = 2
+        (2, (1, 1, 1, 3), "index 3 outside 1..2"),
+        (4, (1, 3, 1), "index 3 outside 1..2"),
+        (3, (1, 0, 1), "index 0 outside 1..2"),
+        (1, (1, 1, 1), "family 1 takes 2 indices, got 3"),
+        (2, (1, 1, 1), "family 2 takes 4 indices, got 3"),
+        (4, (1, 1), "family 4 takes 3 indices, got 2"),
+        (5, (1, 1), "unknown relation family 5"),
+    ],
+)
+def test_bcc_relation_rejects_bad_indices(family, indices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bcc_relation(family, indices, 2)
+
+
+def test_bcc_relation_rejects_constants_of_another_size():
+    # the relation at n = 3 would silently lack the term C^3_{13} x_3
+    with pytest.raises(ValueError, match="^structure tensor must have size 3, got 2$"):
+        bcc_relation(1, (1, 3), 3, constants=structure_constants(2))
+
+
 def test_span_mismatch_with_corrupted_constants():
     ct = structure_constants(2).with_entry(2, 2, 1, C + C)
     report = compare_relation_spans(2, bcc_constants=ct)

@@ -10,23 +10,34 @@ the functional kernels and the row-wise matrix route ran on flat terms:
   b = 2/3, C = -1, p = 3/5;
 - s12 = 0 and s12 = rho12 on the polynomial domain of degree 2.
 
+`data/qlie_witnesses.json` holds `suite_qlie` reports with the witness cap
+lifted, recorded before families 1, 3 and 4 were evaluated from the calculus
+relations: the full report for the p-family sigma at n = 2, 3 and 4, and one
+digest each over the reports of every single-constant mutant at n = 2 and 3
+(deltas 1, b, C and p) and every single-entry sigma mutant at n = 2 (deltas
+1 and b).
+
 Any later change to them must be intended.  To re-record after an intended
 change, run `PYTHONPATH=src python tests/test_witness_pins.py` and say in the
 change what moved and why.
 """
 
+import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from qlie import checks
-from qlie.cg import extended_rhat
+from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_rho, op_s
 from qlie.operators import Operator, compose, from_functional
+from qlie.scalars import BETA, C, ONE, P
 
 DATA = Path(__file__).resolve().parent / "data" / "engine_witnesses.json"
+QLIE_DATA = DATA.with_name("qlie_witnesses.json")
 
 SPECIALIZED = {"beta": Fraction(2, 3), "c": Fraction(-1), "p": Fraction(3, 5)}
 
@@ -60,7 +71,45 @@ def record(name):
     return json.dumps({"checked": col.checked, "witnesses": col.witnesses}, indent=1)
 
 
+def _qlie(n, **inputs):
+    """A suite_qlie report without its time, as sorted JSON."""
+    report = checks.suite_qlie(n, **inputs).to_json_dict()
+    del report["millis"]
+    return json.dumps(report, sort_keys=True)
+
+
+def _constant_mutants():
+    for n in (2, 3):
+        ct = structure_constants(n)
+        for (k, i, j), delta in product(product(range(1, n + 1), repeat=3), (ONE, BETA, C, P)):
+            yield n, {"constants": ct.with_entry(k, i, j, ct.coeff(k, i, j) + delta)}
+
+
+def _sigma_mutants():
+    sigma = sigma_cg(2)
+    pairs = list(product((1, 2), repeat=2))
+    for out, inp, delta in product(pairs, pairs, (ONE, BETA)):
+        yield 2, {"sigma": sigma.with_entry(out, inp, sigma.coeff(out, inp) + delta)}
+
+
+def _digest(mutants):
+    reports = [_qlie(n, **inputs) for n, inputs in mutants]
+    failing = sum(not json.loads(r)["pass"] for r in reports)
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    return json.dumps({"runs": len(reports), "failing": failing, "sha256": digest})
+
+
+QLIE_CASES = {
+    **{f"qlie-p-family-n{n}": (lambda n=n: _qlie(n, sigma=sigma_cg_family(n))) for n in (2, 3, 4)},
+    "qlie-constant-mutants-n2-n3": lambda: _digest(_constant_mutants()),
+    "qlie-sigma-mutants-n2": lambda: _digest(_sigma_mutants()),
+}
+
+# far above any failure count of these cases, so whole witness lists are pinned
+UNCAPPED = 10 ** 6
+
 RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
+QLIE_RECORDED = json.loads(QLIE_DATA.read_text()) if QLIE_DATA.exists() else {}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -70,5 +119,19 @@ def test_witnesses_match_recording(name):
     assert json.loads(text)["witnesses"], "a pinned case must fail"
 
 
+@pytest.mark.parametrize("name", sorted(QLIE_CASES))
+def test_qlie_reports_match_recording(name, monkeypatch):
+    monkeypatch.setattr(checks, "WITNESS_CAP", UNCAPPED)
+    text = QLIE_CASES[name]()
+    assert text == QLIE_RECORDED[name]
+    recorded = json.loads(text)
+    # a pinned report fails, and so does some mutant of a pinned digest
+    assert recorded["failing"] if "runs" in recorded else not recorded["pass"]
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({name: record(name) for name in sorted(CASES)}, indent=1) + "\n")
+    checks.WITNESS_CAP = UNCAPPED
+    QLIE_DATA.write_text(
+        json.dumps({name: QLIE_CASES[name]() for name in sorted(QLIE_CASES)}, indent=1) + "\n"
+    )
