@@ -8,14 +8,18 @@ data, signed sums of words in named two-slot operators, and one engine,
 exist: functionally, by applying the words to basis monomials, and
 matrix-wise, by multiplying out sparse restriction matrices row by row.
 
-Both routes run on flat terms: a coefficient per (index, packed monomial)
-key, as the `laurent` kernel produces them, and their hot loops add and
-multiply ints, with no Scalar built.  The functional kernels have int
-coefficients; the matrix route clears the denominators of its leaves once
-per call, so a specialized run multiplies ints as well, and a Fraction
-appears only in a witness, divided back from a row that differs.  The
-Collector turns flat terms back into Scalars only to decide a specialized
-verdict or print a witness.
+Both routes run on flat terms: a rational per packed int key, which holds
+a term's current index, the monomial or output row it started from and its
+packed b/C/p monomial, as the `laurent` kernel reads them.  They sweep one
+slab at a time, every start monomial or output row that shares a first
+index, so each word takes a whole slab through each of its factors in one
+kernel call or one row-wise product, and their hot loops add and multiply
+ints, with no Scalar built.  The functional kernels have int coefficients;
+the matrix route clears the denominators of its leaves once per call, so a
+specialized run multiplies ints as well, and a Fraction appears only in a
+witness, divided back from a row that differs.  A slab that passes is never
+decoded: the Collector turns flat terms back into Scalars only to decide a
+specialized verdict or print a witness.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
-from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _single_pass
-from .laurent import op_r, op_rhat, op_rho, op_s
+from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _pack_fields, _single_pass
+from .laurent import _unpack_fields, op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
 from .scalars import BETA, ONE, ZERO, Scalar, _by_index, _coerce
 
@@ -106,10 +110,10 @@ class Collector:
     def leaf(self, op: Operator) -> Operator:
         return op.map_entries(self.scalar) if self.subs else op
 
-    def specialize(self, terms: Flat) -> dict[tuple, Scalar]:
-        """The Scalars of flat terms {(*index, packed monomial): q}, by index,
+    def specialize(self, row: dict) -> dict[tuple, Scalar]:
+        """The Scalars of a flat row {(index, packed monomial): q}, by index,
         specialized; those that vanish are left out."""
-        by_index = _by_index((k[:-1], k[-1], q) for k, q in terms.items())
+        by_index = _by_index((index, m, q) for (index, m), q in row.items())
         if not self.subs:
             return by_index
         return {index: v for index, s in by_index.items() if (v := self.scalar(s))}
@@ -182,30 +186,40 @@ def check_identities(
     domain: Optional[range] = None,
     sided: bool = True,
 ) -> None:
-    """Verify each identity functionally, then matrix-wise.
+    """Verify each identity functionally, then matrix-wise, a slab at a time.
 
     Functional route, only when a monomial domain is given: apply lhs - rhs
     to every monomial in three variables with exponents in `domain`, in the
     space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
     SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
-    variable.  Each word maps the signed monomial through its kernels, the
-    last of which adds into one total.  Matrix route: multiply out the
-    embedded `leaves`, the two-leg matrices (already specialized) of the
-    operators the words name, one output row at a time, as in Gustavson's
-    row-wise sparse product (ACM TOMS 1978).  Each word carries its sign, as
-    the unit row `out`, through its factors' rows, and its last factor adds
-    into one dict for that side's row, which is compared or reported before
-    the next row, so no product matrix is ever built.  On specialized leaves
-    the route runs in ints: each leaf is multiplied once by its denominator
-    d, the lcm of its rationals' denominators (a leaf with d = 1, as every
-    leaf on symbolic input, is used as it is), and with D the lcm of all d
-    and K the identity's longest word, a word starts from sign * D^K over
-    the product of its factors' d, so both sides of every row carry the
-    factor D^K.  A passing row compares ints; only a differing row is
-    divided back by D^K, exactly, into the rationals its witnesses print.
-    Witnesses start with the identity's tag, then name the route under
-    `side` unless `sided` is false; a functional witness prints the
-    specialized value.
+    variable.  Matrix route: multiply out the embedded `leaves`, the two-leg
+    matrices (already specialized) of the operators the words name, by rows,
+    as in Gustavson's row-wise sparse product (ACM TOMS 1978), so no product
+    matrix is ever built.
+
+    Both routes sweep one slab at a time: every start monomial, or every
+    output row, with one first index.  A term's key is one int in the
+    layout of the `laurent` docstring, its start fields holding the
+    monomial or output row it started from; a field is the `bit_length`
+    of the leaves' size n on the matrix route and of domain.stop on the
+    functional one.  So each word maps a whole slab through each factor in
+    one kernel call or one row-wise product, and moving a term from row
+    mid to row inp (e + (inp - mid)) is one int add.  A word's last factor
+    adds into its side's slab dict: the functional route adds lhs - rhs
+    into one total, which must be empty; the matrix route compares the two
+    sides' dicts once.  Only a slab that differs is split by start and
+    decoded, row by row, in the order the monomials or rows sort in.
+
+    On specialized leaves the matrix route runs in ints: each leaf is
+    multiplied once by its denominator d, the lcm of its rationals'
+    denominators (a leaf with d = 1, as every leaf on symbolic input, is
+    used as it is), and with D the lcm of all d and K the identity's
+    longest word, a word starts from sign * D^K over the product of its
+    factors' d, so both sides of every row carry the factor D^K.  A passing
+    slab compares ints; only a differing row is divided back by D^K,
+    exactly, into the rationals its witnesses print.  Witnesses start with
+    the identity's tag, then name the route under `side` unless `sided` is
+    false; a functional witness prints the specialized value.
     """
     # the matrix route runs on each leaf times its denominator, in ints
     dens = {
@@ -214,44 +228,56 @@ def check_identities(
         for name, op in leaves.items()
     }
     den = lcm(*dens.values())
+    width = max(op.n for op in leaves.values()).bit_length()
+    # the three low, index fields of a key; a start key repeats them in the
+    # three fields above
+    low, mono = (1 << 3 * width) - 1, 6 * width
 
-    # embedded leaves times their d as flat rows, built once per (name, slots)
-    embedded: dict[tuple[str, tuple[int, int]], dict] = {}
+    # embedded leaves times their d, built once per (name, slots):
+    # rows[mid] lists (inp - mid + (monomial << mono), q)
+    embedded: dict[tuple[str, tuple[int, int]], dict[int, list]] = {}
 
-    def rows_of(name: str, slots: tuple[int, int]) -> dict:
+    def rows_of(name: str, slots: tuple[int, int]) -> dict[int, list]:
         rows = embedded.get((name, slots))
         if rows is None:
             op, d, (a, b) = leaves[name], dens[name], slots
+            # field shifts of slots a and b and of the spectator slot
+            sa, sb, ss = ((2 - slot) * width for slot in (a, b, 3 - a - b))
             rows = embedded[name, slots] = {}
             for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-                terms = [(m, q.numerator * (d // q.denominator)) for m, q in coeff._terms.items()]
+                # the spectator index moves nowhere
+                move = (i1 - o1 << sa) + (i2 - o2 << sb)
+                terms = [(move + (m << mono), q.numerator * (d // q.denominator))
+                         for m, q in coeff._terms.items()]
+                mid = (o1 << sa) + (o2 << sb)
                 for s in op.indices():
-                    out, inp = [s, s, s], [s, s, s]
-                    out[a], out[b], inp[a], inp[b] = o1, o2, i1, i2
-                    row, inp = rows.setdefault(tuple(out), {}), tuple(inp)
-                    for m, q in terms:
-                        row[inp, m] = q
+                    rows.setdefault(mid + (s << ss), []).extend(terms)
         return rows
 
-    no_row: dict = {}
-
-    def side_row(expr: Expression, out: tuple) -> dict:
-        total: dict = {}
+    def side(expr: Expression, starts: list[int]) -> dict[int, int]:
+        total: dict[int, int] = {}
         for unit, word in expr:
-            terms = {(out, 0): unit}
+            terms = dict.fromkeys(starts, unit)
             for k, factor in enumerate(word):
                 rows = rows_of(*factor)
                 acc = total if k == len(word) - 1 else {}
-                for (mid, m1), c1 in terms.items():
-                    for (inp, m2), c2 in rows.get(mid, no_row).items():
-                        key = (inp, m1 + m2)
-                        v = acc[key] = acc.get(key, 0) + c1 * c2
+                get = acc.get
+                for e, c1 in terms.items():
+                    for move, c2 in rows.get(e & low, ()):
+                        key = e + move
+                        v = acc[key] = get(key, 0) + c1 * c2
                         if not v:
                             del acc[key]
                 terms = acc
         return total
 
-    cfg = SpaceConfig(domain.stop) if domain is not None else None
+    if domain is not None:
+        cfg = SpaceConfig(domain.stop)
+        # exponents plus one lie in [0, domain.stop]
+        fwidth = domain.stop.bit_length()
+        packed = [[_pack_fields((e0, *rest), fwidth, 1) for rest in product(domain, repeat=2)]
+                  for e0 in domain]
+        slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
     leaf = next(iter(leaves.values()))
     for tag, lhs, rhs in identities:
         if domain is not None:
@@ -260,25 +286,31 @@ def check_identities(
                 (sign, [(slots, _KERNELS[name]) for name, slots in reversed(word)])
                 for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))
             ]
-            for exps in product(domain, repeat=3):
-                col.checked += 1
+            for starts in slabs:
+                col.checked += len(starts)
                 total: Flat = {}
                 for sign, word in words:
-                    value: Flat = {(*exps, 0): sign}
+                    value = dict.fromkeys(starts, sign)
                     for slots, kernel in word[:-1]:
-                        value = _single_pass(value, slots, *kernel)
+                        value = _single_pass(value, slots, *kernel, fwidth)
                     slots, kernel = word[-1]
-                    _single_pass(value, slots, *kernel, out=total)
-                if total and (values := col.specialize(total)):
-                    fn = LaurentFn(cfg, 3, values)
-                    col.witnesses.append(
-                        {**tag, "side": "functional", "monomial": list(exps), "value": str(fn)}
-                    )
+                    _single_pass(value, slots, *kernel, fwidth, out=total)
+                for start, row in sorted(_by_start(total, fwidth).items()):
+                    if values := col.specialize(_decoded(row, fwidth, 1)):
+                        col.witnesses.append({
+                            **tag, "side": "functional",
+                            "monomial": list(_unpack_fields(start, fwidth, 3, 1)),
+                            "value": str(LaurentFn(cfg, 3, values)),
+                        })
         matrix_tag = {**tag, "side": "matrix"} if sided else tag
         col.checked += (leaf.n + 1 - leaf.lo) ** 6
         outs = set()
         for _, word in (*lhs, *rhs):
             outs.update(rows_of(*word[0]))
+        # packed rows sort as their index tuples; a slab shares out[0]
+        row_slabs: dict[int, list[int]] = {}
+        for out in sorted(outs):
+            row_slabs.setdefault(out >> 2 * width, []).append(out | out << 3 * width)
         # each word starts from sign * scale over its leaves' denominators, so
         # both sides of every row carry the factor scale
         scale = den ** max(len(word) for _, word in (*lhs, *rhs))
@@ -288,12 +320,34 @@ def check_identities(
                  for sign, word in expr]
                 for expr in (lhs, rhs)
             )
-        for out in sorted(outs):
-            left, right = side_row(lhs, out), side_row(rhs, out) if rhs else None
-            if scale != 1 and left != right:
-                left = _unscaled(left, scale)
-                right = None if right is None else _unscaled(right, scale)
-            col.row(out, left, right, matrix_tag)
+        for starts in row_slabs.values():
+            left, right = side(lhs, starts), side(rhs, starts)
+            if left == right:
+                continue
+            left, right = _by_start(left, width), _by_start(right, width)
+            for out in sorted(left.keys() | right.keys()):
+                lrow, rrow = left.get(out, {}), right.get(out, {})
+                if lrow == rrow:
+                    continue
+                lrow, rrow = _decoded(lrow, width), _decoded(rrow, width)
+                if scale != 1:
+                    lrow, rrow = _unscaled(lrow, scale), _unscaled(rrow, scale)
+                col.row(_unpack_fields(out, width), lrow, rrow if rhs else None, matrix_tag)
+
+
+def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
+    """A slab's terms split by the packed start fields of their keys."""
+    low = (1 << 3 * width) - 1
+    rows: dict[int, Flat] = {}
+    for key, q in terms.items():
+        rows.setdefault(key >> 3 * width & low, {})[key] = q
+    return rows
+
+
+def _decoded(terms: Flat, width: int, bias: int = 0) -> dict:
+    """Flat terms of one start as a flat row {(index, packed monomial): q}."""
+    low, mono = (1 << 3 * width) - 1, 6 * width
+    return {(_unpack_fields(key & low, width, 3, bias), key >> mono): q for key, q in terms.items()}
 
 
 def _unscaled(row: dict, scale: int) -> dict:
@@ -561,7 +615,7 @@ def suite_qlie(
     def check_family(family: int) -> None:
         found = {}
         for indices in product(range(1, n + 1), repeat=_ARITY[family]):
-            total: Flat = {}
+            total: dict = {}
             for (word, k1), q1 in _bcc_row(family, indices, n, sig, ct).items():
                 for (N, m, k2), q2 in matrix(word).items():
                     key, v = (N, m, k1 + k2), q1 * q2

@@ -19,25 +19,32 @@ materializes an out-of-range term.
 `_single_pass`: one loop over the input terms tests regularity inline and
 writes the identity (or swap), b-term and C-term contributions into one
 accumulator, with no intermediate function built.  The kernel works on flat
-terms {(e0, e1[, e2], m): q}, m a packed monomial of `scalars` and q a plain
-rational, so multiplying by b or C adds a constant to m and a sign flip
-negates q; the `op_*` functions convert a LaurentFn to flat terms and back,
-and `checks` runs the kernel on flat terms directly.  `reg`, `permute` and
-`divided_difference` remain the public primitives the operators are defined
-by, and the tests check every kernel against them.
+terms {key: q}, q a plain rational and the key one int of `width`-bit
+fields (Monagan & Pearce, CASC 2007): three index fields, the first index
+highest, each exponent stored plus one so that -1 fits; above them three
+more fields that the kernel carries through untouched, as it does a
+spectator exponent (`checks` keeps there the monomial a term started
+from); and above those the packed monomial of `scalars`, which goes on top
+because its p field is signed.  So multiplying by b or C is one int add, a
+sign flip negates q, and packed index fields sort as their tuples do.  The
+`op_*` functions pack a LaurentFn into flat terms and unpack the image, and
+`checks` runs the kernel on flat terms directly, a whole slab of start
+monomials per call.  `reg`, `permute` and `divided_difference` remain the
+public primitives the operators are defined by, and the tests check every
+kernel against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .scalars import ONE, Coeff, Scalar, _by_index, _pack
 
 Slots = tuple[int, int]
-# flat terms: exponents followed by a packed monomial, mapped to a rational
-Flat = dict[tuple[int, ...], Coeff]
+# flat terms: packed int key (index fields, start fields, monomial) -> rational
+Flat = dict[int, Coeff]
 
 _BETA, _C = _pack((1, 0, 0)), _pack((0, 1, 0))
 
@@ -284,62 +291,92 @@ def op_rhat(fn: LaurentFn, slots: Slots = (0, 1), _c_sign: int = 1) -> LaurentFn
 def _apply_kernel(fn: LaurentFn, slots: Slots, name: str, c_sign: int = 1) -> LaurentFn:
     """The named operator of _KERNELS on fn, through flat terms."""
     _check_slots(fn, slots)
-    flat = {(*exps, m): q for exps, coeff in fn._terms.items() for m, q in coeff._terms.items()}
-    return _from_flat(fn.cfg, fn.arity, _single_pass(flat, slots, *_KERNELS[name], c_sign))
+    # exponents plus one lie in [0, n]
+    width = fn.cfg.n.bit_length()
+    flat = {
+        _pack_fields(exps, width, 1) + (m << 6 * width): q
+        for exps, coeff in fn._terms.items()
+        for m, q in coeff._terms.items()
+    }
+    image = _single_pass(flat, slots, *_KERNELS[name], width, c_sign)
+    return LaurentFn(fn.cfg, fn.arity, _by_index(
+        (_unpack_fields(k, width, fn.arity, 1), k >> 6 * width, q) for k, q in image.items()
+    ))
 
 
-def _from_flat(cfg: SpaceConfig, arity: int, flat: Flat) -> LaurentFn:
-    """The LaurentFn of nonzero flat terms."""
-    return LaurentFn(cfg, arity, _by_index((k[:-1], k[-1], q) for k, q in flat.items()))
+def _pack_fields(index: Sequence[int], width: int, bias: int = 0) -> int:
+    """The three low `width`-bit fields of a flat key holding index + bias,
+    index[0] highest; an index shorter than three leaves the lowest fields 0."""
+    key = 0
+    for e in index:
+        key = key << width | e + bias
+    return key << (3 - len(index)) * width
+
+
+def _unpack_fields(key: int, width: int, count: int = 3, bias: int = 0) -> tuple[int, ...]:
+    """The first `count` indices in the three low fields of key, bias removed."""
+    mask = (1 << width) - 1
+    index = ((key >> 2 * width & mask) - bias, (key >> width & mask) - bias, (key & mask) - bias)
+    return index[:count]
 
 
 def _single_pass(
     terms: Flat, slots: Slots, identity: bool, beta: Optional[int], c: Optional[int], swap: bool,
-    c_sign: int = 1, out: Optional[Flat] = None,
+    width: int, c_sign: int = 1, out: Optional[Flat] = None,
 ) -> Flat:
     """[permute o] (identity + beta * rho + c * s), in one pass over flat terms.
 
-    Each input term writes its identity, rho and s contributions straight
-    into one accumulator, `out` when given (the image is added to it), the
-    rho part from the geometric-sum formula of `divided_difference` shifted
-    by one in slot a.  A term with a negative active exponent is singular:
-    its regular part, hence its rho and s parts, vanish.  With `swap` every
-    output key has slots a and b exchanged; `c_sign=-1` negates the s part.
-    Terms that cancel are dropped.
+    Keys have the layout of the module docstring: `width`-bit fields, each
+    exponent stored plus one, so no exponent may exceed 2^width - 2.  The
+    image has no exponent above the largest of its input.  Each input term
+    writes its identity, rho and s contributions straight into one
+    accumulator, `out` when given (the image is added to it), the rho part
+    from the geometric-sum formula of `divided_difference` shifted by one in
+    slot a.  A term with a negative active exponent is singular: its regular
+    part, hence its rho and s parts, vanish.  With `swap` every output key
+    has slots a and b exchanged; `c_sign=-1` negates the s part.  Only the
+    two active fields are read: every other field and the monomial pass
+    through as they are.  Terms that cancel are dropped.
     """
-    a, b = slots
-    pa, pb = (b, a) if swap else (a, b)
+    mask = (1 << width) - 1
+    sa, sb = (2 - slots[0]) * width, (2 - slots[1]) * width
+    spa, spb = (sb, sa) if swap else (sa, sb)
+    # swapping fields fa and fb adds (fb - fa) * flip to a key
+    flip = (1 << sa) - (1 << sb)
+    step = (1 << spa) - (1 << spb)
+    mono = 6 * width
+    beta = None if beta is None else beta << mono
+    c = None if c is None else c << mono
     out = {} if out is None else out
     get = out.get
     for key, q in terms.items():
-        ea, eb = key[a], key[b]
-        e = list(key)
+        # active exponents plus one: 0 marks a singular exponent -1
+        fa, fb = key >> sa & mask, key >> sb & mask
         if identity:
-            e[pa], e[pb] = ea, eb
-            k = tuple(e)
+            k = key + (fb - fa) * flip if swap else key
             v = out[k] = get(k, 0) + q
             if not v:
                 del out[k]
         # the regular part of x^ea y^eb contributes only when ea != eb
-        if ea < 0 or eb < 0 or ea == eb:
+        if not fa or not fb or fa == fb:
             continue
+        base = key - (fa << sa) - (fb << sb)
         if beta is not None:
             # x * (y^ea x^eb - x^ea y^eb) / (x - y) is the sum of
-            # x^u y^(lo+hi-u) over u in (lo, hi], negated when ea > eb
-            e[-1] = key[-1] + beta
-            lo, hi, t = (eb, ea, -q) if ea > eb else (ea, eb, q)
-            for u in range(lo + 1, hi + 1):
-                e[pa], e[pb] = u, lo + hi - u
-                k = tuple(e)
+            # x^u y^(lo+hi-u) over u in (lo, hi], negated when ea > eb; the
+            # same sum holds for the fields, exponents plus one
+            lo, hi, t = (fb, fa, -q) if fa > fb else (fa, fb, q)
+            k = base + beta + (lo << spa) + (hi << spb)
+            for _ in range(hi - lo):
+                k += step
                 v = out[k] = get(k, 0) + t
                 if not v:
                     del out[k]
-        if c is not None and (ea == 0 or eb == 0):
-            # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0
-            e[-1] = key[-1] + c
-            e[pa], e[pb] = ea or eb, -1
-            k = tuple(e)
-            v = out[k] = get(k, 0) + (q if (eb == 0) == (c_sign > 0) else -q)
+        if c is not None and (fa == 1 or fb == 1):
+            # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0,
+            # and slot b takes the exponent -1, field 0
+            k = base + c + (fa + fb - 1 << spa)
+            v = out[k] = get(k, 0) + (q if (fb == 1) == (c_sign > 0) else -q)
             if not v:
                 del out[k]
     return out

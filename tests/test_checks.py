@@ -377,8 +377,10 @@ def test_specialized_matrix_route_multiplies_no_fractions(monkeypatch):
 
     for method in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Fraction, method, refuse)
-    checks.check_identities(col, [({}, *checks._braid("rhat"))], leaves)
-    assert col.report().passed
+    # both routes: the functional one on the Laurent domain, then the matrix one
+    checks.check_identities(col, [({}, *checks._braid("rhat"))], leaves, range(-1, n))
+    report = col.report()
+    assert report.passed and report.checked == (n + 1) ** 3 + (n + 1) ** 6
 
 
 OPS = ("rho", "s", "r", "R")
@@ -439,6 +441,36 @@ def test_functional_route_matches_composed_public_operators(n, polynomial, sides
     _reference_functional_route(reference, identities, domain)
     assert [w for w in engine.witnesses if w["side"] == "functional"] == reference.witnesses
     assert engine.checked == reference.checked + len(identities) * (n + 1) ** 6
+
+
+@pytest.mark.parametrize("polynomial", [False, True], ids=["laurent", "polynomial"])
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_key_fields_hold_the_largest_index(n, polynomial):
+    # the engine packs each index in a field of n.bit_length() bits (the
+    # matrix route, indices 0..n) or domain.stop.bit_length() bits (the
+    # functional route, exponents plus one, 0..stop): n = 3, 4, 7 and 8 sit
+    # on both sides of a step in those widths.  A false identity fails on
+    # both routes, a leaf corrupted at its largest indices on the matrix
+    # route; every witness must match the references.
+    domain = range(0, n + 1) if polynomial else range(-1, n)
+    rho = _leaf("rho", n)
+    corrupted = rho.with_entry((n, n), (0, n), rho.coeff((n, n), (0, n)) + C)
+    s12: checks.Expression = [(1, [("s", checks.S12)])]
+    rho12: checks.Expression = [(1, [("rho", checks.S12)])]
+    for leaf, identity in (
+        (rho, ({"identity": "s12=rho12"}, s12, rho12)),
+        (corrupted, ({"identity": "rho23*s12"}, dict(checks.COMPONENT_IDENTITIES)["rho23*s12"], ())),
+    ):
+        leaves = {"rho": leaf, "s": _leaf("s", n)}
+        engine = checks.Collector("engine", n)
+        functional, matrix = checks.Collector("engine", n), checks.Collector("engine", n)
+        checks.check_identities(engine, [identity], leaves, domain)
+        _reference_functional_route(functional, [identity], domain)
+        _reference_matrix_route(matrix, [identity], leaves)
+        assert engine.witnesses == functional.witnesses + matrix.witnesses
+        assert engine.checked == functional.checked + matrix.checked
+        assert matrix.witnesses
+        assert bool(functional.witnesses) == (leaf is rho)
 
 
 # -- specialization soundness --------------------------------------------------------

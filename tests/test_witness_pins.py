@@ -8,7 +8,12 @@ the functional kernels and the row-wise matrix route ran on flat terms:
 - the braid relation of the flipped leaf "R" = P.Rhat at n = 2 (it satisfies
   the Yang-Baxter equation, not the braid relation), symbolic and with
   b = 2/3, C = -1, p = 3/5;
-- s12 = 0 and s12 = rho12 on the polynomial domain of degree 2.
+- s12 = 0 and s12 = rho12 on the polynomial domain of degree 2;
+- s12 = rho12 on the polynomial domain of degree 4, whose functional
+  witnesses start at every first exponent, and the braid relation of
+  `extended_rhat(4)` with entry ((1, 3), (3, 1)) raised by 1, whose matrix
+  witnesses lie on several first output indices; both were recorded before
+  the engine swept one first index at a time.
 
 `data/qlie_witnesses.json` holds `suite_qlie` reports with the witness cap
 lifted, recorded before families 1, 3 and 4 were evaluated from the calculus
@@ -50,11 +55,20 @@ def _braid_of_flipped(subs):
     return col
 
 
-def _s12_against(rhs):
-    leaves = {name: from_functional(op, SpaceConfig(2)) for name, op in (("s", op_s), ("rho", op_rho))}
+def _s12_against(rhs, n=2):
+    leaves = {name: from_functional(op, SpaceConfig(n)) for name, op in (("s", op_s), ("rho", op_rho))}
     s12 = [(1, [("s", checks.S12)])]
-    col = checks.Collector("components", 2)
-    checks.check_identities(col, [({"identity": "s12"}, s12, rhs)], leaves, range(0, 3))
+    col = checks.Collector("components", n)
+    checks.check_identities(col, [({"identity": "s12"}, s12, rhs)], leaves, range(0, n + 1))
+    return col
+
+
+def _braid_of_mutant():
+    n = 4
+    rhat = extended_rhat(n)
+    mutant = rhat.with_entry((1, 3), (3, 1), rhat.coeff((1, 3), (3, 1)) + ONE)
+    col = checks.Collector("braid", n)
+    checks.check_identities(col, [({}, *checks._braid("rhat"))], {"rhat": mutant}, range(-1, n))
     return col
 
 
@@ -63,6 +77,8 @@ CASES = {
     "braid-R-n2-specialized": lambda: _braid_of_flipped(SPECIALIZED),
     "s12-vanishes": lambda: _s12_against([]),
     "s12-equals-rho12": lambda: _s12_against([(1, [("rho", checks.S12)])]),
+    "s12-equals-rho12-n4": lambda: _s12_against([(1, [("rho", checks.S12)])], n=4),
+    "braid-rhat-n4-mutant": _braid_of_mutant,
 }
 
 
