@@ -13,7 +13,7 @@ from .laurent import (
     permute,
     reg,
 )
-from .operators import Operator, StabilityError, compose, embed, from_functional
+from .operators import Operator, StabilityError, compose, from_functional
 from .cg import (
     StructureTensor,
     extended_rhat,
@@ -44,7 +44,6 @@ __all__ = [
     "Operator",
     "StabilityError",
     "compose",
-    "embed",
     "from_functional",
     "StructureTensor",
     "extended_rhat",

@@ -361,6 +361,20 @@ def _functional_matrix(name: str, n: int) -> Operator:
     return from_functional(lambda fn: op(fn, S12), SpaceConfig(n))
 
 
+def _given_or(
+    name: str, op: Optional[Operator], n: int, lo: int, default: Callable[[int], Operator]
+) -> Operator:
+    """op, or default(n) when op is None; op must be a two-leg matrix on lo..n."""
+    if op is None:
+        return default(n)
+    if op.shape() != (n, 2, lo):
+        raise ValueError(
+            f"{name} must have size {n}, 2 legs and index base {lo}, "
+            f"got size {op.n}, {op.legs} legs and index base {op.lo}"
+        )
+    return op
+
+
 # ---------------------------------------------------------------------------
 # braid / Yang-Baxter suites
 # ---------------------------------------------------------------------------
@@ -384,7 +398,7 @@ def suite_braid(
     operator to every basis monomial of the 3-fold truncated space.
     """
     col = Collector("braid", n, subs)
-    R = col.leaf(extended_rhat(n) if rhat is None else rhat)
+    R = col.leaf(_given_or("rhat", rhat, n, 0, extended_rhat))
     check_identities(col, [({}, *_braid("rhat"))], {"rhat": R}, range(-1, n))
     return col.report()
 
@@ -399,7 +413,7 @@ def suite_ybe(
     family at p = 1 reproduces the plain braid matrix.
     """
     col = Collector("ybe", n, subs)
-    R = col.leaf(extended_rhat(n) if rhat is None else rhat)
+    R = col.leaf(_given_or("rhat", rhat, n, 0, extended_rhat))
     flipped = compose(Operator.flip(n, lo=R.lo), R)
     check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": flipped}, range(-1, n))
 
@@ -438,7 +452,7 @@ def suite_cybe(
     variable; the matrix route uses the matrix of r, or `r_matrix` when given.
     """
     col = Collector("cybe", n, subs)
-    r = col.leaf(_functional_matrix("r", n) if r_matrix is None else r_matrix)
+    r = col.leaf(_given_or("r_matrix", r_matrix, n, 0, lambda n: _functional_matrix("r", n)))
     check_identities(col, [({}, _cybe("r"), ())], {"r": r}, range(0, n + 1))
     return col.report()
 
@@ -576,10 +590,10 @@ def suite_qlie(
     to the product of its letter matrices, built once per run.  Family 2 is
     the braid relation for sigma.  All free index tuples are covered.
     """
-    sigma = sigma_cg(n) if sigma is None else sigma
+    sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
     constants = structure_constants(n) if constants is None else constants
-    if sigma.n != n or constants.n != n:
-        raise ValueError(f"sigma and structure tensor must both have size {n}")
+    if constants.n != n:
+        raise ValueError(f"structure tensor must have size {n}, got {constants.n}")
     col = Collector("qlie", n, subs)
     sigma = col.leaf(sigma)
     sig = _index(sigma.entries)

@@ -1,96 +1,25 @@
-"""Noncommutative polynomials in the free algebra on x_i and f(i,j), and
+"""Relation rows in the free algebra on x_i and f(i,j), their text form, and
 the defining relations of the bicovariant calculus.
 
-`NCPoly` is the output type of the `rtt` relations: a canonical sparse map
-from words to scalars that is printed and compared, with no ring operations
-(the span comparison runs on `rtt`'s flat rows instead).  Words are plain
-tuples of generators, the empty word being the unit.  No commutation rules
-are ever applied: two words are equal only if they are literally the same
-sequence.  Generators are ordered x_1 < x_2 < ... < f(1,1) < f(1,2) < ...,
-and words first by length, then letter by letter.
+A relation is a flat row {(word, packed monomial): rational}: a linear
+combination of free-algebra words with coefficients in Q[b, C, p, p^-1],
+each coefficient split into its packed monomials (Monagan & Pearce, CASC
+2007).  A word is a tuple of generator codes, x_i coded as i and f(i,j) as
+(n+1)*i + j, the empty word being the unit.  No commutation rules are ever
+applied: two words are equal only if they are literally the same sequence.
+Every x code lies below every f code, so sorting words by length, then
+code by code, orders generators x_1 < x_2 < ... < f(1,1) < f(1,2) < ...;
+`_row_str` prints a row in that order.
 
 This module also owns the one builder of the calculus relations, `_bcc_row`,
-which `rtt` and `checks` both import: it emits a relation as a flat row
-{(word, packed monomial): rational}, a word coding x_i as i and f(i,j) as
-(n+1)*i + j.
+which `rtt` and `checks` both import.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .scalars import ONE, Scalar, _by_index
-
-# ("x", i) is the vector-field generator x_i, ("f", i, j) the functional f(i,j)
-Generator = tuple
-Word = tuple
-
-
-def chi(i: int) -> Generator:
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    return ("x", i)
-
-
-def ff(i: int, j: int) -> Generator:
-    if i < 1 or j < 1:
-        raise ValueError(f"generator indices must be >= 1, got ({i}, {j})")
-    return ("f", i, j)
-
-
-def generator_key(g: Generator) -> tuple:
-    if g[0] == "x":
-        return (0, g[1], 0)
-    return (1, g[1], g[2])
-
-
-def generator_str(g: Generator) -> str:
-    if g[0] == "x":
-        return f"x{g[1]}"
-    return f"f({g[1]},{g[2]})"
-
-
-def word_key(w: Word) -> tuple:
-    return (len(w), tuple(generator_key(g) for g in w))
-
-
-def word_str(w: Word) -> str:
-    if not w:
-        return "1"
-    return "*".join(generator_str(g) for g in w)
-
-
-class NCPoly:
-    """Scalar-linear combination of free-algebra words, canonical sparse form."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Optional[Mapping[Word, Scalar]] = None):
-        canon: dict[Word, Scalar] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    canon[tuple(word)] = coeff
-        self._terms = canon
-
-    def terms(self) -> Iterator[tuple[Word, Scalar]]:
-        return iter(sorted(self._terms.items(), key=lambda t: word_key(t[0])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({coeff})*{word_str(word)}" for word, coeff in self.terms())
-
-    def __repr__(self) -> str:
-        return f"NCPoly({self})"
 
 
 # {(word, packed monomial): nonzero rational}, a word a tuple of generator codes
@@ -133,15 +62,6 @@ def _flat_row(parts: Iterable[tuple[tuple, tuple, int]]) -> FlatRow:
     return {k: q for k, q in row.items() if q}
 
 
-def _poly(row: FlatRow, n: int) -> NCPoly:
-    """A flat row as a polynomial in the generators x_i and f(i,j)."""
-    def letter(g: int):
-        return chi(g) if g <= n else ff(*divmod(g, n + 1))
-
-    scalars = _by_index((w, key, q) for (w, key), q in row.items())
-    return NCPoly({tuple(map(letter, w)): s for w, s in scalars.items()})
-
-
 def _bcc_row(
     family: int, indices: tuple[int, ...], n: int, sigma: EntryIndex, constants: EntryIndex
 ) -> FlatRow:
@@ -177,3 +97,21 @@ def _bcc_row(
             *(((m * a + k, l), w, -1) for (k, l), w in by_in.get((i, j), ())),
         ])
     raise ValueError(f"unknown relation family {family}")
+
+
+def _row_str(row: FlatRow, n: int) -> str:
+    """A row as text: (coefficient)*word terms, words by length, then codes."""
+    if not row:
+        return "0"
+
+    def letter(g: int) -> str:
+        if g <= n:
+            return f"x{g}"
+        i, j = divmod(g, n + 1)
+        return f"f({i},{j})"
+
+    scalars = _by_index((w, key, q) for (w, key), q in row.items())
+    return " + ".join(
+        f"({scalars[w]})*{'*'.join(map(letter, w)) or '1'}"
+        for w in sorted(scalars, key=lambda w: (len(w), w))
+    )

@@ -31,14 +31,16 @@ sign flip negates q, and packed index fields sort as their tuples do.  The
 `checks` runs the kernel on flat terms directly, a whole slab of start
 monomials per call.  `reg`, `permute` and `divided_difference` remain the
 public primitives the operators are defined by, and the tests check every
-kernel against them.
+kernel against them.  A LaurentFn is a value at the boundary, built,
+compared and printed; it has no ring operations, since no route sums
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .scalars import ONE, Coeff, Scalar, _by_index, _pack
 
@@ -111,10 +113,6 @@ class LaurentFn:
         self._terms = canon
 
     @classmethod
-    def zero(cls, cfg: SpaceConfig, arity: int) -> "LaurentFn":
-        return cls(cfg, arity)
-
-    @classmethod
     def monomial(
         cls,
         cfg: SpaceConfig,
@@ -133,40 +131,6 @@ class LaurentFn:
         if not isinstance(other, LaurentFn):
             return NotImplemented
         return self.arity == other.arity and self._terms == other._terms
-
-    def __add__(self, other: "LaurentFn") -> "LaurentFn":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return self._wrap(out)
-
-    def __neg__(self) -> "LaurentFn":
-        return self._wrap({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentFn") -> "LaurentFn":
-        return self + (-other)
-
-    def scale(self, factor: Union[Scalar, int]) -> "LaurentFn":
-        out = {}
-        for exps, coeff in self._terms.items():
-            acc = coeff * factor
-            if acc:
-                out[exps] = acc
-        return self._wrap(out)
-
-    def _wrap(self, terms: dict[tuple[int, ...], Scalar]) -> "LaurentFn":
-        fn = LaurentFn.__new__(LaurentFn)
-        fn.cfg = self.cfg
-        fn.arity = self.arity
-        fn._terms = terms
-        return fn
 
     def __str__(self) -> str:
         if not self._terms:
@@ -206,13 +170,15 @@ def reg(fn: LaurentFn, slots: Optional[Slots] = None) -> LaurentFn:
     spectator variable pass through untouched (they play the role of a
     coefficient index).
     """
+    if slots is not None:
+        _check_slots(fn, slots)
     active = range(fn.arity) if slots is None else slots
     out = {
         exps: coeff
         for exps, coeff in fn._terms.items()
         if all(exps[i] >= 0 for i in active)
     }
-    return fn._wrap(out)
+    return LaurentFn(fn.cfg, fn.arity, out)
 
 
 def permute(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
@@ -224,7 +190,7 @@ def permute(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
         e = list(exps)
         e[a], e[b] = e[b], e[a]
         out[tuple(e)] = coeff
-    return fn._wrap(out)
+    return LaurentFn(fn.cfg, fn.arity, out)
 
 
 def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
@@ -255,12 +221,8 @@ def divided_difference(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
             e[b] = hi - 1 - t
             key = tuple(e)
             acc = out.get(key)
-            acc = term if acc is None else acc + term
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return fn._wrap(out)
+            out[key] = term if acc is None else acc + term
+    return LaurentFn(fn.cfg, fn.arity, out)
 
 
 def op_rho(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:

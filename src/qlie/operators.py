@@ -2,7 +2,10 @@
 
 An operator stores only its nonzero entries, keyed by (output, input)
 multi-indices.  Indices run over lo..n: lo = 0 for the extended space with
-the added 0 index, lo = 1 for the plain braid-matrix block.
+the added 0 index, lo = 1 for the plain braid-matrix block.  Operators
+are built, composed, compared and exported here; the identity engine in
+`checks` places a two-leg operator on a pair of three legs itself, straight
+from its entries, so no three-leg embedding is built.
 """
 
 from __future__ import annotations
@@ -11,15 +14,13 @@ import csv
 import io
 import json
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional
 
 from .laurent import LaurentFn, SpaceConfig, basis_monomials
 from .scalars import ONE, Scalar
 
 Index = tuple[int, ...]
 Entry = tuple[Index, Index]
-
-PAIR_SLOTS = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
 
 
 class StabilityError(ValueError):
@@ -165,24 +166,6 @@ def compose(a: Operator, b: Operator) -> Operator:
             else:
                 ent.pop(key, None)
     return a._wrap(ent)
-
-
-def embed(op: Operator, pair: Union[str, tuple[int, int]]) -> Operator:
-    """Extend a 2-leg operator to 3 legs, acting on the named pair of legs."""
-    if op.legs != 2:
-        raise ValueError("embed expects a 2-leg operator")
-    slots = PAIR_SLOTS[pair] if isinstance(pair, str) else tuple(pair)
-    a, b = slots
-    spectator = ({0, 1, 2} - {a, b}).pop()
-    ent: dict[Entry, Scalar] = {}
-    for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-        for s in op.indices():
-            out = [0, 0, 0]
-            inp = [0, 0, 0]
-            out[a], out[b], out[spectator] = o1, o2, s
-            inp[a], inp[b], inp[spectator] = i1, i2, s
-            ent[(tuple(out), tuple(inp))] = coeff
-    return Operator(op.n, 3, ent, op.lo)
 
 
 def from_functional(

@@ -12,19 +12,20 @@ bicovariant calculus.
 
 Each side's one builder emits flat rows {(word, packed monomial): rational}
 (Monagan & Pearce, CASC 2007), a word coding x_i as i and f(i,j) as (n+1)*i + j,
-so the sums and signs are int arithmetic; the public functions convert the rows
-to `NCPoly`s.  The exchange-relation builder lives here; the calculus-relation
-builder, `freealg._bcc_row`, lives in `freealg`, which `checks` imports too.
+so the sums and signs are int arithmetic; the public functions return these
+rows, and `freealg._row_str` prints them.  The exchange-relation builder lives
+here; the calculus-relation builder, `freealg._bcc_row`, lives in `freealg`,
+which `checks` imports too.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
 from .checks import Collector, VerificationReport
-from .freealg import _ARITY, FlatRow, NCPoly, _bcc_row, _flat_row, _index, _index_constants, _poly
+from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _index_constants, _row_str
 from .linalg import Echelon, Row, echelon
 from .scalars import _by_index
 
@@ -49,16 +50,16 @@ def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) ->
     )
 
 
-def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> NCPoly:
+def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> FlatRow:
     """One exchange relation, as left side minus right side.
 
     Zero-pattern rows of T silently drop their terms, so many index tuples
-    produce the zero polynomial.
+    produce the empty row.
     """
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
             raise ValueError(f"index {idx} outside 0..{n}")
-    return _poly(_rtt_row(I, J, A, B, _rtt_tables(n)), n)
+    return _rtt_row(I, J, A, B, _rtt_tables(n))
 
 
 def bcc_relation(
@@ -66,7 +67,7 @@ def bcc_relation(
     indices: tuple[int, ...],
     n: int,
     constants: Optional[StructureTensor] = None,
-) -> NCPoly:
+) -> FlatRow:
     """A defining relation of the bicovariant calculus, left minus right.
 
     family 1, (i, j):    x_i x_j - sigma^{kl}_{ij} x_k x_l - C^k_{ij} x_k
@@ -83,8 +84,7 @@ def bcc_relation(
     ct = structure_constants(n) if constants is None else constants
     if ct.n != n:
         raise ValueError(f"structure tensor must have size {n}, got {ct.n}")
-    row = _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct.entries))
-    return _poly(row, n)
+    return _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct.entries))
 
 
 def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
@@ -101,16 +101,6 @@ def _bcc_rows(
     for family, arity in _ARITY.items():
         for indices in product(range(1, n + 1), repeat=arity):
             yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
-
-
-def all_rtt_relations(n: int) -> Iterator[tuple[RelationKey, NCPoly]]:
-    return ((key, _poly(row, n)) for key, row in _rtt_rows(n))
-
-
-def all_bcc_relations(
-    n: int, constants: Optional[StructureTensor] = None
-) -> Iterator[tuple[RelationKey, NCPoly]]:
-    return ((key, _poly(row, n)) for key, row in _bcc_rows(n, constants))
 
 
 def _signature(row: FlatRow) -> tuple:
@@ -206,9 +196,5 @@ def compare_relation_spans(
 
 def dump_relations(n: int) -> str:
     """Stable text dump of every generated relation, one per line."""
-    lines = []
-    for key, poly in all_rtt_relations(n):
-        lines.append(f"rtt {' '.join(map(str, key[1:]))} : {poly}")
-    for key, poly in all_bcc_relations(n):
-        lines.append(f"bcc {' '.join(map(str, key[1:]))} : {poly}")
-    return "\n".join(lines) + "\n"
+    rows = chain(_rtt_rows(n), _bcc_rows(n))
+    return "".join(f"{' '.join(map(str, key))} : {_row_str(row, n)}\n" for key, row in rows)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from qlie import checks
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
-from qlie.operators import Operator, compose, embed, from_functional
+from qlie.operators import Operator, compose, from_functional
 from qlie.scalars import BETA, C, ONE, ZERO, Scalar
+from test_operators import embed
 
 
 # -- braid ---------------------------------------------------------------------
@@ -205,6 +206,27 @@ def test_qlie_rejects_inputs_of_another_size():
         checks.suite_qlie(2, sigma=sigma_cg(3))
 
 
+@pytest.mark.parametrize(
+    "suite, keyword, operator, shape",
+    [
+        # a smaller matrix would be proved in place of the size-3 one
+        (checks.suite_braid, "rhat", extended_rhat(2), "size 2, 2 legs and index base 0"),
+        (checks.suite_ybe, "rhat", extended_rhat(2), "size 2, 2 legs and index base 0"),
+        (checks.suite_cybe, "r_matrix", extended_rhat(2), "size 2, 2 legs and index base 0"),
+        (checks.suite_braid, "rhat", sigma_cg(3), "size 3, 2 legs and index base 1"),
+        (checks.suite_braid, "rhat", Operator(3, 3, {}, lo=0), "size 3, 3 legs and index base 0"),
+        # sigma indexes 1..n; the extended matrix adds the index 0
+        (checks.suite_qlie, "sigma", extended_rhat(3), "size 3, 2 legs and index base 0"),
+    ],
+    ids=["braid-size", "ybe-size", "cybe-size", "braid-base", "braid-legs", "qlie-base"],
+)
+def test_suites_reject_an_operator_of_another_shape(suite, keyword, operator, shape):
+    lo = 1 if keyword == "sigma" else 0
+    want = f"^{keyword} must have size 3, 2 legs and index base {lo}, got {shape}$"
+    with pytest.raises(ValueError, match=want):
+        suite(3, **{keyword: operator})
+
+
 # -- the identity engine ---------------------------------------------------------------
 
 
@@ -232,7 +254,12 @@ def test_engine_witness_keys_for_a_failing_identity():
 
 
 def _reference_matrix_route(col, identities, leaves, sided=True):
-    """The matrix route by whole products: embed, compose, Collector.compare."""
+    """The matrix route by whole products: embed, compose, Collector.compare.
+
+    The embedding is the test-local `embed` of test_operators; the engine
+    places leaves on their legs straight from the entries and builds no
+    three-leg operator.
+    """
 
     def word_matrix(word):
         result = None
@@ -411,14 +438,15 @@ def _reference_functional_route(col, identities, domain):
     for tag, lhs, rhs in identities:
         for exps in product(domain, repeat=3):
             col.checked += 1
-            total = LaurentFn.zero(cfg, 3)
+            total = {}
             for sign, word in (*lhs, *((-sign, word) for sign, word in rhs)):
                 value = LaurentFn.monomial(cfg, exps)
                 for name, slots in reversed(word):
                     value = REFERENCE_OPS[name](value, slots)
-                total = total + value if sign > 0 else total - value
+                for e, coeff in value.terms():
+                    total[e] = total.get(e, ZERO) + (coeff if sign > 0 else -coeff)
             # a witness prints the specialized function
-            values = {e: v for e, coeff in total.terms() if (v := col.scalar(coeff))}
+            values = {e: v for e, coeff in total.items() if (v := col.scalar(coeff))}
             if values:
                 value = str(LaurentFn(cfg, 3, values))
                 col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": value})

@@ -11,7 +11,10 @@ recorded before `checks` had one identity engine.  The last three,
 19 failures (more than the witness cap), were recorded before the functional
 operators became single-pass kernels and the matrix route went row by row.
 `dump-relations --n 2`, every exchange and calculus relation as text, was
-recorded before the relation builders moved to flat packed-key rows.
+recorded before the relation builders moved to flat packed-key rows;
+`dump-relations --n 1` and `--n 3` were recorded before relations were
+printed straight from those rows, with `NCPoly` and its generator helpers
+still in place.
 Any later change to them must be intended.
 To re-record after an intended change, run `PYTHONPATH=src python
 tests/test_golden.py` and say in the change what moved and why.

@@ -19,13 +19,22 @@ from qlie.laurent import (
     permute,
     reg,
 )
-from qlie.scalars import BETA, C, ONE, Scalar
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar
 
 CFG3 = SpaceConfig(3)
 
 
 def mono(cfg, exps, coeff=ONE):
     return LaurentFn.monomial(cfg, exps, coeff)
+
+
+def lin(space, *parts):
+    """The sum of coeff * fn over the (coeff, fn) parts, in the space of `space`."""
+    out = {}
+    for coeff, fn in parts:
+        for exps, c in fn.terms():
+            out[exps] = out.get(exps, ZERO) + c * coeff
+    return LaurentFn(space.cfg, space.arity, out)
 
 
 # -- independent oracle: evaluate the defining rational formulas at points --
@@ -82,7 +91,7 @@ def test_reg_drops_singular_terms():
     assert reg(mono(CFG3, (-1, 0))).is_zero()
     f = mono(CFG3, (2, 1))
     assert reg(f) == f
-    g = mono(CFG3, (-1, -1)) + mono(CFG3, (0, 2), Scalar.rational(3))
+    g = lin(f, (1, mono(CFG3, (-1, -1))), (3, mono(CFG3, (0, 2))))
     assert reg(g) == mono(CFG3, (0, 2), Scalar.rational(3))
 
 
@@ -98,7 +107,7 @@ def test_reg_idempotent_and_linear(data):
     fn = data.draw(laurent_fns(2))
     gn = data.draw(laurent_fns(2))
     assert reg(reg(fn)) == reg(fn)
-    assert reg(fn + gn) == reg(fn) + reg(gn)
+    assert reg(lin(fn, (1, fn), (1, gn))) == lin(fn, (1, reg(fn)), (1, reg(gn)))
 
 
 def test_reg_idempotent_on_500_random_functions():
@@ -138,7 +147,7 @@ def test_permute_commutes_with_reg(data):
 def test_divided_difference_examples():
     # (x^2 - y^2)/(x - y) = x + y ... here as (swap - id)/(x - y) on y^2
     f = mono(CFG3, (0, 2))
-    assert divided_difference(f) == mono(CFG3, (0, 1)) + mono(CFG3, (1, 0))
+    assert divided_difference(f) == lin(f, (1, mono(CFG3, (0, 1))), (1, mono(CFG3, (1, 0))))
     # f = x: (y - x)/(x - y) = -1
     assert divided_difference(mono(CFG3, (1, 0))) == mono(CFG3, (0, 0), -ONE)
     # symmetric input
@@ -198,8 +207,9 @@ def test_s_examples():
 
 def test_r_example():
     # r(x) = -b*x + C*x/y
-    expect = mono(CFG3, (1, 0), -BETA) + mono(CFG3, (1, -1), C)
-    assert op_r(mono(CFG3, (1, 0))) == expect
+    x = mono(CFG3, (1, 0))
+    expect = lin(x, (-BETA, x), (C, mono(CFG3, (1, -1))))
+    assert op_r(x) == expect
     assert op_r(mono(CFG3, (-1, -1))).is_zero()
     assert op_r(mono(CFG3, (0, 0))).is_zero()
 
@@ -226,8 +236,9 @@ def test_rhat_pure_permutation_on_singular_basis():
 
 def test_rhat_on_x():
     # Rhat(x) = (1 - b) y + C y / x; hand expansion of the three-term formula
-    expect = mono(CFG3, (0, 1), ONE - BETA) + mono(CFG3, (-1, 1), C)
-    assert op_rhat(mono(CFG3, (1, 0))) == expect
+    x = mono(CFG3, (1, 0))
+    expect = lin(x, (ONE - BETA, mono(CFG3, (0, 1))), (C, mono(CFG3, (-1, 1))))
+    assert op_rhat(x) == expect
 
 
 def test_rhat_fixes_constants():
@@ -250,7 +261,7 @@ def test_rhat_equals_permute_after_identity_plus_r(n):
     cfg = SpaceConfig(n)
     for exps in basis_monomials(cfg, 2):
         fn = mono(cfg, exps)
-        assert op_rhat(fn) == permute(fn + op_r(fn))
+        assert op_rhat(fn) == permute(lin(fn, (1, fn), (1, op_r(fn))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -277,8 +288,9 @@ def test_operators_are_scalar_linear(data):
     factor = BETA * 2 + C
     for slots in SLOT_PAIRS:
         for op in (reg, permute, op_rho, op_s, op_r, op_rhat):
-            assert op(fn + gn, slots) == op(fn, slots) + op(gn, slots)
-            assert op(fn.scale(factor), slots) == op(fn, slots).scale(factor)
+            image = lin(fn, (1, op(fn, slots)), (1, op(gn, slots)))
+            assert op(lin(fn, (1, fn), (1, gn)), slots) == image
+            assert op(lin(fn, (factor, fn)), slots) == lin(fn, (factor, op(fn, slots)))
 
 
 # -- single-pass kernels against their definitions -------------------------------
@@ -299,10 +311,7 @@ def _shifted(fn, slot):
 
 def _from_terms(fn, terms):
     """Sum of (exponents, coefficient) pairs, in the space of fn."""
-    total = LaurentFn.zero(fn.cfg, fn.arity)
-    for exps, coeff in terms:
-        total = total + LaurentFn.monomial(fn.cfg, exps, coeff)
-    return total
+    return lin(fn, *((coeff, mono(fn.cfg, exps)) for exps, coeff in terms))
 
 
 def _with(exps, values):
@@ -329,7 +338,7 @@ def s_ref(fn, slots):
 
 
 def r_ref(fn, slots):
-    return rho_ref(fn, slots).scale(BETA) + s_ref(fn, slots).scale(C)
+    return lin(fn, (BETA, rho_ref(fn, slots)), (C, s_ref(fn, slots)))
 
 
 def rhat_c_term_ref(fn, slots):
@@ -344,8 +353,9 @@ def rhat_c_term_ref(fn, slots):
 
 def rhat_ref(fn, slots, c_sign=1):
     _, b = slots
-    beta_term = _shifted(divided_difference(reg(fn, slots), slots), b).scale(BETA)
-    return permute(fn, slots) + beta_term + rhat_c_term_ref(fn, slots).scale(C * c_sign)
+    beta_term = _shifted(divided_difference(reg(fn, slots), slots), b)
+    c_term = rhat_c_term_ref(fn, slots)
+    return lin(fn, (1, permute(fn, slots)), (BETA, beta_term), (C * c_sign, c_term))
 
 
 KERNELS = [
@@ -382,6 +392,15 @@ def test_spectator_exponent_is_passive():
     assert op_s(fn, (1, 2)) == mono(CFG3, (-1, 1, -1))
     # ... while an active singular exponent is killed by the regularization
     assert op_rho(mono(CFG3, (2, -1, 0)), (1, 2)).is_zero()
+
+
+@pytest.mark.parametrize("op", [reg, permute, divided_difference, op_rhat])
+@pytest.mark.parametrize("slots", [(0, 0), (0, 5), (-1, 1)])
+def test_bad_slot_pairs_are_rejected(op, slots):
+    # a repeated slot, or one outside the two variables of fn
+    fn = mono(CFG3, (1, 0))
+    with pytest.raises(ValueError, match=r"^bad slot pair \(.*\) for arity 2$"):
+        op(fn, slots)
 
 
 def test_bounds_are_enforced_at_construction():

@@ -6,14 +6,20 @@ import pytest
 
 from qlie.checks import Collector
 from qlie.laurent import LaurentFn, SpaceConfig, op_rho, op_rhat, permute
-from qlie.operators import (
-    Operator,
-    StabilityError,
-    compose,
-    embed,
-    from_functional,
-)
+from qlie.operators import Operator, StabilityError, compose, from_functional
 from qlie.scalars import BETA, C, ONE, Scalar
+
+
+def embed(op, pair):
+    """The 2-leg op acting on legs `pair` ("12", "13", "23" or a slot pair) of three."""
+    a, b = (int(c) - 1 for c in pair) if isinstance(pair, str) else pair
+    ent = {}
+    for ((o1, o2), (i1, i2)), coeff in op.entries.items():
+        for s in op.indices():
+            out, inp = [s] * 3, [s] * 3
+            out[a], out[b], inp[a], inp[b] = o1, o2, i1, i2
+            ent[tuple(out), tuple(inp)] = coeff
+    return Operator(op.n, 3, ent, op.lo)
 
 
 def identity(n, legs=2, lo=0):
@@ -114,8 +120,14 @@ def test_embed_is_multiplicative():
 
 
 def test_from_functional_is_linear_in_the_operator():
+    def rho_plus_permute(fn):
+        total = dict(op_rho(fn).terms())
+        for exps, coeff in permute(fn).terms():
+            total[exps] = total.get(exps, Scalar.zero()) + coeff
+        return LaurentFn(fn.cfg, fn.arity, total)
+
     cfg = SpaceConfig(2)
-    sum_op = from_functional(lambda fn: op_rho(fn) + permute(fn), cfg)
+    sum_op = from_functional(rho_plus_permute, cfg)
     rho, perm = from_functional(op_rho, cfg), from_functional(permute, cfg)
     for out, inp in sum_op.entries.keys() | rho.entries.keys() | perm.entries.keys():
         assert sum_op.coeff(out, inp) == rho.coeff(out, inp) + perm.coeff(out, inp)
