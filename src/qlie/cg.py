@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .operators import Entry, Operator
 from .scalars import BETA, C, ONE, Scalar
@@ -84,6 +84,10 @@ class StructureTensor:
         else:
             ent.pop((k, i, j), None)
         return StructureTensor(self.n, ent)
+
+    def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "StructureTensor":
+        """Apply fn to every coefficient (e.g. a specialization)."""
+        return StructureTensor(self.n, {key: fn(coeff) for key, coeff in self.entries.items()})
 
     def sorted_entries(self) -> Iterator[tuple[tuple[int, int, int], Scalar]]:
         return iter(sorted(self.entries.items()))

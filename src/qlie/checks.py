@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
@@ -42,6 +42,8 @@ WITNESS_CAP = 16
 
 # substitution mapping: keys among {"beta", "c", "p"} with rational values
 Subs = Optional[dict]
+# what a Collector specializes
+Leaf = TypeVar("Leaf", Operator, StructureTensor)
 
 S12 = (0, 1)
 S13 = (0, 2)
@@ -107,7 +109,8 @@ class Collector:
     def scalar(self, s: Scalar) -> Scalar:
         return s.substitute(**self.subs) if self.subs else s
 
-    def leaf(self, op: Operator) -> Operator:
+    def leaf(self, op: Leaf) -> Leaf:
+        """op, a matrix or structure tensor, specialized."""
         return op.map_entries(self.scalar) if self.subs else op
 
     def specialize(self, row: dict) -> dict[tuple, Scalar]:
@@ -597,7 +600,7 @@ def suite_qlie(
     col = Collector("qlie", n, subs)
     sigma = col.leaf(sigma)
     sig = _index(sigma.entries)
-    ct = _index_constants({key: v for key, c in constants.entries.items() if (v := col.scalar(c))})
+    ct = _index_constants(col.leaf(constants).entries)
 
     # letters[code][N] lists (m, packed monomial, q) of the letter's matrix
     letters: dict[int, dict[int, list]] = {}
@@ -658,12 +661,17 @@ def suite_qlie(
 def suite_cross_check(n: int, flip_s_sign: bool = False) -> VerificationReport:
     """Matrix of the functional braid operator vs the closed-form blocks.
 
-    The flip_s_sign flag negates the C-term of the functional operator, a
-    deliberate corruption used to prove the comparison has teeth.
+    The flip_s_sign flag negates every term with a factor C in the built
+    functional matrix, a deliberate corruption used to prove the comparison
+    has teeth: each C-term entry, one per nonzero structure constant, then
+    differs from the closed form.
     """
     col = Collector("cross-check", n)
-    c_sign = -1 if flip_s_sign else 1
-    functional = from_functional(lambda fn: op_rhat(fn, _c_sign=c_sign), SpaceConfig(n))
+    functional = _functional_matrix("rhat", n)
+    if flip_s_sign:
+        functional = functional.map_entries(
+            lambda s: Scalar({(b, c, p): -q if c else q for (b, c, p), q in s.terms()})
+        )
     col.compare(functional, extended_rhat(n), {})
     return col.report()
 

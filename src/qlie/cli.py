@@ -12,28 +12,50 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import checks, rtt
-from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
-from .laurent import SpaceConfig, op_r
-from .operators import Operator, from_functional
+from .cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from .operators import Operator
 from .scalars import Scalar, ScalarParseError
 
-VERIFY_SUITES = ("braid", "ybe", "cybe", "components", "ybfr", "qlie", "rtt")
 
-# the flags each suite uses; giving a selected suite any other flag exits 2
+class Suite(NamedTuple):
+    """How `verify` runs one suite.
+
+    `run(n, subs, op, constants)` runs it, op and constants replacing its
+    defaults when given.  `flags` are the flags it uses; giving a selected
+    suite any other one exits 2.  `target(n)` builds the matrix whose entry
+    `--corrupt` overrides, the one the suite checks by default.  Both look
+    their functions up when called, so a wrapped suite or builder runs.
+    """
+
+    run: Callable[..., checks.VerificationReport]
+    flags: tuple[str, ...]
+    target: Optional[Callable[[int], Operator]] = None
+
+
 _VALUES = ("--beta", "--C", "--p")
-SUITE_FLAGS = {
-    "braid": (*_VALUES, "--corrupt"),
-    "ybe": (*_VALUES, "--corrupt"),
-    "cybe": (*_VALUES, "--corrupt"),
-    "components": _VALUES,
-    "ybfr": _VALUES,
-    "qlie": (*_VALUES, "--corrupt", "--corrupt-constants"),
-    "rtt": ("--corrupt-constants",),
-    "hecke": _VALUES,
+_CORRUPT = (*_VALUES, "--corrupt")
+SUITES = {
+    "braid": Suite(lambda n, subs, op, ct: checks.suite_braid(n, subs, rhat=op), _CORRUPT,
+                   lambda n: extended_rhat(n)),
+    "ybe": Suite(lambda n, subs, op, ct: checks.suite_ybe(n, subs, rhat=op), _CORRUPT,
+                 lambda n: extended_rhat(n)),
+    "cybe": Suite(lambda n, subs, op, ct: checks.suite_cybe(n, subs, r_matrix=op), _CORRUPT,
+                  lambda n: checks._functional_matrix("r", n)),
+    "components": Suite(lambda n, subs, op, ct: checks.check_component_identities(n, subs),
+                        _VALUES),
+    "ybfr": Suite(lambda n, subs, op, ct: checks.check_quadratic_ybe_components(n, subs),
+                  _VALUES),
+    "qlie": Suite(lambda n, subs, op, ct: checks.suite_qlie(n, subs, sigma=op, constants=ct),
+                  (*_CORRUPT, "--corrupt-constants"), lambda n: sigma_cg(n)),
+    "rtt": Suite(lambda n, subs, op, ct: rtt.compare_relation_spans(n, bcc_constants=ct),
+                 ("--corrupt-constants",)),
+    "hecke": Suite(lambda n, subs, op, ct: checks.suite_hecke(n, subs), _VALUES),
 }
+# `verify all` runs every suite but the exploratory hecke
+VERIFY_SUITES = tuple(name for name in SUITES if name != "hecke")
 
 
 class InputError(Exception):
@@ -43,22 +65,9 @@ class InputError(Exception):
 @dataclass
 class Config:
     n: int
-    beta: Optional[Fraction] = None  # None means symbolic
-    c: Optional[Fraction] = None
-    p: Optional[Fraction] = None
+    subs: Optional[dict] = None  # the values of beta, c and p given; None if all are symbolic
     fmt: str = "json"
     out: Optional[str] = None
-
-    @property
-    def subs(self) -> Optional[dict]:
-        subs = {}
-        if self.beta is not None:
-            subs["beta"] = self.beta
-        if self.c is not None:
-            subs["c"] = self.c
-        if self.p is not None:
-            subs["p"] = self.p
-        return subs or None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -66,17 +75,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     cfg = _config_from_args(parser, args)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "cross-check":
-            return _cmd_cross_check(args, cfg)
-        if args.command == "dump-relations":
-            return _cmd_dump(args, cfg)
+        return _COMMANDS[args.command](args, cfg)
     except (ScalarParseError, InputError) as exc:
         parser.error(str(exc))
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("suite", choices=VERIFY_SUITES + ("hecke", "all"))
+    ver.add_argument("suite", choices=(*SUITES, "all"))
     common(ver)
     values(ver)
     ver.add_argument(
@@ -143,21 +144,16 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         except (ValueError, ZeroDivisionError):
             parser.error(f"{flag} expects a rational number or 'symbolic', got {text!r}")
 
-    beta = rational(getattr(args, "beta", "symbolic"), "--beta")
-    c = rational(getattr(args, "c", "symbolic"), "--C")
-    p = rational(getattr(args, "p", "symbolic"), "--p")
-    if p is not None and p == 0:
+    values = {
+        key: value
+        for key, flag in (("beta", "--beta"), ("c", "--C"), ("p", "--p"))
+        if (value := rational(getattr(args, key, "symbolic"), flag)) is not None
+    }
+    if values.get("p") == 0:
         parser.error("--p must be nonzero")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"--out {args.out!r}: no such directory")
-    return Config(
-        n=args.n,
-        beta=beta,
-        c=c,
-        p=p,
-        fmt=getattr(args, "fmt", "json"),
-        out=args.out,
-    )
+    return Config(n=args.n, subs=values or None, fmt=getattr(args, "fmt", "json"), out=args.out)
 
 
 def _emit(text: str, cfg: Config) -> None:
@@ -175,28 +171,16 @@ def _emit(text: str, cfg: Config) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
-    target = args.target
-    if target == "constants":
-        tensor = structure_constants(cfg.n)
-        if cfg.subs:
-            entries = {
-                key: coeff.substitute(**cfg.subs)
-                for key, coeff in tensor.entries.items()
-            }
-            tensor = StructureTensor(cfg.n, entries)
-        text = {"json": tensor.to_json, "csv": tensor.to_csv, "text": tensor.to_text}[cfg.fmt]()
-        _emit(text, cfg)
-        return 0
-    builder = {
+    build = {
         "sigma": sigma_cg,
         "sigma-family": sigma_cg_family,
         "extended": extended_rhat,
-    }[target]
-    op = builder(cfg.n)
+        "constants": structure_constants,
+    }[args.target]
+    built = build(cfg.n)
     if cfg.subs:
-        op = op.map_entries(lambda s: s.substitute(**cfg.subs))
-    text = {"json": op.to_json, "csv": op.to_csv, "text": op.to_text}[cfg.fmt]()
-    _emit(text, cfg)
+        built = built.map_entries(lambda s: s.substitute(**cfg.subs))
+    _emit({"json": built.to_json, "csv": built.to_csv, "text": built.to_text}[cfg.fmt](), cfg)
     return 0
 
 
@@ -230,44 +214,6 @@ def _indices(field: str, what: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
-def _run_one_suite(
-    name: str,
-    cfg: Config,
-    op: Optional[Operator] = None,
-    constants: Optional[StructureTensor] = None,
-) -> checks.VerificationReport:
-    """Run one suite; op and constants replace its defaults when given."""
-    subs = cfg.subs
-    if name == "braid":
-        return checks.suite_braid(cfg.n, subs, rhat=op)
-    if name == "ybe":
-        return checks.suite_ybe(cfg.n, subs, rhat=op)
-    if name == "cybe":
-        return checks.suite_cybe(cfg.n, subs, r_matrix=op)
-    if name == "components":
-        return checks.check_component_identities(cfg.n, subs)
-    if name == "ybfr":
-        return checks.check_quadratic_ybe_components(cfg.n, subs)
-    if name == "qlie":
-        return checks.suite_qlie(cfg.n, subs, sigma=op, constants=constants)
-    if name == "rtt":
-        return rtt.compare_relation_spans(cfg.n, bcc_constants=constants)
-    if name == "hecke":
-        return checks.suite_hecke(cfg.n, subs)
-    raise AssertionError(f"unhandled suite {name}")
-
-
-def _corrupt_target(name: str, n: int) -> Operator:
-    """The operator whose entry `--corrupt` overrides in the named suite."""
-    if name in ("braid", "ybe"):
-        return extended_rhat(n)
-    if name == "cybe":
-        return from_functional(op_r, SpaceConfig(n))
-    if name == "qlie":
-        return sigma_cg(n)
-    raise AssertionError(f"suite {name} takes no --corrupt")
-
-
 def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
     given = [
         flag
@@ -281,7 +227,7 @@ def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
         if value != unset
     ]
     for flag in given:
-        ignoring = [name for name in names if flag not in SUITE_FLAGS[name]]
+        ignoring = [name for name in names if flag not in SUITES[name].flags]
         if ignoring:
             suites = "suite" if len(ignoring) == 1 else "suites"
             raise InputError(
@@ -290,17 +236,17 @@ def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
             )
 
 
-def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dict[str, dict]:
+def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dict[str, list]:
     """Apply every override for every selected suite, before any suite runs.
 
-    Returns per suite the keyword arguments of `_run_one_suite`.
+    Returns per suite the arguments [op, constants] of its runner.
     """
-    inputs: dict[str, dict] = {name: {} for name in names}
+    inputs = {name: [None, None] for name in names}
     if args.corrupt:
         out, inp, coeff = _parse_entry_override(args.corrupt)
         for name in names:
             try:
-                inputs[name]["op"] = _corrupt_target(name, n).with_entry(out, inp, coeff)
+                inputs[name][0] = SUITES[name].target(n).with_entry(out, inp, coeff)
             except ValueError as exc:
                 raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
     if args.corrupt_constants:
@@ -310,7 +256,7 @@ def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dic
         except ValueError as exc:
             raise InputError(f"--corrupt-constants {args.corrupt_constants!r}: {exc}") from None
         for name in names:
-            inputs[name]["constants"] = constants
+            inputs[name][1] = constants
     return inputs
 
 
@@ -318,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     _reject_unused_flags(args, names)
     inputs = _corrupted_inputs(args, names, cfg.n)
-    reports = [_run_one_suite(name, cfg, **inputs[name]) for name in names]
+    reports = [SUITES[name].run(cfg.n, cfg.subs, *inputs[name]) for name in names]
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     _emit(payload, cfg)
     for report in reports:
@@ -342,6 +288,14 @@ def _cmd_cross_check(args: argparse.Namespace, cfg: Config) -> int:
 def _cmd_dump(args: argparse.Namespace, cfg: Config) -> int:
     _emit(rtt.dump_relations(cfg.n), cfg)
     return 0
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "verify": _cmd_verify,
+    "cross-check": _cmd_cross_check,
+    "dump-relations": _cmd_dump,
+}
 
 
 if __name__ == "__main__":

@@ -31,7 +31,10 @@ sign flip negates q, and packed index fields sort as their tuples do.  The
 `checks` runs the kernel on flat terms directly, a whole slab of start
 monomials per call.  `reg`, `permute` and `divided_difference` remain the
 public primitives the operators are defined by, and the tests check every
-kernel against them.  A LaurentFn is a value at the boundary, built,
+kernel against them.  The kernel takes no corruption argument: a mutation
+test edits a built matrix instead (`checks.suite_cross_check` negates the
+C-terms of the braid operator's matrix), so the kernel a test proves is the
+one every run executes.  A LaurentFn is a value at the boundary, built,
 compared and printed; it has no ring operations, since no route sums
 functions.
 """
@@ -130,7 +133,7 @@ class LaurentFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentFn):
             return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
+        return (self.cfg, self.arity, self._terms) == (other.cfg, other.arity, other._terms)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -240,17 +243,16 @@ def op_r(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     return _apply_kernel(fn, slots, "r")
 
 
-def op_rhat(fn: LaurentFn, slots: Slots = (0, 1), _c_sign: int = 1) -> LaurentFn:
+def op_rhat(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
     """The braid operator, by its three-term closed form.
 
     Equals permute o (identity + r) as an operator; both routes are compared
-    in the test suite.  `_c_sign=-1` negates the C-term, a deliberate
-    corruption for the cross-check.
+    in the test suite.
     """
-    return _apply_kernel(fn, slots, "rhat", _c_sign)
+    return _apply_kernel(fn, slots, "rhat")
 
 
-def _apply_kernel(fn: LaurentFn, slots: Slots, name: str, c_sign: int = 1) -> LaurentFn:
+def _apply_kernel(fn: LaurentFn, slots: Slots, name: str) -> LaurentFn:
     """The named operator of _KERNELS on fn, through flat terms."""
     _check_slots(fn, slots)
     # exponents plus one lie in [0, n]
@@ -260,7 +262,7 @@ def _apply_kernel(fn: LaurentFn, slots: Slots, name: str, c_sign: int = 1) -> La
         for exps, coeff in fn._terms.items()
         for m, q in coeff._terms.items()
     }
-    image = _single_pass(flat, slots, *_KERNELS[name], width, c_sign)
+    image = _single_pass(flat, slots, *_KERNELS[name], width)
     return LaurentFn(fn.cfg, fn.arity, _by_index(
         (_unpack_fields(k, width, fn.arity, 1), k >> 6 * width, q) for k, q in image.items()
     ))
@@ -284,7 +286,7 @@ def _unpack_fields(key: int, width: int, count: int = 3, bias: int = 0) -> tuple
 
 def _single_pass(
     terms: Flat, slots: Slots, identity: bool, beta: Optional[int], c: Optional[int], swap: bool,
-    width: int, c_sign: int = 1, out: Optional[Flat] = None,
+    width: int, out: Optional[Flat] = None,
 ) -> Flat:
     """[permute o] (identity + beta * rho + c * s), in one pass over flat terms.
 
@@ -296,9 +298,9 @@ def _single_pass(
     from the geometric-sum formula of `divided_difference` shifted by one in
     slot a.  A term with a negative active exponent is singular: its regular
     part, hence its rho and s parts, vanish.  With `swap` every output key
-    has slots a and b exchanged; `c_sign=-1` negates the s part.  Only the
-    two active fields are read: every other field and the monomial pass
-    through as they are.  Terms that cancel are dropped.
+    has slots a and b exchanged.  Only the two active fields are read: every
+    other field and the monomial pass through as they are.  Terms that
+    cancel are dropped.
     """
     mask = (1 << width) - 1
     sa, sb = (2 - slots[0]) * width, (2 - slots[1]) * width
@@ -338,7 +340,7 @@ def _single_pass(
             # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0,
             # and slot b takes the exponent -1, field 0
             k = base + c + (fa + fb - 1 << spa)
-            v = out[k] = get(k, 0) + (q if (fb == 1) == (c_sign > 0) else -q)
+            v = out[k] = get(k, 0) + (q if fb == 1 else -q)
             if not v:
                 del out[k]
     return out

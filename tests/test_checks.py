@@ -540,6 +540,23 @@ def test_cross_check_flipped_sign_fails_at_c_entries():
         assert "C" in w["lhs"] or "C" in w["rhs"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cross_check_flip_negates_each_c_term_entry(n):
+    # the C-term entries of the extended matrix are its structure constants,
+    # 2(n - 1) of them; each one's flipped functional value is its negation
+    closed = extended_rhat(n)
+    c_terms = {
+        key: coeff for key, coeff in closed.entries.items()
+        if any(exps[1] for exps, _ in coeff.terms())
+    }
+    assert len(c_terms) == 2 * (n - 1)
+    report = checks.suite_cross_check(n, flip_s_sign=True)
+    assert report.failures == len(c_terms) == len(report.witnesses)
+    assert {(tuple(w["out"]), tuple(w["in"])): (w["lhs"], w["rhs"]) for w in report.witnesses} == {
+        key: (str(-coeff), str(coeff)) for key, coeff in c_terms.items()
+    }
+
+
 # -- exploratory quadratic relation ------------------------------------------------------
 
 

@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from qlie import cli
+from qlie.cg import extended_rhat, sigma_cg
+from qlie.laurent import SpaceConfig, op_r
+from qlie.operators import from_functional
+from qlie.scalars import ONE
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -75,6 +79,20 @@ def test_gen_specialized_output():
     doc = json.loads(proc.stdout)
     coeffs = {c["coeff"] for c in doc["entries"]}
     assert coeffs == {"1", "1/2"}
+
+
+def test_gen_specializes_the_constants():
+    proc = run_cli("gen", "constants", "--n", "3", "--C=2/3", "--format", "text")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert "C[2;1,2] = -2/3" in lines and "C[2;2,1] = 2/3" in lines
+    proc = run_cli("gen", "constants", "--n", "3", "--C=0", "--format", "text")
+    assert proc.stdout == "structure constants n=3 entries=0\n"
+    # at C = 0 the extended matrix keeps its braid and delta blocks only
+    proc = run_cli("gen", "extended", "--n", "2", "--C=0")
+    entries = json.loads(proc.stdout)["entries"]
+    assert len(entries) == 10
+    assert not [e for e in entries if e["out"][0] == 0 and 0 not in e["in"]]
 
 
 def test_verify_braid_passes():
@@ -322,6 +340,32 @@ def test_every_override_is_checked_against_every_selected_suite():
     assert set(cli._corrupted_inputs(args, ["braid", "ybe"], 2)) == {"braid", "ybe"}
     with pytest.raises(cli.InputError, match="index 0 outside 1..2"):
         cli._corrupted_inputs(args, ["braid", "ybe", "qlie"], 2)
+
+
+def _masked(text):
+    return re.sub(r'"millis": \d+', '"millis": 0', re.sub(r"\d+ ms\)", "0 ms)", text))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "suite, default",
+    [
+        ("braid", extended_rhat),
+        ("ybe", extended_rhat),
+        ("cybe", lambda n: from_functional(op_r, SpaceConfig(n))),
+        ("qlie", sigma_cg),
+    ],
+    ids=["braid", "ybe", "cybe", "qlie"],
+)
+def test_corrupt_overrides_the_matrix_the_suite_checks(suite, default, n):
+    # setting an entry of the suite's own matrix to its value changes nothing
+    (out, inp), coeff = max((key, c) for key, c in default(n).entries.items() if c != ONE)
+    entry = f"({','.join(map(str, out))};{','.join(map(str, inp))})={coeff}"
+    plain = run_cli("verify", suite, "--n", str(n))
+    same = run_cli("verify", suite, "--n", str(n), "--corrupt", entry)
+    assert same.returncode == plain.returncode == 0
+    assert _masked(same.stdout) == _masked(plain.stdout)
+    assert _masked(same.stderr) == _masked(plain.stderr)
 
 
 @pytest.mark.parametrize(

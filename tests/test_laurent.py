@@ -351,11 +351,11 @@ def rhat_c_term_ref(fn, slots):
     ])
 
 
-def rhat_ref(fn, slots, c_sign=1):
+def rhat_ref(fn, slots):
     _, b = slots
     beta_term = _shifted(divided_difference(reg(fn, slots), slots), b)
     c_term = rhat_c_term_ref(fn, slots)
-    return lin(fn, (1, permute(fn, slots)), (BETA, beta_term), (C * c_sign, c_term))
+    return lin(fn, (1, permute(fn, slots)), (BETA, beta_term), (C, c_term))
 
 
 KERNELS = [
@@ -364,11 +364,6 @@ KERNELS = [
     ("r", op_r, r_ref),
     ("rhat", op_rhat, rhat_ref),
     ("R", _FUNCTIONAL_OPS["R"], lambda fn, slots: permute(rhat_ref(fn, slots), slots)),
-    (
-        "rhat-flipped-C",
-        lambda fn, slots: op_rhat(fn, slots, _c_sign=-1),
-        lambda fn, slots: rhat_ref(fn, slots, -1),
-    ),
 ]
 
 
@@ -401,6 +396,12 @@ def test_bad_slot_pairs_are_rejected(op, slots):
     fn = mono(CFG3, (1, 0))
     with pytest.raises(ValueError, match=r"^bad slot pair \(.*\) for arity 2$"):
         op(fn, slots)
+
+
+def test_functions_on_different_spaces_are_not_equal():
+    # the same exponents and coefficients in V(2) and in V(3)
+    assert mono(SpaceConfig(2), (0, 0)) != mono(SpaceConfig(3), (0, 0))
+    assert mono(SpaceConfig(3), (0, 0)) == mono(CFG3, (0, 0))
 
 
 def test_bounds_are_enforced_at_construction():
