@@ -17,7 +17,11 @@ with its report discarded.  For each (path, suite, n in N) cell the two
 trees run alternately, REPEATS times each, the first of each pair swapping
 every repeat, so the host's speed drift falls on both sides of a cell alike.
 Each file records, per cell, the median `time.process_time` and
-`time.perf_counter` seconds and the exit code, with the interpreter version,
+`time.perf_counter` seconds and the exit code.  An elimination cell also
+records its work, the number of `Scalar.__mul__` and `Scalar.exact_div`
+calls, counted in one more, untimed subprocess per tree, so no timed run is
+wrapped; unlike the times, the counts do not drift with the host.  Each file
+also records the interpreter version,
 the git commit checked out and the git tree hash of the `src/` measured;
 `git rev-parse COMMIT:src` gives that hash for the commit that holds the
 measured code, also when it was measured before being committed.
@@ -57,6 +61,24 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, cpu, wall]))
 """
 
+# one untimed run with Scalar.__mul__ and Scalar.exact_div counted: [exit code, counts]
+COUNT_CHILD = """
+import contextlib, io, json, sys
+from qlie import cli
+from qlie.scalars import Scalar
+counts = {"mul_calls": 0, "exact_div_calls": 0}
+def counted(name, method):
+    def wrapper(*args):
+        counts[name] += 1
+        return method(*args)
+    return wrapper
+Scalar.__mul__ = counted("mul_calls", Scalar.__mul__)
+Scalar.exact_div = counted("exact_div_calls", Scalar.exact_div)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, counts]))
+"""
+
 
 def _git(*args: str, env: dict | None = None, text: bool = True):
     out = subprocess.run(
@@ -81,10 +103,10 @@ def _git_ids() -> tuple[dict, dict]:
     return {"commit": commit, "src_tree": head}, {"commit": commit, "src_tree": tree}
 
 
-def _run(src: Path, argv: list[str]) -> tuple[int, float, float]:
+def _run(src: Path, argv: list[str], child: str = CHILD) -> tuple:
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, check=True, env=env
     )
     return tuple(json.loads(out.stdout))
 
@@ -130,6 +152,12 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp)
         trees = (Path(tmp) / "src", ROOT / "src")
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
+        for key, pair in timed.items():
+            if key[0] == "elimination":
+                for side, summary in enumerate(pair):
+                    code, counts = _run(trees[side], cells[key], COUNT_CHILD)
+                    assert code == summary["exit"]
+                    summary.update(counts)
 
     for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):
         result = {

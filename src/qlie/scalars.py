@@ -64,6 +64,14 @@ def _coerce(value: Union[int, Fraction, str]) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
+def _quotient(cr: Coeff, cd: Coeff) -> Coeff:
+    """cr / cd: an int if both are ints and cd divides cr, else via Fraction."""
+    if type(cr) is int and type(cd) is int:
+        cq, r = divmod(cr, cd)
+        return Fraction(cr, cd) if r else cq
+    return _coerce(Fraction(cr) / cd)
+
+
 def _pack(exps: Exponents) -> int:
     """The packed key of b^i C^j p^k; raises ValueError unless 0 <= i, j <= EXP_MAX."""
     db, dc, dp = exps
@@ -286,12 +294,24 @@ class Scalar:
         construction.  p-exponents are first shifted to be nonnegative, so the
         division runs in a polynomial ring, where the integer order of packed
         keys is the lexicographic monomial order on (p, C, b); it terminates,
-        and the quotient, being unique, does not depend on the order.
+        and the quotient, being unique, does not depend on the order.  A
+        one-term divisor needs no loop: each key shifts and each coefficient
+        divides.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self.is_zero():
             return ZERO
+        if len(divisor._terms) == 1:
+            # one term: shift every key; a b or C exponent below the
+            # divisor's borrows from the next field and sets bits of _OVER
+            (kd, cd), = divisor._terms.items()
+            if not kd and cd == 1:
+                return self
+            quo = {k - kd: _quotient(c, cd) for k, c in self._terms.items()}
+            if any(k & _OVER for k in quo):
+                raise ValueError("inexact scalar division")
+            return _from_packed(quo)
         shift_r = min(self._terms) >> 2 * _BITS << 2 * _BITS
         shift_d = min(divisor._terms) >> 2 * _BITS << 2 * _BITS
         rem = {k - shift_r: c for k, c in self._terms.items()}
@@ -306,14 +326,7 @@ class Scalar:
             db, dc, _ = _unpack(lt_r)
             if e < 0 or db < db_d or dc < dc_d:
                 raise ValueError("inexact scalar division")
-            cr = rem[lt_r]
-            if type(cr) is int and type(cd) is int:
-                cq, r = divmod(cr, cd)
-                if r:
-                    cq = Fraction(cr, cd)
-            else:
-                cq = _coerce(Fraction(cr) / cd)
-            quo[e] = cq
+            quo[e] = cq = _quotient(rem[lt_r], cd)
             for kd, cden in den.items():
                 key = e + kd
                 acc = rem[key] = rem.get(key, 0) - cq * cden

@@ -5,7 +5,6 @@ import pytest
 from qlie import rtt
 from qlie.cg import structure_constants
 from qlie.checks import WITNESS_CAP
-from qlie.linalg import echelon
 from qlie.rtt import (
     _bcc_rows,
     _rtt_rows,
@@ -15,6 +14,7 @@ from qlie.rtt import (
     rtt_relation,
 )
 from qlie.scalars import BETA, C, ONE, P, P_INV, _by_index
+from test_linalg import eager_contains, eager_echelon
 
 
 def neg(row):
@@ -191,7 +191,10 @@ def test_span_comparison_is_deterministic():
 
 
 def _whole_matrix_witnesses(n, constants):
-    """Span comparison with one elimination of all rows per side, as reference."""
+    """Span comparison with one elimination of all rows per side, as reference.
+
+    The elimination is test_linalg's eager Bareiss reference, not `linalg`.
+    """
     def by_word(rel):
         return [(k, _by_index((w, key, q) for (w, key), q in row.items())) for k, row in rel if row]
 
@@ -202,17 +205,17 @@ def _whole_matrix_witnesses(n, constants):
             columns.setdefault(word, len(columns))
     rows = lambda rel: [(k, {columns[w]: c for w, c in p.items()}) for k, p in rel]
     rtt_rows, bcc_rows = rows(rtt_rel), rows(bcc_rel)
-    ech_rtt = echelon([r for _, r in rtt_rows], len(columns))
-    ech_bcc = echelon([r for _, r in bcc_rows], len(columns))
+    ech_rtt = eager_echelon([r for _, r in rtt_rows], len(columns))
+    ech_bcc = eager_echelon([r for _, r in bcc_rows], len(columns))
     witnesses = [
         {"relation": list(k), "outside": "bcc-span"}
         for k, r in rtt_rows
-        if not ech_bcc.contains(r)
+        if not eager_contains(ech_bcc, r)
     ]
     witnesses += [
         {"relation": list(k), "outside": "rtt-span"}
         for k, r in bcc_rows
-        if not ech_rtt.contains(r)
+        if not eager_contains(ech_rtt, r)
     ]
     return witnesses
 

@@ -112,14 +112,23 @@ def test_exact_division_rejects_inexact():
         BETA.exact_div(C)
     with pytest.raises(ValueError):
         (BETA + ONE).exact_div(BETA * BETA)
-    with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
+    # one-term divisors: a b or C exponent below the divisor's
+    for dividend, divisor in ((BETA, BETA * BETA), (C, BETA), (BETA + ONE, BETA)):
+        with pytest.raises(ValueError, match="inexact"):
+            dividend.exact_div(divisor)
+    for dividend in (ONE, BETA):
+        with pytest.raises(ZeroDivisionError):
+            dividend.exact_div(ZERO)
 
 
 def test_exact_division_with_laurent_p():
     a = (P_INV + ONE) * (P - C)
     assert a.exact_div(P - C) == P_INV + ONE
     assert a.exact_div(P_INV + ONE) == P - C
+    # p^-1 divisors shift the p exponent up
+    assert (BETA * P_INV * 3 + C).exact_div(P_INV) == BETA * 3 + C * P
+    assert (BETA * C * 4 - P * 2).exact_div(P_INV * 2) == BETA * C * P * 2 - P * P
+    assert ZERO.exact_div(BETA * P_INV) == ZERO
 
 
 def test_partial_substitution():
@@ -156,6 +165,9 @@ def test_non_integral_exact_quotient_is_a_fraction():
     assert str(q) == "2/3*b"
     assert _coefficient_types(q) == {Fraction}
     assert _coefficient_types((BETA * 6 - C * 3).exact_div(Scalar.rational(3))) == {int}
+    assert _coefficient_types((BETA * C * 6 + C * P * 3).exact_div(C * -3)) == {int}
+    q = BETA.exact_div(Scalar.rational(Fraction(2, 3)))
+    assert q == Scalar.monomial((1, 0, 0), Fraction(3, 2)) and _coefficient_types(q) == {Fraction}
 
 
 def test_as_rational_returns_a_fraction():
@@ -190,6 +202,35 @@ def test_coefficients_are_ints_or_fractions_never_floats(a, b, k, q, beta0, c0, 
                   a.substitute(beta=beta0, c=c0, p=p0)):
         assert _coefficient_types(value) <= {int, Fraction}
         assert all(type(c) is int or c.denominator != 1 for _, c in value.terms())
+
+
+# -- division by one term --------------------------------------------------
+
+one_term_divisors = st.builds(
+    Scalar.monomial, exponents, st.one_of(st.integers(-4, 4), fractions).filter(bool)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scalars, int_scalars), one_term_divisors)
+def test_one_term_division_agrees_with_the_general_path(a, m):
+    # (a x) / (m x) with a two-term x runs the general loop, and is exact
+    # exactly when a / m is, the ring having no zero divisors
+    x = ONE + BETA * P_INV
+    for dividend in (a, a * m):
+        try:
+            fast = dividend.exact_div(m)
+        except ValueError:
+            fast = None
+        try:
+            general = (dividend * x).exact_div(m * x)
+        except ValueError:
+            general = None
+        assert fast == general
+        if fast is not None:
+            assert fast * m == dividend
+            assert [type(c) for _, c in fast.terms()] == [type(c) for _, c in general.terms()]
+    assert (a * m).exact_div(m) == a
 
 
 # -- packed monomial keys ---------------------------------------------------

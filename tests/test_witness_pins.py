@@ -22,6 +22,11 @@ digest each over the reports of every single-constant mutant at n = 2 and 3
 (deltas 1, b, C and p) and every single-entry sigma mutant at n = 2 (deltas
 1 and b).
 
+`data/rtt_witnesses.json` holds the failure count and the capped witness
+list of `rtt.compare_relation_spans` at n = 3 for every single-constant
+mutant C^k_{ij} + delta (27 positions, deltas 1, C and p), recorded before
+the elimination scaled its rows lazily.
+
 Any later change to them must be intended.  To re-record after an intended
 change, run `PYTHONPATH=src python tests/test_witness_pins.py` and say in the
 change what moved and why.
@@ -35,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from qlie import checks
+from qlie import checks, rtt
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_rho, op_s
 from qlie.operators import Operator, compose, from_functional
@@ -43,6 +48,7 @@ from qlie.scalars import BETA, C, ONE, P
 
 DATA = Path(__file__).resolve().parent / "data" / "engine_witnesses.json"
 QLIE_DATA = DATA.with_name("qlie_witnesses.json")
+RTT_DATA = DATA.with_name("rtt_witnesses.json")
 
 SPECIALIZED = {"beta": Fraction(2, 3), "c": Fraction(-1), "p": Fraction(3, 5)}
 
@@ -121,10 +127,25 @@ QLIE_CASES = {
     "qlie-sigma-mutants-n2": lambda: _digest(_sigma_mutants()),
 }
 
+
+def _rtt_mutant(k, i, j, delta):
+    """The span comparison at n = 3 with C^k_{ij} raised by delta, as JSON."""
+    ct = structure_constants(3)
+    report = rtt.compare_relation_spans(3, ct.with_entry(k, i, j, ct.coeff(k, i, j) + delta))
+    return json.dumps({"failures": report.failures, "witnesses": report.witnesses})
+
+
+RTT_CASES = {
+    f"C^{k}_{i}{j}+{name}": (lambda k=k, i=i, j=j, delta=delta: _rtt_mutant(k, i, j, delta))
+    for (k, i, j) in product(range(1, 4), repeat=3)
+    for name, delta in (("1", ONE), ("C", C), ("p", P))
+}
+
 # far above any failure count of these cases, so whole witness lists are pinned
 UNCAPPED = 10 ** 6
 
 RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
+RTT_RECORDED = json.loads(RTT_DATA.read_text()) if RTT_DATA.exists() else {}
 QLIE_RECORDED = json.loads(QLIE_DATA.read_text()) if QLIE_DATA.exists() else {}
 
 
@@ -145,8 +166,18 @@ def test_qlie_reports_match_recording(name, monkeypatch):
     assert recorded["failing"] if "runs" in recorded else not recorded["pass"]
 
 
+@pytest.mark.parametrize("name", sorted(RTT_CASES))
+def test_rtt_mutant_witnesses_match_recording(name):
+    text = RTT_CASES[name]()
+    assert text == RTT_RECORDED[name]
+    assert json.loads(text)["failures"], "every constant mutant must fail"
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps({name: record(name) for name in sorted(CASES)}, indent=1) + "\n")
+    RTT_DATA.write_text(
+        json.dumps({name: RTT_CASES[name]() for name in sorted(RTT_CASES)}, indent=1) + "\n"
+    )
     checks.WITNESS_CAP = UNCAPPED
     QLIE_DATA.write_text(
         json.dumps({name: QLIE_CASES[name]() for name in sorted(QLIE_CASES)}, indent=1) + "\n"
