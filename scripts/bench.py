@@ -13,11 +13,14 @@ specialized path, every suite but `rtt` (which takes no specialization) with
 `linalg`'s exact Bareiss elimination.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
-with its report discarded.  For each (path, suite, n in N) cell the two
-trees run alternately, REPEATS times each, the first of each pair swapping
-every repeat, so the host's speed drift falls on both sides of a cell alike.
-Each file records, per cell, the median `time.process_time` and
-`time.perf_counter` seconds and the exit code.  An elimination cell also
+and hashes its report, the stdout with every `"millis": N` masked.  For each
+(path, suite, n in N) cell the two trees run alternately, REPEATS times
+each, the first of each pair swapping every repeat, so the host's speed
+drift falls on both sides of a cell alike.  Every repeat of a cell on one
+tree must print the same report.  Each file records, per cell, the median
+`time.process_time` and `time.perf_counter` seconds, the exit code and the
+report's `report_sha256`; every cell whose two trees print different
+reports is listed on stdout.  An elimination cell also
 records its work, the number of `Scalar.__mul__` and `Scalar.exact_div`
 calls, counted in one more, untimed subprocess per tree, so no timed run is
 wrapped; unlike the times, the counts do not drift with the host.  Each file
@@ -50,15 +53,18 @@ CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
 ELIMINATION = ("rtt", "--corrupt-constants", "(2;1,2)=2C")
 ROOT = Path(cli.__file__).resolve().parents[2]
 
-# one timed run in a subprocess: [exit code, process seconds, wall seconds]
+# one timed run in a subprocess: [exit code, process seconds, wall seconds,
+# sha256 of the report with its times masked]
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, hashlib, io, json, re, sys, time
 from qlie import cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+report = io.StringIO()
+with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
     cpu, wall = time.process_time(), time.perf_counter()
     code = cli.main(sys.argv[1:])
     cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-print(json.dumps([code, cpu, wall]))
+masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
+print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """
 
 # one untimed run with Scalar.__mul__ and Scalar.exact_div counted: [exit code, counts]
@@ -112,18 +118,21 @@ def _run(src: Path, argv: list[str], child: str = CHILD) -> tuple:
 
 
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
-    """Median times of argv on each tree, the trees run alternately."""
+    """Median times and the report digest of argv on each tree, the trees run alternately."""
     runs: tuple[list, list] = ([], [])
     for r in range(REPEATS):
         for side in (0, 1) if r % 2 == 0 else (1, 0):
             runs[side].append(_run(trees[side], argv))
 
     def summary(side_runs: list) -> dict:
-        (code,) = {code for code, _, _ in side_runs}
+        (code,) = {code for code, _, _, _ in side_runs}
+        digests = {digest for _, _, _, digest in side_runs}
+        assert len(digests) == 1, f"{argv}: {len(digests)} reports in {REPEATS} repeats"
         return {
             "exit": code,
-            "process_time_s": round(statistics.median(cpu for _, cpu, _ in side_runs), 4),
-            "perf_counter_s": round(statistics.median(wall for _, _, wall in side_runs), 4),
+            "process_time_s": round(statistics.median(cpu for _, cpu, _, _ in side_runs), 4),
+            "perf_counter_s": round(statistics.median(wall for _, _, wall, _ in side_runs), 4),
+            "report_sha256": digests.pop(),
         }
 
     return summary(runs[0]), summary(runs[1])
@@ -158,6 +167,12 @@ def main(argv: list[str]) -> int:
                     code, counts = _run(trees[side], cells[key], COUNT_CHILD)
                     assert code == summary["exit"]
                     summary.update(counts)
+
+    differ = [key for key, (parent, change) in timed.items()
+              if parent["report_sha256"] != change["report_sha256"]]
+    for path, suite, n in differ:
+        print(f"report differs: {path} {suite} --n {n}")
+    print(f"{len(differ)} of {len(timed)} cells print a different report")
 
     for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):
         result = {

@@ -145,6 +145,8 @@ def extended_rhat(
         raise ValueError(f"n must be >= 1, got {n}")
     if constants is None:
         constants = structure_constants(n)
+    if constants.n != n:
+        raise ValueError(f"structure tensor must have size {n}, got {constants.n}")
     ent: dict[Entry, Scalar] = {}
     for key, coeff in sigma_cg(n).entries.items():
         ent[key] = coeff

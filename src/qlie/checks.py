@@ -2,11 +2,16 @@
 
 Each suite checks an identity exactly, over symbolic coefficients unless a
 specialization is requested, and returns a VerificationReport.  Failures are
-collected as witnesses, never raised.  Operator identities are stated as
-data, signed sums of words in named two-slot operators, and one engine,
-`check_identities`, verifies them on two independent routes wherever both
-exist: functionally, by applying the words to basis monomials, and
-matrix-wise, by multiplying out sparse restriction matrices row by row.
+collected as witnesses, never raised.  Each operator identity is stated
+once, as the text its witnesses print, such as "[s12,rho13]+s12*rho23" or
+"R12*R13*R23 = R23*R13*R12": a factor is an operator name followed by two
+distinct slots in 1..3, a product is one word, its leftmost factor applied
+last, "[x,y]" means x*y - y*x, and an identity without "=" says that its
+expression vanishes.  `_expression` parses the text into signed words, and
+one engine, `check_identities`, verifies them on two independent routes
+wherever both exist: functionally, by applying the words to basis
+monomials, and matrix-wise, by multiplying out sparse restriction matrices
+row by row.
 
 Both routes run on flat terms: a rational per packed int key, which holds
 a term's current index, the monomial or output row it started from and its
@@ -24,6 +29,7 @@ specialized verdict or print a witness.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,16 +51,68 @@ Subs = Optional[dict]
 # what a Collector specializes
 Leaf = TypeVar("Leaf", Operator, StructureTensor)
 
-S12 = (0, 1)
-S13 = (0, 2)
-S23 = (1, 2)
-
 # a word is a composition of elementary two-slot operators, leftmost applied
 # last; an expression is a sum of words, each with sign +1 or -1
 Word = Sequence[tuple[str, tuple[int, int]]]
 Expression = Sequence[tuple[int, Word]]
 # (witness tag, lhs, rhs): lhs = rhs, or lhs = 0 when rhs is empty
 Identity = tuple[dict, Expression, Expression]
+
+
+def _expression(text: str, statement: str = "") -> Expression:
+    """The signed words of text, a sum of products of factors and commutators.
+
+    A ValueError names the statement, text unless given, and the token at fault.
+    """
+    # reversed, so the next token is last; "" marks the end
+    tokens = ["", *reversed(re.findall(r"[A-Za-z]+\d*|\S", text))]
+
+    def fail(expected: str) -> ValueError:
+        found = repr(tokens[-1]) if tokens[-1] else "the end"
+        return ValueError(f"cannot parse {statement or text!r}: expected {expected}, found {found}")
+
+    def factor() -> list:
+        if tokens[-1] == "[":
+            tokens.pop()
+            x, y = expression(","), expression("]")
+            return [*_product(x, y), *((-sign, word) for sign, word in _product(y, x))]
+        match = re.fullmatch(r"([A-Za-z]+)([1-3])([1-3])", tokens[-1])
+        if match is None or match[2] == match[3]:
+            raise fail("an operator on two distinct slots in 1..3, or '['")
+        tokens.pop()
+        return [(1, ((match[1], (int(match[2]) - 1, int(match[3]) - 1)),))]
+
+    def expression(end: str) -> list:
+        """Signed products up to the token end, which is taken too."""
+        words, sign = [], 1
+        while sign:
+            term = factor()
+            while tokens[-1] == "*":
+                tokens.pop()
+                term = _product(term, factor())
+            words += [(sign * s, word) for s, word in term]
+            if tokens[-1] not in ("+", "-", end):
+                raise fail(f"'+', '-' or {repr(end) if end else 'the end'}")
+            sign = {"+": 1, "-": -1}.get(tokens.pop(), 0)
+        return words
+
+    return expression("")
+
+
+def _product(x: Expression, y: Expression) -> list:
+    return [(sx * sy, (*wx, *wy)) for sx, wx in x for sy, wy in y]
+
+
+def _identity(text: str) -> tuple[Expression, Expression]:
+    """The two sides of "lhs = rhs"."""
+    lhs, _, rhs = text.partition("=")
+    return _expression(lhs, text), _expression(rhs, text)
+
+
+def _statements(*labels: str) -> list[tuple[str, Expression]]:
+    """Each label with the words it states, after any "grade: " prefix."""
+    return [(label, _expression(label.rpartition(": ")[2])) for label in labels]
+
 
 _FUNCTIONAL_OPS: dict[str, Callable] = {
     "rho": op_rho,
@@ -361,7 +419,7 @@ def _unscaled(row: dict, scale: int) -> dict:
 def _functional_matrix(name: str, n: int) -> Operator:
     """Matrix of the named two-slot functional operator on SpaceConfig(n)."""
     op = _FUNCTIONAL_OPS[name]
-    return from_functional(lambda fn: op(fn, S12), SpaceConfig(n))
+    return from_functional(lambda fn: op(fn, (0, 1)), SpaceConfig(n))
 
 
 def _given_or(
@@ -384,11 +442,11 @@ def _given_or(
 
 
 def _braid(op: str) -> tuple[Expression, Expression]:
-    return [(1, [(op, S12), (op, S23), (op, S12)])], [(1, [(op, S23), (op, S12), (op, S23)])]
+    return _identity(f"{op}12*{op}23*{op}12 = {op}23*{op}12*{op}23")
 
 
 def _ybe(op: str) -> tuple[Expression, Expression]:
-    return [(1, [(op, S12), (op, S13), (op, S23)])], [(1, [(op, S23), (op, S13), (op, S12)])]
+    return _identity(f"{op}12*{op}13*{op}23 = {op}23*{op}13*{op}12")
 
 
 def suite_braid(
@@ -436,14 +494,7 @@ def suite_ybe(
 
 def _cybe(op: str) -> Expression:
     """[r12, r13] + [r12, r23] + [r13, r23] for r the named operator."""
-    return [
-        (1, [(op, S12), (op, S13)]),
-        (-1, [(op, S13), (op, S12)]),
-        (1, [(op, S12), (op, S23)]),
-        (-1, [(op, S23), (op, S12)]),
-        (1, [(op, S13), (op, S23)]),
-        (-1, [(op, S23), (op, S13)]),
-    ]
+    return _expression(f"[{op}12,{op}13]+[{op}12,{op}23]+[{op}13,{op}23]")
 
 
 def suite_cybe(
@@ -460,50 +511,19 @@ def suite_cybe(
     return col.report()
 
 
-def _check_vanishing(
-    col: Collector, labeled: list[tuple[str, Expression]], names: tuple[str, ...]
-) -> None:
+def _check_vanishing(col: Collector, labeled: list[tuple[str, Expression]]) -> None:
     """Each labeled expression vanishes, on the polynomial domain of degree n."""
     n = col.n
     identities = [({"identity": label}, expr, ()) for label, expr in labeled]
+    names = dict.fromkeys(name for _, expr in labeled for _, word in expr for name, _ in word)
     leaves = {name: col.leaf(_functional_matrix(name, n)) for name in names}
     check_identities(col, identities, leaves, range(0, n + 1))
 
 
 COMPONENT_IDENTITIES: list[tuple[str, Expression]] = [
-    ("rho13*s23", [(1, [("rho", S13), ("s", S23)])]),
-    ("rho23*s13", [(1, [("rho", S23), ("s", S13)])]),
-    ("rho23*s12", [(1, [("rho", S23), ("s", S12)])]),
-    (
-        "[s12,rho13]+s12*rho23",
-        [
-            (1, [("s", S12), ("rho", S13)]),
-            (-1, [("rho", S13), ("s", S12)]),
-            (1, [("s", S12), ("rho", S23)]),
-        ],
-    ),
-    (
-        "[rho12,s13]+s13*rho23-s23*rho13+[rho12,s23]",
-        [
-            (1, [("rho", S12), ("s", S13)]),
-            (-1, [("s", S13), ("rho", S12)]),
-            (1, [("s", S13), ("rho", S23)]),
-            (-1, [("s", S23), ("rho", S13)]),
-            (1, [("rho", S12), ("s", S23)]),
-            (-1, [("s", S23), ("rho", S12)]),
-        ],
-    ),
-    ("s23*s12", [(1, [("s", S23), ("s", S12)])]),
-    ("s23*s13", [(1, [("s", S23), ("s", S13)])]),
-    ("s13*s23", [(1, [("s", S13), ("s", S23)])]),
-    (
-        "[s12,s13]+s12*s23",
-        [
-            (1, [("s", S12), ("s", S13)]),
-            (-1, [("s", S13), ("s", S12)]),
-            (1, [("s", S12), ("s", S23)]),
-        ],
-    ),
+    *_statements("rho13*s23", "rho23*s13", "rho23*s12", "[s12,rho13]+s12*rho23",
+                 "[rho12,s13]+s13*rho23-s23*rho13+[rho12,s23]",
+                 "s23*s12", "s23*s13", "s13*s23", "[s12,s13]+s12*s23"),
     ("cybe-rho", _cybe("rho")),
     ("cybe-s", _cybe("s")),
 ]
@@ -517,38 +537,18 @@ def check_component_identities(n: int, subs: Subs = None) -> VerificationReport:
     and the classical Yang-Baxter equations for rho and s themselves.
     """
     col = Collector("components", n, subs)
-    _check_vanishing(col, COMPONENT_IDENTITIES, ("rho", "s"))
+    _check_vanishing(col, COMPONENT_IDENTITIES)
     return col.report()
 
 
-QUADRATIC_COMPONENTS: list[tuple[str, Expression]] = [
-    (
-        "b^3: rho12*rho13*rho23-rho23*rho13*rho12",
-        [
-            (1, [("rho", S12), ("rho", S13), ("rho", S23)]),
-            (-1, [("rho", S23), ("rho", S13), ("rho", S12)]),
-        ],
-    ),
-    ("b^2*C: s12*rho13*rho23", [(1, [("s", S12), ("rho", S13), ("rho", S23)])]),
-    ("b^2*C: rho12*rho13*s23", [(1, [("rho", S12), ("rho", S13), ("s", S23)])]),
-    ("b^2*C: rho23*s13*rho12", [(1, [("rho", S23), ("s", S13), ("rho", S12)])]),
-    ("b^2*C: rho23*rho13*s12", [(1, [("rho", S23), ("rho", S13), ("s", S12)])]),
-    (
-        "b^2*C: rho12*s13*rho23-s23*rho13*rho12",
-        [
-            (1, [("rho", S12), ("s", S13), ("rho", S23)]),
-            (-1, [("s", S23), ("rho", S13), ("rho", S12)]),
-        ],
-    ),
-    ("b*C^2: s12*s13*rho23", [(1, [("s", S12), ("s", S13), ("rho", S23)])]),
-    ("b*C^2: s12*rho13*s23", [(1, [("s", S12), ("rho", S13), ("s", S23)])]),
-    ("b*C^2: rho12*s13*s23", [(1, [("rho", S12), ("s", S13), ("s", S23)])]),
-    ("b*C^2: rho23*s13*s12", [(1, [("rho", S23), ("s", S13), ("s", S12)])]),
-    ("b*C^2: s23*rho13*s12", [(1, [("s", S23), ("rho", S13), ("s", S12)])]),
-    ("b*C^2: s23*s13*rho12", [(1, [("s", S23), ("s", S13), ("rho", S12)])]),
-    ("C^3: s12*s13*s23", [(1, [("s", S12), ("s", S13), ("s", S23)])]),
-    ("C^3: s23*s13*s12", [(1, [("s", S23), ("s", S13), ("s", S12)])]),
-]
+QUADRATIC_COMPONENTS: list[tuple[str, Expression]] = _statements(
+    "b^3: rho12*rho13*rho23-rho23*rho13*rho12",
+    "b^2*C: s12*rho13*rho23", "b^2*C: rho12*rho13*s23", "b^2*C: rho23*s13*rho12",
+    "b^2*C: rho23*rho13*s12", "b^2*C: rho12*s13*rho23-s23*rho13*rho12",
+    "b*C^2: s12*s13*rho23", "b*C^2: s12*rho13*s23", "b*C^2: rho12*s13*s23",
+    "b*C^2: rho23*s13*s12", "b*C^2: s23*rho13*s12", "b*C^2: s23*s13*rho12",
+    "C^3: s12*s13*s23", "C^3: s23*s13*s12",
+)
 
 
 def check_quadratic_ybe_components(n: int, subs: Subs = None) -> VerificationReport:
@@ -559,10 +559,7 @@ def check_quadratic_ybe_components(n: int, subs: Subs = None) -> VerificationRep
     products and the two C^3 products, each checked separately.
     """
     col = Collector("ybfr", n, subs)
-    lhs, rhs = _ybe("r")
-    full = [*lhs, *((-sign, word) for sign, word in rhs)]
-    labeled = [("full: r12*r13*r23-r23*r13*r12", full), *QUADRATIC_COMPONENTS]
-    _check_vanishing(col, labeled, ("r", "rho", "s"))
+    _check_vanishing(col, [*_statements("full: r12*r13*r23-r23*r13*r12"), *QUADRATIC_COMPONENTS])
     return col.report()
 
 
@@ -647,7 +644,7 @@ def suite_qlie(
 
     check_family(1)
     # family 2: braid relation for sigma, matrix route only, no side key
-    check_identities(col, [({"family": 2}, *_braid("rhat"))], {"rhat": sigma}, sided=False)
+    check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma}, sided=False)
     check_family(3)
     check_family(4)
     return col.report()

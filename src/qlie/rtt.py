@@ -131,7 +131,7 @@ def compare_relation_spans(
     if bcc_constants is not None and bcc_constants.n != n:
         raise ValueError(f"structure tensor must have size {n}, got {bcc_constants.n}")
     collector = Collector("rtt", n)
-    collector.checked += (n + 1) ** 4 + n * n + n ** 4 + 2 * n ** 3
+    collector.checked += (n + 1) ** 4 + sum(n ** a for a in _ARITY.values())
 
     # each nonzero relation as its signature, which also spans its line
     rtt_rows = [(key, _signature(row)) for key, row in _rtt_rows(n) if row]

@@ -148,6 +148,14 @@ def test_extended_corner_and_blocks():
         assert ext.coeff((a, 0), (0, a)) == ONE
 
 
+@pytest.mark.parametrize("n, size", [(3, 2), (2, 3)], ids=["smaller", "larger"])
+def test_extended_rejects_constants_of_another_size(n, size):
+    # a smaller tensor used to drop the entries of its missing indices, a
+    # larger one to fail on an index outside the matrix
+    with pytest.raises(ValueError, match=f"^structure tensor must have size {n}, got {size}$"):
+        extended_rhat(n, structure_constants(size))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_small_block_is_sigma(n):
     ext = extended_rhat(n)

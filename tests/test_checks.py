@@ -227,14 +227,97 @@ def test_suites_reject_an_operator_of_another_shape(suite, keyword, operator, sh
         suite(3, **{keyword: operator})
 
 
+# -- the statement grammar ---------------------------------------------------------------
+
+
+def test_a_product_is_one_word_in_written_order():
+    # slots are 0-based; the leftmost factor is applied last, by the engine
+    assert checks._expression("rho13*s23*r12") == [
+        (1, (("rho", (0, 2)), ("s", (1, 2)), ("r", (0, 1))))
+    ]
+
+
+def test_sums_and_differences_sign_their_terms():
+    assert checks._expression("s12 - rho13*s23 + r21") == [
+        (1, (("s", (0, 1)),)),
+        (-1, (("rho", (0, 2)), ("s", (1, 2)))),
+        (1, (("r", (1, 0)),)),
+    ]
+
+
+def test_a_commutator_expands_to_both_orders():
+    assert checks._expression("[s12,rho13]") == checks._expression("s12*rho13-rho13*s12")
+    # a commutator is a factor: it distributes over products and signs
+    assert checks._expression("s23-[a12,b13]*c23") == [
+        (1, (("s", (1, 2)),)),
+        (-1, (("a", (0, 1)), ("b", (0, 2)), ("c", (1, 2)))),
+        (1, (("b", (0, 2)), ("a", (0, 1)), ("c", (1, 2)))),
+    ]
+    # nested commutators: [x,[y,z]] = x*y*z - x*z*y - y*z*x + z*y*x
+    assert [sign for sign, _ in checks._expression("[x12,[y13,z23]]")] == [1, -1, -1, 1]
+
+
+def test_cybe_is_the_sum_of_three_commutators():
+    expanded = checks._expression("r12*r13-r13*r12+r12*r23-r23*r12+r13*r23-r23*r13")
+    assert checks._cybe("r") == expanded
+
+
+def test_an_identity_splits_at_the_equals_sign():
+    lhs, rhs = checks._identity("R12*R13*R23 = R23*R13*R12")
+    assert lhs == checks._expression("R12*R13*R23")
+    assert rhs == checks._expression("R23*R13*R12")
+    assert checks._braid("rhat") == checks._identity("rhat12*rhat23*rhat12 = rhat23*rhat12*rhat23")
+
+
+def test_a_graded_label_states_the_words_after_its_grade():
+    ((label, words),) = checks._statements("b^2*C: rho23*s13*rho12")
+    assert label == "b^2*C: rho23*s13*rho12"
+    assert words == checks._expression("rho23*s13*rho12")
+
+
+@pytest.mark.parametrize(
+    "parse, text, found",
+    [
+        (checks._expression, "rho12&s13", "'&'"),
+        (checks._expression, "rho14", "'rho14'"),
+        (checks._expression, "rho11", "'rho11'"),
+        (checks._expression, "s0", "'s0'"),
+        (checks._expression, "12", "'1'"),
+        (checks._expression, "rho12+", "the end"),
+        (checks._expression, "rho12+-s13", "'-'"),
+        (checks._expression, "rho12*", "the end"),
+        (checks._expression, "", "the end"),
+        (checks._expression, "[rho12,s13", "the end"),
+        (checks._expression, "rho12,s13]", "','"),
+        (checks._expression, "rho12]", "']'"),
+        (checks._expression, "[rho12]", "']'"),
+        (checks._expression, "rho12 = s12", "'='"),
+        (checks._identity, "rho12 = s12 = r12", "'='"),
+        (checks._identity, "rho12", "the end"),
+        (checks._identity, "rho12 = [s12,r13", "the end"),
+    ],
+    ids=[
+        "unknown-character", "slot-outside", "equal-slots", "one-slot", "no-name",
+        "empty-last-term", "empty-middle-term", "empty-factor", "empty", "unclosed-bracket",
+        "unopened-bracket", "stray-bracket", "commutator-of-one", "equals-in-expression",
+        "two-equals", "no-equals", "identity-unclosed-bracket",
+    ],
+)
+def test_malformed_statements_raise_a_value_error_naming_them(parse, text, found):
+    with pytest.raises(ValueError) as error:
+        parse(text)
+    message = str(error.value)
+    assert message.startswith(f"cannot parse {text!r}: expected ")
+    assert message.endswith(f", found {found}")
+
+
 # -- the identity engine ---------------------------------------------------------------
 
 
 def test_engine_witness_keys_for_a_failing_identity():
     # no CLI input makes components/ybfr fail, so their witness shapes are
     # pinned here: s12 neither vanishes nor equals rho12
-    s12: checks.Expression = [(1, [("s", checks.S12)])]
-    rho12: checks.Expression = [(1, [("rho", checks.S12)])]
+    s12, rho12 = checks._expression("s12"), checks._expression("rho12")
     leaves = {name: from_functional(op, SpaceConfig(2)) for name, op in (("s", op_s), ("rho", op_rho))}
     for rhs, matrix_keys in (
         ([], ["identity", "side", "out", "in", "value"]),
@@ -380,16 +463,12 @@ def test_integer_matrix_route_with_leaves_of_different_denominators():
         "s": _leaf("s", n).map_entries(lambda s: s * Scalar.rational(Fraction(-4, 15))),
         "r": col.leaf(_leaf("r", n)),
     }
-    mixed: checks.Expression = [
-        (1, [("r", checks.S12)]),
-        (-1, [("rho", checks.S12), ("s", checks.S13), ("r", checks.S23)]),
-    ]
-    other: checks.Expression = [(1, [("s", checks.S23), ("rho", checks.S13), ("r", checks.S12)])]
+    mixed, other = checks._expression("r12-rho12*s13*r23"), checks._expression("s23*rho13*r12")
     identities = [({"identity": "equal"}, mixed, other), ({"identity": "vanish"}, mixed, ())]
     assert _matrix_routes_agree(identities, leaves)
     assert _matrix_routes_agree(identities, leaves, sided=False)
     # the difference of a word and itself vanishes with either word length
-    same = [({}, [(1, [("r", checks.S13)]), *other], [*other, (1, [("r", checks.S13)])])]
+    same = [({}, *checks._identity("r13+s23*rho13*r12 = s23*rho13*r12+r13"))]
     assert not _matrix_routes_agree(same, leaves)
 
 
@@ -483,8 +562,7 @@ def test_key_fields_hold_the_largest_index(n, polynomial):
     domain = range(0, n + 1) if polynomial else range(-1, n)
     rho = _leaf("rho", n)
     corrupted = rho.with_entry((n, n), (0, n), rho.coeff((n, n), (0, n)) + C)
-    s12: checks.Expression = [(1, [("s", checks.S12)])]
-    rho12: checks.Expression = [(1, [("rho", checks.S12)])]
+    s12, rho12 = checks._expression("s12"), checks._expression("rho12")
     for leaf, identity in (
         (rho, ({"identity": "s12=rho12"}, s12, rho12)),
         (corrupted, ({"identity": "rho23*s12"}, dict(checks.COMPONENT_IDENTITIES)["rho23*s12"], ())),

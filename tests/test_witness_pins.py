@@ -13,7 +13,12 @@ the functional kernels and the row-wise matrix route ran on flat terms:
   witnesses start at every first exponent, and the braid relation of
   `extended_rhat(4)` with entry ((1, 3), (3, 1)) raised by 1, whose matrix
   witnesses lie on several first output indices; both were recorded before
-  the engine swept one first index at a time.
+  the engine swept one first index at a time;
+- the `components` and `ybfr` suites at n = 2 with one leaf corrupted, one
+  or two entries of its matrix raised by C: rho or s for `components`, r,
+  rho or s for `ybfr`.  No CLI input makes these suites fail; together these
+  cases pin the witness label of every identity of both suites, and were
+  recorded before the identities were parsed from those labels.
 
 `data/qlie_witnesses.json` holds `suite_qlie` reports with the witness cap
 lifted, recorded before families 1, 3 and 4 were evaluated from the calculus
@@ -63,7 +68,7 @@ def _braid_of_flipped(subs):
 
 def _s12_against(rhs, n=2):
     leaves = {name: from_functional(op, SpaceConfig(n)) for name, op in (("s", op_s), ("rho", op_rho))}
-    s12 = [(1, [("s", checks.S12)])]
+    s12 = checks._expression("s12")
     col = checks.Collector("components", n)
     checks.check_identities(col, [({"identity": "s12"}, s12, rhs)], leaves, range(0, n + 1))
     return col
@@ -78,13 +83,43 @@ def _braid_of_mutant():
     return col
 
 
+# (suite, leaf, entries raised by C): at n = 2 these entries make every
+# identity of the suite that names the leaf fail, but for three b*C^2
+# products that pass even with every rho entry raised; the s case covers them
+CORRUPTED_SUITES = {
+    "components-rho": (checks.check_component_identities, "rho", [((1, 0), (0, 0))]),
+    "components-s": (checks.check_component_identities, "s", [((2, 2), (1, 1))]),
+    "ybfr-r": (checks.check_quadratic_ybe_components, "r", [((0, 0), (0, 0))]),
+    "ybfr-rho": (checks.check_quadratic_ybe_components, "rho", [((1, 1), (0, 0)), ((2, 0), (2, 0))]),
+    "ybfr-s": (checks.check_quadratic_ybe_components, "s", [((1, 2), (2, 2)), ((0, 1), (1, 1))]),
+}
+
+
+def _suite_with_corrupted(suite, corrupted, entries):
+    """The uncapped report of suite at n = 2, its `corrupted` leaf raised by C at entries."""
+    build = checks._functional_matrix
+
+    def leaf(name, n):
+        op = build(name, n)
+        for out, inp in entries if name == corrupted else ():
+            op = op.with_entry(out, inp, op.coeff(out, inp) + C)
+        return op
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_functional_matrix", leaf)
+        patch.setattr(checks, "WITNESS_CAP", UNCAPPED)
+        return suite(2)
+
+
 CASES = {
     "braid-R-n2-symbolic": lambda: _braid_of_flipped(None),
     "braid-R-n2-specialized": lambda: _braid_of_flipped(SPECIALIZED),
     "s12-vanishes": lambda: _s12_against([]),
-    "s12-equals-rho12": lambda: _s12_against([(1, [("rho", checks.S12)])]),
-    "s12-equals-rho12-n4": lambda: _s12_against([(1, [("rho", checks.S12)])], n=4),
+    "s12-equals-rho12": lambda: _s12_against(checks._expression("rho12")),
+    "s12-equals-rho12-n4": lambda: _s12_against(checks._expression("rho12"), n=4),
     "braid-rhat-n4-mutant": _braid_of_mutant,
+    **{f"{name}-corrupted": (lambda case=case: _suite_with_corrupted(*case))
+       for name, case in CORRUPTED_SUITES.items()},
 }
 
 
@@ -154,6 +189,16 @@ def test_witnesses_match_recording(name):
     text = record(name)
     assert text == RECORDED[name]
     assert json.loads(text)["witnesses"], "a pinned case must fail"
+
+
+def test_corrupted_suites_pin_every_label():
+    labels = {"components": set(), "ybfr": set()}
+    for name in CORRUPTED_SUITES:
+        witnesses = json.loads(RECORDED[f"{name}-corrupted"])["witnesses"]
+        labels[name.split("-")[0]].update(w["identity"] for w in witnesses)
+    assert labels["components"] == {label for label, _ in checks.COMPONENT_IDENTITIES}
+    quadratic = {label for label, _ in checks.QUADRATIC_COMPONENTS}
+    assert quadratic < labels["ybfr"] and len(labels["ybfr"]) == len(quadratic) + 1
 
 
 @pytest.mark.parametrize("name", sorted(QLIE_CASES))
