@@ -20,15 +20,15 @@ drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
 `time.process_time` and `time.perf_counter` seconds, the exit code and the
 report's `report_sha256`; every cell whose two trees print different
-reports is listed on stdout.  An elimination cell also
-records its work, the number of `Scalar.__mul__` and `Scalar.exact_div`
-calls, counted in one more, untimed subprocess per tree, so no timed run is
-wrapped; unlike the times, the counts do not drift with the host.  Each file
-also records the interpreter version,
-the git commit checked out and the git tree hash of the `src/` measured;
-`git rev-parse COMMIT:src` gives that hash for the commit that holds the
-measured code, also when it was measured before being committed.
-Standard library only.
+reports is listed on stdout.  Every `rtt` cell, passing and elimination,
+also records its work and memory, counted in one more, untimed subprocess
+per tree, so no timed run is wrapped or traced: the number of
+`Scalar.__mul__` and `Scalar.exact_div` calls and the `tracemalloc` peak of
+`qlie.cli.main`, in MiB; unlike the times, these do not drift with the
+host.  Each file also records the interpreter version, the git commit
+checked out and the git tree hash of the `src/` measured; `git rev-parse
+COMMIT:src` gives that hash for the commit that holds the measured code,
+also when it was measured before being committed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
 print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """
 
-# one untimed run with Scalar.__mul__ and Scalar.exact_div counted: [exit code, counts]
+# one untimed run with Scalar.__mul__ and Scalar.exact_div counted and memory
+# traced: [exit code, counts and tracemalloc peak]
 COUNT_CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tracemalloc
 from qlie import cli
 from qlie.scalars import Scalar
 counts = {"mul_calls": 0, "exact_div_calls": 0}
@@ -81,7 +82,10 @@ def counted(name, method):
 Scalar.__mul__ = counted("mul_calls", Scalar.__mul__)
 Scalar.exact_div = counted("exact_div_calls", Scalar.exact_div)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    tracemalloc.start()
     code = cli.main(sys.argv[1:])
+    counts["tracemalloc_peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    tracemalloc.stop()
 print(json.dumps([code, counts]))
 """
 
@@ -162,7 +166,7 @@ def main(argv: list[str]) -> int:
         trees = (Path(tmp) / "src", ROOT / "src")
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():
-            if key[0] == "elimination":
+            if key[1] == "rtt":
                 for side, summary in enumerate(pair):
                     code, counts = _run(trees[side], cells[key], COUNT_CHILD)
                     assert code == summary["exit"]

@@ -12,6 +12,13 @@ summand by p^(k-s).  The structure constants are
 
 and the extended braid matrix packages both into a single operator on the
 capital indices 0..n.
+
+Weight grading: with w(0) = 0 and w(i) = i - 1, every entry of sigma_cg(n)
+and extended_rhat(n) keeps w(out_1) + w(out_2) = w(in_1) + w(in_2).  Sigma
+keeps i + j, the delta blocks exchange 0 with an index, and C^j_{kl} is
+nonzero only on the support j = k + l - 1, where w(j) = w(k) + w(l).  So
+every exchange and calculus relation is homogeneous (see `rtt`); a mutated
+constant off the support breaks this.
 """
 
 from __future__ import annotations

@@ -76,6 +76,28 @@ def test_sigma_conserves_index_weight(n):
         assert i + j == k + l
 
 
+# -- the weight grading w(0) = 0, w(i) = i - 1 ------------------------------------
+
+
+def weight(i):
+    return max(i - 1, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrices_keep_the_weight_grading(n):
+    for op in (extended_rhat(n), sigma_cg(n)):
+        for (out, inp) in op.entries:
+            assert weight(out[0]) + weight(out[1]) == weight(inp[0]) + weight(inp[1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constants_lie_on_the_graded_support(n):
+    # C^k_{ij} != 0 only at k = i + j - 1, that is w(k) = w(i) + w(j)
+    entries = structure_constants(n).entries
+    assert len(entries) == 2 * (n - 1)
+    assert all(k == i + j - 1 for k, i, j in entries)
+
+
 # -- the p-family ----------------------------------------------------------------
 
 

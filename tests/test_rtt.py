@@ -1,4 +1,5 @@
-from itertools import product
+import tracemalloc
+from itertools import chain, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from qlie.cg import structure_constants
 from qlie.checks import WITNESS_CAP
 from qlie.rtt import (
     _bcc_rows,
+    _key_groups,
     _rtt_rows,
     bcc_relation,
     compare_relation_spans,
@@ -106,6 +108,97 @@ def test_degenerate_index_patterns(n):
             assert rel == neg(bcc_relation(4, (I, J, A), n))
         else:
             assert rel == bcc_relation(2, (I, J, A, B), n)
+
+
+# -- the weight grading that groups the span comparison ---------------------------
+
+
+def weight(i):
+    return max(i - 1, 0)
+
+
+def key_grade(key):
+    """A key's grade (U, L), in closed form: (w(A)+w(B), w(I)+w(J)) for rtt
+    (I, J, A, B); the upper indices of bcc keys are none, (a, b) or (a)."""
+    if key[0] == "rtt":
+        I, J, A, B = key[1:]
+        return weight(A) + weight(B), weight(I) + weight(J)
+    _, _, i, j, *upper = key
+    return sum(map(weight, upper)), weight(i) + weight(j)
+
+
+def word_grade(word, n):
+    """(sum of w over upper indices, over lower indices), x_i being T^0_i and f(a,l) T^a_l."""
+    letters = [divmod(g, n + 1) for g in word]
+    return sum(weight(a) for a, _ in letters), sum(weight(l) for _, l in letters)
+
+
+def all_keys(n):
+    """Each side's relation keys in key order."""
+    rtt_keys = [("rtt", *idx) for idx in product(range(n + 1), repeat=4)]
+    bcc_keys = [
+        ("bcc", family, *idx)
+        for family, arity in ((1, 2), (2, 4), (3, 3), (4, 3))
+        for idx in product(range(1, n + 1), repeat=arity)
+    ]
+    return rtt_keys, bcc_keys
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_word_has_its_keys_grade(n):
+    seen = set()
+    for key, row in chain(_rtt_rows(n), _bcc_rows(n)):
+        for word, _ in row:
+            assert word_grade(word, n) == key_grade(key), (key, word)
+        if row:
+            seen.add(key[0] if key[0] == "rtt" else key[1])
+    assert seen == ({"rtt", 1, 2, 3, 4} if n > 1 else {"rtt", 3, 4})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grade_groups_hold_every_key_once(n):
+    groups = list(_key_groups(n, structure_constants(n)))
+    assert len(groups) == (2 * n - 1) ** 2
+    rtt_keys, bcc_keys = all_keys(n)
+    assert sorted(k for r, _ in groups for k in r) == rtt_keys
+    assert sorted(k for _, b in groups for k in b) == bcc_keys
+    grades = []
+    for r, b in groups:
+        assert r == sorted(r) and b == sorted(b)
+        (grade,) = {key_grade(k) for k in r + b}
+        grades.append(grade)
+    assert len(set(grades)) == len(groups)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_group_exactly_when_a_constant_is_off_support(n):
+    base = structure_constants(n)
+    for k, i, j in product(range(1, n + 1), repeat=3):
+        groups = list(_key_groups(n, base.with_entry(k, i, j, base.coeff(k, i, j) + ONE)))
+        if k == i + j - 1:
+            assert len(groups) == (2 * n - 1) ** 2
+        else:
+            assert groups == [all_keys(n)]
+
+
+def test_off_support_constant_is_compared_in_one_group():
+    # C^1_{22} mixes grades in families 1 and 3; compared per grade, it gave 8 failures
+    ct = structure_constants(2).with_entry(1, 2, 2, ONE)
+    expect = _whole_matrix_witnesses(2, ct)
+    report = compare_relation_spans(2, bcc_constants=ct)
+    assert report.failures == len(expect) == 6
+    assert report.witnesses == expect
+
+
+def test_span_comparison_memory_is_bounded_by_one_grade():
+    # all relations at once peaked at 13.7 MiB; the largest grade needs about 0.6 MiB
+    tracemalloc.start()
+    try:
+        assert compare_relation_spans(8).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -- span comparison ----------------------------------------------------------------
@@ -224,7 +317,7 @@ def _whole_matrix_witnesses(n, constants):
 def test_block_elimination_matches_whole_matrix(position):
     base = structure_constants(2)
     # P and P_INV put positive and negative p fields into the packed keys
-    for delta in (ONE, -BETA, C + C, P, P_INV):
+    for delta in (ONE, BETA, -BETA, C + C, P, P_INV):
         ct = base.with_entry(*position, base.coeff(*position) + delta)
         expect = _whole_matrix_witnesses(2, ct)
         report = compare_relation_spans(2, bcc_constants=ct)
