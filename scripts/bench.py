@@ -25,7 +25,10 @@ also records its work and memory, counted in one more, untimed subprocess
 per tree, so no timed run is wrapped or traced: the number of
 `Scalar.__mul__` and `Scalar.exact_div` calls and the `tracemalloc` peak of
 `qlie.cli.main`, in MiB; unlike the times, these do not drift with the
-host.  Each file also records the interpreter version, the git commit
+host.  Each file also records the ROADMAP's two measures of simplicity for
+its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
+wc -l`), and `public_names`, the length of `qlie.__all__`; and it records
+the interpreter version, the git commit
 checked out and the git tree hash of the `src/` measured; `git rev-parse
 COMMIT:src` gives that hash for the commit that holds the measured code,
 also when it was measured before being committed.  Standard library only.
@@ -121,6 +124,13 @@ def _run(src: Path, argv: list[str], child: str = CHILD) -> tuple:
     return tuple(json.loads(out.stdout))
 
 
+def _size(src: Path) -> dict:
+    """The lines of src/qlie/*.py and the number of names in qlie.__all__."""
+    lines = sum(path.read_bytes().count(b"\n") for path in (src / "qlie").glob("*.py"))
+    (names,) = _run(src, [], "import json, qlie; print(json.dumps([len(qlie.__all__)]))")
+    return {"src_lines": lines, "public_names": names}
+
+
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
     """Median times and the report digest of argv on each tree, the trees run alternately."""
     runs: tuple[list, list] = ([], [])
@@ -164,6 +174,7 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         trees = (Path(tmp) / "src", ROOT / "src")
+        sizes = [_size(tree) for tree in trees]
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():
             if key[1] == "rtt":
@@ -177,6 +188,8 @@ def main(argv: list[str]) -> int:
     for path, suite, n in differ:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
+    for suffix, size in zip(("parent", "change"), sizes):
+        print(f"{suffix}: {size['src_lines']} src lines, {size['public_names']} public names")
 
     for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):
         result = {
@@ -184,6 +197,7 @@ def main(argv: list[str]) -> int:
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             **ids,
+            **sizes[side],
             "repeats": REPEATS,
             "passing": {},
             "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED]},

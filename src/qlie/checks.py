@@ -66,37 +66,40 @@ def _expression(text: str, statement: str = "") -> Expression:
     """
     # reversed, so the next token is last; "" marks the end
     tokens = ["", *reversed(re.findall(r"[A-Za-z]+\d*|\S", text))]
+    return _sum(tokens, "", statement or text)
 
-    def fail(expected: str) -> ValueError:
-        found = repr(tokens[-1]) if tokens[-1] else "the end"
-        return ValueError(f"cannot parse {statement or text!r}: expected {expected}, found {found}")
 
-    def factor() -> list:
-        if tokens[-1] == "[":
-            tokens.pop()
-            x, y = expression(","), expression("]")
-            return [*_product(x, y), *((-sign, word) for sign, word in _product(y, x))]
-        match = re.fullmatch(r"([A-Za-z]+)([1-3])([1-3])", tokens[-1])
-        if match is None or match[2] == match[3]:
-            raise fail("an operator on two distinct slots in 1..3, or '['")
+def _fail(tokens: list[str], source: str, expected: str) -> ValueError:
+    found = repr(tokens[-1]) if tokens[-1] else "the end"
+    return ValueError(f"cannot parse {source!r}: expected {expected}, found {found}")
+
+
+def _factor(tokens: list[str], source: str) -> list:
+    """Take the next factor or commutator off tokens."""
+    if tokens[-1] == "[":
         tokens.pop()
-        return [(1, ((match[1], (int(match[2]) - 1, int(match[3]) - 1)),))]
+        x, y = _sum(tokens, ",", source), _sum(tokens, "]", source)
+        return [*_product(x, y), *((-sign, word) for sign, word in _product(y, x))]
+    match = re.fullmatch(r"([A-Za-z]+)([1-3])([1-3])", tokens[-1])
+    if match is None or match[2] == match[3]:
+        raise _fail(tokens, source, "an operator on two distinct slots in 1..3, or '['")
+    tokens.pop()
+    return [(1, ((match[1], (int(match[2]) - 1, int(match[3]) - 1)),))]
 
-    def expression(end: str) -> list:
-        """Signed products up to the token end, which is taken too."""
-        words, sign = [], 1
-        while sign:
-            term = factor()
-            while tokens[-1] == "*":
-                tokens.pop()
-                term = _product(term, factor())
-            words += [(sign * s, word) for s, word in term]
-            if tokens[-1] not in ("+", "-", end):
-                raise fail(f"'+', '-' or {repr(end) if end else 'the end'}")
-            sign = {"+": 1, "-": -1}.get(tokens.pop(), 0)
-        return words
 
-    return expression("")
+def _sum(tokens: list[str], end: str, source: str) -> list:
+    """Take signed products off tokens up to the token end, which is taken too."""
+    words, sign = [], 1
+    while sign:
+        term = _factor(tokens, source)
+        while tokens[-1] == "*":
+            tokens.pop()
+            term = _product(term, _factor(tokens, source))
+        words += [(sign * s, word) for s, word in term]
+        if tokens[-1] not in ("+", "-", end):
+            raise _fail(tokens, source, f"'+', '-' or {repr(end) if end else 'the end'}")
+        sign = {"+": 1, "-": -1}.get(tokens.pop(), 0)
+    return words
 
 
 def _product(x: Expression, y: Expression) -> list:

@@ -12,12 +12,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import checks, rtt
 from .cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .operators import Operator
-from .scalars import Scalar, ScalarParseError
+from .scalars import Scalar
 
 
 class Suite(NamedTuple):
@@ -59,7 +60,7 @@ VERIFY_SUITES = tuple(name for name in SUITES if name != "hecke")
 
 
 class InputError(Exception):
-    """A flag value that parses but cannot be used; exits 2 like a bad flag."""
+    """A flag value that argparse takes but that cannot be read or used; exits 2 like a bad flag."""
 
 
 @dataclass
@@ -76,10 +77,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = _config_from_args(parser, args)
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (ScalarParseError, InputError) as exc:
+    except InputError as exc:
         parser.error(str(exc))
 
 
+@cache  # once, on first use: at import it would slow every import, and each build leaves cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlie",
@@ -187,31 +189,16 @@ def _cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _parse_entry_override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
+def _override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
+    """The two index tuples and the coefficient of "(INDICES;INDICES)=COEFF"."""
     m = re.fullmatch(r"\s*\(([\d\s,]+);([\d\s,]+)\)\s*=\s*(.+)", text)
     if not m:
-        raise ScalarParseError(f"bad entry override {text!r}", 0)
-    out = _indices(m.group(1), f"entry override {text!r}")
-    inp = _indices(m.group(2), f"entry override {text!r}")
-    return out, inp, Scalar.parse(m.group(3))
-
-
-def _parse_constant_override(text: str) -> tuple[int, tuple[int, int], Scalar]:
-    m = re.fullmatch(r"\s*\((\d+)\s*;([\d\s,]+)\)\s*=\s*(.+)", text)
-    if not m:
-        raise ScalarParseError(f"bad constant override {text!r}", 0)
-    lower = _indices(m.group(2), f"constant override {text!r}")
-    if len(lower) != 2:
-        raise ScalarParseError(f"bad constant override {text!r}", 0)
-    return int(m.group(1)), lower, Scalar.parse(m.group(3))
-
-
-def _indices(field: str, what: str) -> tuple[int, ...]:
-    """Comma-separated indices; an empty or space-split field is an input error."""
-    parts = field.split(",")
-    if not all(re.fullmatch(r"\s*\d+\s*", part) for part in parts):
-        raise InputError(f"bad {what}: every index must be one nonnegative integer")
-    return tuple(int(part) for part in parts)
+        raise ValueError("expected (INDICES;INDICES)=COEFF")
+    try:
+        upper, lower = (tuple(map(int, field.split(","))) for field in (m[1], m[2]))
+    except ValueError:  # an empty or space-split index, or more digits than int() takes
+        raise ValueError("every index must be one nonnegative integer") from None
+    return upper, lower, Scalar.parse(m[3])
 
 
 def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
@@ -243,16 +230,18 @@ def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dic
     """
     inputs = {name: [None, None] for name in names}
     if args.corrupt:
-        out, inp, coeff = _parse_entry_override(args.corrupt)
-        for name in names:
-            try:
-                inputs[name][0] = SUITES[name].target(n).with_entry(out, inp, coeff)
-            except ValueError as exc:
-                raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
-    if args.corrupt_constants:
-        upper, lower, coeff = _parse_constant_override(args.corrupt_constants)
         try:
-            constants = structure_constants(n).with_entry(upper, lower[0], lower[1], coeff)
+            out, inp, coeff = _override(args.corrupt)
+            for name in names:
+                inputs[name][0] = SUITES[name].target(n).with_entry(out, inp, coeff)
+        except ValueError as exc:
+            raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
+    if args.corrupt_constants:
+        try:
+            upper, lower, coeff = _override(args.corrupt_constants)
+            if len(upper) != 1 or len(lower) != 2:
+                raise ValueError("expected (K;I,J)=COEFF")
+            constants = structure_constants(n).with_entry(*upper, *lower, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt-constants {args.corrupt_constants!r}: {exc}") from None
         for name in names:

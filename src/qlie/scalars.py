@@ -26,6 +26,7 @@ field into the next.  Those kernels run on packed keys and plain rationals.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -364,116 +365,73 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        """Inverse of str(); tolerates extra whitespace and implicit '*'."""
-        return _Parser(text).parse()
+        """Inverse of str(); tolerates extra whitespace and implicit '*'.
+
+        The text is a signed sum of terms.  A term is an optional number
+        "N" or "N/D", then factors b, C or p, each with an optional "^K" or
+        "^-K" and each after an optional '*'; a term holds at least one of
+        them.  A b or C exponent sums to at most EXP_MAX in each term.
+        """
+        # reversed, so the next token is last; the end is the token ""
+        tokens = [*_TOKEN.finditer(text)][::-1]
+        sign = _SIGNS[tokens.pop()[1]] if tokens[-1][1] in _SIGNS else 1
+        total = _term(tokens, sign)
+        while tokens[-1][1]:
+            token = tokens.pop()
+            if token[1] not in _SIGNS:
+                raise ScalarParseError(f"unexpected character {token[1][0]!r}", token.start(1))
+            total = total + _term(tokens, _SIGNS[token[1]])
+        return total
 
 
-class _Parser:
-    """Recursive-descent parser for the canonical scalar grammar."""
+# One token of scalar text after any whitespace, in group 1: a number
+# (group 2) with "/" and a denominator (3), a symbol (4) with "^", a sign (5)
+# and an exponent (6), any other character, or "" at the end.  A denominator
+# or exponent is "" when its digits are missing and None without its "/" or
+# "^".  \d is a decimal digit in any script, which is what int() converts.
+_TOKEN = re.compile(r"\s*((\d+)(?:\s*/\s*(\d*))?|([bCp])(?:\s*\^\s*(-?)(\d*))?|.|\Z)")
+_SIGNS = {"+": 1, "-": -1}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def parse(self) -> Scalar:
-        total = ZERO
-        sign = self._leading_sign()
-        total = total + self._term(sign)
-        while True:
-            self._skip_ws()
-            if self.pos >= len(self.text):
-                return total
-            ch = self.text[self.pos]
-            if ch == "+":
-                self.pos += 1
-                total = total + self._term(1)
-            elif ch == "-":
-                self.pos += 1
-                total = total + self._term(-1)
-            else:
-                raise ScalarParseError(f"unexpected character {ch!r}", self.pos)
+def _term(tokens: list[re.Match], sign: int) -> Scalar:
+    """Take the next term off `tokens` and return it times `sign`."""
+    first = tokens[-1]
+    if not first[1]:
+        raise ScalarParseError("expected a term", first.start(1))
+    coeff, exps = Fraction(sign), [0, 0, 0]
+    if first[2]:
+        tokens.pop()
+        coeff *= _integer(first, 2, "a number")
+        if first[3] is not None:
+            if not (den := _integer(first, 3, "a denominator")):
+                raise ScalarParseError("zero denominator", first.end(3) - 1)
+            coeff /= den
+    while True:
+        star = tokens[-1][1] == "*"
+        if star:
+            tokens.pop()
+        token = tokens[-1]
+        if token[4] is None:
+            if star:
+                raise ScalarParseError("expected a factor after '*'", token.start(1))
+            break
+        tokens.pop()
+        k = 1 if token[6] is None else _integer(token, 6, "an integer exponent")
+        exps[_SYMBOLS.index(token[4])] += -k if token[5] else k
+    if tokens[-1] is first:
+        raise ScalarParseError("expected a number or symbol", first.start(1))
+    if not (0 <= exps[0] <= EXP_MAX and 0 <= exps[1] <= EXP_MAX):
+        raise ScalarParseError(f"exponent for b or C outside [0, {EXP_MAX}]", first.start(1))
+    return Scalar.monomial(tuple(exps), coeff)
 
-    def _leading_sign(self) -> int:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            ch = self.text[self.pos]
-            self.pos += 1
-            return -1 if ch == "-" else 1
-        return 1
 
-    def _term(self, sign: int) -> Scalar:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise ScalarParseError("expected a term", self.pos)
-        start = self.pos
-        coeff = Fraction(sign)
-        exps = [0, 0, 0]
-        saw_factor = False
-        if self.text[self.pos].isdigit():
-            coeff *= self._number()
-            saw_factor = True
-        while True:
-            self._skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "*":
-                self.pos += 1
-                self._skip_ws()
-                explicit = True
-            else:
-                explicit = False
-            if self.pos < len(self.text) and self.text[self.pos] in _SYMBOLS:
-                idx = _SYMBOLS.index(self.text[self.pos])
-                self.pos += 1
-                exps[idx] += self._exponent()
-                saw_factor = True
-            elif explicit:
-                raise ScalarParseError("expected a factor after '*'", self.pos)
-            else:
-                break
-        if not saw_factor:
-            raise ScalarParseError("expected a number or symbol", self.pos)
-        if not (0 <= exps[0] <= EXP_MAX and 0 <= exps[1] <= EXP_MAX):
-            raise ScalarParseError(f"exponent for b or C outside [0, {EXP_MAX}]", start)
-        return Scalar.monomial((exps[0], exps[1], exps[2]), coeff)
-
-    def _exponent(self) -> int:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
-            self.pos += 1
-            self._skip_ws()
-            sign = 1
-            if self.pos < len(self.text) and self.text[self.pos] == "-":
-                sign = -1
-                self.pos += 1
-            if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-                raise ScalarParseError("expected an integer exponent", self.pos)
-            return sign * self._int()
-        return 1
-
-    def _number(self) -> Fraction:
-        num = self._int()
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            self._skip_ws()
-            if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-                raise ScalarParseError("expected a denominator", self.pos)
-            den = self._int()
-            if den == 0:
-                raise ScalarParseError("zero denominator", self.pos - 1)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ScalarParseError("expected digits", self.pos)
-        return int(self.text[start: self.pos])
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _integer(token: re.Match, group: int, what: str) -> int:
+    """The int in a token's group; ScalarParseError if it is missing or too long for int()."""
+    try:
+        return int(token[group])
+    except ValueError:
+        message = f"too many digits in {what}" if token[group] else f"expected {what}"
+        raise ScalarParseError(message, token.start(group)) from None
 
 
 ZERO = Scalar.zero()

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -255,6 +256,16 @@ def test_a_commutator_expands_to_both_orders():
     ]
     # nested commutators: [x,[y,z]] = x*y*z - x*z*y - y*z*x + z*y*x
     assert [sign for sign, _ in checks._expression("[x12,[y13,z23]]")] == [1, -1, -1, 1]
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        checks._expression("[x12,[y13,z23]] - rho13*s23 + r21")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cybe_is_the_sum_of_three_commutators():

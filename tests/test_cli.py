@@ -249,6 +249,9 @@ def test_bad_overrides_exit_2_without_traceback(args, message):
         ("verify", "braid", "--n", "2", "--corrupt", "(1 2,1;1,1)=1"),
         ("verify", "qlie", "--n", "2", "--corrupt-constants", "(1;1,,2)=1"),
         ("verify", "qlie", "--n", "2", "--corrupt-constants", "(1;,)=1"),
+        # more digits than int() converts
+        ("verify", "braid", "--n", "2", "--corrupt", f"(1,2;2,{'9' * 5000})=1"),
+        ("verify", "qlie", "--n", "2", "--corrupt-constants", f"({'9' * 5000};1,2)=1"),
     ],
     ids=[
         "corrupt-empty",
@@ -256,6 +259,8 @@ def test_bad_overrides_exit_2_without_traceback(args, message):
         "corrupt-space-split",
         "constants-empty",
         "constants-no-index",
+        "corrupt-long-index",
+        "constants-long-index",
     ],
 )
 def test_empty_index_fields_exit_2_with_one_error_line(args):
@@ -334,6 +339,13 @@ def test_bad_override_is_rejected_before_any_suite_runs():
     assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
 
 
+def test_main_builds_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert cli.main(["verify", "braid", "--n", "1"]) == 0
+    assert cli.main(["verify", "hecke", "--n", "1"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_every_override_is_checked_against_every_selected_suite():
     # index 0 exists in braid's extended matrix but not in qlie's braid matrix
     args = cli._build_parser().parse_args(["verify", "braid", "--n", "2", "--corrupt", "(0,1;1,1)=2"])
@@ -399,20 +411,26 @@ def test_flag_a_selected_suite_ignores_exits_2(args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, named",
     [
-        ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=b^-1"),
-        ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=C^65536"),
-        ("verify", "qlie", "--n", "2", "--corrupt-constants", "(2;1,2)=b^70000"),
+        (("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=b^-1"), "exponent"),
+        (("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=C^65536"), "exponent"),
+        (("verify", "qlie", "--n", "2", "--corrupt-constants", "(2;1,2)=b^70000"), "exponent"),
+        # digits to str.isdigit, not to int(), and more digits than int() converts
+        (("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=b^²"), "exponent"),
+        (("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=²"), "number"),
+        (("verify", "braid", "--n", "2", "--corrupt", f"(1,2;2,1)=b^{'9' * 5000}"), "exponent"),
+        (("verify", "braid", "--n", "2", "--corrupt", f"(1,2;2,1)={'9' * 5000}"), "number"),
     ],
-    ids=["negative-b", "C-beyond-field", "constant-b-beyond-field"],
+    ids=["negative-b", "C-beyond-field", "constant-b-beyond-field", "superscript-exponent",
+         "superscript-value", "long-exponent", "long-value"],
 )
-def test_exponents_outside_their_field_exit_2_with_one_error_line(args):
+def test_exponents_outside_their_field_exit_2_with_one_error_line(args, named):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("qlie: error: ")]
-    assert len(errors) == 1 and "exponent" in errors[0]
+    assert len(errors) == 1 and named in errors[0]
 
 
 @pytest.mark.parametrize("entry", ["(2,2;2,2)", "(1,2;1,2)"])

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -57,22 +58,86 @@ def test_parse_examples():
     assert Scalar.parse("2*b*C") == BETA * C * 2
     assert Scalar.parse("2C") == C * 2  # implicit product tolerated
     assert Scalar.parse("p^-1") == P_INV
+    assert Scalar.parse("*b") == BETA  # a leading '*' is tolerated
+    assert Scalar.parse("2 b C - b b") == BETA * C * 2 - BETA * BETA
+    assert Scalar.parse("3 / 4 * p ^ -2") == P_INV * P_INV * Fraction(3, 4)
 
 
 def test_parse_error_carries_position():
-    with pytest.raises(ScalarParseError) as err:
-        Scalar.parse("b*")
-    assert err.value.pos == 2
-    with pytest.raises(ScalarParseError):
-        Scalar.parse("b + + C")
-    with pytest.raises(ScalarParseError):
-        Scalar.parse("q")
+    rejected = [
+        ("b*", 2),
+        ("b^", 2),
+        ("2/", 2),
+        ("2/0", 2),
+        ("2**b", 2),
+        ("1 2", 2),
+        ("b + + C", 4),
+        ("q", 0),
+        ("²", 0),  # a digit to str.isdigit, not to int()
+        ("b^²", 2),
+        ("9" * 5000, 0),  # more digits than int() converts
+        ("b^" + "9" * 5000, 2),
+        ("1/" + "9" * 5000, 2),
+    ]
+    for text, pos in rejected:
+        with pytest.raises(ScalarParseError) as err:
+            Scalar.parse(text)
+        assert err.type is ScalarParseError and err.value.pos == pos, text[:10]
 
 
 @settings(max_examples=1000, deadline=None)
 @given(scalars)
 def test_parse_roundtrip(a):
     assert Scalar.parse(str(a)) == a
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        Scalar.parse("2/3 b^2 C - p^-1 + *C")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def spelled(draw) -> tuple[str, Scalar]:
+    """Non-canonical text of a sum of terms, and the Scalar its terms build."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    text, value = "", ZERO
+    for t in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from([1, -1])) if t else draw(st.sampled_from([0, 1, -1]))
+        text += draw(space) + {0: "", 1: "+", -1: "-"}[sign] + draw(space)
+        term = Scalar.rational(-1 if sign < 0 else 1)
+        factors = []
+        if draw(st.booleans()):
+            num, den = draw(st.integers(0, 99)), draw(st.integers(1, 9))
+            factors.append(f"{num}{draw(space)}/{draw(space)}{den}" if den > 1 else str(num))
+            term = term * Fraction(num, den)
+        for _ in range(draw(st.integers(0 if factors else 1, 4))):  # symbols may repeat
+            symbol = draw(st.sampled_from(["b", "C", "p"]))
+            k = draw(st.integers(-3 if symbol == "p" else 0, 3))
+            power = {"b": BETA, "C": C, "p": P if k >= 0 else P_INV}[symbol] ** abs(k)
+            if k == 1 and draw(st.booleans()):
+                factors.append(symbol)
+            else:
+                factors.append(f"{symbol}{draw(space)}^{draw(space)}{k}")
+            term = term * power
+        text += "".join(
+            (draw(st.sampled_from(["*", " * ", " ", ""])) if i else "") + factor
+            for i, factor in enumerate(factors)
+        )
+        value = value + term
+    return text + draw(space), value
+
+
+@settings(max_examples=1000, deadline=None)
+@given(spelled())
+def test_parse_reads_noncanonical_text(case):
+    # implicit and explicit '*', repeated symbols, fractions, signed p exponents
+    text, value = case
+    assert Scalar.parse(text) == value
 
 
 @settings(max_examples=200, deadline=None)
