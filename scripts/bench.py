@@ -5,12 +5,15 @@ Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk.  Four paths are timed: the passing path of every suite; the
+`src/` on disk.  Five paths are timed: the passing path of every suite; the
 specialized path, every suite but `rtt` (which takes no specialization) with
 `--beta=2/3 --C=-9/5 --p=8/7`; the failing, witness-producing path of
-`verify braid --corrupt "(1,2;2,1)=C"`; and the elimination path of
-`verify rtt --corrupt-constants "(2;1,2)=2C"`, the one path that runs
-`linalg`'s exact Bareiss elimination.
+`verify braid --corrupt "(1,2;2,1)=C"`; and the two paths that run
+`linalg`'s exact Bareiss elimination: the elimination path of
+`verify rtt --corrupt-constants "(2;1,2)=2C"`, a constant on the support
+k = i + j - 1, compared one weight grade at a time, and the off-support path
+of `verify rtt --corrupt-constants "(2;1,1)=C"`, which mixes the grades, so
+every relation is compared in one group.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -20,7 +23,7 @@ drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
 `time.process_time` and `time.perf_counter` seconds, the exit code and the
 report's `report_sha256`; every cell whose two trees print different
-reports is listed on stdout.  Every `rtt` cell, passing and elimination,
+reports is listed on stdout.  Every `rtt` cell, passing or eliminating,
 also records its work and memory, counted in one more, untimed subprocess
 per tree, so no timed run is wrapped or traced: the number of
 `Scalar.__mul__` and `Scalar.exact_div` calls and the `tracemalloc` peak of
@@ -54,6 +57,7 @@ REPEATS = 5
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
 ELIMINATION = ("rtt", "--corrupt-constants", "(2;1,2)=2C")
+OFF_SUPPORT = ("rtt", "--corrupt-constants", "(2;1,1)=C")
 ROOT = Path(cli.__file__).resolve().parents[2]
 
 # one timed run in a subprocess: [exit code, process seconds, wall seconds,
@@ -166,7 +170,8 @@ def main(argv: list[str]) -> int:
         ("specialized", suite, n): ["verify", suite, "--n", str(n), *SPECIALIZED]
         for suite in cli.VERIFY_SUITES if suite != "rtt" for n in N
     })
-    for path, (suite, *flags) in (("corrupt", CORRUPT), ("elimination", ELIMINATION)):
+    failing = (("corrupt", CORRUPT), ("elimination", ELIMINATION), ("off-support", OFF_SUPPORT))
+    for path, (suite, *flags) in failing:
         cells.update({(path, suite, n): ["verify", suite, "--n", str(n), *flags] for n in N})
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -201,8 +206,10 @@ def main(argv: list[str]) -> int:
             "repeats": REPEATS,
             "passing": {},
             "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED]},
-            "corrupt": {"argv": ["verify", CORRUPT[0], "--n", "N", *CORRUPT[1:]]},
-            "elimination": {"argv": ["verify", ELIMINATION[0], "--n", "N", *ELIMINATION[1:]]},
+            **{
+                path: {"argv": ["verify", suite, "--n", "N", *flags]}
+                for path, (suite, *flags) in failing
+            },
         }
         for (path, suite, n), pair in timed.items():
             result[path].setdefault(suite, {})[str(n)] = pair[side]

@@ -5,8 +5,8 @@ The braid matrix on small indices 1..n is
     sigma^{ij}_{kl} = delta(i,l) delta(j,k)
                     + b * (sum_{k<=s<l} - sum_{l<=s<k}) delta(i,s) delta(j,k+l-s),
 
-its one-parameter deformation multiplies the flip term by p^(k-l) and the
-summand by p^(k-s).  The structure constants are
+its p-family, sigma under the gauge D = diag(p, ..., p^n), multiplies the
+flip term by p^(k-l) and the summand by p^(k-s).  The structure constants are
 
     C^j_{kl} = C * (delta(1,l) delta(j,k) - delta(1,k) delta(j,l)),
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .operators import Entry, Operator
-from .scalars import BETA, C, ONE, Scalar
+from .scalars import BETA, C, ONE, ZERO, Scalar
 
 
 def sigma_cg(n: int) -> Operator:
@@ -38,30 +38,28 @@ def sigma_cg(n: int) -> Operator:
     ent: dict[Entry, Scalar] = {}
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            _acc(ent, (l, k), (k, l), ONE)
+            ent[(l, k), (k, l)] = ONE
             sign = 1 if k < l else -1
-            for s in range(min(k, l), max(k, l)):
-                _acc(ent, (s, k + l - s), (k, l), BETA * sign)
+            for s in range(min(k, l), max(k, l)):  # s = l < k adds to the flip term
+                key = ((s, k + l - s), (k, l))
+                ent[key] = ent.get(key, ZERO) + BETA * sign
     return Operator(n, 2, ent, lo=1)
 
 
 def sigma_cg_family(n: int) -> Operator:
-    """The p-deformed family; specializing p = 1 recovers sigma_cg(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ent: dict[Entry, Scalar] = {}
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            _acc(ent, (l, k), (k, l), Scalar.monomial((0, 0, k - l)))
-            sign = 1 if k < l else -1
-            for s in range(min(k, l), max(k, l)):
-                _acc(
-                    ent,
-                    (s, k + l - s),
-                    (k, l),
-                    Scalar.monomial((1, 0, k - s), sign),
-                )
-    return Operator(n, 2, ent, lo=1)
+    """The p-deformed family: sigma_cg(n) under the gauge D = diag(p, p^2, ..., p^n).
+
+    Entry ((o1, o2), (i1, i2)) of sigma_cg(n) is multiplied by p^(i1 - o1),
+    which is (D^-1 (x) 1) sigma (D (x) 1).  Sigma keeps i + j, so it commutes
+    with D (x) D, and one conjugation, by D^2 (x) D (x) 1, carries sigma_12
+    and sigma_23 to the family's; so the family's braid and Hecke relations
+    follow from sigma's.  Specializing p = 1 recovers sigma_cg(n).
+    """
+    gauged = {
+        (out, inp): coeff * Scalar.monomial((0, 0, inp[0] - out[0]))
+        for (out, inp), coeff in sigma_cg(n).entries.items()
+    }
+    return Operator(n, 2, gauged, lo=1)
 
 
 @dataclass
@@ -85,12 +83,8 @@ class StructureTensor:
         return self.entries.get((k, i, j), Scalar.zero())
 
     def with_entry(self, k: int, i: int, j: int, coeff: Scalar) -> "StructureTensor":
-        ent = dict(self.entries)
-        if coeff:
-            ent[(k, i, j)] = coeff
-        else:
-            ent.pop((k, i, j), None)
-        return StructureTensor(self.n, ent)
+        """Copy with one entry overridden (zero coefficient deletes it)."""
+        return StructureTensor(self.n, {**self.entries, (k, i, j): coeff})
 
     def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "StructureTensor":
         """Apply fn to every coefficient (e.g. a specialization)."""
@@ -148,28 +142,19 @@ def extended_rhat(
     exchange index 0 with any capital index; every other entry is zero.
     Passing a custom structure tensor supports mutation testing.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if constants is None:
-        constants = structure_constants(n)
-    if constants.n != n:
-        raise ValueError(f"structure tensor must have size {n}, got {constants.n}")
-    ent: dict[Entry, Scalar] = {}
-    for key, coeff in sigma_cg(n).entries.items():
-        ent[key] = coeff
-    for (k, i, j), coeff in constants.entries.items():
-        _acc(ent, (0, k), (i, j), coeff)
+    ent = dict(sigma_cg(n).entries)
+    for (k, i, j), coeff in _constants(n, constants).entries.items():
+        ent[(0, k), (i, j)] = coeff
     for a in range(0, n + 1):
         ent[((0, a), (a, 0))] = ONE
         ent[((a, 0), (0, a))] = ONE
     return Operator(n, 2, ent, lo=0)
 
 
-def _acc(ent: dict[Entry, Scalar], out: tuple[int, int], inp: tuple[int, int], coeff: Scalar) -> None:
-    key = (out, inp)
-    acc = ent.get(key)
-    acc = coeff if acc is None else acc + coeff
-    if acc:
-        ent[key] = acc
-    else:
-        ent.pop(key, None)
+def _constants(n: int, constants: Optional[StructureTensor]) -> StructureTensor:
+    """The given structure tensor, or the closed-form one for None; it must have size n."""
+    if constants is None:
+        return structure_constants(n)
+    if constants.n != n:
+        raise ValueError(f"structure tensor must have size {n}, got {constants.n}")
+    return constants

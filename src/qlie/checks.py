@@ -37,7 +37,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
 from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _pack_fields, _single_pass
 from .laurent import _unpack_fields, op_r, op_rhat, op_rho, op_s
@@ -594,9 +594,7 @@ def suite_qlie(
     the braid relation for sigma.  All free index tuples are covered.
     """
     sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
-    constants = structure_constants(n) if constants is None else constants
-    if constants.n != n:
-        raise ValueError(f"structure tensor must have size {n}, got {constants.n}")
+    constants = _constants(n, constants)
     col = Collector("qlie", n, subs)
     sigma = col.leaf(sigma)
     sig = _index(sigma.entries)

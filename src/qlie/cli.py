@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import checks, rtt
 from .cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .operators import Operator
-from .scalars import Scalar
+from .scalars import Scalar, ScalarParseError
 
 
 class Suite(NamedTuple):
@@ -198,7 +198,10 @@ def _override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
         upper, lower = (tuple(map(int, field.split(","))) for field in (m[1], m[2]))
     except ValueError:  # an empty or space-split index, or more digits than int() takes
         raise ValueError("every index must be one nonnegative integer") from None
-    return upper, lower, Scalar.parse(m[3])
+    try:
+        return upper, lower, Scalar.parse(m[3])
+    except ScalarParseError as exc:  # its position in the whole text
+        raise ScalarParseError(exc.message, exc.pos + m.start(3)) from None
 
 
 def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:

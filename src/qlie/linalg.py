@@ -84,13 +84,14 @@ def _step(row: Row, col: int, pivot: Scalar, pivot_row: Row, last: Scalar) -> Ro
     return new
 
 
-def echelon(rows: list[Row], ncols: int) -> Echelon:
+def echelon(rows: list[Row]) -> Echelon:
     """Fraction-free row echelon form of sparse rows.
 
-    The pivot at each step is chosen among candidates in the lowest available
-    column as the stored entry with the fewest polynomial terms, breaking
-    ties by row order, which keeps intermediate entries small and the run
-    deterministic.
+    The columns are those the rows hold, in increasing order (a step fills in
+    no other).  The pivot at each step is chosen among candidates in the
+    lowest available column as the stored entry with the fewest polynomial
+    terms, breaking ties by row order, which keeps intermediate entries
+    small and the run deterministic.
 
     A step updates only the rows with an entry in its column.  Each row keeps
     the pivot P_j of the step that last updated it (1 at the start).  Bareiss
@@ -109,7 +110,7 @@ def echelon(rows: list[Row], ncols: int) -> Echelon:
     work = [(dict(r), ONE) for r in rows if r]
     ech = Echelon()
     prev = ONE
-    for col in range(ncols):
+    for col in sorted({col for row, _ in work for col in row}):
         best: Optional[int] = None
         for idx, (row, _) in enumerate(work):
             coeff = row.get(col)

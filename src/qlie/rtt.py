@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Iterator, Optional
 
-from .cg import StructureTensor, extended_rhat, sigma_cg, structure_constants
+from .cg import StructureTensor, _constants, extended_rhat, sigma_cg
 from .checks import Collector, VerificationReport
 from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _index_constants, _row_str
 from .linalg import Echelon, Row, echelon
@@ -91,10 +91,8 @@ def bcc_relation(
     for idx in indices:
         if idx < 1 or idx > n:
             raise ValueError(f"index {idx} outside 1..{n}")
-    ct = structure_constants(n) if constants is None else constants
-    if ct.n != n:
-        raise ValueError(f"structure tensor must have size {n}, got {ct.n}")
-    return _bcc_row(family, indices, n, _index(sigma_cg(n).entries), _index_constants(ct.entries))
+    ct = _index_constants(_constants(n, constants).entries)
+    return _bcc_row(family, indices, n, _index(sigma_cg(n).entries), ct)
 
 
 def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
@@ -107,7 +105,7 @@ def _bcc_rows(
     n: int, constants: Optional[StructureTensor] = None
 ) -> Iterator[tuple[RelationKey, FlatRow]]:
     sig = _index(sigma_cg(n).entries)
-    ct = _index_constants((structure_constants(n) if constants is None else constants).entries)
+    ct = _index_constants(_constants(n, constants).entries)
     for family, arity in _ARITY.items():
         for indices in product(range(1, n + 1), repeat=arity):
             yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
@@ -166,9 +164,7 @@ def compare_relation_spans(
     get from all relations at once.  Witnesses are buffered and sorted back
     into key order, every `rtt`-side witness first.
     """
-    if bcc_constants is not None and bcc_constants.n != n:
-        raise ValueError(f"structure tensor must have size {n}, got {bcc_constants.n}")
-    ct = structure_constants(n) if bcc_constants is None else bcc_constants
+    ct = _constants(n, bcc_constants)
     collector = Collector("rtt", n)
     collector.checked += (n + 1) ** 4 + sum(n ** a for a in _ARITY.values())
     tables = _rtt_tables(n)
@@ -197,9 +193,8 @@ def _outside_spans(rtt_rows: list, bcc_rows: list) -> Iterator[tuple[str, Relati
     share no word are independent, so span membership splits over the
     connected components of the row-word graph (the trivial case of the
     block triangular form): every unmatched row is tested by fraction-free
-    elimination against the opposing rows of its own block only, in
-    block-local columns.  A block's elimination is built the first time one
-    of its rows needs it.
+    elimination against the opposing rows of its own block only.  A
+    block's elimination is built the first time one of its rows needs it.
     """
     rtt_set, bcc_set = {row for _, row in rtt_rows}, {row for _, row in bcc_rows}
     unmatched = [(key, row, 1, "bcc-span") for key, row in rtt_rows if row not in bcc_set]
@@ -229,17 +224,10 @@ def _outside_spans(rtt_rows: list, bcc_rows: list) -> Iterator[tuple[str, Relati
         first = block(row)
         for (w, _), _ in row[1:]:
             parent[find(columns[w])] = first
-    # block-local column indices, in global column order
-    local = [0] * len(columns)
-    width: dict[int, int] = {}
-    for col in range(len(columns)):
-        root = find(col)
-        local[col] = width.get(root, 0)
-        width[root] = local[col] + 1
 
-    def localize(row: tuple) -> Row:
+    def coordinates(row: tuple) -> Row:
         scalars = _by_index((w, key, q) for (w, key), q in row)
-        return {local[columns[w]]: s for w, s in scalars.items()}
+        return {columns[w]: s for w, s in scalars.items()}
 
     # per block root, the rows of each side (0: rtt, 1: bcc)
     members: dict[int, tuple[list[tuple], list[tuple]]] = {}
@@ -251,10 +239,8 @@ def _outside_spans(rtt_rows: list, bcc_rows: list) -> Iterator[tuple[str, Relati
         root = block(row)
         ech = echelons.get((root, side))
         if ech is None:
-            ech = echelons[root, side] = echelon(
-                [localize(r) for r in members[root][side]], width[root]
-            )
-        if not ech.contains(localize(row)):
+            ech = echelons[root, side] = echelon([coordinates(r) for r in members[root][side]])
+        if not ech.contains(coordinates(row)):
             yield outside, key
 
 

@@ -49,11 +49,11 @@ _OVER = (_MASK & -_LIMIT) * (1 | 1 << _BITS)
 
 
 class ScalarParseError(ValueError):
-    """Malformed scalar string; carries the 0-based offset of the error."""
+    """Malformed scalar string; carries its message and the 0-based offset of the error."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 def _coerce(value: Union[int, Fraction, str]) -> Coeff:

@@ -4,8 +4,9 @@ import pytest
 
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import SpaceConfig, op_rhat
-from qlie.checks import Collector
+from qlie.checks import Collector, suite_qlie
 from qlie.operators import Operator, from_functional
+from qlie.rtt import bcc_relation, compare_relation_spans
 from qlie.scalars import BETA, C, ONE, Scalar
 
 
@@ -111,7 +112,7 @@ def test_family_n2_entry():
     assert sigma_cg_family(2).coeff((2, 1), (1, 2)) == Scalar.monomial((0, 0, -1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_family_matches_brute_force_sum(n):
     fam = sigma_cg_family(n)
     for i, j, k, l in product(range(1, n + 1), repeat=4):
@@ -176,6 +177,21 @@ def test_extended_rejects_constants_of_another_size(n, size):
     # larger one to fail on an index outside the matrix
     with pytest.raises(ValueError, match=f"^structure tensor must have size {n}, got {size}$"):
         extended_rhat(n, structure_constants(size))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n, ct: extended_rhat(n, ct),
+        lambda n, ct: suite_qlie(n, constants=ct),
+        lambda n, ct: bcc_relation(1, (1, 2), n, constants=ct),
+        lambda n, ct: compare_relation_spans(n, bcc_constants=ct),
+    ],
+    ids=["extended_rhat", "suite_qlie", "bcc_relation", "compare_relation_spans"],
+)
+def test_every_taker_of_constants_rejects_another_size(build):
+    with pytest.raises(ValueError, match="^structure tensor must have size 2, got 3$"):
+        build(2, structure_constants(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

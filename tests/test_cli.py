@@ -231,9 +231,18 @@ def test_verify_seed_flag():
             ("verify", "qlie", "--n", "2", "--corrupt", "(0,1;1,1)=2"),  # below sigma's base 1
             "--corrupt '(0,1;1,1)=2': index 0 outside 1..2",
         ),
+        (
+            # a coefficient error is placed in the flag's value, not in COEFF
+            ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=b*"),
+            "--corrupt '(1,2;2,1)=b*': expected a factor after '*' (at position 12)",
+        ),
+        (
+            ("verify", "qlie", "--n", "2", "--corrupt-constants", "(2;1,2)= 2/0"),
+            "--corrupt-constants '(2;1,2)= 2/0': zero denominator (at position 11)",
+        ),
     ],
     ids=["corrupt-range", "corrupt-arity", "corrupt-constants-range", "corrupt-range-braid",
-         "corrupt-range-qlie"],
+         "corrupt-range-qlie", "corrupt-coefficient-position", "constants-coefficient-position"],
 )
 def test_bad_overrides_exit_2_without_traceback(args, message):
     proc = run_cli(*args)

@@ -47,7 +47,7 @@ def fraction_rank(int_rows, ncols):
     )
 )
 def test_rank_agrees_with_fraction_gauss(int_rows):
-    ech = echelon(scalar_rows(int_rows), 4)
+    ech = echelon(scalar_rows(int_rows))
     assert ech.rank == fraction_rank(int_rows, 4)
 
 
@@ -62,7 +62,7 @@ def test_rank_agrees_with_fraction_gauss(int_rows):
 )
 def test_membership_of_linear_combinations(int_rows, coeffs):
     rows = scalar_rows(int_rows)
-    ech = echelon(rows, 3)
+    ech = echelon(rows)
     combo: dict[int, Scalar] = {}
     for row, k in zip(rows, coeffs):
         for j, v in row.items():
@@ -76,7 +76,7 @@ def test_membership_of_linear_combinations(int_rows, coeffs):
 
 def test_membership_rejects_outside_vectors():
     rows = scalar_rows([[1, 0, 0], [0, 1, 0]])
-    ech = echelon(rows, 3)
+    ech = echelon(rows)
     assert not ech.contains({2: ONE})
     assert ech.contains({0: BETA, 1: C})  # fraction-field coefficients allowed
 
@@ -88,13 +88,13 @@ def test_polynomial_pivots():
         {0: ONE, 1: C},
         {0: C, 1: ONE},
     ]
-    ech = echelon(rows, 2)
+    ech = echelon(rows)
     assert ech.rank == 2
     assert ech.contains({0: BETA + C, 1: BETA * C + ONE})
 
 
 def test_polynomial_proper_subspace():
-    ech = echelon([{0: BETA, 1: BETA * C}], 2)
+    ech = echelon([{0: BETA, 1: BETA * C}])
     assert ech.rank == 1
     assert ech.contains({0: ONE, 1: C})  # divide by b in the fraction field
     assert not ech.contains({0: ONE, 1: ONE})
@@ -102,7 +102,7 @@ def test_polynomial_proper_subspace():
 
 def test_polynomial_membership_requires_field_coefficients():
     # (1) and (b) span the same line over the fraction field
-    ech = echelon([{0: BETA}], 1)
+    ech = echelon([{0: BETA}])
     assert ech.contains({0: ONE})
     assert ech.contains({0: C})
 
@@ -118,7 +118,7 @@ def test_randomized_cross_check_with_numeric_path():
             for _ in range(rng.randint(1, 5))
         ]
         probe = [rng.randint(-3, 3) for _ in range(ncols)]
-        ech = echelon(scalar_rows(int_rows), ncols)
+        ech = echelon(scalar_rows(int_rows))
         exact = ech.contains(
             {j: Scalar.rational(v) for j, v in enumerate(probe) if v}
         )
@@ -214,7 +214,7 @@ sparse_rows = st.dictionaries(st.integers(0, 3), small_scalars, max_size=3).map(
     small_scalars.filter(bool),
 )
 def test_lazy_elimination_agrees_with_eager_reference(rows, coeffs, probe, outside):
-    ech = echelon(rows, 5)
+    ech = echelon(rows)
     ref = eager_echelon(rows, 5)
     assert ech.rank == len(ref)
     member = combination(rows, coeffs)
@@ -223,6 +223,13 @@ def test_lazy_elimination_agrees_with_eager_reference(rows, coeffs, probe, outsi
     assert not ech.contains(non_member) and not eager_contains(ref, non_member)
     probe = {j: v for j, v in probe.items() if v}
     assert ech.contains(probe) == eager_contains(ref, probe)
+    # the columns are read from the rows: relabeled by a strictly increasing
+    # map with gaps, they give the same steps, relabeled, and the same verdicts
+    relabel = lambda row: {3 * j + 5: v for j, v in row.items()}
+    gapped = echelon([relabel(r) for r in rows])
+    assert gapped.steps == [(3 * col + 5, pivot, relabel(row)) for col, pivot, row in ech.steps]
+    for vec in (member, non_member, probe):
+        assert gapped.contains(relabel(vec)) == ech.contains(vec)
 
 
 def test_stale_rows_are_brought_up_to_date(monkeypatch):
@@ -245,7 +252,7 @@ def test_stale_rows_are_brought_up_to_date(monkeypatch):
         return step(row, col, pivot, pivot_row, last)
 
     monkeypatch.setattr(linalg, "_step", spy)
-    ech = echelon(rows, 6)
+    ech = echelon(rows)
     pivots = [pivot for _, pivot, _ in ech.steps]
     assert [col for col, _, _ in ech.steps] == [0, 1, 2, 3, 4]
     # b's update at column 3 divides by the pivot of step 1, not of step 3
