@@ -12,8 +12,8 @@ specialized path, every suite but `rtt` (which takes no specialization) with
 `linalg`'s exact Bareiss elimination: the elimination path of
 `verify rtt --corrupt-constants "(2;1,2)=2C"`, a constant on the support
 k = i + j - 1, compared one weight grade at a time, and the off-support path
-of `verify rtt --corrupt-constants "(2;1,1)=C"`, which mixes the grades, so
-every relation is compared in one group.
+of `verify rtt --corrupt-constants "(2;1,1)=C"`, which joins the weights 0
+and 1, so their grades are compared together.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -24,11 +24,11 @@ tree must print the same report.  Each file records, per cell, the median
 `time.process_time` and `time.perf_counter` seconds, the exit code and the
 report's `report_sha256`; every cell whose two trees print different
 reports is listed on stdout.  Every `rtt` cell, passing or eliminating,
-also records its work and memory, counted in one more, untimed subprocess
-per tree, so no timed run is wrapped or traced: the number of
-`Scalar.__mul__` and `Scalar.exact_div` calls and the `tracemalloc` peak of
-`qlie.cli.main`, in MiB; unlike the times, these do not drift with the
-host.  Each file also records the ROADMAP's two measures of simplicity for
+and every `specialized` cell also records its work and memory, counted in
+one more, untimed subprocess per tree, so no timed run is wrapped or
+traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
+`Scalar.substitute` calls and the `tracemalloc` peak of `qlie.cli.main`,
+in MiB; unlike the times, these do not drift with the host.  Each file also records the ROADMAP's two measures of simplicity for
 its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
 wc -l`), and `public_names`, the length of `qlie.__all__`; and it records
 the interpreter version, the git commit
@@ -74,20 +74,21 @@ masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
 print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """
 
-# one untimed run with Scalar.__mul__ and Scalar.exact_div counted and memory
-# traced: [exit code, counts and tracemalloc peak]
+# one untimed run with Scalar.__mul__, Scalar.exact_div and Scalar.substitute
+# counted and memory traced: [exit code, counts and tracemalloc peak]
 COUNT_CHILD = """
 import contextlib, io, json, sys, tracemalloc
 from qlie import cli
 from qlie.scalars import Scalar
-counts = {"mul_calls": 0, "exact_div_calls": 0}
+counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0}
 def counted(name, method):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         counts[name] += 1
-        return method(*args)
+        return method(*args, **kwargs)
     return wrapper
 Scalar.__mul__ = counted("mul_calls", Scalar.__mul__)
 Scalar.exact_div = counted("exact_div_calls", Scalar.exact_div)
+Scalar.substitute = counted("substitute_calls", Scalar.substitute)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     tracemalloc.start()
     code = cli.main(sys.argv[1:])
@@ -182,7 +183,7 @@ def main(argv: list[str]) -> int:
         sizes = [_size(tree) for tree in trees]
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():
-            if key[1] == "rtt":
+            if key[1] == "rtt" or key[0] == "specialized":
                 for side, summary in enumerate(pair):
                     code, counts = _run(trees[side], cells[key], COUNT_CHILD)
                     assert code == summary["exit"]

@@ -1,7 +1,7 @@
 """Verification suites for the braid, Yang-Baxter and quantum-Lie identities.
 
-Each suite checks an identity exactly, over symbolic coefficients unless a
-specialization is requested, and returns a VerificationReport.  Failures are
+Each suite checks an identity exactly, over symbolic coefficients whatever
+the run's values, and returns a VerificationReport.  Failures are
 collected as witnesses, never raised.  Each operator identity is stated
 once, as the text its witnesses print, such as "[s12,rho13]+s12*rho23" or
 "R12*R13*R23 = R23*R13*R12": a factor is an operator name followed by two
@@ -19,12 +19,15 @@ packed b/C/p monomial, as the `laurent` kernel reads them.  They sweep one
 slab at a time, every start monomial or output row that shares a first
 index, so each word takes a whole slab through each of its factors in one
 kernel call or one row-wise product, and their hot loops add and multiply
-ints, with no Scalar built.  The functional kernels have int coefficients;
-the matrix route clears the denominators of its leaves once per call, so a
-specialized run multiplies ints as well, and a Fraction appears only in a
-witness, divided back from a row that differs.  A slab that passes is never
-decoded: the Collector turns flat terms back into Scalars only to decide a
-specialized verdict or print a witness.
+rationals, ints unless an input has a fraction, with no Scalar built.
+
+A run's --beta/--C/--p values are an evaluation homomorphism, so a
+specialized difference is the specialization of the symbolic one: every
+suite checks its symbolic inputs, and `Collector.specialize`, the one
+place the values are applied, substitutes them only into a row that
+differs.  A slab that passes is never decoded: the Collector turns flat
+terms back into Scalars only to decide a specialized verdict or print a
+witness.
 """
 
 from __future__ import annotations
@@ -32,24 +35,20 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from math import lcm, prod
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
 from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _pack_fields, _single_pass
 from .laurent import _unpack_fields, op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
-from .scalars import BETA, ONE, ZERO, Scalar, _by_index, _coerce
+from .scalars import BETA, ONE, ZERO, Scalar, _by_index
 
 WITNESS_CAP = 16
 
 # substitution mapping: keys among {"beta", "c", "p"} with rational values
 Subs = Optional[dict]
-# what a Collector specializes
-Leaf = TypeVar("Leaf", Operator, StructureTensor)
 
 # a word is a composition of elementary two-slot operators, leftmost applied
 # last; an expression is a sum of words, each with sign +1 or -1
@@ -167,20 +166,14 @@ class Collector:
         self.witnesses: list[dict] = []
         self._t0 = time.perf_counter()
 
-    def scalar(self, s: Scalar) -> Scalar:
-        return s.substitute(**self.subs) if self.subs else s
-
-    def leaf(self, op: Leaf) -> Leaf:
-        """op, a matrix or structure tensor, specialized."""
-        return op.map_entries(self.scalar) if self.subs else op
-
     def specialize(self, row: dict) -> dict[tuple, Scalar]:
         """The Scalars of a flat row {(index, packed monomial): q}, by index,
-        specialized; those that vanish are left out."""
+        specialized; those that vanish are left out.  The one place where a
+        run's values are applied."""
         by_index = _by_index((index, m, q) for (index, m), q in row.items())
         if not self.subs:
             return by_index
-        return {index: v for index, s in by_index.items() if (v := self.scalar(s))}
+        return {index: v for index, s in by_index.items() if (v := s.substitute(**self.subs))}
 
     def compare(self, a: Operator, b: Operator, tag: dict) -> None:
         """Count one comparison per entry position; collect all discrepancies."""
@@ -193,18 +186,18 @@ class Collector:
         """Witnesses of one output row, `lhs` and `rhs` flat rows {(in, packed monomial): q}.
 
         Every nonzero entry of lhs when rhs is None, else every position where
-        the two differ; in input order.
+        the two differ once specialized; in input order.
         """
         if lhs == rhs:
             return
-        lhs = _by_index((inp, m, q) for (inp, m), q in lhs.items())
+        lhs = self.specialize(lhs)
         if rhs is None:
             for inp in sorted(lhs):
                 self.witnesses.append(
                     {**tag, "out": list(out), "in": list(inp), "value": str(lhs[inp])}
                 )
             return
-        rhs = _by_index((inp, m, q) for (inp, m), q in rhs.items())
+        rhs = self.specialize(rhs)
         for inp in sorted(lhs.keys() | rhs.keys()):
             ca = lhs.get(inp, ZERO)
             cb = rhs.get(inp, ZERO)
@@ -257,9 +250,9 @@ def check_identities(
     space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
     SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
     variable.  Matrix route: multiply out the embedded `leaves`, the two-leg
-    matrices (already specialized) of the operators the words name, by rows,
-    as in Gustavson's row-wise sparse product (ACM TOMS 1978), so no product
-    matrix is ever built.
+    matrices of the operators the words name, by rows, as in Gustavson's
+    row-wise sparse product (ACM TOMS 1978), so no product matrix is ever
+    built.
 
     Both routes sweep one slab at a time: every start monomial, or every
     output row, with one first index.  A term's key is one int in the
@@ -274,52 +267,39 @@ def check_identities(
     sides' dicts once.  Only a slab that differs is split by start and
     decoded, row by row, in the order the monomials or rows sort in.
 
-    On specialized leaves the matrix route runs in ints: each leaf is
-    multiplied once by its denominator d, the lcm of its rationals'
-    denominators (a leaf with d = 1, as every leaf on symbolic input, is
-    used as it is), and with D the lcm of all d and K the identity's
-    longest word, a word starts from sign * D^K over the product of its
-    factors' d, so both sides of every row carry the factor D^K.  A passing
-    slab compares ints; only a differing row is divided back by D^K,
-    exactly, into the rationals its witnesses print.  Witnesses start with
-    the identity's tag, then name the route under `side` unless `sided` is
-    false; a functional witness prints the specialized value.
+    Both routes run on the symbolic leaves and kernels, whatever the run's
+    values: `col` specializes each differing row, and a row whose sides
+    agree once specialized yields no witness.  Witnesses start with the
+    identity's tag, then name the route under `side` unless `sided` is
+    false; every witness prints the specialized value.
     """
-    # the matrix route runs on each leaf times its denominator, in ints
-    dens = {
-        name: lcm(*{q.denominator for s in op.entries.values() for q in s._terms.values()
-                    if type(q) is not int})
-        for name, op in leaves.items()
-    }
-    den = lcm(*dens.values())
     width = max(op.n for op in leaves.values()).bit_length()
     # the three low, index fields of a key; a start key repeats them in the
     # three fields above
     low, mono = (1 << 3 * width) - 1, 6 * width
 
-    # embedded leaves times their d, built once per (name, slots):
+    # embedded leaves, built once per (name, slots):
     # rows[mid] lists (inp - mid + (monomial << mono), q)
     embedded: dict[tuple[str, tuple[int, int]], dict[int, list]] = {}
 
     def rows_of(name: str, slots: tuple[int, int]) -> dict[int, list]:
         rows = embedded.get((name, slots))
         if rows is None:
-            op, d, (a, b) = leaves[name], dens[name], slots
+            op, (a, b) = leaves[name], slots
             # field shifts of slots a and b and of the spectator slot
             sa, sb, ss = ((2 - slot) * width for slot in (a, b, 3 - a - b))
             rows = embedded[name, slots] = {}
             for ((o1, o2), (i1, i2)), coeff in op.entries.items():
                 # the spectator index moves nowhere
                 move = (i1 - o1 << sa) + (i2 - o2 << sb)
-                terms = [(move + (m << mono), q.numerator * (d // q.denominator))
-                         for m, q in coeff._terms.items()]
+                terms = [(move + (m << mono), q) for m, q in coeff._terms.items()]
                 mid = (o1 << sa) + (o2 << sb)
                 for s in op.indices():
                     rows.setdefault(mid + (s << ss), []).extend(terms)
         return rows
 
-    def side(expr: Expression, starts: list[int]) -> dict[int, int]:
-        total: dict[int, int] = {}
+    def side(expr: Expression, starts: list[int]) -> Flat:
+        total: Flat = {}
         for unit, word in expr:
             terms = dict.fromkeys(starts, unit)
             for k, factor in enumerate(word):
@@ -375,15 +355,6 @@ def check_identities(
         row_slabs: dict[int, list[int]] = {}
         for out in sorted(outs):
             row_slabs.setdefault(out >> 2 * width, []).append(out | out << 3 * width)
-        # each word starts from sign * scale over its leaves' denominators, so
-        # both sides of every row carry the factor scale
-        scale = den ** max(len(word) for _, word in (*lhs, *rhs))
-        if scale != 1:
-            lhs, rhs = (
-                [(sign * scale // prod(dens[name] for name, _ in word), word)
-                 for sign, word in expr]
-                for expr in (lhs, rhs)
-            )
         for starts in row_slabs.values():
             left, right = side(lhs, starts), side(rhs, starts)
             if left == right:
@@ -393,10 +364,8 @@ def check_identities(
                 lrow, rrow = left.get(out, {}), right.get(out, {})
                 if lrow == rrow:
                     continue
-                lrow, rrow = _decoded(lrow, width), _decoded(rrow, width)
-                if scale != 1:
-                    lrow, rrow = _unscaled(lrow, scale), _unscaled(rrow, scale)
-                col.row(_unpack_fields(out, width), lrow, rrow if rhs else None, matrix_tag)
+                col.row(_unpack_fields(out, width), _decoded(lrow, width),
+                        _decoded(rrow, width) if rhs else None, matrix_tag)
 
 
 def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
@@ -412,11 +381,6 @@ def _decoded(terms: Flat, width: int, bias: int = 0) -> dict:
     """Flat terms of one start as a flat row {(index, packed monomial): q}."""
     low, mono = (1 << 3 * width) - 1, 6 * width
     return {(_unpack_fields(key & low, width, 3, bias), key >> mono): q for key, q in terms.items()}
-
-
-def _unscaled(row: dict, scale: int) -> dict:
-    """A flat row of ints divided, exactly, by scale."""
-    return {key: _coerce(Fraction(v, scale)) for key, v in row.items()}
 
 
 def _functional_matrix(name: str, n: int) -> Operator:
@@ -462,7 +426,7 @@ def suite_braid(
     operator to every basis monomial of the 3-fold truncated space.
     """
     col = Collector("braid", n, subs)
-    R = col.leaf(_given_or("rhat", rhat, n, 0, extended_rhat))
+    R = _given_or("rhat", rhat, n, 0, extended_rhat)
     check_identities(col, [({}, *_braid("rhat"))], {"rhat": R}, range(-1, n))
     return col.report()
 
@@ -477,16 +441,16 @@ def suite_ybe(
     family at p = 1 reproduces the plain braid matrix.
     """
     col = Collector("ybe", n, subs)
-    R = col.leaf(_given_or("rhat", rhat, n, 0, extended_rhat))
+    R = _given_or("rhat", rhat, n, 0, extended_rhat)
     flipped = compose(Operator.flip(n, lo=R.lo), R)
     check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": flipped}, range(-1, n))
 
-    raw_family = sigma_cg_family(n)
-    flipped = compose(Operator.flip(n, lo=1), col.leaf(raw_family))
+    family = sigma_cg_family(n)
+    flipped = compose(Operator.flip(n, lo=1), family)
     check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": flipped})
-    # set p = 1 before any --p value is substituted
-    at_one = col.leaf(raw_family.map_entries(lambda s: s.substitute(p=1)))
-    col.compare(at_one, col.leaf(sigma_cg(n)), {"part": "cg-family-p1"})
+    # the family at p = 1, whatever p the run gives
+    at_one = family.map_entries(lambda s: s.substitute(p=1))
+    col.compare(at_one, sigma_cg(n), {"part": "cg-family-p1"})
     return col.report()
 
 
@@ -509,7 +473,7 @@ def suite_cybe(
     variable; the matrix route uses the matrix of r, or `r_matrix` when given.
     """
     col = Collector("cybe", n, subs)
-    r = col.leaf(_given_or("r_matrix", r_matrix, n, 0, lambda n: _functional_matrix("r", n)))
+    r = _given_or("r_matrix", r_matrix, n, 0, lambda n: _functional_matrix("r", n))
     check_identities(col, [({}, _cybe("r"), ())], {"r": r}, range(0, n + 1))
     return col.report()
 
@@ -519,7 +483,7 @@ def _check_vanishing(col: Collector, labeled: list[tuple[str, Expression]]) -> N
     n = col.n
     identities = [({"identity": label}, expr, ()) for label, expr in labeled]
     names = dict.fromkeys(name for _, expr in labeled for _, word in expr for name, _ in word)
-    leaves = {name: col.leaf(_functional_matrix(name, n)) for name in names}
+    leaves = {name: _functional_matrix(name, n) for name in names}
     check_identities(col, identities, leaves, range(0, n + 1))
 
 
@@ -596,9 +560,8 @@ def suite_qlie(
     sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
     constants = _constants(n, constants)
     col = Collector("qlie", n, subs)
-    sigma = col.leaf(sigma)
     sig = _index(sigma.entries)
-    ct = _index_constants(col.leaf(constants).entries)
+    ct = _index_constants(constants.entries)
 
     # letters[code][N] lists (m, packed monomial, q) of the letter's matrix
     letters: dict[int, dict[int, list]] = {}
@@ -635,7 +598,7 @@ def suite_qlie(
                 for (N, m, k2), q2 in matrix(word).items():
                     key, v = (N, m, k1 + k2), q1 * q2
                     total[key] = total[key] + v if key in total else v
-            values = _by_index(((N, m), k, q) for (N, m, k), q in total.items() if q)
+            values = col.specialize({((N, m), k): q for (N, m, k), q in total.items() if q})
             for (N, m), value in values.items():
                 found[(m, N, *indices) if family == 1 else (N, *indices, m)] = [N, *indices, m], value
         col.checked += n ** (_ARITY[family] + 2)
@@ -680,11 +643,10 @@ def suite_hecke(n: int, subs: Subs = None) -> VerificationReport:
     Not part of the acceptance surface; reported for curiosity.
     """
     col = Collector("hecke", n, subs)
-    sigma = col.leaf(sigma_cg(n))
+    sigma = sigma_cg(n)
     lhs = compose(sigma, sigma)
-    beta, one_minus_beta = col.scalar(BETA), col.scalar(ONE - BETA)
-    rhs = {key: coeff * beta for key, coeff in sigma.entries.items()}
+    rhs = {key: coeff * BETA for key, coeff in sigma.entries.items()}
     for i in product(range(1, n + 1), repeat=2):
-        rhs[(i, i)] = rhs.get((i, i), ZERO) + one_minus_beta
+        rhs[(i, i)] = rhs.get((i, i), ZERO) + ONE - BETA
     col.compare(lhs, Operator(n, 2, rhs, lo=1), {})
     return col.report()

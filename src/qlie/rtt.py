@@ -24,8 +24,8 @@ its key gives in closed form (`_key_groups`), and rows of different grades
 share no word.  So the span comparison generates, compares and drops one
 grade at a time, and its memory is bounded by the largest grade: a
 tracemalloc peak of 1.6 MiB at n = 12, against 85 MiB with every relation
-held at once.  A constant off the support mixes grades, and then every
-relation is compared in one group.
+held at once.  A constant off the support joins two weights, and then
+each group is a cell of the grades those joins merge.
 """
 
 from __future__ import annotations
@@ -112,35 +112,39 @@ def _bcc_rows(
 
 
 def _key_groups(n: int, constants: StructureTensor) -> Iterator[tuple[list, list]]:
-    """Each side's relation keys, in key order, one group per grade (U, L).
+    """Each side's relation keys, in key order, one group per cell of grades (U, L).
 
     With `cg`'s weight w(i) = max(i - 1, 0), the grade of `rtt` key
     (I, J, A, B) is (w(A)+w(B), w(I)+w(J)); of `bcc` keys, (0, w(i)+w(j))
     for family 1 (i, j), (w(a)+w(b), w(i)+w(j)) for family 2 (i, j, a, b)
     and (w(a), w(i)+w(j)) for families 3 and 4 (i, j, a).  Index pairs
     grouped by weight give each grade's keys, so no list of all keys is
-    built.  If a constant C^k_{ij} lies off the support k = i + j - 1,
-    families 1 and 3 mix grades, and all keys form one group.
+    built.  A constant C^k_{ij} off the support k = i + j - 1 joins the
+    weights w(k) and w(i)+w(j), on the lower side of families 1 and 3 and
+    on the upper side of family 3; a cell is a pair of classes (upper,
+    lower) of the partition of the weights 0..2n-2 those pairs generate.
+    On the support every class is one weight, and every cell one grade.
     """
     pairs: tuple[dict, dict] = ({}, {})  # index pairs over 0..n and over 1..n, by weight
     for lo, by_weight in enumerate(pairs):
         for i, j in product(range(lo, n + 1), repeat=2):
             by_weight.setdefault(max(i - 1, 0) + max(j - 1, 0), []).append((i, j))
     cap, small = pairs
-    groups = (
-        (
-            [("rtt", *lower, *upper) for lower in cap[L] for upper in cap[U]],
-            [("bcc", 1, *lower) for lower in small[L] if U == 0]
-            + [("bcc", 2, *lower, *upper) for lower in small[L] for upper in small[U]]
-            + [("bcc", f, *lower, U + 1) for f in (3, 4) if U < n for lower in small[L]],
-        )
-        for U, L in product(range(2 * n - 1), repeat=2)
-    )
-    if all(k == i + j - 1 for k, i, j in constants.entries):
-        yield from groups
-    else:
-        rtt_keys, bcc_keys = zip(*groups)
-        yield sorted(chain(*rtt_keys)), sorted(chain(*bcc_keys))
+    label = list(range(2 * n - 1))  # each weight's class
+    for k, i, j in constants.entries:
+        old, new = label[i + j - 2], label[k - 1]
+        label = [new if c == old else c for c in label]
+    classes: dict[int, list] = {}
+    for weight, c in enumerate(label):
+        classes.setdefault(c, []).append(weight)
+    for uppers, lowers in product(classes.values(), repeat=2):
+        rtt_keys, bcc_keys = [], []
+        for U, L in product(uppers, lowers):
+            rtt_keys += [("rtt", *lower, *upper) for lower in cap[L] for upper in cap[U]]
+            bcc_keys += [("bcc", 1, *lower) for lower in small[L] if U == 0]
+            bcc_keys += [("bcc", 2, *lower, *upper) for lower in small[L] for upper in small[U]]
+            bcc_keys += [("bcc", f, *lower, U + 1) for f in (3, 4) if U < n for lower in small[L]]
+        yield sorted(rtt_keys), sorted(bcc_keys)
 
 
 def _signature(row: FlatRow) -> tuple:
@@ -158,9 +162,9 @@ def compare_relation_spans(
     """Mutual span inclusion of the two relation sets, exactly.
 
     Each group of `_key_groups`, one grade or (constants off their support)
-    every relation, is generated, compared and dropped on its own, so
-    memory is bounded by the largest group.  No block of `_outside_spans`
-    crosses a grade, so each elimination gets the rows and columns it would
+    a cell of merged grades, is generated, compared and dropped on its own,
+    so memory is bounded by the largest group.  No block of `_outside_spans`
+    crosses a group, so each elimination gets the rows and columns it would
     get from all relations at once.  Witnesses are buffered and sorted back
     into key order, every `rtt`-side witness first.
     """

@@ -422,10 +422,16 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
     assert failing >= 3
 
 
-def _matrix_routes_agree(identities, leaves, sided=True):
-    """Engine and whole-product reference give the same report; is it a failure?"""
-    engine, reference = checks.Collector("engine", 2), checks.Collector("engine", 2)
+def _matrix_routes_agree(identities, leaves, sided=True, subs=None):
+    """Engine and whole-product reference give the same report; is it a failure?
+
+    With subs, the engine runs the symbolic leaves with those values, and
+    the reference multiplies the leaves they specialize to.
+    """
+    engine, reference = checks.Collector("engine", 2, subs), checks.Collector("engine", 2)
     checks.check_identities(engine, identities, leaves, sided=sided)
+    if subs:
+        leaves = {name: op.map_entries(lambda s: s.substitute(**subs)) for name, op in leaves.items()}
     _reference_matrix_route(reference, identities, leaves, sided=sided)
     assert engine.witnesses == reference.witnesses
     got, want = engine.report(), reference.report()
@@ -459,20 +465,20 @@ def test_integer_matrix_route_matches_rational_products(identities, name, build,
     for delta in (ONE, C, Scalar.rational(Fraction(5, 3)), -BETA):
         out, inp = rng.choice(sorted(leaf.entries))
         mutants.append(leaf.with_entry(out, inp, leaf.coeff(out, inp) + delta))
-    col = checks.Collector("engine", n, subs)
-    failing = [_matrix_routes_agree(identities, {name: col.leaf(m)}) for m in mutants]
+    # the engine's specialized witnesses against products of specialized leaves
+    failing = [_matrix_routes_agree(identities, {name: m}, subs=subs) for m in mutants]
     assert not failing[0] and sum(failing) >= 3
 
 
 def test_integer_matrix_route_with_leaves_of_different_denominators():
     # rho, s and r carry the denominators 7, 15 and 40 (from b and C), and
-    # the words have lengths 1 and 3, so each starts from its own factor
+    # the words have lengths 1 and 3, so the matrix route multiplies and
+    # adds Fractions of different denominators
     n = 2
-    col = checks.Collector("engine", n, FULL)
     leaves = {
         "rho": _leaf("rho", n).map_entries(lambda s: s * Scalar.rational(Fraction(2, 7))),
         "s": _leaf("s", n).map_entries(lambda s: s * Scalar.rational(Fraction(-4, 15))),
-        "r": col.leaf(_leaf("r", n)),
+        "r": _leaf("r", n).map_entries(lambda s: s.substitute(**FULL)),
     }
     mixed, other = checks._expression("r12-rho12*s13*r23"), checks._expression("s23*rho13*r12")
     identities = [({"identity": "equal"}, mixed, other), ({"identity": "vanish"}, mixed, ())]
@@ -487,7 +493,7 @@ def test_specialized_matrix_route_multiplies_no_fractions(monkeypatch):
     n = 3
     subs = {"beta": Fraction(2, 3), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
     col = checks.Collector("braid", n, subs)
-    leaves = {"rhat": col.leaf(extended_rhat(n))}
+    leaves = {"rhat": extended_rhat(n)}
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic on the matrix route")
@@ -536,7 +542,8 @@ def _reference_functional_route(col, identities, domain):
                 for e, coeff in value.terms():
                     total[e] = total.get(e, ZERO) + (coeff if sign > 0 else -coeff)
             # a witness prints the specialized function
-            values = {e: v for e, coeff in total.items() if (v := col.scalar(coeff))}
+            values = {e: v for e, coeff in total.items()
+                      if (v := coeff.substitute(**col.subs) if col.subs else coeff)}
             if values:
                 value = str(LaurentFn(cfg, 3, values))
                 col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": value})
@@ -554,7 +561,7 @@ def test_functional_route_matches_composed_public_operators(n, polynomial, sides
     identities = [({"identity": str(k)}, lhs, rhs) for k, (lhs, rhs) in enumerate(sides)]
     engine = checks.Collector("engine", n, subs or None)
     reference = checks.Collector("engine", n, subs or None)
-    leaves = {name: engine.leaf(_leaf(name, n)) for name in OPS}
+    leaves = {name: _leaf(name, n) for name in OPS}
     checks.check_identities(engine, identities, leaves, domain)
     _reference_functional_route(reference, identities, domain)
     assert [w for w in engine.witnesses if w["side"] == "functional"] == reference.witnesses
@@ -604,6 +611,23 @@ def test_twenty_random_specializations_pass():
         assert checks.suite_braid(2, subs).passed
         assert checks.suite_qlie(2, subs).passed
         assert checks.suite_ybe(1, subs).passed
+
+
+def test_a_passing_specialized_run_substitutes_nothing(monkeypatch):
+    # the values reach only a row that differs; ybe builds its family at p = 1
+    substitute = Scalar.substitute
+
+    def at_one_only(self, *args, **values):
+        assert not args and values == {"p": 1}, (args, values)
+        return substitute(self, **values)
+
+    monkeypatch.setattr(Scalar, "substitute", at_one_only)
+    subs = {"beta": Fraction(2, 3), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
+    for suite in (checks.suite_braid, checks.suite_ybe, checks.suite_cybe,
+                  checks.check_component_identities, checks.check_quadratic_ybe_components,
+                  checks.suite_qlie, checks.suite_hecke):
+        report = suite(3, subs)
+        assert report.passed and report.symbolic == [], suite.__name__
 
 
 def test_degenerate_specialization_beta0_c1():

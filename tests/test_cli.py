@@ -155,8 +155,9 @@ def test_verify_all_n10_passes():
 
 @pytest.mark.slow
 def test_verify_specialized_n8_passes():
-    # rational values whose powers, 3^k, 5^k and 7^k, give the leaves large
-    # common denominators, so the matrix route multiplies large ints
+    # rational values whose powers, 3^k, 5^k and 7^k, have large
+    # denominators; a passing run checks its symbolic inputs and
+    # substitutes them into no row
     subs = ("--beta=-7/3", "--C=9/5", "--p=8/7")
     for suite in ("braid", "ybe", "cybe", "components", "ybfr", "qlie"):
         proc = run_cli("verify", suite, "--n", "8", *subs)
@@ -195,6 +196,25 @@ def test_verify_ybe_with_p_passes():
     proc = run_cli("verify", "ybe", "--n", "3", "--p", "3/4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "args, values, failures",
+    [
+        (("braid", "--corrupt", "(1,2;2,1)=1-b+C"), ("--C=0",), 4),
+        (("qlie", "--corrupt-constants", "(2;2,1)=C+b"), ("--beta=0",), 4),
+        (("cybe", "--corrupt", "(1,1;2,0)=C"), ("--C=0",), 20),
+    ],
+    ids=["braid-C", "qlie-beta", "cybe-C"],
+)
+def test_a_defect_that_the_values_erase_is_not_reported(args, values, failures):
+    # each corruption fails symbolically and vanishes at the given values
+    symbolic = run_cli("verify", *args, "--n", "2")
+    assert symbolic.returncode == 1
+    assert json.loads(symbolic.stdout)[0]["failures"] == failures
+    specialized = run_cli("verify", *args, "--n", "2", *values)
+    assert specialized.returncode == 0, specialized.stderr
+    assert json.loads(specialized.stdout)[0]["pass"] is True
 
 
 def test_verify_rejects_jobs_flag():

@@ -61,7 +61,7 @@ SPECIALIZED = {"beta": Fraction(2, 3), "c": Fraction(-1), "p": Fraction(3, 5)}
 def _braid_of_flipped(subs):
     n = 2
     col = checks.Collector("braid", n, subs)
-    flipped = col.leaf(compose(Operator.flip(n), extended_rhat(n)))
+    flipped = compose(Operator.flip(n), extended_rhat(n))
     checks.check_identities(col, [({}, *checks._braid("R"))], {"R": flipped}, range(-1, n))
     return col
 
