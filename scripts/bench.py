@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Time every `verify` suite per n, for HEAD and for the working tree.
+"""Time every `verify` suite and `cross-check` per n, for HEAD and for the working tree.
 
 Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk.  Five paths are timed: the passing path of every suite; the
-specialized path, every suite but `rtt` (which takes no specialization) with
-`--beta=2/3 --C=-9/5 --p=8/7`; the failing, witness-producing path of
-`verify braid --corrupt "(1,2;2,1)=C"`; and the two paths that run
-`linalg`'s exact Bareiss elimination: the elimination path of
-`verify rtt --corrupt-constants "(2;1,2)=2C"`, a constant on the support
-k = i + j - 1, compared one weight grade at a time, and the off-support path
-of `verify rtt --corrupt-constants "(2;1,1)=C"`, which joins the weights 0
-and 1, so their grades are compared together.
+`src/` on disk.  Seven paths are timed: the passing path of every suite,
+the exploratory `hecke` included; the specialized path, every suite but
+`rtt` (which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`;
+the failing, witness-producing path of `verify braid --corrupt
+"(1,2;2,1)=C"`; the two paths that run `linalg`'s exact Bareiss
+elimination: the elimination path of `verify rtt --corrupt-constants
+"(2;1,2)=2C"`, a constant on the support k = i + j - 1, compared one weight
+grade at a time, and the off-support path of `verify rtt
+--corrupt-constants "(2;1,1)=C"`, which joins the weights 0 and 1, so their
+grades are compared together; and `cross-check`, passing, and failing with
+`--flip-s-sign`.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -55,9 +57,15 @@ from qlie import cli
 N = (5, 6, 7, 8, 9, 10)
 REPEATS = 5
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
-CORRUPT = ("braid", "--corrupt", "(1,2;2,1)=C")
-ELIMINATION = ("rtt", "--corrupt-constants", "(2;1,2)=2C")
-OFF_SUPPORT = ("rtt", "--corrupt-constants", "(2;1,1)=C")
+# the paths with one command line per n, N standing for n; a cell's suite
+# is the word before --n
+FIXED = {
+    "corrupt": ("verify", "braid", "--n", "N", "--corrupt", "(1,2;2,1)=C"),
+    "elimination": ("verify", "rtt", "--n", "N", "--corrupt-constants", "(2;1,2)=2C"),
+    "off-support": ("verify", "rtt", "--n", "N", "--corrupt-constants", "(2;1,1)=C"),
+    "cross-check": ("cross-check", "--n", "N"),
+    "cross-check-flipped": ("cross-check", "--n", "N", "--flip-s-sign"),
+}
 ROOT = Path(cli.__file__).resolve().parents[2]
 
 # one timed run in a subprocess: [exit code, process seconds, wall seconds,
@@ -165,15 +173,17 @@ def main(argv: list[str]) -> int:
 
     cells = {
         ("passing", suite, n): ["verify", suite, "--n", str(n)]
-        for suite in cli.VERIFY_SUITES for n in N
+        for suite in cli.SUITES for n in N
     }
     cells.update({
         ("specialized", suite, n): ["verify", suite, "--n", str(n), *SPECIALIZED]
-        for suite in cli.VERIFY_SUITES if suite != "rtt" for n in N
+        for suite in cli.SUITES if suite != "rtt" for n in N
     })
-    failing = (("corrupt", CORRUPT), ("elimination", ELIMINATION), ("off-support", OFF_SUPPORT))
-    for path, (suite, *flags) in failing:
-        cells.update({(path, suite, n): ["verify", suite, "--n", str(n), *flags] for n in N})
+    for path, template in FIXED.items():
+        suite = template[template.index("--n") - 1]
+        cells.update({
+            (path, suite, n): [str(n) if word == "N" else word for word in template] for n in N
+        })
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = _git("archive", "HEAD", "src", text=False)
@@ -207,10 +217,7 @@ def main(argv: list[str]) -> int:
             "repeats": REPEATS,
             "passing": {},
             "specialized": {"argv": ["verify", "SUITE", "--n", "N", *SPECIALIZED]},
-            **{
-                path: {"argv": ["verify", suite, "--n", "N", *flags]}
-                for path, (suite, *flags) in failing
-            },
+            **{path: {"argv": list(template)} for path, template in FIXED.items()},
         }
         for (path, suite, n), pair in timed.items():
             result[path].setdefault(suite, {})[str(n)] = pair[side]

@@ -13,12 +13,17 @@ flip term by p^(k-l) and the summand by p^(k-s).  The structure constants are
 and the extended braid matrix packages both into a single operator on the
 capital indices 0..n.
 
-Weight grading: with w(0) = 0 and w(i) = i - 1, every entry of sigma_cg(n)
-and extended_rhat(n) keeps w(out_1) + w(out_2) = w(in_1) + w(in_2).  Sigma
-keeps i + j, the delta blocks exchange 0 with an index, and C^j_{kl} is
-nonzero only on the support j = k + l - 1, where w(j) = w(k) + w(l).  So
-every exchange and calculus relation is homogeneous (see `rtt`); a mutated
-constant off the support breaks this.
+Weight grading: with w(0) = 0 and w(i) = i - 1, every entry of sigma_cg(n),
+sigma_cg_family(n) and extended_rhat(n) keeps w(out_1) + w(out_2) =
+w(in_1) + w(in_2).  Sigma keeps i + j, the delta blocks exchange 0 with an
+index, and C^j_{kl} is nonzero only on the support j = k + l - 1, where
+w(j) = w(k) + w(l).  So every exchange and calculus relation is homogeneous
+(see `rtt`); a mutated constant off the support breaks this.
+
+Tower: each of these matrices at level n + 1, restricted to indices <= n,
+is its level-n matrix, and no entry takes an input within level n to an
+output holding n + 1.  So level n is an invariant subspace, though not a
+direct summand: b-terms of sigma take inputs holding n + 1 into level n.
 """
 
 from __future__ import annotations

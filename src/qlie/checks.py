@@ -8,10 +8,11 @@ once, as the text its witnesses print, such as "[s12,rho13]+s12*rho23" or
 distinct slots in 1..3, a product is one word, its leftmost factor applied
 last, "[x,y]" means x*y - y*x, and an identity without "=" says that its
 expression vanishes.  `_expression` parses the text into signed words, and
-one engine, `check_identities`, verifies them on two independent routes
-wherever both exist: functionally, by applying the words to basis
-monomials, and matrix-wise, by multiplying out sparse restriction matrices
-row by row.
+one engine, `check_identities`, verifies them: given a monomial domain, on
+three legs and two independent routes, functionally, by applying the words
+to basis monomials, and matrix-wise, by multiplying out sparse restriction
+matrices row by row; given none, matrix-wise alone, on two legs when only
+slots 1 and 2 appear.
 
 Both routes run on flat terms: a rational per packed int key, which holds
 a term's current index, the monomial or output row it started from and its
@@ -175,36 +176,23 @@ class Collector:
             return by_index
         return {index: v for index, s in by_index.items() if (v := s.substitute(**self.subs))}
 
-    def compare(self, a: Operator, b: Operator, tag: dict) -> None:
-        """Count one comparison per entry position; collect all discrepancies."""
-        self.checked += (a.n + 1 - a.lo) ** (2 * a.legs)
-        left, right = _rows(a), _rows(b)
-        for out in sorted(left.keys() | right.keys()):
-            self.row(out, left.get(out, {}), right.get(out, {}), tag)
-
     def row(self, out: tuple, lhs: dict, rhs: Optional[dict], tag: dict) -> None:
         """Witnesses of one output row, `lhs` and `rhs` flat rows {(in, packed monomial): q}.
 
         Every nonzero entry of lhs when rhs is None, else every position where
         the two differ once specialized; in input order.
         """
-        if lhs == rhs:
-            return
         lhs = self.specialize(lhs)
-        if rhs is None:
-            for inp in sorted(lhs):
-                self.witnesses.append(
-                    {**tag, "out": list(out), "in": list(inp), "value": str(lhs[inp])}
-                )
-            return
-        rhs = self.specialize(rhs)
-        for inp in sorted(lhs.keys() | rhs.keys()):
+        rhs = None if rhs is None else self.specialize(rhs)
+        for inp in sorted(lhs.keys() | (rhs or {}).keys()):
             ca = lhs.get(inp, ZERO)
-            cb = rhs.get(inp, ZERO)
-            if ca != cb:
-                self.witnesses.append(
-                    {**tag, "out": list(out), "in": list(inp), "lhs": str(ca), "rhs": str(cb)}
-                )
+            if rhs is None:
+                values = {"value": str(ca)}
+            elif ca != (cb := rhs.get(inp, ZERO)):
+                values = {"lhs": str(ca), "rhs": str(cb)}
+            else:
+                continue
+            self.witnesses.append({**tag, "out": list(out), "in": list(inp), **values})
 
     def report(self) -> VerificationReport:
         fixed = set(self.subs or ())
@@ -226,33 +214,26 @@ class Collector:
 # ---------------------------------------------------------------------------
 
 
-def _rows(op: Operator) -> dict[tuple, dict]:
-    """The entries of op as flat rows: rows[out][(in, packed monomial)] = q."""
-    rows: dict[tuple, dict] = {}
-    for (out, inp), coeff in op.entries.items():
-        row = rows.setdefault(out, {})
-        for m, q in coeff._terms.items():
-            row[inp, m] = q
-    return rows
-
-
 def check_identities(
     col: Collector,
     identities: Sequence[Identity],
     leaves: dict[str, Operator],
     domain: Optional[range] = None,
-    sided: bool = True,
 ) -> None:
     """Verify each identity functionally, then matrix-wise, a slab at a time.
 
-    Functional route, only when a monomial domain is given: apply lhs - rhs
-    to every monomial in three variables with exponents in `domain`, in the
-    space SpaceConfig(domain.stop).  So range(-1, n) is the Laurent domain of
-    SpaceConfig(n), and range(0, n + 1) the polynomials of degree n per
-    variable.  Matrix route: multiply out the embedded `leaves`, the two-leg
-    matrices of the operators the words name, by rows, as in Gustavson's
-    row-wise sparse product (ACM TOMS 1978), so no product matrix is ever
-    built.
+    The inputs decide the legs and the routes.  With a monomial `domain`, an
+    identity acts on three legs and runs on both routes, and each witness
+    names its route under `side`.  Without one, it is a matrix identity on
+    the legs its factors name, two when only slots 1 and 2 appear, else
+    three, and its witnesses carry no `side`.  The functional route applies
+    lhs - rhs to every monomial in three variables with exponents in
+    `domain`, in the space SpaceConfig(domain.stop): range(-1, n) is the
+    Laurent domain of SpaceConfig(n), range(0, n + 1) the polynomials of
+    degree n per variable.  The matrix route multiplies out the embedded
+    `leaves`, the two-leg matrices of the operators the words name, by
+    rows, as in Gustavson's row-wise sparse product (ACM TOMS 1978), so no
+    product matrix is ever built; each entry position is one check.
 
     Both routes sweep one slab at a time: every start monomial, or every
     output row, with one first index.  A term's key is one int in the
@@ -270,40 +251,39 @@ def check_identities(
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing row, and a row whose sides
     agree once specialized yields no witness.  Witnesses start with the
-    identity's tag, then name the route under `side` unless `sided` is
-    false; every witness prints the specialized value.
+    identity's tag and print the specialized value.
     """
     width = max(op.n for op in leaves.values()).bit_length()
     # the three low, index fields of a key; a start key repeats them in the
     # three fields above
     low, mono = (1 << 3 * width) - 1, 6 * width
 
-    # embedded leaves, built once per (name, slots):
+    # embedded leaves, built once per (name, slots, legs):
     # rows[mid] lists (inp - mid + (monomial << mono), q)
-    embedded: dict[tuple[str, tuple[int, int]], dict[int, list]] = {}
+    embedded: dict[tuple[str, tuple[int, int], int], dict[int, list]] = {}
 
-    def rows_of(name: str, slots: tuple[int, int]) -> dict[int, list]:
-        rows = embedded.get((name, slots))
+    def rows_of(name: str, slots: tuple[int, int], legs: int) -> dict[int, list]:
+        rows = embedded.get((name, slots, legs))
         if rows is None:
             op, (a, b) = leaves[name], slots
-            # field shifts of slots a and b and of the spectator slot
+            # field shifts of slots a and b and of the spectator slot, whose
+            # index moves nowhere, and on two legs stays 0
             sa, sb, ss = ((2 - slot) * width for slot in (a, b, 3 - a - b))
-            rows = embedded[name, slots] = {}
+            rows = embedded[name, slots, legs] = {}
             for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-                # the spectator index moves nowhere
                 move = (i1 - o1 << sa) + (i2 - o2 << sb)
                 terms = [(move + (m << mono), q) for m, q in coeff._terms.items()]
                 mid = (o1 << sa) + (o2 << sb)
-                for s in op.indices():
+                for s in (op.indices() if legs == 3 else (0,)):
                     rows.setdefault(mid + (s << ss), []).extend(terms)
         return rows
 
-    def side(expr: Expression, starts: list[int]) -> Flat:
+    def side(expr: Expression, starts: list[int], legs: int) -> Flat:
         total: Flat = {}
         for unit, word in expr:
             terms = dict.fromkeys(starts, unit)
             for k, factor in enumerate(word):
-                rows = rows_of(*factor)
+                rows = rows_of(*factor, legs)
                 acc = total if k == len(word) - 1 else {}
                 get = acc.get
                 for e, c1 in terms.items():
@@ -324,6 +304,8 @@ def check_identities(
         slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
     leaf = next(iter(leaves.values()))
     for tag, lhs, rhs in identities:
+        named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
+        legs = 3 if domain is not None or 2 in named else 2
         if domain is not None:
             # lhs - rhs as signed words of kernels, in the order they apply
             words = [
@@ -340,23 +322,21 @@ def check_identities(
                     slots, kernel = word[-1]
                     _single_pass(value, slots, *kernel, fwidth, out=total)
                 for start, row in sorted(_by_start(total, fwidth).items()):
-                    if values := col.specialize(_decoded(row, fwidth, 1)):
+                    if values := col.specialize(_decoded(row, fwidth, 3, 1)):
                         col.witnesses.append({
                             **tag, "side": "functional",
                             "monomial": list(_unpack_fields(start, fwidth, 3, 1)),
                             "value": str(LaurentFn(cfg, 3, values)),
                         })
-        matrix_tag = {**tag, "side": "matrix"} if sided else tag
-        col.checked += (leaf.n + 1 - leaf.lo) ** 6
-        outs = set()
-        for _, word in (*lhs, *rhs):
-            outs.update(rows_of(*word[0]))
+            tag = {**tag, "side": "matrix"}
+        col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
+        outs = {out for _, word in (*lhs, *rhs) for out in rows_of(*word[0], legs)}
         # packed rows sort as their index tuples; a slab shares out[0]
         row_slabs: dict[int, list[int]] = {}
         for out in sorted(outs):
             row_slabs.setdefault(out >> 2 * width, []).append(out | out << 3 * width)
         for starts in row_slabs.values():
-            left, right = side(lhs, starts), side(rhs, starts)
+            left, right = side(lhs, starts, legs), side(rhs, starts, legs)
             if left == right:
                 continue
             left, right = _by_start(left, width), _by_start(right, width)
@@ -364,8 +344,8 @@ def check_identities(
                 lrow, rrow = left.get(out, {}), right.get(out, {})
                 if lrow == rrow:
                     continue
-                col.row(_unpack_fields(out, width), _decoded(lrow, width),
-                        _decoded(rrow, width) if rhs else None, matrix_tag)
+                col.row(_unpack_fields(out, width, legs), _decoded(lrow, width, legs),
+                        _decoded(rrow, width, legs) if rhs else None, tag)
 
 
 def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
@@ -377,10 +357,10 @@ def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
     return rows
 
 
-def _decoded(terms: Flat, width: int, bias: int = 0) -> dict:
-    """Flat terms of one start as a flat row {(index, packed monomial): q}."""
+def _decoded(terms: Flat, width: int, legs: int, bias: int = 0) -> dict:
+    """Flat terms of one start as a flat row {(index on legs, packed monomial): q}."""
     low, mono = (1 << 3 * width) - 1, 6 * width
-    return {(_unpack_fields(key & low, width, 3, bias), key >> mono): q for key, q in terms.items()}
+    return {(_unpack_fields(key & low, width, legs, bias), key >> mono): q for key, q in terms.items()}
 
 
 def _functional_matrix(name: str, n: int) -> Operator:
@@ -450,7 +430,8 @@ def suite_ybe(
     check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": flipped})
     # the family at p = 1, whatever p the run gives
     at_one = family.map_entries(lambda s: s.substitute(p=1))
-    col.compare(at_one, sigma_cg(n), {"part": "cg-family-p1"})
+    leaves = {"family": at_one, "sigma": sigma_cg(n)}
+    check_identities(col, [({"part": "cg-family-p1"}, *_identity("family12 = sigma12"))], leaves)
     return col.report()
 
 
@@ -607,8 +588,8 @@ def suite_qlie(
             col.witnesses.append({"family": family, "indices": indices, "value": str(value)})
 
     check_family(1)
-    # family 2: braid relation for sigma, matrix route only, no side key
-    check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma}, sided=False)
+    # family 2: braid relation for sigma, on the matrix route alone
+    check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma})
     check_family(3)
     check_family(4)
     return col.report()
@@ -633,7 +614,8 @@ def suite_cross_check(n: int, flip_s_sign: bool = False) -> VerificationReport:
         functional = functional.map_entries(
             lambda s: Scalar({(b, c, p): -q if c else q for (b, c, p), q in s.terms()})
         )
-    col.compare(functional, extended_rhat(n), {})
+    leaves = {"functional": functional, "closed": extended_rhat(n)}
+    check_identities(col, [({}, *_identity("functional12 = closed12"))], leaves)
     return col.report()
 
 
@@ -644,9 +626,9 @@ def suite_hecke(n: int, subs: Subs = None) -> VerificationReport:
     """
     col = Collector("hecke", n, subs)
     sigma = sigma_cg(n)
-    lhs = compose(sigma, sigma)
-    rhs = {key: coeff * BETA for key, coeff in sigma.entries.items()}
+    h = {key: coeff * BETA for key, coeff in sigma.entries.items()}
     for i in product(range(1, n + 1), repeat=2):
-        rhs[(i, i)] = rhs.get((i, i), ZERO) + ONE - BETA
-    col.compare(lhs, Operator(n, 2, rhs, lo=1), {})
+        h[(i, i)] = h.get((i, i), ZERO) + ONE - BETA
+    leaves = {"sigma": sigma, "h": Operator(n, 2, h, lo=1)}
+    check_identities(col, [({}, *_identity("sigma12*sigma12 = h12"))], leaves)
     return col.report()

@@ -189,6 +189,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its rational value, so it hashes as that value
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- ring operations ---------------------------------------------------

@@ -42,9 +42,7 @@ def test_criterion_1_cross_construction_identity():
     with criterion(1, "functional matrix equals closed-form blocks, n=1..4", 10):
         for n in (1, 2, 3, 4):
             functional = from_functional(op_rhat, SpaceConfig(n))
-            col = checks.Collector("cross-check", n)
-            col.compare(functional, extended_rhat(n), {})
-            assert functional == extended_rhat(n), (n, col.witnesses[:1])
+            assert functional == extended_rhat(n), n
 
 
 def test_criterion_2_braid_equation():
@@ -62,9 +60,7 @@ def test_criterion_3_cg_family_yang_baxter():
             assert report.passed, (n, report.witnesses[:3])
             family = sigma_cg_family(n)
             at_one = family.map_entries(lambda s: s.substitute(p=1))
-            col = checks.Collector("ybe", n)
-            col.compare(at_one, sigma_cg(n), {})
-            assert at_one == sigma_cg(n), (n, col.witnesses[:1])
+            assert at_one == sigma_cg(n), n
 
 
 def test_criterion_4_classical_ybe_and_component_identities():

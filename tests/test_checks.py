@@ -347,57 +347,84 @@ def test_engine_witness_keys_for_a_failing_identity():
         assert col.witnesses[0]["side"] == "functional" and col.witnesses[-1]["side"] == "matrix"
 
 
-def _reference_matrix_route(col, identities, leaves, sided=True):
-    """The matrix route by whole products: embed, compose, Collector.compare.
+def _place(op, slots, legs):
+    """The two-leg op on `slots` of `legs` legs: the test-local `embed` of
+    test_operators on three legs, a relabelling of op's legs on two."""
+    if legs == 3:
+        return embed(op, slots)
+    ent = {}
+    for ((o1, o2), (i1, i2)), coeff in op.entries.items():
+        out, inp = [0, 0], [0, 0]
+        out[slots[0]], out[slots[1]], inp[slots[0]], inp[slots[1]] = o1, o2, i1, i2
+        ent[tuple(out), tuple(inp)] = coeff
+    return Operator(op.n, 2, ent, op.lo)
 
-    The embedding is the test-local `embed` of test_operators; the engine
-    places leaves on their legs straight from the entries and builds no
-    three-leg operator.
+
+def _reference_matrix_route(col, identities, leaves, domain=None):
+    """The matrix route by whole products: place, compose, compare entries.
+
+    As in the engine, an identity acts on three legs with a domain, and
+    names its route under `side`; without one, on two legs when its
+    factors name only slots 1 and 2.  The engine places leaves on their
+    legs straight from the entries and builds no product matrix.
     """
+    leaf = next(iter(leaves.values()))
 
-    def word_matrix(word):
-        result = None
-        for name, slots in word:
-            m = embed(leaves[name], slots)
-            result = m if result is None else compose(result, m)
-        return result
-
-    def signed_sum(expr):
+    def signed_sum(expr, legs):
         total = {}
         for sign, word in expr:
-            value = word_matrix(word)
+            value = None
+            for name, slots in word:
+                m = _place(leaves[name], slots, legs)
+                value = m if value is None else compose(value, m)
             for key, coeff in value.entries.items():
                 total[key] = total.get(key, ZERO) + (coeff if sign > 0 else -coeff)
-        return Operator(value.n, value.legs, total, value.lo)
+        return Operator(leaf.n, legs, total, leaf.lo)
 
     for tag, lhs, rhs in identities:
-        matrix_tag = {**tag, "side": "matrix"} if sided else tag
-        lhs_matrix = signed_sum(lhs)
-        if rhs:
-            col.compare(lhs_matrix, signed_sum(rhs), matrix_tag)
-            continue
-        col.checked += (lhs_matrix.n + 1 - lhs_matrix.lo) ** 6
-        for (out, inp), coeff in lhs_matrix.sorted_entries():
-            col.witnesses.append(
-                {**matrix_tag, "out": list(out), "in": list(inp), "value": str(coeff)}
-            )
+        named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
+        legs = 3 if domain is not None or 2 in named else 2
+        tag = {**tag, "side": "matrix"} if domain is not None else tag
+        col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
+        left, right = signed_sum(lhs, legs), signed_sum(rhs, legs)
+        for out, inp in sorted(left.entries.keys() | right.entries.keys()):
+            position = {**tag, "out": list(out), "in": list(inp)}
+            a, b = left.coeff(out, inp), right.coeff(out, inp)
+            if not rhs:
+                col.witnesses.append({**position, "value": str(a)})
+            elif a != b:
+                col.witnesses.append({**position, "lhs": str(a), "rhs": str(b)})
 
 
-# (kind, identities, leaf name, leaf builder, sided): an equality identity,
-# a vanishing six-word identity, and the unsided qlie family 2
+def _hecke_rhs(n):
+    """b*sigma + (1-b), the right side of hecke's identity."""
+    h = sigma_cg(n).map_entries(lambda s: s * BETA).entries
+    for i in product(range(1, n + 1), repeat=2):
+        h[i, i] = h.get((i, i), ZERO) + ONE - BETA
+    return Operator(n, 2, h, lo=1)
+
+
+# (kind, identities, mutated leaf name, its builder, builders of the fixed
+# leaves): an equality identity, a vanishing six-word identity, qlie family
+# 2, and the two-leg identities of hecke and cross-check
 MATRIX_ROUTE_CASES = [
-    ("braid", [({}, *checks._braid("rhat"))], "rhat", extended_rhat, True),
-    ("cybe", [({}, checks._cybe("r"), ())], "r", lambda n: checks._functional_matrix("r", n), True),
-    ("qlie-family-2", [({"family": 2}, *checks._braid("rhat"))], "rhat", sigma_cg, False),
+    ("braid", [({}, *checks._braid("rhat"))], "rhat", extended_rhat, {}),
+    ("cybe", [({}, checks._cybe("r"), ())], "r", lambda n: checks._functional_matrix("r", n), {}),
+    ("qlie-family-2", [({"family": 2}, *checks._braid("rhat"))], "rhat", sigma_cg, {}),
+    ("hecke", [({}, *checks._identity("sigma12*sigma12 = h12"))], "sigma", sigma_cg,
+     {"h": _hecke_rhs}),
+    ("cross-check", [({}, *checks._identity("functional12 = closed12"))], "functional",
+     lambda n: checks._functional_matrix("rhat", n), {"closed": extended_rhat}),
 ]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
-    "kind, identities, name, build, sided", MATRIX_ROUTE_CASES, ids=[c[0] for c in MATRIX_ROUTE_CASES]
+    "kind, identities, name, build, fixed", MATRIX_ROUTE_CASES, ids=[c[0] for c in MATRIX_ROUTE_CASES]
 )
-def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, build, sided, n):
+def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, build, fixed, n):
     leaf = build(n)
+    fixed = {other: build_other(n) for other, build_other in fixed.items()}
     rng = Random(f"{kind}/{n}")
     positions = sorted(leaf.entries)
     indices = leaf.indices()
@@ -412,8 +439,8 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
     failing = 0
     for mutant in mutants:
         engine, reference = checks.Collector(kind, n), checks.Collector(kind, n)
-        checks.check_identities(engine, identities, {name: mutant}, sided=sided)
-        _reference_matrix_route(reference, identities, {name: mutant}, sided=sided)
+        checks.check_identities(engine, identities, {name: mutant, **fixed})
+        _reference_matrix_route(reference, identities, {name: mutant, **fixed})
         assert engine.witnesses == reference.witnesses
         got, want = engine.report(), reference.report()
         assert (got.checked, got.failures) == (want.checked, want.failures)
@@ -422,17 +449,17 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
     assert failing >= 3
 
 
-def _matrix_routes_agree(identities, leaves, sided=True, subs=None):
+def _matrix_routes_agree(identities, leaves, subs=None):
     """Engine and whole-product reference give the same report; is it a failure?
 
     With subs, the engine runs the symbolic leaves with those values, and
     the reference multiplies the leaves they specialize to.
     """
     engine, reference = checks.Collector("engine", 2, subs), checks.Collector("engine", 2)
-    checks.check_identities(engine, identities, leaves, sided=sided)
+    checks.check_identities(engine, identities, leaves)
     if subs:
         leaves = {name: op.map_entries(lambda s: s.substitute(**subs)) for name, op in leaves.items()}
-    _reference_matrix_route(reference, identities, leaves, sided=sided)
+    _reference_matrix_route(reference, identities, leaves)
     assert engine.witnesses == reference.witnesses
     got, want = engine.report(), reference.report()
     assert (got.checked, got.failures, got.witnesses) == (want.checked, want.failures, want.witnesses)
@@ -483,7 +510,6 @@ def test_integer_matrix_route_with_leaves_of_different_denominators():
     mixed, other = checks._expression("r12-rho12*s13*r23"), checks._expression("s23*rho13*r12")
     identities = [({"identity": "equal"}, mixed, other), ({"identity": "vanish"}, mixed, ())]
     assert _matrix_routes_agree(identities, leaves)
-    assert _matrix_routes_agree(identities, leaves, sided=False)
     # the difference of a word and itself vanishes with either word length
     same = [({}, *checks._identity("r13+s23*rho13*r12 = s23*rho13*r12+r13"))]
     assert not _matrix_routes_agree(same, leaves)
@@ -590,7 +616,7 @@ def test_key_fields_hold_the_largest_index(n, polynomial):
         functional, matrix = checks.Collector("engine", n), checks.Collector("engine", n)
         checks.check_identities(engine, [identity], leaves, domain)
         _reference_functional_route(functional, [identity], domain)
-        _reference_matrix_route(matrix, [identity], leaves)
+        _reference_matrix_route(matrix, [identity], leaves, domain)
         assert engine.witnesses == functional.witnesses + matrix.witnesses
         assert engine.checked == functional.checked + matrix.checked
         assert matrix.witnesses

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from qlie.checks import Collector
+from qlie.checks import Collector, _identity, check_identities
 from qlie.laurent import LaurentFn, SpaceConfig, op_rho, op_rhat, permute
 from qlie.operators import Operator, StabilityError, compose, from_functional
 from qlie.scalars import BETA, C, ONE, Scalar
@@ -75,12 +75,13 @@ def test_compose_examples():
 
 
 def test_compare_reports_first_discrepancy():
-    P = Operator.flip(1, lo=0)
+    # a matrix identity on slots 1 and 2 alone is checked on two legs
+    P, ident = Operator.flip(1, lo=0), identity(1, 2, lo=0)
+    same, differ = _identity("P12 = Q12"), _identity("P12 = I12")
     col = Collector("compare", 1)
-    col.compare(P, P, {})
-    assert P == P and not col.witnesses
-    ident = identity(1, 2, lo=0)
-    col.compare(P, ident, {})
+    check_identities(col, [({}, *same)], {"P": P, "Q": P})
+    assert P == P and not col.witnesses and col.checked == 2 ** 4
+    check_identities(col, [({}, *differ)], {"P": P, "I": ident})
     assert P != ident
     assert col.witnesses[0] == {"out": [0, 1], "in": [0, 1], "lhs": "0", "rhs": "1"}
 

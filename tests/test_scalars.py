@@ -224,6 +224,26 @@ def test_int_and_integral_fraction_coefficients_are_interchangeable():
     assert Scalar({(1, 0, 0): Fraction(3), (0, 0, 0): 1}) == BETA * 3 + ONE
 
 
+@pytest.mark.parametrize(
+    "scalar, value",
+    [(ZERO, 0), (ONE, 1), (-ONE, -1), (Scalar.rational(Fraction(1, 2)), Fraction(1, 2))],
+    ids=["zero", "one", "minus-one", "half"],
+)
+def test_constant_scalar_hashes_as_its_rational(scalar, value):
+    assert scalar == value and hash(scalar) == hash(value)
+    assert len({scalar, value}) == 1
+    assert {value: "found"}[scalar] == "found"
+
+
+@given(scalars, values)
+def test_equal_scalar_and_rational_hash_equal(a, q):
+    # q built directly and by cancelling a, and a itself where it is constant
+    for s in (Scalar.rational(q), (a + Scalar.rational(q)) - a, a * ZERO + q * ONE):
+        assert s == q and hash(s) == hash(q)
+    if a == q:
+        assert hash(a) == hash(q)
+
+
 def test_non_integral_exact_quotient_is_a_fraction():
     q = (BETA * 2).exact_div(Scalar.rational(3))
     assert q == Scalar.monomial((1, 0, 0), Fraction(2, 3))
