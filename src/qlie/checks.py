@@ -16,11 +16,12 @@ slots 1 and 2 appear.
 
 Both routes run on flat terms: a rational per packed int key, which holds
 a term's current index, the monomial or output row it started from and its
-packed b/C/p monomial, as the `laurent` kernel reads them.  They sweep one
-slab at a time, every start monomial or output row that shares a first
-index, so each word takes a whole slab through each of its factors in one
-kernel call or one row-wise product, and their hot loops add and multiply
-rationals, ints unless an input has a fraction, with no Scalar built.
+packed b/C/p monomial, as the `laurent` kernel reads them.  They share one
+product loop, which sweeps one slab at a time, every start monomial or
+output row that shares a first index, through tables keyed by the two
+index fields a factor reads: a kernel tabulated once, or a leaf's rows.
+Their hot loop adds and multiplies rationals, ints unless an input has a
+fraction, with no Scalar built and no kernel called.
 
 A run's --beta/--C/--p values are an evaluation homomorphism, so a
 specialized difference is the specialization of the symbolic one: every
@@ -36,12 +37,12 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
-from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _pack_fields, _single_pass
+from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _kernel_table, _pack_fields
 from .laurent import _unpack_fields, op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
 from .scalars import BETA, ONE, ZERO, Scalar, _by_index
@@ -140,16 +141,8 @@ class VerificationReport:
     millis: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "symbolic": self.symbolic,
-            "pass": self.passed,
-            "checked": self.checked,
-            "failures": self.failures,
-            "witnesses": self.witnesses,
-            "millis": self.millis,
-        }
+        """The fields in order, `passed` named "pass"."""
+        return {"pass" if key == "passed" else key: value for key, value in vars(self).items()}
 
 
 class Collector:
@@ -230,97 +223,58 @@ def check_identities(
     lhs - rhs to every monomial in three variables with exponents in
     `domain`, in the space SpaceConfig(domain.stop): range(-1, n) is the
     Laurent domain of SpaceConfig(n), range(0, n + 1) the polynomials of
-    degree n per variable.  The matrix route multiplies out the embedded
-    `leaves`, the two-leg matrices of the operators the words name, by
-    rows, as in Gustavson's row-wise sparse product (ACM TOMS 1978), so no
-    product matrix is ever built; each entry position is one check.
+    degree n per variable.  The matrix route multiplies out the `leaves`,
+    the two-leg matrices of the operators the words name, by rows, as in
+    Gustavson's row-wise sparse product (ACM TOMS 1978), so no product
+    matrix is ever built; each entry position is one check.  Leaves of
+    another shape than the first, or a factor naming no leaf (with a
+    domain, no kernel), raise a ValueError before any identity runs.
 
-    Both routes sweep one slab at a time: every start monomial, or every
-    output row, with one first index.  A term's key is one int in the
-    layout of the `laurent` docstring, its start fields holding the
-    monomial or output row it started from; a field is the `bit_length`
-    of the leaves' size n on the matrix route and of domain.stop on the
-    functional one.  So each word maps a whole slab through each factor in
-    one kernel call or one row-wise product, and moving a term from row
-    mid to row inp (e + (inp - mid)) is one int add.  A word's last factor
-    adds into its side's slab dict: the functional route adds lhs - rhs
-    into one total, which must be empty; the matrix route compares the two
-    sides' dicts once.  Only a slab that differs is split by start and
-    decoded, row by row, in the order the monomials or rows sort in.
+    Both routes run one product loop, `_image`, a slab at a time: every
+    start monomial, or every output row, with one first index.  A term's
+    key is one int in the layout of the `laurent` docstring, its start
+    fields holding the monomial or output row it started from; a field is
+    the `bit_length` of the leaves' size n on the matrix route and of
+    domain.stop on the functional one.  Each factor is a table keyed by the
+    two index fields it reads, built once per call: a kernel tabulated by
+    `laurent._kernel_table`, or a leaf's two-leg rows, which hold no copy
+    per spectator index.  So moving a term is one int add.  The functional
+    route adds lhs - rhs into one total, which must be empty; the matrix
+    route compares the two sides' slab dicts once.  Only a slab that
+    differs is split by start and decoded, row by row, in sorted order.
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing row, and a row whose sides
     agree once specialized yields no witness.  Witnesses start with the
     identity's tag and print the specialized value.
     """
-    width = max(op.n for op in leaves.values()).bit_length()
-    # the three low, index fields of a key; a start key repeats them in the
-    # three fields above
-    low, mono = (1 << 3 * width) - 1, 6 * width
-
-    # embedded leaves, built once per (name, slots, legs):
-    # rows[mid] lists (inp - mid + (monomial << mono), q)
-    embedded: dict[tuple[str, tuple[int, int], int], dict[int, list]] = {}
-
-    def rows_of(name: str, slots: tuple[int, int], legs: int) -> dict[int, list]:
-        rows = embedded.get((name, slots, legs))
-        if rows is None:
-            op, (a, b) = leaves[name], slots
-            # field shifts of slots a and b and of the spectator slot, whose
-            # index moves nowhere, and on two legs stays 0
-            sa, sb, ss = ((2 - slot) * width for slot in (a, b, 3 - a - b))
-            rows = embedded[name, slots, legs] = {}
-            for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-                move = (i1 - o1 << sa) + (i2 - o2 << sb)
-                terms = [(move + (m << mono), q) for m, q in coeff._terms.items()]
-                mid = (o1 << sa) + (o2 << sb)
-                for s in (op.indices() if legs == 3 else (0,)):
-                    rows.setdefault(mid + (s << ss), []).extend(terms)
-        return rows
-
-    def side(expr: Expression, starts: list[int], legs: int) -> Flat:
-        total: Flat = {}
-        for unit, word in expr:
-            terms = dict.fromkeys(starts, unit)
-            for k, factor in enumerate(word):
-                rows = rows_of(*factor, legs)
-                acc = total if k == len(word) - 1 else {}
-                get = acc.get
-                for e, c1 in terms.items():
-                    for move, c2 in rows.get(e & low, ()):
-                        key = e + move
-                        v = acc[key] = get(key, 0) + c1 * c2
-                        if not v:
-                            del acc[key]
-                terms = acc
-        return total
-
+    first, leaf = next(iter(leaves.items()))
+    for name, op in leaves.items():
+        _check_shape(name, op, leaf.n, leaf.lo, f", as {first} has" if name != first else "")
+    factors = {factor for _, lhs, rhs in identities for _, word in (*lhs, *rhs) for factor in word}
+    for name in sorted({name for name, _ in factors}):
+        if name not in leaves or domain is not None and name not in _KERNELS:
+            kind = "kernel" if name in leaves else "leaf"
+            raise ValueError(f"an identity names {name!r}, which is no {kind}")
+    width = leaf.n.bit_length()
+    matrices = {(name, slots): _embedded(leaves[name], slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
-        # exponents plus one lie in [0, domain.stop]
-        fwidth = domain.stop.bit_length()
+        fwidth = domain.stop.bit_length()  # exponents plus one lie in [0, domain.stop]
+        kernels = {(name, slots): _kernel_table(name, slots, domain.stop) for name, slots in factors}
         packed = [[_pack_fields((e0, *rest), fwidth, 1) for rest in product(domain, repeat=2)]
                   for e0 in domain]
         slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
-    leaf = next(iter(leaves.values()))
     for tag, lhs, rhs in identities:
         named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
         legs = 3 if domain is not None or 2 in named else 2
         if domain is not None:
-            # lhs - rhs as signed words of kernels, in the order they apply
-            words = [
-                (sign, [(slots, _KERNELS[name]) for name, slots in reversed(word)])
-                for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))
-            ]
+            # lhs - rhs, each word's factors in the order they apply
+            words = [(sign, [kernels[factor] for factor in reversed(word)])
+                     for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))]
             for starts in slabs:
                 col.checked += len(starts)
-                total: Flat = {}
-                for sign, word in words:
-                    value = dict.fromkeys(starts, sign)
-                    for slots, kernel in word[:-1]:
-                        value = _single_pass(value, slots, *kernel, fwidth)
-                    slots, kernel = word[-1]
-                    _single_pass(value, slots, *kernel, fwidth, out=total)
+                total = _image(words, starts, {})
                 for start, row in sorted(_by_start(total, fwidth).items()):
                     if values := col.specialize(_decoded(row, fwidth, 3, 1)):
                         col.witnesses.append({
@@ -330,22 +284,59 @@ def check_identities(
                         })
             tag = {**tag, "side": "matrix"}
         col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
-        outs = {out for _, word in (*lhs, *rhs) for out in rows_of(*word[0], legs)}
+        left, right = ([(sign, [matrices[factor] for factor in word]) for sign, word in side]
+                       for side in (lhs, rhs))
+        # each two-leg row of a word's first factor, with every spectator
+        # index in the field of slot 3 - a - b
+        spectators = leaf.indices() if legs == 3 else (0,)
+        outs = {mid + (s << (a + b - 1) * width) for _, ((name, (a, b)), *_) in (*lhs, *rhs)
+                for mid in matrices[name, (a, b)][1] for s in spectators}
         # packed rows sort as their index tuples; a slab shares out[0]
-        row_slabs: dict[int, list[int]] = {}
-        for out in sorted(outs):
-            row_slabs.setdefault(out >> 2 * width, []).append(out | out << 3 * width)
-        for starts in row_slabs.values():
-            left, right = side(lhs, starts, legs), side(rhs, starts, legs)
-            if left == right:
+        for _, slab in groupby(sorted(outs), lambda out: out >> 2 * width):
+            starts = [out | out << 3 * width for out in slab]
+            lrows, rrows = _image(left, starts, {}), _image(right, starts, {})
+            if lrows == rrows:
                 continue
-            left, right = _by_start(left, width), _by_start(right, width)
-            for out in sorted(left.keys() | right.keys()):
-                lrow, rrow = left.get(out, {}), right.get(out, {})
+            lrows, rrows = _by_start(lrows, width), _by_start(rrows, width)
+            for out in sorted(lrows.keys() | rrows.keys()):
+                lrow, rrow = lrows.get(out, {}), rrows.get(out, {})
                 if lrow == rrow:
                     continue
                 col.row(_unpack_fields(out, width, legs), _decoded(lrow, width, legs),
                         _decoded(rrow, width, legs) if rhs else None, tag)
+
+
+def _image(words: list, starts: list[int], total: Flat) -> Flat:
+    """total plus the signed words' image of the start keys: a factor (mask,
+    rows) takes term e, times c1, to e + move, times c1 * c2, for each (move,
+    c2) in rows[e & mask]; a word's last factor adds into total."""
+    for sign, factors in words:
+        terms = dict.fromkeys(starts, sign)
+        for k, (mask, rows) in enumerate(factors):
+            acc = total if k == len(factors) - 1 else {}
+            get = acc.get
+            for e, c1 in terms.items():
+                for move, c2 in rows.get(e & mask, ()):
+                    key = e + move
+                    v = acc[key] = get(key, 0) + c1 * c2
+                    if not v:
+                        del acc[key]
+            terms = acc
+    return total
+
+
+def _embedded(op: Operator, slots: tuple[int, int], width: int) -> tuple[int, dict[int, list]]:
+    """The two-leg op on slots a and b as a table like `laurent._kernel_table`:
+    rows[mid] lists (inp - mid + (monomial << mono), q) for the entries of
+    row mid, mid and inp packed in the fields of slots a and b."""
+    field, (a, b) = (1 << width) - 1, slots
+    sa, sb = (2 - a) * width, (2 - b) * width
+    rows: dict[int, list] = {}
+    for ((o1, o2), (i1, i2)), coeff in op.entries.items():
+        move = (i1 - o1 << sa) + (i2 - o2 << sb)
+        rows.setdefault((o1 << sa) + (o2 << sb), []).extend(
+            (move + (m << 6 * width), q) for m, q in coeff._terms.items())
+    return field << sa | field << sb, rows
 
 
 def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
@@ -375,12 +366,14 @@ def _given_or(
     """op, or default(n) when op is None; op must be a two-leg matrix on lo..n."""
     if op is None:
         return default(n)
-    if op.shape() != (n, 2, lo):
-        raise ValueError(
-            f"{name} must have size {n}, 2 legs and index base {lo}, "
-            f"got size {op.n}, {op.legs} legs and index base {op.lo}"
-        )
+    _check_shape(name, op, n, lo)
     return op
+
+
+def _check_shape(name: str, op: Operator, n: int, lo: int, like: str = "") -> None:
+    if op.shape() != (n, 2, lo):
+        raise ValueError(f"{name} must have size {n}, 2 legs and index base {lo}{like}, "
+                         f"got size {op.n}, {op.legs} legs and index base {op.lo}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,24 +19,23 @@ materializes an out-of-range term.
 `_single_pass`: one loop over the input terms tests regularity inline and
 writes the identity (or swap), b-term and C-term contributions into one
 accumulator, with no intermediate function built.  The kernel works on flat
-terms {key: q}, q a plain rational and the key one int of `width`-bit
-fields (Monagan & Pearce, CASC 2007): three index fields, the first index
-highest, each exponent stored plus one so that -1 fits; above them three
-more fields that the kernel carries through untouched, as it does a
-spectator exponent (`checks` keeps there the monomial a term started
-from); and above those the packed monomial of `scalars`, which goes on top
-because its p field is signed.  So multiplying by b or C is one int add, a
-sign flip negates q, and packed index fields sort as their tuples do.  The
-`op_*` functions pack a LaurentFn into flat terms and unpack the image, and
-`checks` runs the kernel on flat terms directly, a whole slab of start
-monomials per call.  `reg`, `permute` and `divided_difference` remain the
-public primitives the operators are defined by, and the tests check every
-kernel against them.  The kernel takes no corruption argument: a mutation
-test edits a built matrix instead (`checks.suite_cross_check` negates the
-C-terms of the braid operator's matrix), so the kernel a test proves is the
-one every run executes.  A LaurentFn is a value at the boundary, built,
-compared and printed; it has no ring operations, since no route sums
-functions.
+terms {key: q}, q a plain rational and the key one int of `width`-bit fields
+(Monagan & Pearce, CASC 2007): three index fields, the first index highest,
+each exponent stored plus one so that -1 fits; above them three more fields
+that the kernel carries through untouched, as it does a spectator exponent
+(`checks` keeps there the monomial a term started from); and above those the
+packed monomial of `scalars`, which goes on top because its p field is
+signed.  So multiplying by b or C is one int add, a sign flip negates q, and
+packed index fields sort as their tuples do.  The `op_*` functions pack a
+LaurentFn into flat terms and unpack the image; `checks` runs no kernel per
+slab but applies its table, which `_kernel_table` builds in one kernel run.
+`reg`, `permute` and `divided_difference` remain the public primitives the
+operators are defined by, and the tests check every kernel against them.
+The kernel takes no corruption argument: a mutation test edits a built
+matrix instead (`checks.suite_cross_check` negates the C-terms of the braid
+operator's matrix), so the kernel a test proves is the one every run
+executes.  A LaurentFn is a value at the boundary, built, compared and
+printed; it has no ring operations, since no route sums functions.
 """
 
 from __future__ import annotations
@@ -344,3 +343,21 @@ def _single_pass(
             if not v:
                 del out[k]
     return out
+
+
+def _kernel_table(name: str, slots: Slots, n: int) -> tuple[int, dict[int, list]]:
+    """The named kernel on SpaceConfig(n) as a table (mask, rows): term k,
+    times q, maps to k + move, times q * q2, for each (move, q2) in
+    rows[k & mask].  The kernel is linear and moves a key's image by what
+    its two active fields decide, so one run on every basis value of them,
+    kept in the start fields too, finds every row."""
+    width = n.bit_length()
+    field, start = (1 << width) - 1, 3 * width
+    sa, sb = (2 - slots[0]) * width, (2 - slots[1]) * width
+    keys = [fa << sa | fb << sb for fa, fb in product(range(n + 1), repeat=2)]
+    image = _single_pass({k | k << start: 1 for k in keys}, slots, *_KERNELS[name], width)
+    rows: dict[int, list] = {}
+    for k, q in image.items():
+        key = k >> start & (1 << start) - 1
+        rows.setdefault(key, []).append((k - (key | key << start), q))
+    return field << sa | field << sb, rows

@@ -347,6 +347,50 @@ def test_engine_witness_keys_for_a_failing_identity():
         assert col.witnesses[0]["side"] == "functional" and col.witnesses[-1]["side"] == "matrix"
 
 
+@pytest.mark.parametrize(
+    "other, after, before",
+    [
+        (extended_rhat(3),
+         "b must have size 2, 2 legs and index base 0, as a has, got size 3, 2 legs and index base 0",
+         "a must have size 3, 2 legs and index base 0, as b has, got size 2, 2 legs and index base 0"),
+        (sigma_cg(2),
+         "b must have size 2, 2 legs and index base 0, as a has, got size 2, 2 legs and index base 1",
+         "a must have size 2, 2 legs and index base 1, as b has, got size 2, 2 legs and index base 0"),
+        (Operator(2, 3, {}, lo=0),
+         "b must have size 2, 2 legs and index base 0, as a has, got size 2, 3 legs and index base 0",
+         "b must have size 2, 2 legs and index base 0, got size 2, 3 legs and index base 0"),
+    ],
+    ids=["size", "base", "legs"],
+)
+def test_engine_rejects_leaves_of_another_shape(other, after, before):
+    # the field width, the spectator range and `checked` come from the
+    # leaves, so each must be a two-leg matrix of the first one's shape,
+    # whichever comes first
+    first = extended_rhat(2)
+    for leaves, want in (({"a": first, "b": other}, after), ({"b": other, "a": first}, before)):
+        col = checks.Collector("engine", 2)
+        with pytest.raises(ValueError) as error:
+            checks.check_identities(col, [({}, *checks._identity("a12 = b12"))], leaves)
+        assert str(error.value) == want
+        assert col.checked == 0 and not col.witnesses
+
+
+def test_engine_rejects_a_factor_naming_no_leaf():
+    # before any identity runs; with a domain the name must be a kernel too
+    rhat, sigma = {"rhat": extended_rhat(2)}, {"rhat": extended_rhat(2), "sigma": extended_rhat(2)}
+    for statement, leaves, domain, name, kind in (
+        ("rhat12 = zz12", rhat, None, "zz", "leaf"),
+        ("R12 = rhat12", rhat, range(-1, 2), "R", "leaf"),
+        ("sigma12 = rhat12", sigma, range(-1, 2), "sigma", "kernel"),
+    ):
+        col = checks.Collector("engine", 2)
+        identities = [({}, *checks._braid("rhat")), ({}, *checks._identity(statement))]
+        with pytest.raises(ValueError) as error:
+            checks.check_identities(col, identities, leaves, domain)
+        assert str(error.value) == f"an identity names {name!r}, which is no {kind}"
+        assert col.checked == 0 and not col.witnesses
+
+
 def _place(op, slots, legs):
     """The two-leg op on `slots` of `legs` legs: the test-local `embed` of
     test_operators on three legs, a relabelling of op's legs on two."""
@@ -436,6 +480,11 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
         out = tuple(rng.choice(indices) for _ in range(2))
         inp = tuple(rng.choice(indices) for _ in range(2))
         mutants.append(leaf.with_entry(out, inp, leaf.coeff(out, inp) + delta))
+    for corner in ((leaf.lo, leaf.lo), (n, n)):
+        # a structural zero in the first and in the last output row, which a
+        # wrong spectator range or field mask would miss
+        inp = next(i for i in product(indices, repeat=2) if (corner, i) not in leaf.entries)
+        mutants += [leaf.with_entry(corner, inp, delta) for delta in (ONE, C)]
     failing = 0
     for mutant in mutants:
         engine, reference = checks.Collector(kind, n), checks.Collector(kind, n)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie.checks import _FUNCTIONAL_OPS
+from qlie.checks import _FUNCTIONAL_OPS, _image
 from qlie.laurent import (
+    _KERNELS,
     LaurentFn,
     SpaceConfig,
     basis_monomials,
@@ -19,7 +20,8 @@ from qlie.laurent import (
     permute,
     reg,
 )
-from qlie.scalars import BETA, C, ONE, ZERO, Scalar
+from qlie.laurent import _kernel_table, _pack_fields, _single_pass
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar, _pack
 
 CFG3 = SpaceConfig(3)
 
@@ -375,6 +377,38 @@ def test_kernel_equals_its_definition(name, kernel, reference, data):
     fn = data.draw(laurent_fns(3, SpaceConfig(n), symbolic_scalars()))
     for slots in SLOT_PAIRS:
         assert kernel(fn, slots) == reference(fn, slots)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_tables_equal_the_kernel(name):
+    # the engine applies each kernel as its table on SpaceConfig(n), term by
+    # term, through its product loop: on multi-term inputs with nonzero
+    # start fields and monomials, p^-1 among them, that must give exactly
+    # the kernel's image, alone or added into an accumulator that cancels
+    # part of it
+    rng = Random(f"table/{name}")
+    monomials = [_pack(m) for m in ((0, 0, -1), (1, 0, 0), (0, 2, 1), (2, 1, -3))]
+    coefficients = [1, -1, 3, Fraction(-2, 7)]
+    images = 0
+    for n in range(1, 9):
+        width = n.bit_length()
+        for slots in SLOT_PAIRS:
+            mask, rows = _kernel_table(name, slots, n)
+            terms = {}
+            for _ in range(12):
+                index = _pack_fields([rng.randint(0, n) for _ in range(3)], width)
+                start = _pack_fields([rng.randint(1, n) for _ in range(3)], width)
+                key = index | start << 3 * width | rng.choice(monomials) << 6 * width
+                terms[key] = rng.choice(coefficients)
+            image = _single_pass(terms, slots, *_KERNELS[name], width)
+            cancelling = {key: -q for key, q in list(image.items())[::2]}
+            for out in ({}, {**cancelling, rng.choice(list(terms)): Fraction(1, 3)}):
+                got = dict(out)
+                for key, q in terms.items():
+                    _image([(q, [(mask, rows)])], [key], got)
+                assert got == _single_pass(terms, slots, *_KERNELS[name], width, out=dict(out))
+            images += bool(image)
+    assert images >= 40
 
 
 # -- three-slot behavior --------------------------------------------------------
