@@ -32,7 +32,9 @@ traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
 `Scalar.substitute` calls and the `tracemalloc` peak of `qlie.cli.main`,
 in MiB; unlike the times, these do not drift with the host.  Each file also records the ROADMAP's two measures of simplicity for
 its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
-wc -l`), and `public_names`, the length of `qlie.__all__`; and it records
+wc -l`), beside `module_lines`, the lines of each of those files, so that
+code moved between modules is not read as a reduction, and
+`public_names`, the length of `qlie.__all__`; and it records
 the interpreter version, the git commit
 checked out and the git tree hash of the `src/` measured; `git rev-parse
 COMMIT:src` gives that hash for the commit that holds the measured code,
@@ -138,10 +140,10 @@ def _run(src: Path, argv: list[str], child: str = CHILD) -> tuple:
 
 
 def _size(src: Path) -> dict:
-    """The lines of src/qlie/*.py and the number of names in qlie.__all__."""
-    lines = sum(path.read_bytes().count(b"\n") for path in (src / "qlie").glob("*.py"))
+    """The lines of src/qlie/*.py, in all and per file, and the number of names in qlie.__all__."""
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((src / "qlie").glob("*.py"))}
     (names,) = _run(src, [], "import json, qlie; print(json.dumps([len(qlie.__all__)]))")
-    return {"src_lines": lines, "public_names": names}
+    return {"src_lines": sum(lines.values()), "module_lines": lines, "public_names": names}
 
 
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:

@@ -14,14 +14,18 @@ to basis monomials, and matrix-wise, by multiplying out sparse restriction
 matrices row by row; given none, matrix-wise alone, on two legs when only
 slots 1 and 2 appear.
 
-Both routes run on flat terms: a rational per packed int key, which holds
-a term's current index, the monomial or output row it started from and its
-packed b/C/p monomial, as the `laurent` kernel reads them.  They share one
-product loop, which sweeps one slab at a time, every start monomial or
-output row that shares a first index, through tables keyed by the two
-index fields a factor reads: a kernel tabulated once, or a leaf's rows.
-Their hot loop adds and multiplies rationals, ints unless an input has a
-fraction, with no Scalar built and no kernel called.
+Both routes run on flat terms {key: q}, q a plain rational and the key one
+int of `width`-bit fields (Monagan & Pearce, CASC 2007), from the lowest:
+three index fields, the first index highest, so packed indices sort as
+their tuples do; three start fields, the index the term started from, a
+monomial or an output row; and on top the packed b/C/p monomial of
+`scalars`, there because its p field is signed.  A functional-route field
+holds an exponent plus one, so that -1 fits.  The routes share one product
+loop, a slab at a time, every start that shares a first index, through
+tables keyed by the two index fields a factor reads, which one builder
+makes from a kernel's basis images (`laurent._basis_image`) or a leaf's
+rows.  So moving a term is one int add; the loop adds and multiplies
+rationals, ints unless an input has a fraction, and builds no Scalar.
 
 A run's --beta/--C/--p values are an evaluation homomorphism, so a
 specialized difference is the specialization of the symbolic one: every
@@ -42,15 +46,17 @@ from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
 from .freealg import _ARITY, _bcc_row, _index, _index_constants
-from .laurent import _KERNELS, Flat, LaurentFn, SpaceConfig, _apply_kernel, _kernel_table, _pack_fields
-from .laurent import _unpack_fields, op_r, op_rhat, op_rho, op_s
+from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
+from .laurent import op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
-from .scalars import BETA, ONE, ZERO, Scalar, _by_index
+from .scalars import BETA, ONE, ZERO, Coeff, Scalar, _by_index
 
 WITNESS_CAP = 16
 
 # substitution mapping: keys among {"beta", "c", "p"} with rational values
 Subs = Optional[dict]
+# flat terms: packed int key (index fields, start fields, monomial) -> rational
+Flat = dict[int, Coeff]
 
 # a word is a composition of elementary two-slot operators, leftmost applied
 # last; an expression is a sum of words, each with sign +1 or -1
@@ -231,17 +237,15 @@ def check_identities(
     domain, no kernel), raise a ValueError before any identity runs.
 
     Both routes run one product loop, `_image`, a slab at a time: every
-    start monomial, or every output row, with one first index.  A term's
-    key is one int in the layout of the `laurent` docstring, its start
-    fields holding the monomial or output row it started from; a field is
-    the `bit_length` of the leaves' size n on the matrix route and of
-    domain.stop on the functional one.  Each factor is a table keyed by the
-    two index fields it reads, built once per call: a kernel tabulated by
-    `laurent._kernel_table`, or a leaf's two-leg rows, which hold no copy
-    per spectator index.  So moving a term is one int add.  The functional
-    route adds lhs - rhs into one total, which must be empty; the matrix
-    route compares the two sides' slab dicts once.  Only a slab that
-    differs is split by start and decoded, row by row, in sorted order.
+    start monomial, or every output row, with one first index, as keys in
+    the layout of the module docstring, a field `bit_length` bits of the
+    leaves' size n on the matrix route and of domain.stop on the functional
+    one.  Each factor is a table built once per call by `_table`: a
+    kernel's images of the basis monomials of SpaceConfig(domain.stop), or
+    a leaf's two-leg rows, which hold no copy per spectator index.  The
+    functional route adds lhs - rhs into one total, which must be empty;
+    the matrix route compares the two sides' slab dicts once.  Only a slab
+    that differs is split by start and decoded, row by row, in sorted order.
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing row, and a row whose sides
@@ -257,11 +261,15 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = leaf.n.bit_length()
-    matrices = {(name, slots): _embedded(leaves[name], slots, width) for name, slots in factors}
+    matrices = {(name, slots): _table(((o, [(i, m, q) for m, q in c._terms.items()])
+                                       for (o, i), c in leaves[name].entries.items()), slots, width)
+                for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
         fwidth = domain.stop.bit_length()  # exponents plus one lie in [0, domain.stop]
-        kernels = {(name, slots): _kernel_table(name, slots, domain.stop) for name, slots in factors}
+        kernels = {(name, slots): _table(((e, _basis_image(name, *e)) for e in basis_monomials(cfg, 2)),
+                                         slots, fwidth, 1)
+                   for name, slots in factors}
         packed = [[_pack_fields((e0, *rest), fwidth, 1) for rest in product(domain, repeat=2)]
                   for e0 in domain]
         slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
@@ -325,18 +333,39 @@ def _image(words: list, starts: list[int], total: Flat) -> Flat:
     return total
 
 
-def _embedded(op: Operator, slots: tuple[int, int], width: int) -> tuple[int, dict[int, list]]:
-    """The two-leg op on slots a and b as a table like `laurent._kernel_table`:
-    rows[mid] lists (inp - mid + (monomial << mono), q) for the entries of
-    row mid, mid and inp packed in the fields of slots a and b."""
+def _table(images, slots: tuple[int, int], width: int, bias: int = 0) -> tuple[int, dict[int, list]]:
+    """A two-slot factor on slots a and b as a table (mask, rows) for `_image`.
+
+    `images` gives pairs (source, terms), source an index pair and terms its
+    (target, packed monomial, q) triples, target an index pair; a field
+    holds an index plus bias.  rows[source's fields] lists (move, q), move
+    taking the key of source to that of target and adding the monomial;
+    mask holds the fields of slots a and b.
+    """
     field, (a, b) = (1 << width) - 1, slots
-    sa, sb = (2 - a) * width, (2 - b) * width
+    sa, sb, mono = (2 - a) * width, (2 - b) * width, 6 * width
     rows: dict[int, list] = {}
-    for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-        move = (i1 - o1 << sa) + (i2 - o2 << sb)
-        rows.setdefault((o1 << sa) + (o2 << sb), []).extend(
-            (move + (m << 6 * width), q) for m, q in coeff._terms.items())
+    for (ea, eb), terms in images:
+        row = rows.setdefault(ea + bias << sa | eb + bias << sb, [])
+        for (x, y), m, q in terms:
+            row.append(((x - ea << sa) + (y - eb << sb) + (m << mono), q))
     return field << sa | field << sb, rows
+
+
+def _pack_fields(index: Sequence[int], width: int, bias: int = 0) -> int:
+    """The three index fields of a flat key holding index + bias, index[0]
+    highest; an index shorter than three leaves the lowest fields 0."""
+    key = 0
+    for e in index:
+        key = key << width | e + bias
+    return key << (3 - len(index)) * width
+
+
+def _unpack_fields(key: int, width: int, count: int = 3, bias: int = 0) -> tuple[int, ...]:
+    """The first `count` indices in the three index fields of key, bias removed."""
+    mask = (1 << width) - 1
+    index = ((key >> 2 * width & mask) - bias, (key >> width & mask) - bias, (key & mask) - bias)
+    return index[:count]
 
 
 def _by_start(terms: Flat, width: int) -> dict[int, Flat]:

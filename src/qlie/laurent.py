@@ -15,46 +15,39 @@ exponent as a passive index.  Divided differences are expanded through the
 closed geometric-sum formula per monomial, so the division by x - y never
 materializes an out-of-range term.
 
-`op_rho`, `op_s`, `op_r` and `op_rhat` run one private kernel,
-`_single_pass`: one loop over the input terms tests regularity inline and
-writes the identity (or swap), b-term and C-term contributions into one
-accumulator, with no intermediate function built.  The kernel works on flat
-terms {key: q}, q a plain rational and the key one int of `width`-bit fields
-(Monagan & Pearce, CASC 2007): three index fields, the first index highest,
-each exponent stored plus one so that -1 fits; above them three more fields
-that the kernel carries through untouched, as it does a spectator exponent
-(`checks` keeps there the monomial a term started from); and above those the
-packed monomial of `scalars`, which goes on top because its p field is
-signed.  So multiplying by b or C is one int add, a sign flip negates q, and
-packed index fields sort as their tuples do.  The `op_*` functions pack a
-LaurentFn into flat terms and unpack the image; `checks` runs no kernel per
-slab but applies its table, which `_kernel_table` builds in one kernel run.
-`reg`, `permute` and `divided_difference` remain the public primitives the
-operators are defined by, and the tests check every kernel against them.
-The kernel takes no corruption argument: a mutation test edits a built
-matrix instead (`checks.suite_cross_check` negates the C-terms of the braid
-operator's matrix), so the kernel a test proves is the one every run
-executes.  A LaurentFn is a value at the boundary, built, compared and
-printed; it has no ring operations, since no route sums functions.
+`op_rho`, `op_s`, `op_r` and `op_rhat` apply one kernel, `_basis_image`,
+term by term: the image of one basis monomial x^ea y^eb under an entry of
+`_KERNELS`, [permute o] (identity + beta * rho + c * s), as a few terms in
+plain exponents, each with a packed b/C/p monomial of `scalars` and a sign.
+The engine in `checks` tabulates the same function over the basis pairs,
+so both read one formula; the flat keys the engine packs terms into are
+stated there, and this module knows no key layout.  `reg`, `permute` and
+`divided_difference` remain the public primitives the operators are
+defined by, and the tests check every kernel against them.  The kernel
+takes no corruption argument: a mutation test edits a built matrix instead
+(`checks.suite_cross_check` negates the C-terms of the braid operator's
+matrix), so the kernel a test proves is the one every run executes.  A
+LaurentFn is a value at the boundary, built, compared and printed; it has
+no ring operations, since no route sums functions.  Its constructor raises
+StabilityError for an exponent outside the space, so an operator whose
+image leaves it is reported as unstable by `operators.from_functional`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .scalars import ONE, Coeff, Scalar, _by_index, _pack
 
 Slots = tuple[int, int]
-# flat terms: packed int key (index fields, start fields, monomial) -> rational
-Flat = dict[int, Coeff]
 
 _BETA, _C = _pack((1, 0, 0)), _pack((0, 1, 0))
 
-# `_single_pass` arguments (identity, beta, c, swap) of each named two-slot
-# operator; beta and c are the packed monomials multiplying its rho and s
-# parts, None where the part is absent
+# (identity, beta, c, swap) of each named two-slot operator, as
+# `_basis_image` reads them; beta and c are the packed monomials multiplying
+# its rho and s parts, None where the part is absent
 _KERNELS = {
     "rho": (False, 0, None, False),
     "s": (False, None, 0, False),
@@ -63,6 +56,11 @@ _KERNELS = {
     # permute o rhat = identity + r, the flipped braid operator
     "R": (True, _BETA, _C, False),
 }
+
+
+class StabilityError(ValueError):
+    """An exponent outside the truncated space, such as in the image of an
+    operator that leaves it."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class LaurentFn:
                     raise ValueError(f"exponent vector {exps} has wrong length")
                 for e in exps:
                     if e < cfg.min_exp or e > cfg.max_exp:
-                        raise ValueError(
+                        raise StabilityError(
                             f"exponent {e} outside [{cfg.min_exp}, {cfg.max_exp}] "
                             f"for n={cfg.n}"
                         )
@@ -252,112 +250,44 @@ def op_rhat(fn: LaurentFn, slots: Slots = (0, 1)) -> LaurentFn:
 
 
 def _apply_kernel(fn: LaurentFn, slots: Slots, name: str) -> LaurentFn:
-    """The named operator of _KERNELS on fn, through flat terms."""
+    """The named operator of _KERNELS on fn, one basis image per term."""
     _check_slots(fn, slots)
-    # exponents plus one lie in [0, n]
-    width = fn.cfg.n.bit_length()
-    flat = {
-        _pack_fields(exps, width, 1) + (m << 6 * width): q
-        for exps, coeff in fn._terms.items()
-        for m, q in coeff._terms.items()
-    }
-    image = _single_pass(flat, slots, *_KERNELS[name], width)
-    return LaurentFn(fn.cfg, fn.arity, _by_index(
-        (_unpack_fields(k, width, fn.arity, 1), k >> 6 * width, q) for k, q in image.items()
-    ))
-
-
-def _pack_fields(index: Sequence[int], width: int, bias: int = 0) -> int:
-    """The three low `width`-bit fields of a flat key holding index + bias,
-    index[0] highest; an index shorter than three leaves the lowest fields 0."""
-    key = 0
-    for e in index:
-        key = key << width | e + bias
-    return key << (3 - len(index)) * width
-
-
-def _unpack_fields(key: int, width: int, count: int = 3, bias: int = 0) -> tuple[int, ...]:
-    """The first `count` indices in the three low fields of key, bias removed."""
-    mask = (1 << width) - 1
-    index = ((key >> 2 * width & mask) - bias, (key >> width & mask) - bias, (key & mask) - bias)
-    return index[:count]
-
-
-def _single_pass(
-    terms: Flat, slots: Slots, identity: bool, beta: Optional[int], c: Optional[int], swap: bool,
-    width: int, out: Optional[Flat] = None,
-) -> Flat:
-    """[permute o] (identity + beta * rho + c * s), in one pass over flat terms.
-
-    Keys have the layout of the module docstring: `width`-bit fields, each
-    exponent stored plus one, so no exponent may exceed 2^width - 2.  The
-    image has no exponent above the largest of its input.  Each input term
-    writes its identity, rho and s contributions straight into one
-    accumulator, `out` when given (the image is added to it), the rho part
-    from the geometric-sum formula of `divided_difference` shifted by one in
-    slot a.  A term with a negative active exponent is singular: its regular
-    part, hence its rho and s parts, vanish.  With `swap` every output key
-    has slots a and b exchanged.  Only the two active fields are read: every
-    other field and the monomial pass through as they are.  Terms that
-    cancel are dropped.
-    """
-    mask = (1 << width) - 1
-    sa, sb = (2 - slots[0]) * width, (2 - slots[1]) * width
-    spa, spb = (sb, sa) if swap else (sa, sb)
-    # swapping fields fa and fb adds (fb - fa) * flip to a key
-    flip = (1 << sa) - (1 << sb)
-    step = (1 << spa) - (1 << spb)
-    mono = 6 * width
-    beta = None if beta is None else beta << mono
-    c = None if c is None else c << mono
-    out = {} if out is None else out
-    get = out.get
-    for key, q in terms.items():
-        # active exponents plus one: 0 marks a singular exponent -1
-        fa, fb = key >> sa & mask, key >> sb & mask
-        if identity:
-            k = key + (fb - fa) * flip if swap else key
-            v = out[k] = get(k, 0) + q
-            if not v:
-                del out[k]
-        # the regular part of x^ea y^eb contributes only when ea != eb
-        if not fa or not fb or fa == fb:
-            continue
-        base = key - (fa << sa) - (fb << sb)
-        if beta is not None:
-            # x * (y^ea x^eb - x^ea y^eb) / (x - y) is the sum of
-            # x^u y^(lo+hi-u) over u in (lo, hi], negated when ea > eb; the
-            # same sum holds for the fields, exponents plus one
-            lo, hi, t = (fb, fa, -q) if fa > fb else (fa, fb, q)
-            k = base + beta + (lo << spa) + (hi << spb)
-            for _ in range(hi - lo):
-                k += step
-                v = out[k] = get(k, 0) + t
+    a, b = slots
+    acc: dict[tuple, Coeff] = {}
+    for exps, coeff in fn._terms.items():
+        for (ea, eb), m, t in _basis_image(name, exps[a], exps[b]):
+            e = list(exps)
+            e[a], e[b] = ea, eb
+            for k, q in coeff._terms.items():
+                key = (tuple(e), m + k)
+                v = acc[key] = acc.get(key, 0) + t * q
                 if not v:
-                    del out[k]
-        if c is not None and (fa == 1 or fb == 1):
-            # f(x, 0) - f(0, x), divided by y: exactly one of ea, eb is 0,
-            # and slot b takes the exponent -1, field 0
-            k = base + c + (fa + fb - 1 << spa)
-            v = out[k] = get(k, 0) + (q if fb == 1 else -q)
-            if not v:
-                del out[k]
-    return out
+                    del acc[key]
+    return LaurentFn(fn.cfg, fn.arity, _by_index((e, m, q) for (e, m), q in acc.items()))
 
 
-def _kernel_table(name: str, slots: Slots, n: int) -> tuple[int, dict[int, list]]:
-    """The named kernel on SpaceConfig(n) as a table (mask, rows): term k,
-    times q, maps to k + move, times q * q2, for each (move, q2) in
-    rows[k & mask].  The kernel is linear and moves a key's image by what
-    its two active fields decide, so one run on every basis value of them,
-    kept in the start fields too, finds every row."""
-    width = n.bit_length()
-    field, start = (1 << width) - 1, 3 * width
-    sa, sb = (2 - slots[0]) * width, (2 - slots[1]) * width
-    keys = [fa << sa | fb << sb for fa, fb in product(range(n + 1), repeat=2)]
-    image = _single_pass({k | k << start: 1 for k in keys}, slots, *_KERNELS[name], width)
-    rows: dict[int, list] = {}
-    for k, q in image.items():
-        key = k >> start & (1 << start) - 1
-        rows.setdefault(key, []).append((k - (key | key << start), q))
-    return field << sa | field << sb, rows
+def _basis_image(name: str, ea: int, eb: int) -> list[tuple[Slots, int, int]]:
+    """The named kernel's image of x^ea y^eb, as ((ea', eb'), monomial, +-1) terms.
+
+    The kernel is [permute o] (identity + beta * rho + c * s), its
+    (identity, beta, c, swap) read from _KERNELS, beta and c packed
+    monomials.  Only a regular monomial off the diagonal, 0 <= ea != eb,
+    has rho and s parts.  With lo < hi the two exponents, the geometric sum
+
+        x * (x^hi y^lo - x^lo y^hi) / (x - y) = sum of x^u y^(lo+hi-u), lo < u <= hi,
+
+    gives rho, negated when ea > eb; and s, (f(x,0) - f(0,x)) / y, is
+    x^hi / y when lo = 0, negated when ea = 0, and 0 otherwise.  No
+    term leaves [-1, max(ea, eb)], and no two terms share both exponents
+    and monomial, so the image needs no merge.  With swap, each term's two
+    exponents are exchanged.
+    """
+    identity, beta, c, swap = _KERNELS[name]
+    image = [((ea, eb), 0, 1)] if identity else []
+    if ea >= 0 and eb >= 0 and ea != eb:
+        lo, hi, t = (eb, ea, -1) if ea > eb else (ea, eb, 1)
+        if beta is not None:
+            image += [((u, lo + hi - u), beta, t) for u in range(lo + 1, hi + 1)]
+        if c is not None and lo == 0:
+            image.append(((hi, -1), c, -t))
+    return [((y, x), m, q) for (x, y), m, q in image] if swap else image

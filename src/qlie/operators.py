@@ -16,15 +16,11 @@ import json
 from itertools import product
 from typing import Callable, Iterator, Mapping, Optional
 
-from .laurent import LaurentFn, SpaceConfig, basis_monomials
+from .laurent import LaurentFn, SpaceConfig, StabilityError, basis_monomials
 from .scalars import ONE, Scalar
 
 Index = tuple[int, ...]
 Entry = tuple[Index, Index]
-
-
-class StabilityError(ValueError):
-    """A functional operator left the truncated space."""
 
 
 class Operator:
@@ -175,14 +171,16 @@ def from_functional(
 
     Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the image of
     x^(K-1) y^(L-1), and likewise with three legs.  Raises StabilityError
-    when an image exponent leaves [-1, n-1].
+    when an image exponent leaves [-1, n-1]; any other error of op raises
+    as it is.
     """
+    Operator(cfg.n, legs)  # rejects legs other than 2 or 3 before op runs
     ent: dict[Entry, Scalar] = {}
     for exps in basis_monomials(cfg, legs):
         inp = tuple(e + 1 for e in exps)
         try:
             image = op(LaurentFn.monomial(cfg, exps))
-        except ValueError as exc:
+        except StabilityError as exc:
             raise StabilityError(
                 f"image of basis monomial {exps} leaves the space: {exc}"
             ) from exc

@@ -240,6 +240,6 @@ def test_extended_zero_pattern():
         assert in_sigma or in_constants or in_delta
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_cross_construction_equality(n):
     assert from_functional(op_rhat, SpaceConfig(n)) == extended_rhat(n)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie.checks import _FUNCTIONAL_OPS, _image
+from qlie.checks import _FUNCTIONAL_OPS, _image, _pack_fields, _table
 from qlie.laurent import (
     _KERNELS,
     LaurentFn,
     SpaceConfig,
+    StabilityError,
     basis_monomials,
     divided_difference,
     op_r,
@@ -20,8 +21,8 @@ from qlie.laurent import (
     permute,
     reg,
 )
-from qlie.laurent import _kernel_table, _pack_fields, _single_pass
-from qlie.scalars import BETA, C, ONE, ZERO, Scalar, _pack
+from qlie.laurent import _basis_image
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar, _by_index, _pack, _unpack
 
 CFG3 = SpaceConfig(3)
 
@@ -379,35 +380,60 @@ def test_kernel_equals_its_definition(name, kernel, reference, data):
         assert kernel(fn, slots) == reference(fn, slots)
 
 
+REFERENCES = {name: reference for name, _, reference in KERNELS}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_basis_images_equal_the_definition(name):
+    # every basis monomial of V (x) V at n = 1..8, on both slot orders: the
+    # image term by term, which stays in [-1, max(ea, eb)] and needs no merge
+    for n in range(1, 9):
+        cfg = SpaceConfig(n)
+        for slots, exps in product(((0, 1), (1, 0)), basis_monomials(cfg, 2)):
+            a, b = slots
+            image = _basis_image(name, exps[a], exps[b])
+            assert len({(pair, m) for pair, m, _ in image}) == len(image)
+            assert all(-1 <= e <= max(exps) for pair, _, _ in image for e in pair)
+            fn = mono(cfg, exps)
+            got = _from_terms(fn, [(_with(exps, {a: x, b: y}), Scalar.monomial(_unpack(m), t))
+                                   for (x, y), m, t in image])
+            assert got == REFERENCES[name](fn, slots)
+
+
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_tables_equal_the_kernel(name):
-    # the engine applies each kernel as its table on SpaceConfig(n), term by
-    # term, through its product loop: on multi-term inputs with nonzero
-    # start fields and monomials, p^-1 among them, that must give exactly
-    # the kernel's image, alone or added into an accumulator that cancels
-    # part of it
+    # the engine applies each kernel as a table of its basis images on
+    # SpaceConfig(n), term by term, through its product loop: on multi-term
+    # inputs with nonzero spectator exponents, start fields and monomials,
+    # p^-1 among them, that must give exactly the operator's image, alone or
+    # added into an accumulator that cancels part of it
     rng = Random(f"table/{name}")
     monomials = [_pack(m) for m in ((0, 0, -1), (1, 0, 0), (0, 2, 1), (2, 1, -3))]
     coefficients = [1, -1, 3, Fraction(-2, 7)]
+    op = _FUNCTIONAL_OPS[name]
     images = 0
     for n in range(1, 9):
-        width = n.bit_length()
+        cfg, width = SpaceConfig(n), n.bit_length()
         for slots in SLOT_PAIRS:
-            mask, rows = _kernel_table(name, slots, n)
-            terms = {}
-            for _ in range(12):
-                index = _pack_fields([rng.randint(0, n) for _ in range(3)], width)
-                start = _pack_fields([rng.randint(1, n) for _ in range(3)], width)
-                key = index | start << 3 * width | rng.choice(monomials) << 6 * width
-                terms[key] = rng.choice(coefficients)
-            image = _single_pass(terms, slots, *_KERNELS[name], width)
-            cancelling = {key: -q for key, q in list(image.items())[::2]}
-            for out in ({}, {**cancelling, rng.choice(list(terms)): Fraction(1, 3)}):
+            table = _table(((e, _basis_image(name, *e)) for e in basis_monomials(cfg, 2)),
+                           slots, width, 1)
+            start = _pack_fields([rng.randint(1, n) for _ in range(3)], width) << 3 * width
+            terms = {(tuple(rng.randint(-1, n - 1) for _ in range(3)), rng.choice(monomials)):
+                     rng.choice(coefficients) for _ in range(16)}
+            image = op(LaurentFn(cfg, 3, _by_index((e, m, q) for (e, m), q in terms.items())), slots)
+            want = {_pack_fields(e, width, 1) | start | m << 6 * width: q
+                    for e, coeff in image.terms() for m, q in coeff._terms.items()}
+            cancelling = {key: -q for key, q in list(want.items())[::2]}
+            extra = _pack_fields((0, 0, 0), width, 1) | start
+            for out in ({}, {**cancelling, extra: Fraction(1, 3)}):
                 got = dict(out)
-                for key, q in terms.items():
-                    _image([(q, [(mask, rows)])], [key], got)
-                assert got == _single_pass(terms, slots, *_KERNELS[name], width, out=dict(out))
-            images += bool(image)
+                for (e, m), q in terms.items():
+                    _image([(q, [table])], [_pack_fields(e, width, 1) | start | m << 6 * width], got)
+                total = dict(out)
+                for key, q in want.items():
+                    total[key] = total.get(key, 0) + q
+                assert got == {key: q for key, q in total.items() if q}
+            images += bool(want)
     assert images >= 40
 
 
@@ -439,9 +465,9 @@ def test_functions_on_different_spaces_are_not_equal():
 
 
 def test_bounds_are_enforced_at_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(StabilityError):
         mono(SpaceConfig(2), (2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(StabilityError):
         mono(CFG3, (-2, 0))
     with pytest.raises(ValueError):
         SpaceConfig(0)

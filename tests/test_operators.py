@@ -46,6 +46,20 @@ def test_from_functional_reports_stability_violations():
         from_functional(bad, SpaceConfig(2))
 
 
+def test_from_functional_raises_an_operator_error_as_it_is():
+    # a bad slot pair is the caller's error, not an image leaving the space
+    with pytest.raises(ValueError, match=r"^bad slot pair \(0, 2\) for arity 2$") as info:
+        from_functional(lambda fn: op_rho(fn, (0, 2)), SpaceConfig(2))
+    assert type(info.value) is ValueError
+
+
+def test_from_functional_checks_legs_before_running_the_operator():
+    calls = []
+    with pytest.raises(ValueError, match=r"^legs must be 2 or 3, got 4$") as info:
+        from_functional(calls.append, SpaceConfig(2), legs=4)
+    assert type(info.value) is ValueError and not calls
+
+
 def test_embed_identity_and_flip():
     ident = identity(2, 2, lo=0)
     assert embed(ident, "12") == identity(2, 3, lo=0)
