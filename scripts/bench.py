@@ -5,17 +5,18 @@ Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk.  Seven paths are timed: the passing path of every suite,
+`src/` on disk.  Eight paths are timed: the passing path of every suite,
 the exploratory `hecke` included; the specialized path, every suite but
 `rtt` (which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`;
-the failing, witness-producing path of `verify braid --corrupt
-"(1,2;2,1)=C"`; the two paths that run `linalg`'s exact Bareiss
-elimination: the elimination path of `verify rtt --corrupt-constants
-"(2;1,2)=2C"`, a constant on the support k = i + j - 1, compared one weight
-grade at a time, and the off-support path of `verify rtt
---corrupt-constants "(2;1,1)=C"`, which joins the weights 0 and 1, so their
-grades are compared together; and `cross-check`, passing, and failing with
-`--flip-s-sign`.
+the failing, witness-producing paths of `verify braid --corrupt
+"(1,2;2,1)=C"` and of `verify qlie --corrupt-constants "(2;1,2)=2C"`,
+whose witnesses lie in qlie families 1, 3 and 4; the two paths that run
+`linalg`'s exact Bareiss elimination: the elimination path of `verify rtt
+--corrupt-constants "(2;1,2)=2C"`, a constant on the support k = i + j - 1,
+compared one weight grade at a time, and the off-support path of `verify
+rtt --corrupt-constants "(2;1,1)=C"`, which joins the weights 0 and 1, so
+their grades are compared together; and `cross-check`, passing, and
+failing with `--flip-s-sign`.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -25,12 +26,13 @@ drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
 `time.process_time` and `time.perf_counter` seconds, the exit code and the
 report's `report_sha256`; every cell whose two trees print different
-reports is listed on stdout.  Every `rtt` cell, passing or eliminating,
-and every `specialized` cell also records its work and memory, counted in
-one more, untimed subprocess per tree, so no timed run is wrapped or
-traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
+reports is listed on stdout.  Every `rtt` and `qlie` cell, passing or
+failing, and every `specialized` cell also records its work and memory,
+counted in one more, untimed subprocess per tree, so no timed run is
+wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
 `Scalar.substitute` calls and the `tracemalloc` peak of `qlie.cli.main`,
-in MiB; unlike the times, these do not drift with the host.  Each file also records the ROADMAP's two measures of simplicity for
+in MiB; unlike the times, these do not drift with the host.  Each file
+also records the ROADMAP's two measures of simplicity for
 its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
 wc -l`), beside `module_lines`, the lines of each of those files, so that
 code moved between modules is not read as a reduction, and
@@ -63,6 +65,7 @@ SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 # is the word before --n
 FIXED = {
     "corrupt": ("verify", "braid", "--n", "N", "--corrupt", "(1,2;2,1)=C"),
+    "qlie-corrupt": ("verify", "qlie", "--n", "N", "--corrupt-constants", "(2;1,2)=2C"),
     "elimination": ("verify", "rtt", "--n", "N", "--corrupt-constants", "(2;1,2)=2C"),
     "off-support": ("verify", "rtt", "--n", "N", "--corrupt-constants", "(2;1,1)=C"),
     "cross-check": ("cross-check", "--n", "N"),
@@ -195,7 +198,7 @@ def main(argv: list[str]) -> int:
         sizes = [_size(tree) for tree in trees]
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():
-            if key[1] == "rtt" or key[0] == "specialized":
+            if key[1] in ("rtt", "qlie") or key[0] == "specialized":
                 for side, summary in enumerate(pair):
                     code, counts = _run(trees[side], cells[key], COUNT_CHILD)
                     assert code == summary["exit"]

@@ -45,7 +45,6 @@ from itertools import groupby, product
 from typing import Callable, Optional, Sequence
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
-from .freealg import _ARITY, _bcc_row, _index, _index_constants
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
 from .laurent import op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
@@ -261,9 +260,7 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = leaf.n.bit_length()
-    matrices = {(name, slots): _table(((o, [(i, m, q) for m, q in c._terms.items()])
-                                       for (o, i), c in leaves[name].entries.items()), slots, width)
-                for name, slots in factors}
+    matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
         fwidth = domain.stop.bit_length()  # exponents plus one lie in [0, domain.stop]
@@ -350,6 +347,14 @@ def _table(images, slots: tuple[int, int], width: int, bias: int = 0) -> tuple[i
         for (x, y), m, q in terms:
             row.append(((x - ea << sa) + (y - eb << sb) + (m << mono), q))
     return field << sa | field << sb, rows
+
+
+def _rows(entries: dict, slots: tuple[int, int], width: int) -> tuple[int, dict[int, list]]:
+    """The `_table` of a two-leg matrix's entries {(out, in): Scalar} on
+    slots a and b, keyed by output row: a row times the table is that row
+    of the matrix product."""
+    return _table(((o, [(i, m, q) for m, q in c._terms.items()]) for (o, i), c in entries.items()),
+                  slots, width)
 
 
 def _pack_fields(index: Sequence[int], width: int, bias: int = 0) -> int:
@@ -547,73 +552,65 @@ def suite_qlie(
     """The four component relations tying sigma to the structure constants.
 
     sigma is the braid matrix and the constants are the closed-form ones,
-    unless given.  Families 1, 3 and 4 are the defining relations of the
-    bicovariant calculus (Woronowicz, CMP 1989; Delius & Hueffmann, J. Phys.
-    A 1996), built by `freealg._bcc_row` from this run's sigma and constants
-    and evaluated in the representation on the span of the x_N
+    unless given.  Family 2 is the braid relation for sigma.  Families 1, 3
+    and 4 are the calculus relations 1, 3 and 4 of `rtt.bcc_relation`
+    (Woronowicz, CMP 1989) at (i, j), (i, j, a) and (i, j, a), built from
+    this run's sigma and constants, in the representation on the span of
+    the x_N, x_k -> (C^m_{Nk})_{N,m} and f(a,l) -> (sigma^{am}_{Nl})_{N,m}:
+    the braided Jacobi identity and two mixed sigma-C compatibilities, with
+    witness indices (N, i, j, m) and (N, i, j, a, m), all in 1..n.
 
-        x_k -> (C^m_{Nk})_{N,m},    f(a,l) -> (sigma^{am}_{Nl})_{N,m}:
-
-    entry (N, m) of calculus relation 1 at (i, j) is the braided Jacobi
-    identity, family 1, and entry (N, m) of calculus relation 3 or 4 at
-    (i, j, a) is a mixed sigma-C compatibility, family 3 or 4.  A word maps
-    to the product of its letter matrices, built once per run.  Family 2 is
-    the braid relation for sigma.  All free index tuples are covered.
+    They are read off the braid relation of E, `extended_rhat(n, constants)`
+    with sigma as its body (Delius & Hueffmann, J. Phys. A 1996): a family's
+    entry is entry ((A, B, m), (N, i, j)) of sign * (E12 E23 E12 - E23 E12
+    E23), its rows (A, B, m) being (0, 0, m), (0, a, m) and (a, 0, m) and
+    its sign +1, -1 and +1 for families 1, 3 and 4.  Proof.  Let rho send T^A_K to (E^{Am}_{NK})_{N,m},
+    N and m in 0..n.  E's delta blocks make each image block-diagonal on {0}
+    and 1..n, with T^0_0 -> 1 and T^a_0 -> 0, so on 1..n rho is the
+    representation above, x_k being T^0_k and f(a, l) T^a_l.
+    1. Entry (N, m) of rho(rtt(I, J, A, B)), the exchange relation
+       E^{KL}_{IJ} T^A_K T^B_L - T^K_I T^L_J E^{AB}_{KL}, is sum E^{KL}_{IJ}
+       E^{AM}_{NK} E^{Bm}_{ML} - sum E^{KM}_{NI} E^{Lm}_{MJ} E^{AB}_{KL}:
+       entry ((A, B, m), (N, I, J)) of E23 E12 E23 - E12 E23 E12.
+    2. Expanding E's blocks, relations 1, 3 and 4 are -rtt(i, j, 0, 0),
+       rtt(i, j, 0, a) and -rtt(i, j, a, 0) for every sigma and C, as
+       `test_rtt.py::test_degenerate_index_patterns` checks at the closed
+       form.
+    3. These rows vanish at an input holding 0: rtt(0, J, A, B) and
+       rtt(I, 0, A, B) are 0 by the delta blocks, and a block-diagonal
+       image has entry (0, m) = 0 for m >= 1.  So no input is filtered.
+    Each family is thus one run of the engine's product loop, `_image`, on
+    `_rows` tables of E, each row checked at n^3 inputs.
     """
     sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
     constants = _constants(n, constants)
     col = Collector("qlie", n, subs)
-    sig = _index(sigma.entries)
-    ct = _index_constants(constants.entries)
+    width = n.bit_length()
+    # E's entries that hold a 0, with this run's sigma as its body
+    E = {key: c for key, c in extended_rhat(n, constants).entries.items()
+         if 0 in key[0] + key[1]} | sigma.entries
+    e12, e23 = _rows(E, (0, 1), width), _rows(E, (1, 2), width)
+    small = range(1, n + 1)
 
-    # letters[code][N] lists (m, packed monomial, q) of the letter's matrix
-    letters: dict[int, dict[int, list]] = {}
-    for (N, k), outs in ct[0].items():
-        for m, terms in outs:
-            letters.setdefault(k, {}).setdefault(N, []).extend((m, key, q) for key, q in terms)
-    for (N, l), outs in sig[0].items():
-        for (a, m), terms in outs:
-            row = letters.setdefault((n + 1) * a + l, {}).setdefault(N, [])
-            row.extend((m, key, q) for key, q in terms)
-
-    words: dict[tuple, dict] = {}
-
-    def matrix(word: tuple) -> dict:
-        """The product of the word's letter matrices, flat {(N, m, packed monomial): q}."""
-        flat = words.get(word)
-        if flat is None:
-            flat = {(N, m, k): q for N, row in letters.get(word[0], {}).items() for m, k, q in row}
-            for code in word[1:]:
-                letter, acc = letters.get(code, {}), {}
-                for (N, s, k1), q1 in flat.items():
-                    for m, k2, q2 in letter.get(s, ()):
-                        key, v = (N, m, k1 + k2), q1 * q2
-                        acc[key] = acc[key] + v if key in acc else v
-                flat = acc
-            words[word] = flat
-        return flat
-
-    def check_family(family: int) -> None:
+    def read(family: int, sign: int, outs: list[tuple[int, int, int]]) -> None:
+        col.checked += len(outs) * n ** 3
+        starts = [k | k << 3 * width for k in (_pack_fields(out, width) for out in outs)]
+        total = _image([(sign, [e12, e23, e12]), (-sign, [e23, e12, e23])], starts, {})
         found = {}
-        for indices in product(range(1, n + 1), repeat=_ARITY[family]):
-            total: dict = {}
-            for (word, k1), q1 in _bcc_row(family, indices, n, sig, ct).items():
-                for (N, m, k2), q2 in matrix(word).items():
-                    key, v = (N, m, k1 + k2), q1 * q2
-                    total[key] = total[key] + v if key in total else v
-            values = col.specialize({((N, m), k): q for (N, m, k), q in total.items() if q})
-            for (N, m), value in values.items():
-                found[(m, N, *indices) if family == 1 else (N, *indices, m)] = [N, *indices, m], value
-        col.checked += n ** (_ARITY[family] + 2)
-        for key in sorted(found):
-            indices, value = found[key]
-            col.witnesses.append({"family": family, "indices": indices, "value": str(value)})
+        for key, q in total.items():
+            (N, i, j), (A, B, m) = _unpack_fields(key, width), _unpack_fields(key >> 3 * width, width)
+            # one of A and B is a, the other 0; family 1 goes in (m, N, i, j) order
+            indices = (N, i, j, m) if family == 1 else (N, i, j, A + B, m)
+            order = (m, N, i, j) if family == 1 else indices
+            found[(order, indices), key >> 6 * width] = q
+        for (_, indices), value in sorted(col.specialize(found).items()):
+            col.witnesses.append({"family": family, "indices": list(indices), "value": str(value)})
 
-    check_family(1)
+    read(1, 1, [(0, 0, m) for m in small])
     # family 2: braid relation for sigma, on the matrix route alone
     check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma})
-    check_family(3)
-    check_family(4)
+    read(3, -1, [(0, a, m) for a in small for m in small])
+    read(4, 1, [(a, 0, m) for a in small for m in small])
     return col.report()
 
 

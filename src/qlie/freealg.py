@@ -12,7 +12,7 @@ code by code, orders generators x_1 < x_2 < ... < f(1,1) < f(1,2) < ...;
 `_row_str` prints a row in that order.
 
 This module also owns the one builder of the calculus relations, `_bcc_row`,
-which `rtt` and `checks` both import.
+which only `rtt` imports.
 """
 
 from __future__ import annotations

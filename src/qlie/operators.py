@@ -164,19 +164,15 @@ def compose(a: Operator, b: Operator) -> Operator:
     return a._wrap(ent)
 
 
-def from_functional(
-    op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig, legs: int = 2
-) -> Operator:
-    """Matrix of a functional operator on the truncated space.
+def from_functional(op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig) -> Operator:
+    """Two-leg matrix of a functional operator on the truncated space.
 
     Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the image of
-    x^(K-1) y^(L-1), and likewise with three legs.  Raises StabilityError
-    when an image exponent leaves [-1, n-1]; any other error of op raises
-    as it is.
+    x^(K-1) y^(L-1).  Raises StabilityError when an image exponent leaves
+    [-1, n-1]; any other error of op raises as it is.
     """
-    Operator(cfg.n, legs)  # rejects legs other than 2 or 3 before op runs
     ent: dict[Entry, Scalar] = {}
-    for exps in basis_monomials(cfg, legs):
+    for exps in basis_monomials(cfg, 2):
         inp = tuple(e + 1 for e in exps)
         try:
             image = op(LaurentFn.monomial(cfg, exps))
@@ -186,4 +182,4 @@ def from_functional(
             ) from exc
         for out_exps, coeff in image.terms():
             ent[(tuple(e + 1 for e in out_exps), inp)] = coeff
-    return Operator(cfg.n, legs, ent, lo=0)
+    return Operator(cfg.n, 2, ent, lo=0)

@@ -14,8 +14,7 @@ Each side's one builder emits flat rows {(word, packed monomial): rational}
 (Monagan & Pearce, CASC 2007), a word coding x_i as i and f(i,j) as (n+1)*i + j,
 so the sums and signs are int arithmetic; the public functions return these
 rows, and `freealg._row_str` prints them.  The exchange-relation builder lives
-here; the calculus-relation builder, `freealg._bcc_row`, lives in `freealg`,
-which `checks` imports too.
+here, and the calculus-relation builder is `freealg._bcc_row`.
 
 Grade a word by the sums of w over its letters' upper and lower indices,
 x_i being T^0_i and f(a, l) T^a_l, with `cg`'s weight w.  While the

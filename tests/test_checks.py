@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie import checks
+from qlie import checks, freealg
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, from_functional
-from qlie.scalars import BETA, C, ONE, ZERO, Scalar
+from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, _by_index
 from test_operators import embed
 
 
@@ -198,6 +198,72 @@ def test_qlie_axioms_fail_with_corrupted_sigma():
     report = checks.suite_qlie(2, sigma=bad, constants=structure_constants(2))
     assert not report.passed
     assert any(w["family"] == 2 for w in report.witnesses)
+
+
+def qlie_reference(n, sigma, constants, subs):
+    """The family 1, 3 and 4 witnesses of `suite_qlie`, uncapped, from the
+    calculus relations of `freealg._bcc_row` in the representation x_k ->
+    (C^m_{Nk})_{N,m}, f(a,l) -> (sigma^{am}_{Nl})_{N,m}, a word going to the
+    product of its letters' matrices, in Scalar arithmetic."""
+    letters = {}  # letters[code][N] lists (m, entry (N, m))
+    for (m, N, k), c in constants.entries.items():
+        letters.setdefault(k, {}).setdefault(N, []).append((m, c))
+    for ((a, m), (N, l)), c in sigma.entries.items():
+        letters.setdefault((n + 1) * a + l, {}).setdefault(N, []).append((m, c))
+    sig, ct = freealg._index(sigma.entries), freealg._index_constants(constants.entries)
+    witnesses = []
+    for family in (1, 3, 4):
+        found = {}
+        for indices in product(range(1, n + 1), repeat=freealg._ARITY[family]):
+            row = freealg._bcc_row(family, indices, n, sig, ct)
+            value = {}
+            for word, coeff in _by_index((w, key, q) for (w, key), q in row.items()).items():
+                matrix = {(N, N): coeff for N in range(1, n + 1)}
+                for code in word:
+                    letter, product_ = letters.get(code, {}), {}
+                    for (N, s), c1 in matrix.items():
+                        for m, c2 in letter.get(s, ()):
+                            product_[N, m] = product_.get((N, m), ZERO) + c1 * c2
+                    matrix = product_
+                for key, c in matrix.items():
+                    value[key] = value.get(key, ZERO) + c
+            for (N, m), v in value.items():
+                if subs:
+                    v = v.substitute(**subs)
+                if v:
+                    key = (m, N, *indices) if family == 1 else (N, *indices, m)
+                    found[key] = {"family": family, "indices": [N, *indices, m], "value": str(v)}
+        witnesses += [found[key] for key in sorted(found)]
+    return witnesses
+
+
+def test_qlie_families_are_the_calculus_relations_in_the_representation(monkeypatch):
+    """Families 1, 3 and 4, read off the extended braid relation, equal the
+    calculus relations evaluated in the representation, on random inputs:
+    1 to 3 entries of sigma and of the constants, off the support too,
+    raised by deltas, symbolic and specialized."""
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+    rng = Random(2023)
+    deltas = [ONE, BETA, C, P, P_INV, Scalar.parse("1/3")]
+    values = {"beta": Fraction(2, 3), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
+    failing = set()
+    for example in range(40):
+        n = 2 + example % 4
+        sigma, ct = sigma_cg(n), structure_constants(n)
+        small = range(1, n + 1)
+        for _ in range(rng.randint(1, 3)):
+            out, inp = (rng.choice(small), rng.choice(small)), (rng.choice(small), rng.choice(small))
+            sigma = sigma.with_entry(out, inp, sigma.coeff(out, inp) + rng.choice(deltas))
+        for _ in range(rng.randint(1, 3)):
+            k, i, j = rng.choice(small), rng.choice(small), rng.choice(small)
+            ct = ct.with_entry(k, i, j, ct.coeff(k, i, j) + rng.choice(deltas))
+        subs = values if example % 8 >= 4 else None
+        report = checks.suite_qlie(n, subs, sigma=sigma, constants=ct)
+        found = [w for w in report.witnesses if w["family"] != 2]
+        assert found == qlie_reference(n, sigma, ct, subs), (n, subs)
+        assert report.checked == n ** 4 + 2 * n ** 5 + n ** 6
+        failing.update(w["family"] for w in found)
+    assert failing == {1, 3, 4}
 
 
 def test_qlie_rejects_inputs_of_another_size():

@@ -25,7 +25,11 @@ lifted, recorded before families 1, 3 and 4 were evaluated from the calculus
 relations: the full report for the p-family sigma at n = 2, 3 and 4, and one
 digest each over the reports of every single-constant mutant at n = 2 and 3
 (deltas 1, b, C and p) and every single-entry sigma mutant at n = 2 (deltas
-1 and b).
+1 and b).  Two more digests were recorded before families 1, 3 and 4 were
+read off the braid relation of the extended matrix: every single-constant
+mutant at n = 4 (deltas 1, b, C and p, 256 runs) and every single-entry
+sigma mutant at n = 3 (deltas 1 and b, 162 runs), which reach families 3
+and 4 where no capped golden case does.
 
 `data/rtt_witnesses.json` holds the failure count and the capped witness
 list of `rtt.compare_relation_spans` at n = 3 for every single-constant
@@ -135,18 +139,18 @@ def _qlie(n, **inputs):
     return json.dumps(report, sort_keys=True)
 
 
-def _constant_mutants():
-    for n in (2, 3):
+def _constant_mutants(*sizes):
+    for n in sizes:
         ct = structure_constants(n)
         for (k, i, j), delta in product(product(range(1, n + 1), repeat=3), (ONE, BETA, C, P)):
             yield n, {"constants": ct.with_entry(k, i, j, ct.coeff(k, i, j) + delta)}
 
 
-def _sigma_mutants():
-    sigma = sigma_cg(2)
-    pairs = list(product((1, 2), repeat=2))
+def _sigma_mutants(n):
+    sigma = sigma_cg(n)
+    pairs = list(product(range(1, n + 1), repeat=2))
     for out, inp, delta in product(pairs, pairs, (ONE, BETA)):
-        yield 2, {"sigma": sigma.with_entry(out, inp, sigma.coeff(out, inp) + delta)}
+        yield n, {"sigma": sigma.with_entry(out, inp, sigma.coeff(out, inp) + delta)}
 
 
 def _digest(mutants):
@@ -158,8 +162,10 @@ def _digest(mutants):
 
 QLIE_CASES = {
     **{f"qlie-p-family-n{n}": (lambda n=n: _qlie(n, sigma=sigma_cg_family(n))) for n in (2, 3, 4)},
-    "qlie-constant-mutants-n2-n3": lambda: _digest(_constant_mutants()),
-    "qlie-sigma-mutants-n2": lambda: _digest(_sigma_mutants()),
+    "qlie-constant-mutants-n2-n3": lambda: _digest(_constant_mutants(2, 3)),
+    "qlie-constant-mutants-n4": lambda: _digest(_constant_mutants(4)),
+    "qlie-sigma-mutants-n2": lambda: _digest(_sigma_mutants(2)),
+    "qlie-sigma-mutants-n3": lambda: _digest(_sigma_mutants(3)),
 }
 
 
