@@ -5,7 +5,7 @@ Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk.  Eight paths are timed: the passing path of every suite,
+`src/` on disk.  Nine paths are timed: the passing path of every suite,
 the exploratory `hecke` included; the specialized path, every suite but
 `rtt` (which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`;
 the failing, witness-producing paths of `verify braid --corrupt
@@ -15,8 +15,8 @@ whose witnesses lie in qlie families 1, 3 and 4; the two paths that run
 --corrupt-constants "(2;1,2)=2C"`, a constant on the support k = i + j - 1,
 compared one weight grade at a time, and the off-support path of `verify
 rtt --corrupt-constants "(2;1,1)=C"`, which joins the weights 0 and 1, so
-their grades are compared together; and `cross-check`, passing, and
-failing with `--flip-s-sign`.
+their grades are compared together; `cross-check`, passing, and failing
+with `--flip-s-sign`; and `verify all`, passing.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -24,7 +24,9 @@ and hashes its report, the stdout with every `"millis": N` masked.  For each
 each, the first of each pair swapping every repeat, so the host's speed
 drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
-`time.process_time` and `time.perf_counter` seconds, the exit code and the
+process seconds, `time.process_time` plus the user and system seconds of
+the children `cli.main` forks and reaps (`verify all` runs its suites on
+two processes), and `time.perf_counter` seconds, the exit code and the
 report's `report_sha256`; every cell whose two trees print different
 reports is listed on stdout.  Every `rtt` and `qlie` cell, passing or
 failing, and every `specialized` cell also records its work and memory,
@@ -70,19 +72,24 @@ FIXED = {
     "off-support": ("verify", "rtt", "--n", "N", "--corrupt-constants", "(2;1,1)=C"),
     "cross-check": ("cross-check", "--n", "N"),
     "cross-check-flipped": ("cross-check", "--n", "N", "--flip-s-sign"),
+    "all": ("verify", "all", "--n", "N"),
 }
 ROOT = Path(cli.__file__).resolve().parents[2]
 
 # one timed run in a subprocess: [exit code, process seconds, wall seconds,
-# sha256 of the report with its times masked]
+# sha256 of the report with its times masked]; the process seconds add those
+# of the children cli.main forks and reaps
 CHILD = """
-import contextlib, hashlib, io, json, re, sys, time
+import contextlib, hashlib, io, json, re, resource, sys, time
 from qlie import cli
+def children():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 report = io.StringIO()
 with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
-    cpu, wall = time.process_time(), time.perf_counter()
+    cpu, wall = time.process_time() + children(), time.perf_counter()
     code = cli.main(sys.argv[1:])
-    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    cpu, wall = time.process_time() + children() - cpu, time.perf_counter() - wall
 masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
 print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, product
 from typing import Callable, Optional, Sequence
 
-from .cg import StructureTensor, _constants, extended_rhat, sigma_cg, sigma_cg_family
+from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
 from .laurent import op_r, op_rhat, op_rho, op_s
 from .operators import Operator, compose, from_functional
@@ -582,13 +582,14 @@ def suite_qlie(
     Each family is thus one run of the engine's product loop, `_image`, on
     `_rows` tables of E, each row checked at n^3 inputs.
     """
-    sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
-    constants = _constants(n, constants)
+    extended = extended_rhat(n, constants).entries
+    border = {key: c for key, c in extended.items() if 0 in key[0] + key[1]}
+    # the closed-form sigma is E's body, the entries with no index 0
+    sigma = _given_or("sigma", sigma, n, 1, lambda n: Operator(
+        n, 2, {key: c for key, c in extended.items() if key not in border}, lo=1))
     col = Collector("qlie", n, subs)
     width = n.bit_length()
-    # E's entries that hold a 0, with this run's sigma as its body
-    E = {key: c for key, c in extended_rhat(n, constants).entries.items()
-         if 0 in key[0] + key[1]} | sigma.entries
+    E = border | sigma.entries  # with this run's sigma as its body
     e12, e23 = _rows(E, (0, 1), width), _rows(E, (1, 2), width)
     small = range(1, n + 1)
 

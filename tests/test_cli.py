@@ -1,17 +1,20 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from qlie import cli
-from qlie.cg import extended_rhat, sigma_cg
+from qlie import cli, rtt
+from qlie.cg import extended_rhat, sigma_cg, structure_constants
 from qlie.laurent import SpaceConfig, op_r
 from qlie.operators import from_functional
-from qlie.scalars import ONE
+from qlie.scalars import ONE, Scalar
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -479,3 +482,123 @@ def test_large_accepted_exponents_chain_exactly(entry):
     large = witnesses(40000)
     assert "b^80000" in json.dumps(large)
     assert large == json.loads(scaled(json.dumps(witnesses(400))))
+
+
+# -- verify all on two processes ---------------------------------------------
+
+
+def _verify_in_process(monkeypatch, capsys, cpus, *argv):
+    """(exit code, or exception type and message; masked stdout; masked stderr)
+    of `qlie verify ARGV` through cli.main, with `cpus` CPUs to run on."""
+    own_cpus = cli._cpus
+    own = own_cpus()
+    # two or more: the caller's own CPUs where it has two, which it must get back
+    given = own if cpus > 1 and len(own) > 1 else set(range(cpus))
+    monkeypatch.setattr(cli, "_cpus", lambda: given)
+    try:
+        outcome = cli.main(["verify", *argv])
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):  # the child, if any, is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert own_cpus() == own
+    return outcome, _masked(out), _masked(err)
+
+
+def _slow_caller(monkeypatch, log, change=lambda name, run: run):
+    """Wrap every suite's runner, first in `change(name, runner)`: each run
+    appends its pid to log, and once forked the caller sleeps through each
+    suite it takes, so the child runs the rest of the queue."""
+    caller = os.getpid()
+    for name, suite in list(cli.SUITES.items()):
+        def run(*args, run=change(name, suite.run)):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if os.getpid() == caller and len(cli._cpus()) > 1:
+                time.sleep(0.2)
+            return run(*args)
+
+        monkeypatch.setitem(cli.SUITES, name, suite._replace(run=run))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_all_on_two_processes_prints_what_one_prints(monkeypatch, capsys, n):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(n) or fork())
+    two = _verify_in_process(monkeypatch, capsys, 2, "all", "--n", str(n))
+    assert forks == [n]
+    one = _verify_in_process(monkeypatch, capsys, 1, "all", "--n", str(n))
+    assert forks == [n]
+    assert two == one
+    assert one[0] == 0 and len(json.loads(one[1])) == len(cli.VERIFY_SUITES)
+
+
+def test_a_failing_report_crosses_the_pipe_intact(monkeypatch, capsys, tmp_path):
+    # every suite reports the rtt comparison with a corrupted constant
+    constants = structure_constants(3).with_entry(2, 1, 2, Scalar.parse("2C"))
+    failing = lambda n, subs, op, ct: rtt.compare_relation_spans(n, bcc_constants=constants)
+    log = tmp_path / "pids"
+    _slow_caller(monkeypatch, log, lambda name, run: failing)
+    two = _verify_in_process(monkeypatch, capsys, 2, "all", "--n", "3")
+    assert len(set(log.read_text().split())) == 2  # the child ran suites
+    assert two == _verify_in_process(monkeypatch, capsys, 1, "all", "--n", "3")
+    code, out, _ = two
+    reports = json.loads(out)
+    assert code == 1 and len(reports) == len(cli.VERIFY_SUITES)
+    assert all(r["witnesses"] and not r["pass"] for r in reports)
+
+
+# rtt is first in the queue, so the caller mostly takes it; behind the slow
+# caller, the child takes ybe
+@pytest.mark.parametrize("broken", ["rtt", "ybe"])
+def test_a_suite_that_raises_raises_on_both_paths(monkeypatch, capsys, tmp_path, broken):
+    def change(name, run):
+        if name != broken:
+            return run
+
+        def raises(*args):
+            raise ValueError(f"{name} is broken")
+        return raises
+
+    log = tmp_path / "pids"
+    _slow_caller(monkeypatch, log, change)
+    two = _verify_in_process(monkeypatch, capsys, 2, "all", "--n", "2")
+    assert len(set(log.read_text().split())) == 2
+    assert two == _verify_in_process(monkeypatch, capsys, 1, "all", "--n", "2")
+    assert two == ((ValueError, f"{broken} is broken"), "", "")
+
+
+def test_a_suite_whose_child_dies_runs_again_in_the_caller(monkeypatch, capsys, tmp_path):
+    caller = os.getpid()
+
+    def change(name, run):
+        def dying(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(*args)
+        return dying if name == "qlie" else run
+
+    _slow_caller(monkeypatch, tmp_path / "pids", change)
+    two = _verify_in_process(monkeypatch, capsys, 2, "all", "--n", "2")
+    assert two == _verify_in_process(monkeypatch, capsys, 1, "all", "--n", "2")
+    assert two[0] == 0
+
+
+def test_verify_all_does_not_fork_beside_another_thread(monkeypatch, capsys):
+    def fork():
+        raise AssertionError("forked beside a thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        two = _verify_in_process(monkeypatch, capsys, 2, "all", "--n", "2")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert two == _verify_in_process(monkeypatch, capsys, 1, "all", "--n", "2")
+    assert two[0] == 0
