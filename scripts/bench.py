@@ -38,7 +38,10 @@ also records the ROADMAP's two measures of simplicity for
 its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
 wc -l`), beside `module_lines`, the lines of each of those files, so that
 code moved between modules is not read as a reduction, and
-`public_names`, the length of `qlie.__all__`; and it records
+`public_names`, the length of `qlie.__all__`, beside `public_members`, the
+number of public members of the classes in `qlie.__all__` (the names in
+`vars(cls)` that do not start with "_"), listed per class in
+`class_members`, so that a removed method counts; and it records
 the interpreter version, the git commit
 checked out and the git tree hash of the `src/` measured; `git rev-parse
 COMMIT:src` gives that hash for the commit that holds the measured code,
@@ -149,11 +152,22 @@ def _run(src: Path, argv: list[str], child: str = CHILD) -> tuple:
     return tuple(json.loads(out.stdout))
 
 
+# [the number of names in qlie.__all__, {class: its public members}]
+SURFACE_CHILD = """
+import json, qlie
+classes = [(name, getattr(qlie, name)) for name in qlie.__all__]
+members = {name: sorted(m for m in vars(cls) if not m.startswith("_"))
+           for name, cls in classes if isinstance(cls, type)}
+print(json.dumps([len(qlie.__all__), members]))
+"""
+
+
 def _size(src: Path) -> dict:
-    """The lines of src/qlie/*.py, in all and per file, and the number of names in qlie.__all__."""
+    """The lines of src/qlie/*.py, in all and per file, and the public names and class members."""
     lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((src / "qlie").glob("*.py"))}
-    (names,) = _run(src, [], "import json, qlie; print(json.dumps([len(qlie.__all__)]))")
-    return {"src_lines": sum(lines.values()), "module_lines": lines, "public_names": names}
+    names, members = _run(src, [], SURFACE_CHILD)
+    return {"src_lines": sum(lines.values()), "module_lines": lines, "public_names": names,
+            "public_members": sum(map(len, members.values())), "class_members": members}
 
 
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
@@ -217,7 +231,8 @@ def main(argv: list[str]) -> int:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
     for suffix, size in zip(("parent", "change"), sizes):
-        print(f"{suffix}: {size['src_lines']} src lines, {size['public_names']} public names")
+        print(f"{suffix}: {size['src_lines']} src lines, {size['public_names']} public names, "
+              f"{size['public_members']} public class members")
 
     for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):
         result = {

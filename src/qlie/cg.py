@@ -85,7 +85,7 @@ class StructureTensor:
         self.entries = canon
 
     def coeff(self, k: int, i: int, j: int) -> Scalar:
-        return self.entries.get((k, i, j), Scalar.zero())
+        return self.entries.get((k, i, j), ZERO)
 
     def with_entry(self, k: int, i: int, j: int, coeff: Scalar) -> "StructureTensor":
         """Copy with one entry overridden (zero coefficient deletes it)."""

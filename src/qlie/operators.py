@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Optional
 
 from .laurent import LaurentFn, SpaceConfig, StabilityError, basis_monomials
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 Index = tuple[int, ...]
 Entry = tuple[Index, Index]
@@ -73,7 +73,7 @@ class Operator:
         return (self.n, self.legs, self.lo)
 
     def coeff(self, out: Index, inp: Index) -> Scalar:
-        return self.entries.get((tuple(out), tuple(inp)), Scalar.zero())
+        return self.entries.get((tuple(out), tuple(inp)), ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):

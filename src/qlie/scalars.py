@@ -1,8 +1,10 @@
 """Exact arithmetic in the coefficient ring Q[b, C, p, p^-1].
 
 Every quantity in this package is a sparse polynomial in the formal
-parameters b and C and the Laurent parameter p, with rational coefficients.
-Scalars are immutable; all operations return new values.
+parameters b and C and the Laurent parameter p, with rational coefficients;
+a float raises TypeError.  Scalars are immutable; all operations return new
+values.  To evaluate one, `substitute(beta=..., c=..., p=...)` and read the
+constant that results with `as_rational`.
 
 Coefficients are stored as Python ints wherever they are integral, which is
 everywhere on symbolic input: the Cremmer-Gervais entries, the structure
@@ -17,7 +19,7 @@ A monomial b^i C^j p^k is one packed int key i + (j << 32) + (k << 64)
 (Monagan & Pearce, CASC 2007): b and C own 32-bit fields and the signed top
 field holds p, so p^-1 needs no offset and a monomial product is one integer
 addition.  The constructor, `monomial` and `parse` take b and C exponents up
-to EXP_MAX = 65535.  No Scalar holds one of 2^24 or more: `*`, `**` and the
+to EXP_MAX = 65535.  No Scalar holds one of 2^24 or more: `*` and the
 conversion of flat terms (`_by_index`) raise ValueError instead.  A sum of
 fewer than 256 such exponents stays below 2^32, so a kernel of `laurent` or
 `checks`, which adds one exponent per factor of a word, cannot carry one
@@ -61,6 +63,8 @@ def _coerce(value: Union[int, Fraction, str]) -> Coeff:
     if type(value) is int:
         return value
     if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"not an exact rational: {value!r}")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -144,10 +148,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Scalar":
-        return cls()
-
-    @classmethod
     def rational(cls, value: Coeff) -> "Scalar":
         return cls({(0, 0, 0): _coerce(value)})
 
@@ -156,9 +156,6 @@ class Scalar:
         return cls({exps: _coerce(coeff)})
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -175,11 +172,9 @@ class Scalar:
 
     def as_rational(self) -> Fraction:
         """The value of a constant scalar; raises if any symbol is present."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {0}:
+        if self._terms.keys() - {0}:
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._terms[0])
+        return Fraction(self._terms.get(0, 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
@@ -204,14 +199,10 @@ class Scalar:
             acc = out[key] = out.get(key, 0) + coeff
             if not acc:
                 del out[key]
-        s = Scalar.__new__(Scalar)
-        s._terms = out
-        return s
+        return _from_packed(out)
 
     def __neg__(self) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s._terms = {k: -c for k, c in self._terms.items()}
-        return s
+        return _from_packed({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -221,17 +212,9 @@ class Scalar:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(_coerce(other))
             return NotImplemented
-        a, b = (other, self) if len(self._terms) == 1 else (self, other)
-        if len(b._terms) == 1:
-            # times one monomial: distinct keys stay distinct, and a product
-            # of nonzero rationals is nonzero, so nothing cancels
-            (kb, cb), = b._terms.items()
-            if not kb:
-                return a._scaled(cb)
-            return _from_packed(_within_limit({ka + kb: ca * cb for ka, ca in a._terms.items()}))
         out: dict[int, Coeff] = {}
-        for ka, ca in a._terms.items():
-            for kb, cb in b._terms.items():
+        for ka, ca in self._terms.items():
+            for kb, cb in other._terms.items():
                 key = ka + kb
                 acc = out[key] = out.get(key, 0) + ca * cb
                 if not acc:
@@ -245,17 +228,6 @@ class Scalar:
         if factor == 1:
             return self
         return _from_packed({e: c * factor for e, c in self._terms.items()} if factor else {})
-
-    def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            raise ValueError("negative powers of a general scalar are not defined")
-        for db, dc, _ in map(_unpack, self._terms):
-            if max(db, dc) * k >= _LIMIT:
-                raise ValueError(f"({self})^{k} has a b or C exponent of {_LIMIT} or more")
-        acc = ONE
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     # -- evaluation --------------------------------------------------------
 
@@ -280,15 +252,6 @@ class Scalar:
                 del out[key]
         return _from_packed(out)
 
-    def eval(
-        self,
-        beta: Coeff,
-        c: Coeff,
-        p: Coeff,
-    ) -> Fraction:
-        """Evaluate fully; a ring homomorphism Q[b,C,p,p^-1] -> Q."""
-        return self.substitute(beta=beta, c=c, p=p).as_rational()
-
     # -- exact division ----------------------------------------------------
 
     def exact_div(self, divisor: "Scalar") -> "Scalar":
@@ -302,9 +265,9 @@ class Scalar:
         one-term divisor needs no loop: each key shifts and each coefficient
         divides.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_zero():
+        if not self:
             return ZERO
         if len(divisor._terms) == 1:
             # one term: shift every key; a b or C exponent below the
@@ -437,7 +400,7 @@ def _integer(token: re.Match, group: int, what: str) -> int:
         raise ScalarParseError(message, token.start(group)) from None
 
 
-ZERO = Scalar.zero()
+ZERO = Scalar()
 ONE = Scalar.rational(1)
 BETA = Scalar.monomial((1, 0, 0))
 C = Scalar.monomial((0, 1, 0))

@@ -7,7 +7,7 @@ from qlie.checks import _FUNCTIONAL_OPS, suite_qlie
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s
 from qlie.operators import Operator, from_functional
 from qlie.rtt import bcc_relation, compare_relation_spans
-from qlie.scalars import BETA, C, ONE, Scalar
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar
 
 
 # -- brute-force oracles: literal delta sums, no shared code with qlie.cg -----
@@ -186,7 +186,7 @@ def test_extended_corner_and_blocks():
     ext = extended_rhat(2)
     assert ext.coeff((0, 0), (0, 0)) == ONE
     assert ext.coeff((0, 2), (2, 1)) == C
-    assert ext.coeff((1, 0), (1, 0)) == Scalar.zero()
+    assert ext.coeff((1, 0), (1, 0)) == ZERO
     # delta blocks
     for a in range(0, 3):
         assert ext.coeff((0, a), (a, 0)) == ONE

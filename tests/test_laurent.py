@@ -46,7 +46,7 @@ def lin(space, *parts):
 def fn_value(fn, xs, beta=Fraction(2, 3), c=Fraction(5, 7), p=1):
     total = Fraction(0)
     for exps, coeff in fn.terms():
-        v = coeff.eval(beta, c, p)
+        v = coeff.substitute(beta=beta, c=c, p=p).as_rational()
         for x0, e in zip(xs, exps):
             v *= Fraction(x0) ** e
         total += v
@@ -167,7 +167,7 @@ def test_divided_difference_multiply_back():
         prod_ = _times_x_minus_y(dd)
         expect = _raw(permute(fn))
         for k, v in _raw(fn).items():
-            expect[k] = expect.get(k, Scalar.zero()) - v
+            expect[k] = expect.get(k, ZERO) - v
         expect = {k: v for k, v in expect.items() if v}
         assert prod_ == expect
 
@@ -180,7 +180,7 @@ def _times_x_minus_y(fn):
     out = {}
     for (a, b), coeff in fn.terms():
         for key, sgn in (((a + 1, b), 1), ((a, b + 1), -1)):
-            acc = out.get(key, Scalar.zero()) + coeff * sgn
+            acc = out.get(key, ZERO) + coeff * sgn
             if acc:
                 out[key] = acc
             else:

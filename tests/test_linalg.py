@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qlie import linalg
 from qlie.linalg import echelon
-from qlie.scalars import BETA, C, ONE, P, P_INV, Scalar
+from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar
 
 
 def scalar_rows(int_rows):
@@ -66,7 +66,7 @@ def test_membership_of_linear_combinations(int_rows, coeffs):
     combo: dict[int, Scalar] = {}
     for row, k in zip(rows, coeffs):
         for j, v in row.items():
-            acc = combo.get(j, Scalar.zero()) + v * Scalar.rational(k)
+            acc = combo.get(j, ZERO) + v * Scalar.rational(k)
             if acc:
                 combo[j] = acc
             else:
@@ -131,8 +131,6 @@ def test_randomized_cross_check_with_numeric_path():
 # multiplies each remaining row by pivot / previous pivot, whether or not the
 # row meets the pivot column.  `test_rtt` uses it too.
 
-_ZERO = Scalar.zero()
-
 
 def _eager_step(row, col, pivot, pivot_row, prev):
     coeff = row.get(col)
@@ -142,7 +140,7 @@ def _eager_step(row, col, pivot, pivot_row, prev):
             new[j] = (pivot * v).exact_div(prev)
     else:
         for j in set(row) | set(pivot_row):
-            v = pivot * row.get(j, _ZERO) - coeff * pivot_row.get(j, _ZERO)
+            v = pivot * row.get(j, ZERO) - coeff * pivot_row.get(j, ZERO)
             if v:
                 new[j] = v.exact_div(prev)
     return new
@@ -189,7 +187,7 @@ def combination(rows, coeffs):
     out = {}
     for row, k in zip(rows, coeffs):
         for j, v in row.items():
-            out[j] = out.get(j, _ZERO) + k * v
+            out[j] = out.get(j, ZERO) + k * v
     return {j: v for j, v in out.items() if v}
 
 

@@ -7,7 +7,7 @@ import pytest
 from qlie.checks import Collector, _identity, check_identities
 from qlie.laurent import LaurentFn, SpaceConfig, basis_monomials, op_rho, op_rhat, permute
 from qlie.operators import Operator, StabilityError, compose, from_functional
-from qlie.scalars import BETA, C, ONE, Scalar
+from qlie.scalars import BETA, C, ONE, ZERO, Scalar
 
 
 def embed(op, pair):
@@ -68,7 +68,7 @@ def test_embed_identity_and_flip():
     P = Operator.flip(2, lo=0)
     P12 = embed(P, "12")
     assert P12.coeff((1, 0, 2), (0, 1, 2)) == ONE
-    assert P12.coeff((1, 0, 2), (1, 0, 2)) == Scalar.zero()
+    assert P12.coeff((1, 0, 2), (1, 0, 2)) == ZERO
 
 
 @pytest.mark.parametrize("pair,slots", [("12", (0, 1)), ("13", (0, 2)), ("23", (1, 2))])
@@ -140,7 +140,7 @@ def test_from_functional_is_linear_in_the_operator():
     def rho_plus_permute(fn):
         total = dict(op_rho(fn).terms())
         for exps, coeff in permute(fn).terms():
-            total[exps] = total.get(exps, Scalar.zero()) + coeff
+            total[exps] = total.get(exps, ZERO) + coeff
         return LaurentFn(fn.cfg, fn.arity, total)
 
     cfg = SpaceConfig(2)
@@ -174,8 +174,8 @@ def test_with_entry_override_and_bounds():
     op = Operator.flip(2, lo=0)
     mutated = op.with_entry((0, 2), (2, 1), C + C)
     assert mutated.coeff((0, 2), (2, 1)) == C * 2
-    assert op.coeff((0, 2), (2, 1)) == Scalar.zero()  # original untouched
-    assert ((1, 0), (0, 1)) not in op.with_entry((1, 0), (0, 1), Scalar.zero()).entries
+    assert op.coeff((0, 2), (2, 1)) == ZERO  # original untouched
+    assert ((1, 0), (0, 1)) not in op.with_entry((1, 0), (0, 1), ZERO).entries
     with pytest.raises(ValueError, match=r"^index 5 outside 0\.\.2$"):
         op.with_entry((0, 5), (0, 0), ONE)
     with pytest.raises(ValueError, match=r"^index tuple of wrong length in \(\(1, 1, 1\), \(1, 1\)\)$"):
