@@ -15,7 +15,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import checks, rtt
@@ -74,11 +74,22 @@ class Config:
     out: Optional[str] = None
 
 
+class _Once(argparse.Action):
+    """Store a value flag and list it in `args.given`; giving it again is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", [])
+        if self.option_strings[0] in given:
+            raise InputError(f"{self.option_strings[0]} given more than once; give it once")
+        given.append(self.option_strings[0])
+        setattr(namespace, self.dest, values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
     try:
+        args = parser.parse_args(argv)
+        cfg = _config_from_args(parser, args)
         return _COMMANDS[args.command](args, cfg)
     except InputError as exc:
         parser.error(str(exc))
@@ -97,9 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     def values(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--beta", default="symbolic", help="rational value for b, or 'symbolic'")
-        p.add_argument("--C", dest="c", default="symbolic", help="rational value for C, or 'symbolic'")
-        p.add_argument("--p", default="symbolic", help="nonzero rational value for p, or 'symbolic'")
+        value = partial(p.add_argument, action=_Once, default="symbolic")
+        value("--beta", help="rational value for b, or 'symbolic'")
+        value("--C", dest="c", help="rational value for C, or 'symbolic'")
+        value("--p", help="nonzero rational value for p, or 'symbolic'")
 
     gen = sub.add_parser("gen", help="emit a matrix or the structure constants")
     gen.add_argument("target", choices=("sigma", "sigma-family", "extended", "constants"))
@@ -113,12 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     values(ver)
     ver.add_argument(
         "--corrupt",
+        action=_Once,
         default=None,
         metavar="(I,J;K,L)=COEFF",
         help="override one entry of the operator under test (mutation testing)",
     )
     ver.add_argument(
         "--corrupt-constants",
+        action=_Once,
         default=None,
         metavar="(K;I,J)=COEFF",
         help="override one structure constant (mutation testing)",
@@ -208,18 +222,7 @@ def _override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
 
 
 def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
-    given = [
-        flag
-        for flag, value, unset in (
-            ("--beta", args.beta, "symbolic"),
-            ("--C", args.c, "symbolic"),
-            ("--p", args.p, "symbolic"),
-            ("--corrupt", args.corrupt, None),
-            ("--corrupt-constants", args.corrupt_constants, None),
-        )
-        if value != unset
-    ]
-    for flag in given:
+    for flag in getattr(args, "given", []):
         ignoring = [name for name in names if flag not in SUITES[name].flags]
         if ignoring:
             suites = "suite" if len(ignoring) == 1 else "suites"
@@ -235,14 +238,14 @@ def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dic
     Returns per suite the arguments [op, constants] of its runner.
     """
     inputs = {name: [None, None] for name in names}
-    if args.corrupt:
+    if args.corrupt is not None:
         try:
             out, inp, coeff = _override(args.corrupt)
             for name in names:
                 inputs[name][0] = SUITES[name].target(n).with_entry(out, inp, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
-    if args.corrupt_constants:
+    if args.corrupt_constants is not None:
         try:
             upper, lower, coeff = _override(args.corrupt_constants)
             if len(upper) != 1 or len(lower) != 2:

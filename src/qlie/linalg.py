@@ -104,7 +104,7 @@ def echelon(rows: list[Row]) -> Echelon:
 
     the Bareiss row itself, a minor, so the division by P_j is exact.  The
     chosen pivot row is brought to its Bareiss value P_k/P_j * row once,
-    before it is used.
+    before it is used, unless P_k equals P_j.
     """
     # each work row with the pivot of the step that last updated it
     work = [(dict(r), ONE) for r in rows if r]
@@ -121,7 +121,7 @@ def echelon(rows: list[Row]) -> Echelon:
         if best is None:
             continue
         pivot_row, last = work.pop(best)
-        if last is not prev:
+        if last != prev:
             pivot_row = {j: (prev * v).exact_div(last) for j, v in pivot_row.items()}
         pivot = pivot_row[col]
         remaining = []

@@ -1,30 +1,45 @@
 """Exchange relations of the extended matrix against the defining relations.
 
-The block matrix T has unit in the corner, the x_j along the top row, the
-f(i,j) in the body and zeros below the corner.  Expanding
+The block matrix T has T^0_0 = 1 in the corner, T^0_i = x_i along the top
+row, T^a_i = f(a,i) in the body and T^a_0 = 0 below the corner.  Expanding
 
     Rhat^{KL}_{IJ} T^A_K T^B_L  -  T^K_I T^L_J Rhat^{AB}_{KL}
 
-over all capital index tuples yields quadratic relations in the free algebra
-on x and f; these are compared, as linear spans over the fraction field of
-the scalar ring, with the four directly-substituted relation families of the
-bicovariant calculus.
+over all capital index tuples, Rhat being E = `extended_rhat(n)`, yields
+quadratic relations in the free algebra on x and f; these are compared, as
+linear spans over the fraction field of the scalar ring, with the four
+directly-substituted relation families of the bicovariant calculus, built
+by `freealg._bcc_row`, as `freealg` flat rows.
 
-Each side's one builder emits flat rows {(word, packed monomial): rational}
-(Monagan & Pearce, CASC 2007), a word coding x_i as i and f(i,j) as (n+1)*i + j,
-so the sums and signs are int arithmetic; the public functions return these
-rows, and `freealg._row_str` prints them.  The exchange-relation builder lives
-here, and the calculus-relation builder is `freealg._bcc_row`.
+Theorem.  Let E have any body sigma and constants C, and the calculus
+relations the same.  Exchange relation (I, J, A, B) is 0 when I = 0 or
+J = 0, and for i, j >= 1 it is its keyed partner (`_partner`):
 
-Grade a word by the sums of w over its letters' upper and lower indices,
-x_i being T^0_i and f(a, l) T^a_l, with `cg`'s weight w.  While the
-constants lie on their support, every relation is homogeneous, of a grade
-its key gives in closed form (`_key_groups`), and rows of different grades
-share no word.  So the span comparison generates, compares and drops one
-grade at a time, and its memory is bounded by the largest grade: a
-tracemalloc peak of 1.6 MiB at n = 12, against 85 MiB with every relation
-held at once.  A constant off the support joins two weights, and then
-each group is a cell of the grades those joins merge.
+    (i, j, 0, 0) = -family 1 (i, j)      (i, j, 0, a) = +family 3 (i, j, a)
+    (i, j, a, 0) = -family 4 (i, j, a)   (i, j, a, b) = +family 2 (i, j, a, b)
+
+Proof.  E^{KL}_{IJ} is sigma^{kl}_{ij} at (K, L) = (k, l) and C^k_{ij} at
+(0, k) for i, j >= 1, and E's delta blocks send input (0, a) to (a, 0)
+and (a, 0) to (0, a) with coefficient 1, for a in 0..n.
+1. I = 0: the left side is T^A_J T^B_0 = [B = 0] T^A_J, and T^K_0 =
+   [K = 0] leaves T^L_J E^{AB}_{0L} = [B = 0] T^A_J on the right.  J = 0
+   is the mirror case.
+2. i, j >= 1: the left side is sigma^{kl}_{ij} T^A_k T^B_l + C^k_{ij}
+   T^A_0 T^B_k.  On the right, output (A, B) comes from input (0, 0) at
+   (0, 0), from the C^a_{kl} and the delta input (a, 0) at (0, a), from
+   the delta input (0, a) at (a, 0), and from sigma alone else.  These are
+   the families of `bcc_relation`, with the signs above.
+The proof fixes no sigma or C, so it holds row by row for every input;
+`suite_qlie` reads the same identity in a representation.  So the
+(n+1)^2 (2n+1) keys with I J = 0 give 0, and the other n^2 (n+1)^2 pair
+one to one with the calculus keys.  The exchange side always takes the
+closed form and the calculus side the given constants, so one corrupted
+constant makes the n (n+1) pairs it enters differ.
+
+While the constants lie on their support, every relation is homogeneous
+in `cg`'s weight grading, of its key's grade (`_key_groups`), so the
+comparison takes one grade at a time: a tracemalloc peak of 1.6 MiB at
+n = 12, against 85 MiB with every relation held at once.
 """
 
 from __future__ import annotations
@@ -37,9 +52,6 @@ from .checks import Collector, VerificationReport
 from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _index_constants, _row_str
 from .linalg import Echelon, Row, echelon
 from .scalars import _by_index
-
-RelationKey = tuple
-
 
 def _rtt_tables(n: int) -> tuple[dict, dict, list]:
     """Rhat by input and output pair, and T[upper][lower] as a word or None, a structural zero."""
@@ -62,8 +74,9 @@ def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) ->
 def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> FlatRow:
     """One exchange relation, as left side minus right side.
 
-    Zero-pattern rows of T silently drop their terms, so many index tuples
-    produce the empty row.
+    Zero-pattern rows of T silently drop their terms.  By the module's
+    theorem the empty rows are exactly the keys with I = 0 or J = 0, and
+    those whose calculus partner is 0.
     """
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
@@ -94,7 +107,7 @@ def bcc_relation(
     return _bcc_row(family, indices, n, _index(sigma_cg(n).entries), ct)
 
 
-def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
+def _rtt_rows(n: int) -> Iterator[tuple[tuple, FlatRow]]:
     tables = _rtt_tables(n)
     for I, J, A, B in product(range(0, n + 1), repeat=4):
         yield ("rtt", I, J, A, B), _rtt_row(I, J, A, B, tables)
@@ -102,7 +115,7 @@ def _rtt_rows(n: int) -> Iterator[tuple[RelationKey, FlatRow]]:
 
 def _bcc_rows(
     n: int, constants: Optional[StructureTensor] = None
-) -> Iterator[tuple[RelationKey, FlatRow]]:
+) -> Iterator[tuple[tuple, FlatRow]]:
     sig = _index(sigma_cg(n).entries)
     ct = _index_constants(_constants(n, constants).entries)
     for family, arity in _ARITY.items():
@@ -110,25 +123,20 @@ def _bcc_rows(
             yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
 
 
-def _key_groups(n: int, constants: StructureTensor) -> Iterator[tuple[list, list]]:
-    """Each side's relation keys, in key order, one group per cell of grades (U, L).
+def _key_groups(n: int, constants: StructureTensor) -> Iterator[list[tuple[int, ...]]]:
+    """The exchange keys (i, j, A, B) with i, j >= 1, in key order, one list per cell of grades.
 
-    With `cg`'s weight w(i) = max(i - 1, 0), the grade of `rtt` key
-    (I, J, A, B) is (w(A)+w(B), w(I)+w(J)); of `bcc` keys, (0, w(i)+w(j))
-    for family 1 (i, j), (w(a)+w(b), w(i)+w(j)) for family 2 (i, j, a, b)
-    and (w(a), w(i)+w(j)) for families 3 and 4 (i, j, a).  Index pairs
-    grouped by weight give each grade's keys, so no list of all keys is
-    built.  A constant C^k_{ij} off the support k = i + j - 1 joins the
-    weights w(k) and w(i)+w(j), on the lower side of families 1 and 3 and
-    on the upper side of family 3; a cell is a pair of classes (upper,
-    lower) of the partition of the weights 0..2n-2 those pairs generate.
-    On the support every class is one weight, and every cell one grade.
+    With `cg`'s weight w(i) = max(i - 1, 0), key (i, j, A, B) and its
+    partner have grade (w(A)+w(B), w(i)+w(j)).  Index pairs grouped by
+    weight give each grade's keys, so no list of all keys is built.  A
+    constant C^k_{ij} off the support k = i + j - 1 joins the weights w(k)
+    and w(i)+w(j); a cell is a pair of classes (upper, lower) of the
+    partition of the weights 0..2n-2 those joins generate.  On the support
+    every class is one weight, and every cell one grade.
     """
-    pairs: tuple[dict, dict] = ({}, {})  # index pairs over 0..n and over 1..n, by weight
-    for lo, by_weight in enumerate(pairs):
-        for i, j in product(range(lo, n + 1), repeat=2):
-            by_weight.setdefault(max(i - 1, 0) + max(j - 1, 0), []).append((i, j))
-    cap, small = pairs
+    by_weight: dict[int, list] = {}  # index pairs over 0..n
+    for i, j in product(range(n + 1), repeat=2):
+        by_weight.setdefault(max(i - 1, 0) + max(j - 1, 0), []).append((i, j))
     label = list(range(2 * n - 1))  # each weight's class
     for k, i, j in constants.entries:
         old, new = label[i + j - 2], label[k - 1]
@@ -137,22 +145,13 @@ def _key_groups(n: int, constants: StructureTensor) -> Iterator[tuple[list, list
     for weight, c in enumerate(label):
         classes.setdefault(c, []).append(weight)
     for uppers, lowers in product(classes.values(), repeat=2):
-        rtt_keys, bcc_keys = [], []
-        for U, L in product(uppers, lowers):
-            rtt_keys += [("rtt", *lower, *upper) for lower in cap[L] for upper in cap[U]]
-            bcc_keys += [("bcc", 1, *lower) for lower in small[L] if U == 0]
-            bcc_keys += [("bcc", 2, *lower, *upper) for lower in small[L] for upper in small[U]]
-            bcc_keys += [("bcc", f, *lower, U + 1) for f in (3, 4) if U < n for lower in small[L]]
-        yield sorted(rtt_keys), sorted(bcc_keys)
+        yield sorted((*lower, *upper) for U, L in product(uppers, lowers)
+                     for lower in by_weight[L] if all(lower) for upper in by_weight[U])
 
 
-def _signature(row: FlatRow) -> tuple:
-    """A row's sorted ((word, packed monomial), q) items, negated unless the last is positive.
-
-    A row and its negative span one line and share one signature.
-    """
-    items = sorted(row.items())
-    return tuple(items) if items[-1][1] > 0 else tuple((wk, -q) for wk, q in items)
+def _partner(i: int, j: int, A: int, B: int) -> tuple[int, tuple[int, ...], int]:
+    """(family, indices, sign) of the calculus relation that exchange relation (i, j, A, B) equals."""
+    return (1, 3, 4, 2)[2 * bool(A) + bool(B)], (i, j, *filter(None, (A, B))), 1 if B else -1
 
 
 def compare_relation_spans(
@@ -160,55 +159,53 @@ def compare_relation_spans(
 ) -> VerificationReport:
     """Mutual span inclusion of the two relation sets, exactly.
 
-    Each group of `_key_groups`, one grade or (constants off their support)
-    a cell of merged grades, is generated, compared and dropped on its own,
-    so memory is bounded by the largest group.  No block of `_outside_spans`
-    crosses a group, so each elimination gets the rows and columns it would
-    get from all relations at once.  Witnesses are buffered and sorted back
-    into key order, every `rtt`-side witness first.
+    Only the keys of `_key_groups` are built, each beside its partner: the
+    other exchange rows are 0 by the module's theorem, and in every span.
+    A pair that agrees is in both spans; `_outside_spans` tests the rest.
+    Each group is generated, compared and dropped on its own, so memory is
+    bounded by the largest group, and no block of `_outside_spans` crosses
+    a group.  Witnesses are sorted back into key order, `rtt`-side first.
     """
     ct = _constants(n, bcc_constants)
     collector = Collector("rtt", n)
     collector.checked += (n + 1) ** 4 + sum(n ** a for a in _ARITY.values())
     tables = _rtt_tables(n)
     sig, cti = _index(sigma_cg(n).entries), _index_constants(ct.entries)
-    found: list[tuple[str, RelationKey]] = []
-    for rtt_keys, bcc_keys in _key_groups(n, ct):
-        # each nonzero relation as its signature, which also spans its line
-        rtt_rows = [(k, _signature(r)) for k in rtt_keys if (r := _rtt_row(*k[1:], tables))]
-        bcc_rows = [
-            (k, _signature(r)) for k in bcc_keys if (r := _bcc_row(k[1], k[2:], n, sig, cti))
-        ]
-        found += _outside_spans(rtt_rows, bcc_rows)
+    found: list[tuple[str, tuple]] = []
+    for keys in _key_groups(n, ct):
+        pairs = []
+        for key in keys:
+            family, indices, sign = _partner(*key)
+            partner = {wk: sign * q for wk, q in _bcc_row(family, indices, n, sig, cti).items()}
+            pairs.append((("rtt", *key), _rtt_row(*key, tables), ("bcc", family, *indices), partner))
+        found += _outside_spans(pairs)
     # "bcc-span" sorts first, so every rtt-side witness comes first
     for outside, key in sorted(found):
         collector.witnesses.append({"relation": list(key), "outside": outside})
     return collector.report()
 
 
-def _outside_spans(rtt_rows: list, bcc_rows: list) -> Iterator[tuple[str, RelationKey]]:
-    """The (opposing span, key) of each signed row outside the opposing span.
+def _outside_spans(pairs: list) -> Iterator[tuple[str, tuple]]:
+    """(opposing span, key) of each nonzero row of a differing pair outside that span.
 
-    A row that equals an opposing row up to sign is in the opposing span
-    outright; this match compares signatures, tuples of ints and rationals,
-    and on correct input it settles every row.  Only when some row is left
-    over are relations coordinatized over the common word basis.  Rows that
-    share no word are independent, so span membership splits over the
-    connected components of the row-word graph (the trivial case of the
-    block triangular form): every unmatched row is tested by fraction-free
-    elimination against the opposing rows of its own block only.  A
-    block's elimination is built the first time one of its rows needs it.
+    `pairs` holds (exchange key, row, calculus key, signed partner row).
+    Rows that share no word are independent, so span membership splits
+    over the connected components of the row-word graph (the trivial case
+    of the block triangular form): a row is tested by fraction-free
+    elimination against the opposing rows of its block, built when needed.
     """
-    rtt_set, bcc_set = {row for _, row in rtt_rows}, {row for _, row in bcc_rows}
-    unmatched = [(key, row, 1, "bcc-span") for key, row in rtt_rows if row not in bcc_set]
-    unmatched += [(key, row, 0, "rtt-span") for key, row in bcc_rows if row not in rtt_set]
+    differing = [pair for pair in pairs if pair[1] != pair[3]]
+    unmatched = [(key, row, 1, "bcc-span") for key, row, _, _ in differing if row]
+    unmatched += [(key, row, 0, "rtt-span") for _, _, key, row in differing if row]
     if not unmatched:
         return
+    rtt_rows = [row for _, row, _, _ in pairs if row]
+    bcc_rows = [row for _, _, _, row in sorted(pairs, key=lambda p: p[2]) if row]
 
     # columns numbered by first appearance, a row's words by length, then letters
     columns: dict[tuple, int] = {}
-    for _, row in rtt_rows + bcc_rows:
-        for w in sorted({w for (w, _), _ in row}, key=lambda w: (len(w), w)):
+    for row in rtt_rows + bcc_rows:
+        for w in sorted({w for w, _ in row}, key=lambda w: (len(w), w)):
             columns.setdefault(w, len(columns))
 
     # union-find over columns: a row joins all of its words into one block
@@ -220,30 +217,29 @@ def _outside_spans(rtt_rows: list, bcc_rows: list) -> Iterator[tuple[str, Relati
             col = parent[col]
         return col
 
-    def block(row: tuple) -> int:
-        return find(columns[row[0][0][0]])
+    def block(row: FlatRow) -> int:
+        return find(columns[next(iter(row))[0]])
 
-    for _, row in rtt_rows + bcc_rows:
+    for row in rtt_rows + bcc_rows:
         first = block(row)
-        for (w, _), _ in row[1:]:
+        for w, _ in row:
             parent[find(columns[w])] = first
 
-    def coordinates(row: tuple) -> Row:
-        scalars = _by_index((w, key, q) for (w, key), q in row)
+    def coordinates(row: FlatRow) -> Row:
+        scalars = _by_index((w, key, q) for (w, key), q in row.items())
         return {columns[w]: s for w, s in scalars.items()}
 
     # per block root, the rows of each side (0: rtt, 1: bcc)
-    members: dict[int, tuple[list[tuple], list[tuple]]] = {}
+    members: dict[int, tuple[list[FlatRow], list[FlatRow]]] = {}
     for side, rows in enumerate((rtt_rows, bcc_rows)):
-        for _, row in rows:
+        for row in rows:
             members.setdefault(block(row), ([], []))[side].append(row)
     echelons: dict[tuple[int, int], Echelon] = {}
     for key, row, side, outside in unmatched:
         root = block(row)
-        ech = echelons.get((root, side))
-        if ech is None:
-            ech = echelons[root, side] = echelon([coordinates(r) for r in members[root][side]])
-        if not ech.contains(coordinates(row)):
+        if (root, side) not in echelons:
+            echelons[root, side] = echelon([coordinates(r) for r in members[root][side]])
+        if not echelons[root, side].contains(coordinates(row)):
             yield outside, key
 
 

@@ -303,6 +303,48 @@ def test_empty_index_fields_exit_2_with_one_error_line(args):
     assert len(errors) == 1 and "index" in errors[0]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("verify", "braid", "--n", "2", "--corrupt="),
+         "--corrupt '': expected (INDICES;INDICES)=COEFF"),
+        (("verify", "rtt", "--n", "2", "--corrupt-constants="),
+         "--corrupt-constants '': expected (INDICES;INDICES)=COEFF"),
+    ],
+    ids=["corrupt", "corrupt-constants"],
+)
+def test_an_empty_override_exits_2(args, message):
+    # an empty value is an override that cannot be read, not an absent one
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines()[-1] == "qlie: error: " + message
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "braid", "--n", "2", "--corrupt", "(1,2;2,1)=C", "--corrupt", "(1,1;1,1)=C"),
+        ("verify", "qlie", "--n", "2", "--corrupt-constants", "(2;1,2)=C",
+         "--corrupt-constants=(2;1,2)=C"),
+        ("verify", "braid", "--n", "2", "--beta=1/2", "--beta", "1/2"),
+        ("verify", "braid", "--n", "2", "--C", "1", "--C", "2"),
+        ("verify", "braid", "--n", "2", "--p", "2", "--p=symbolic"),
+        ("gen", "sigma", "--n", "2", "--beta", "2", "--beta", "3"),
+    ],
+    ids=["corrupt", "corrupt-constants", "beta", "C", "p", "gen-beta"],
+)
+def test_a_repeated_value_flag_exits_2(args):
+    # the last value would win silently, leaving the first one unused
+    flag = args[4].split("=")[0]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not SUMMARY_LINE.search(proc.stderr)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == f"qlie: error: {flag} given more than once; give it once"
+
+
 def test_out_into_missing_directory_exits_2(tmp_path):
     proc = run_cli("verify", "braid", "--n", "1", "--out", str(tmp_path / "no" / "report.json"))
     assert proc.returncode == 2
@@ -418,6 +460,7 @@ def test_corrupt_overrides_the_matrix_the_suite_checks(suite, default, n):
         ("verify", "rtt", "--n", "2", "--beta", "1/2"),
         ("verify", "rtt", "--n", "2", "--C", "1"),
         ("verify", "rtt", "--n", "2", "--p", "2"),
+        ("verify", "rtt", "--n", "2", "--beta", "symbolic"),  # given, though the default
         ("verify", "components", "--n", "2", "--corrupt", "(1,1;1,1)=2"),
         ("verify", "ybfr", "--n", "2", "--corrupt", "(1,1;1,1)=2"),
         ("verify", "hecke", "--n", "2", "--corrupt", "(1,1;1,1)=2"),

@@ -133,15 +133,15 @@ def word_grade(word, n):
     return sum(weight(a) for a, _ in letters), sum(weight(l) for _, l in letters)
 
 
-def all_keys(n):
-    """Each side's relation keys in key order."""
-    rtt_keys = [("rtt", *idx) for idx in product(range(n + 1), repeat=4)]
-    bcc_keys = [
-        ("bcc", family, *idx)
-        for family, arity in ((1, 2), (2, 4), (3, 3), (4, 3))
-        for idx in product(range(1, n + 1), repeat=arity)
-    ]
-    return rtt_keys, bcc_keys
+def paired_keys(n):
+    """The exchange keys (i, j, A, B) with i, j >= 1, in key order: those with a partner."""
+    return [(i, j, *upper) for i, j in product(range(1, n + 1), repeat=2)
+            for upper in product(range(n + 1), repeat=2)]
+
+
+def partner_key(key):
+    family, indices, _ = rtt._partner(*key)
+    return ("bcc", family, *indices)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -159,13 +159,11 @@ def test_every_word_has_its_keys_grade(n):
 def test_grade_groups_hold_every_key_once(n):
     groups = list(_key_groups(n, structure_constants(n)))
     assert len(groups) == (2 * n - 1) ** 2
-    rtt_keys, bcc_keys = all_keys(n)
-    assert sorted(k for r, _ in groups for k in r) == rtt_keys
-    assert sorted(k for _, b in groups for k in b) == bcc_keys
+    assert sorted(key for keys in groups for key in keys) == paired_keys(n)
     grades = []
-    for r, b in groups:
-        assert r == sorted(r) and b == sorted(b)
-        (grade,) = {key_grade(k) for k in r + b}
+    for keys in groups:
+        assert keys == sorted(keys)
+        (grade,) = {key_grade(k) for key in keys for k in (("rtt", *key), partner_key(key))}
         grades.append(grade)
     assert len(set(grades)) == len(groups)
 
@@ -174,23 +172,53 @@ def test_grade_groups_hold_every_key_once(n):
 def test_single_constant_mutants_keep_their_relations_graded(n):
     # a constant off the support k = i + j - 1 merges its weights into one
     # class, not every grade into one group: the groups still partition the
-    # keys, and no word occurs in rows of two groups
+    # keys, and no word occurs in rows of two groups, on either side
     base = structure_constants(n)
-    rtt_keys, bcc_keys = all_keys(n)
-    rtt_words = {key: {w for w, _ in row} for key, row in _rtt_rows(n)}
+    rtt_words = {key[1:]: {w for w, _ in row} for key, row in _rtt_rows(n)}
     for (k, i, j), delta in product(product(range(1, n + 1), repeat=3), (ONE, C)):
         ct = base.with_entry(k, i, j, base.coeff(k, i, j) + delta)
         bcc_words = {key: {w for w, _ in row} for key, row in _bcc_rows(n, ct)}
         groups = list(_key_groups(n, ct))
-        assert sorted(key for r, _ in groups for key in r) == rtt_keys
-        assert sorted(key for _, b in groups for key in b) == bcc_keys
+        assert sorted(key for keys in groups for key in keys) == paired_keys(n)
         owner = {}
-        for g, (r, b) in enumerate(groups):
-            for words in [rtt_words[key] for key in r] + [bcc_words[key] for key in b]:
-                assert all(owner.setdefault(w, g) == g for w in words), (k, i, j, delta)
+        for g, keys in enumerate(groups):
+            for key in keys:
+                for w in rtt_words[key] | bcc_words[partner_key(key)]:
+                    assert owner.setdefault(w, g) == g, (k, i, j, delta)
         assert len(groups) > 1
         if k == i + j - 1:
             assert len(groups) == (2 * n - 1) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exchange_rows_are_zero_or_their_keyed_partner(n):
+    # the theorem of the rtt docstring: a row with I = 0 or J = 0 is 0, and
+    # every other one is its partner times the family's sign, which pairs
+    # the exchange keys with i, j >= 1 one to one with the calculus keys
+    rows = {key[1:]: row for key, row in _rtt_rows(n)}
+    assert all(row == {} for (I, J, _, _), row in rows.items() if I == 0 or J == 0)
+    bcc = dict(_bcc_rows(n))
+    assert sorted(map(partner_key, paired_keys(n))) == sorted(bcc)
+
+    def differing(bcc):
+        """The keys whose row is not their partner's row times its sign."""
+        out = []
+        for key in paired_keys(n):
+            family, indices, sign = rtt._partner(*key)
+            if rows[key] != {w: sign * q for w, q in bcc[("bcc", family, *indices)].items()}:
+                out.append(key)
+        return out
+
+    assert differing(bcc) == []
+    # the exchange side keeps the closed form, so a corrupted C^k_{ij} makes
+    # the pairs it enters differ: family 1 at (i, j), and family 3 at
+    # (i, j, a) for every a and at (i', j', k) for every (i', j'), one of
+    # which is (i, j, k): 1 + n + n^2 - 1 pairs
+    base = structure_constants(n)
+    mutants = [((2, 1, 2), C), ((2, 1, 1), C), ((1, 1, 2), ONE)] if n > 1 else []
+    for (k, i, j), delta in mutants:
+        ct = base.with_entry(k, i, j, base.coeff(k, i, j) + delta)
+        assert len(differing(dict(_bcc_rows(n, ct)))) == n * (n + 1)
 
 
 def test_off_support_constant_is_compared_in_one_group():
