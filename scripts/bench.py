@@ -5,8 +5,8 @@ Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk.  Nine paths are timed: the passing path of every suite,
-the exploratory `hecke` included; the specialized path, every suite but
+`src/` on disk, both compiled to bytecode first.  Nine paths are timed: the passing path of every suite, the exploratory `hecke`
+included; the specialized path, every suite but
 `rtt` (which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`;
 the failing, witness-producing paths of `verify braid --corrupt
 "(1,2;2,1)=C"` and of `verify qlie --corrupt-constants "(2;1,2)=2C"`,
@@ -32,20 +32,20 @@ reports is listed on stdout.  Every `rtt` and `qlie` cell, passing or
 failing, and every `specialized` cell also records its work and memory,
 counted in one more, untimed subprocess per tree, so no timed run is
 wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
-`Scalar.substitute` calls and the `tracemalloc` peak of `qlie.cli.main`,
-in MiB; unlike the times, these do not drift with the host.  Each file
-also records the ROADMAP's two measures of simplicity for
-its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat src/qlie/*.py |
-wc -l`), beside `module_lines`, the lines of each of those files, so that
-code moved between modules is not read as a reduction, and
+`Scalar.substitute` calls, the number of `LaurentFn` constructions and the
+`tracemalloc` peak of `qlie.cli.main`, in MiB; unlike the times, these do
+not drift with the host.  Each file also records the ROADMAP's two measures
+of simplicity for its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat
+src/qlie/*.py | wc -l`), beside `module_lines`, the lines of each of those
+files, so that code moved between modules is not read as a reduction, and
 `public_names`, the length of `qlie.__all__`, beside `public_members`, the
 number of public members of the classes in `qlie.__all__` (the names in
 `vars(cls)` that do not start with "_"), listed per class in
-`class_members`, so that a removed method counts; and it records
-the interpreter version, the git commit
-checked out and the git tree hash of the `src/` measured; `git rev-parse
-COMMIT:src` gives that hash for the commit that holds the measured code,
-also when it was measured before being committed.  Standard library only.
+`class_members`, so that a removed method counts; and it records the
+interpreter version, the git commit checked out and the git tree hash of
+the `src/` measured; `git rev-parse COMMIT:src` gives that hash for the
+commit that holds the measured code, also when it was measured before being
+committed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,13 +97,15 @@ masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
 print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """
 
-# one untimed run with Scalar.__mul__, Scalar.exact_div and Scalar.substitute
-# counted and memory traced: [exit code, counts and tracemalloc peak]
+# one untimed run with Scalar.__mul__, Scalar.exact_div, Scalar.substitute
+# and LaurentFn constructions counted and memory traced: [exit code, counts
+# and tracemalloc peak]
 COUNT_CHILD = """
 import contextlib, io, json, sys, tracemalloc
 from qlie import cli
+from qlie.laurent import LaurentFn
 from qlie.scalars import Scalar
-counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0}
+counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0, "laurentfn_calls": 0}
 def counted(name, method):
     def wrapper(*args, **kwargs):
         counts[name] += 1
@@ -112,6 +114,7 @@ def counted(name, method):
 Scalar.__mul__ = counted("mul_calls", Scalar.__mul__)
 Scalar.exact_div = counted("exact_div_calls", Scalar.exact_div)
 Scalar.substitute = counted("substitute_calls", Scalar.substitute)
+LaurentFn.__init__ = counted("laurentfn_calls", LaurentFn.__init__)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     tracemalloc.start()
     code = cli.main(sys.argv[1:])
@@ -216,6 +219,13 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         trees = (Path(tmp) / "src", ROOT / "src")
+        # both trees' bytecode compiled in place, so that no run compiles
+        # qlie on import: a tree without a cache reads a lower tracemalloc
+        # peak than the same source with one.  A PYTHONPYCACHEPREFIX would
+        # leave the standard library's cache unread.
+        for tree in trees:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)],
+                           check=True, stdout=subprocess.DEVNULL)
         sizes = [_size(tree) for tree in trees]
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():

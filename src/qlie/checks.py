@@ -25,7 +25,12 @@ loop, a slab at a time, every start that shares a first index, through
 tables keyed by the two index fields a factor reads, which one builder
 makes from a kernel's basis images (`laurent._basis_image`) or a leaf's
 rows.  So moving a term is one int add; the loop adds and multiplies
-rationals, ints unless an input has a fraction, and builds no Scalar.
+rationals, ints unless an input has a fraction, and builds no Scalar.  A
+word's first factor cannot merge two terms, so its terms go in a plain
+list, and only the later factors merge.  The matrices of rho, s, r and the
+braid operator that `cybe`, `components`, `ybfr` and `cross-check` take as
+leaves are tabulated from the same basis images (`_functional_matrix`), so
+a passing run builds no LaurentFn and composes no Operator.
 
 A run's --beta/--C/--p values are an evaluation homomorphism, so a
 specialized difference is the specialization of the symbolic one: every
@@ -47,7 +52,9 @@ from typing import Callable, Optional, Sequence
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
 from .laurent import op_r, op_rhat, op_rho, op_s
-from .operators import Operator, compose, from_functional
+# no suite composes operators, but the benchmark's self-test and
+# tests/test_benchmark_contract.py pin `checks.compose` (ROADMAP item 8)
+from .operators import Operator, compose
 from .scalars import BETA, ONE, ZERO, Coeff, Scalar, _by_index
 
 WITNESS_CAP = 16
@@ -123,6 +130,8 @@ def _statements(*labels: str) -> list[tuple[str, Expression]]:
     return [(label, _expression(label.rpartition(": ")[2])) for label in labels]
 
 
+# the functional operator of each kernel: the tests' reference for the
+# tabulated leaves, which the benchmark's self-test pins (ROADMAP item 8)
 _FUNCTIONAL_OPS: dict[str, Callable] = {
     "rho": op_rho,
     "s": op_s,
@@ -279,7 +288,7 @@ def check_identities(
                      for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))]
             for starts in slabs:
                 col.checked += len(starts)
-                total = _image(words, starts, {})
+                total = _image(words, starts)
                 for start, row in sorted(_by_start(total, fwidth).items()):
                     if values := col.specialize(_decoded(row, fwidth, 3, 1)):
                         col.witnesses.append({
@@ -299,7 +308,7 @@ def check_identities(
         # packed rows sort as their index tuples; a slab shares out[0]
         for _, slab in groupby(sorted(outs), lambda out: out >> 2 * width):
             starts = [out | out << 3 * width for out in slab]
-            lrows, rrows = _image(left, starts, {}), _image(right, starts, {})
+            lrows, rrows = _image(left, starts), _image(right, starts)
             if lrows == rrows:
                 continue
             lrows, rrows = _by_start(lrows, width), _by_start(rrows, width)
@@ -311,22 +320,36 @@ def check_identities(
                         _decoded(rrow, width, legs) if rhs else None, tag)
 
 
-def _image(words: list, starts: list[int], total: Flat) -> Flat:
-    """total plus the signed words' image of the start keys: a factor (mask,
-    rows) takes term e, times c1, to e + move, times c1 * c2, for each (move,
-    c2) in rows[e & mask]; a word's last factor adds into total."""
-    for sign, factors in words:
-        terms = dict.fromkeys(starts, sign)
-        for k, (mask, rows) in enumerate(factors):
-            acc = total if k == len(factors) - 1 else {}
+def _image(words: list, starts: list[int]) -> Flat:
+    """The signed words' image of the distinct start keys, summed: a factor
+    (mask, rows) takes term e, times c1, to e + move, times c1 * c2, for each
+    (move, c2) in rows[e & mask], c2 nonzero.
+
+    A word's first factor is expanded into a plain list, with no merge: its
+    terms from distinct starts differ in their start fields, which no move
+    changes, and the moves of one row are distinct, so no two of its terms
+    share a key and none cancels.  Each later factor merges into a dict, the
+    last one into the total; a one-factor word adds its list into the total.
+    """
+    total: Flat = {}
+    for sign, ((mask, rows), *later) in words:
+        terms = [(e + move, sign * c) for e in starts for move, c in rows.get(e & mask, ())]
+        for k, (mask, rows) in enumerate(later, 1):
+            acc = total if k == len(later) else {}
             get = acc.get
-            for e, c1 in terms.items():
+            for e, c1 in terms:
                 for move, c2 in rows.get(e & mask, ()):
                     key = e + move
                     v = acc[key] = get(key, 0) + c1 * c2
                     if not v:
                         del acc[key]
-            terms = acc
+            terms = acc.items()
+        if not later:
+            get = total.get
+            for key, c in terms:
+                v = total[key] = get(key, 0) + c
+                if not v:
+                    del total[key]
     return total
 
 
@@ -389,9 +412,23 @@ def _decoded(terms: Flat, width: int, legs: int, bias: int = 0) -> dict:
 
 
 def _functional_matrix(name: str, n: int) -> Operator:
-    """Matrix of the named two-slot functional operator on SpaceConfig(n)."""
-    op = _FUNCTIONAL_OPS[name]
-    return from_functional(lambda fn: op(fn, (0, 1)), SpaceConfig(n))
+    """Matrix of the named kernel of `laurent._KERNELS` on SpaceConfig(n).
+
+    Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the kernel's
+    image of x^(K-1) y^(L-1), tabulated from `_basis_image` over the basis
+    pairs, so no LaurentFn is built; it equals `operators.from_functional`
+    of the kernel's functional operator, the reference the tests compare.
+    """
+    terms = ((((x + 1, y + 1), (ea + 1, eb + 1)), m, q)
+             for ea, eb in basis_monomials(SpaceConfig(n), 2)
+             for (x, y), m, q in _basis_image(name, ea, eb))
+    return Operator(n, 2, _by_index(terms), lo=0)
+
+
+def _flipped(op: Operator) -> Operator:
+    """P·op, P the flip of the two legs: entry ((a, b), in) is op's entry
+    ((b, a), in), the same Scalar, so no product is taken."""
+    return Operator(op.n, 2, {((b, a), inp): c for ((a, b), inp), c in op.entries.items()}, op.lo)
 
 
 def _given_or(
@@ -449,12 +486,10 @@ def suite_ybe(
     """
     col = Collector("ybe", n, subs)
     R = _given_or("rhat", rhat, n, 0, extended_rhat)
-    flipped = compose(Operator.flip(n, lo=R.lo), R)
-    check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": flipped}, range(-1, n))
+    check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": _flipped(R)}, range(-1, n))
 
     family = sigma_cg_family(n)
-    flipped = compose(Operator.flip(n, lo=1), family)
-    check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": flipped})
+    check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": _flipped(family)})
     # the family at p = 1, whatever p the run gives
     at_one = family.map_entries(lambda s: s.substitute(p=1))
     leaves = {"family": at_one, "sigma": sigma_cg(n)}
@@ -596,7 +631,7 @@ def suite_qlie(
     def read(family: int, sign: int, outs: list[tuple[int, int, int]]) -> None:
         col.checked += len(outs) * n ** 3
         starts = [k | k << 3 * width for k in (_pack_fields(out, width) for out in outs)]
-        total = _image([(sign, [e12, e23, e12]), (-sign, [e23, e12, e23])], starts, {})
+        total = _image([(sign, [e12, e23, e12]), (-sign, [e23, e12, e23])], starts)
         found = {}
         for key, q in total.items():
             (N, i, j), (A, B, m) = _unpack_fields(key, width), _unpack_fields(key >> 3 * width, width)

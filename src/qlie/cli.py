@@ -104,8 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, required=True, help="space size, >= 1")
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+        p.add_argument("--n", type=int, required=True, action=_Once, help="space size, >= 1")
+        p.add_argument("--out", action=_Once, default=None,
+                       help="write output to this file instead of stdout")
 
     def values(p: argparse.ArgumentParser) -> None:
         value = partial(p.add_argument, action=_Once, default="symbolic")
@@ -170,13 +171,15 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     }
     if values.get("p") == 0:
         parser.error("--p must be nonzero")
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+    if args.out == "":
+        parser.error("--out '': expected a file path")
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"--out {args.out!r}: no such directory")
     return Config(n=args.n, subs=values or None, fmt=getattr(args, "fmt", "json"), out=args.out)
 
 
 def _emit(text: str, cfg: Config) -> None:
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w") as fh:
                 fh.write(text)
@@ -222,7 +225,10 @@ def _override(text: str) -> tuple[tuple[int, ...], tuple[int, ...], Scalar]:
 
 
 def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
+    """Each value or override flag given must be one every selected suite uses."""
     for flag in getattr(args, "given", []):
+        if flag in ("--n", "--out"):  # every suite takes these
+            continue
         ignoring = [name for name in names if flag not in SUITES[name].flags]
         if ignoring:
             suites = "suite" if len(ignoring) == 1 else "suites"

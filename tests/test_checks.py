@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie import checks, freealg
+from qlie import checks, cli, freealg, operators
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
-from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
+from qlie.laurent import _KERNELS, LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, from_functional
-from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, _by_index
+from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, _by_index, _pack
 from test_operators import embed
 
 
@@ -69,6 +69,16 @@ def test_ybe_for_flipped_family_with_symbolic_p(n):
 def test_suite_ybe_parts(n=2):
     report = checks.suite_ybe(n)
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_flipped_leaf_is_the_flip_composed_with_r(n):
+    # ybe's P.R leaves swap each entry's output pair and share R's Scalars
+    corrupted = extended_rhat(n).with_entry((1, n), (n, 0), C + BETA)
+    for R in (extended_rhat(n), sigma_cg_family(n), corrupted):
+        flipped = checks._flipped(R)
+        assert flipped == compose(Operator.flip(n, lo=R.lo), R)
+        assert all(flipped.entries[(b, a), inp] is c for ((a, b), inp), c in R.entries.items())
 
 
 # -- classical Yang-Baxter ----------------------------------------------------------
@@ -738,6 +748,70 @@ def test_key_fields_hold_the_largest_index(n, polynomial):
         assert bool(functional.witnesses) == (leaf is rho)
 
 
+def _dict_image(words, starts):
+    """The product loop with every factor merged in a dict, the first one too."""
+    total = {}
+    for sign, factors in words:
+        terms = dict.fromkeys(starts, sign)
+        for k, (mask, rows) in enumerate(factors):
+            acc = total if k == len(factors) - 1 else {}
+            for e, c1 in terms.items():
+                for move, c2 in rows.get(e & mask, ()):
+                    key = e + move
+                    v = acc[key] = acc.get(key, 0) + c1 * c2
+                    if not v:
+                        del acc[key]
+            terms = acc
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_image_equals_the_merging_product_loop(n):
+    # seeded random tables, with p^-1 monomials (negative keys) and Fraction
+    # coefficients, on one-, two- and three-factor words and several starts
+    # sharing a first index: the merge-free first factor must give the same
+    # terms, of the same types, and the words with their negations must
+    # cancel to nothing
+    rng = Random(f"image/{n}")
+    width, indices = n.bit_length(), range(n + 1)
+    monomials = [0, *(_pack(m) for m in ((0, 0, -1), (1, 0, 0), (0, 1, -2), (2, 0, 1)))]
+    coefficients = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+
+    def table(slots):
+        images = []
+        for source in product(indices, repeat=2):
+            image = {(tuple(rng.choices(indices, k=2)), rng.choice(monomials)): rng.choice(coefficients)
+                     for _ in range(rng.randint(0, 4))}
+            images.append((source, [(target, m, q) for (target, m), q in image.items()]))
+        return checks._table(images, slots, width)
+
+    tables = [table(slots) for slots in [(0, 1), (1, 2), (0, 2), (2, 0), (1, 0)] * 2]
+    compared = negative = 0
+    for _ in range(30):
+        words = [(rng.choice([1, -1, Fraction(2, 3)]), rng.choices(tables, k=rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        first = rng.choice(indices)
+        slab = {checks._pack_fields((first, *rng.choices(indices, k=2)), width) for _ in range(5)}
+        starts = [k | k << 3 * width for k in sorted(slab)]
+        got, want = checks._image(words, starts), _dict_image(words, starts)
+        assert got == want
+        assert all(type(got[key]) is type(q) for key, q in want.items())
+        assert checks._image([*words, *((-sign, factors) for sign, factors in words)], starts) == {}
+        compared += len(want)
+        negative += sum(key < 0 for key in want)
+    assert compared > 100 and negative > 0
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_functional_matrix_equals_the_functional_operator(name):
+    # the leaves are tabulated from the kernels' basis images; the matrix of
+    # the functional operator, LaurentFn by LaurentFn, is the reference
+    op = checks._FUNCTIONAL_OPS[name]
+    for n in range(1, 13):
+        want = from_functional(lambda fn: op(fn, (0, 1)), SpaceConfig(n))
+        assert checks._functional_matrix(name, n) == want, n
+
+
 # -- specialization soundness --------------------------------------------------------
 
 
@@ -769,6 +843,21 @@ def test_a_passing_specialized_run_substitutes_nothing(monkeypatch):
                   checks.suite_qlie, checks.suite_hecke):
         report = suite(3, subs)
         assert report.passed and report.symbolic == [], suite.__name__
+
+
+def test_a_passing_run_builds_no_laurent_function_and_composes_nothing(monkeypatch):
+    # the leaves come from the basis images and ybe's P.R from R's entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the passing path")
+
+    monkeypatch.setattr(LaurentFn, "__init__", refuse)
+    monkeypatch.setattr(operators, "from_functional", refuse)
+    monkeypatch.setattr(checks, "compose", refuse)
+    for suite in (checks.suite_braid, checks.suite_ybe, checks.suite_cybe,
+                  checks.check_component_identities, checks.check_quadratic_ybe_components,
+                  checks.suite_cross_check):
+        assert suite(3).passed, suite.__name__
+    assert cli.SUITES["cybe"].target(3).shape() == (3, 2, 0)
 
 
 def test_degenerate_specialization_beta0_c1():

@@ -345,6 +345,65 @@ def test_a_repeated_value_flag_exits_2(args):
     assert last == f"qlie: error: {flag} given more than once; give it once"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "braid", "--n", "2", "--out="),
+        ("verify", "all", "--n", "1", "--out", ""),
+        ("gen", "sigma", "--n", "2", "--out="),
+        ("cross-check", "--n", "2", "--out="),
+        ("dump-relations", "--n", "1", "--out="),
+    ],
+    ids=["verify", "verify-all", "gen", "cross-check", "dump-relations"],
+)
+def test_an_empty_out_exits_2(args):
+    # an empty path names no file; it must not fall back to stdout
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("qlie: error: ")]
+    assert errors == ["qlie: error: --out '': expected a file path"]
+
+
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--n", ("verify", "braid", "--n", "2", "--n", "3")),
+        ("--n", ("verify", "all", "--n", "1", "--n=1")),
+        ("--n", ("gen", "sigma", "--n", "2", "--n", "2")),
+        ("--n", ("cross-check", "--n", "2", "--n", "3")),
+        ("--n", ("dump-relations", "--n", "1", "--n", "2")),
+        ("--out", ("verify", "braid", "--n", "2", "--out", "a.json", "--out", "b.json")),
+        ("--out", ("gen", "sigma", "--n", "2", "--out", "a.json", "--out=a.json")),
+        ("--out", ("cross-check", "--n", "2", "--out", "a.json", "--out", "b.json")),
+        ("--out", ("dump-relations", "--n", "1", "--out", "a.json", "--out", "b.json")),
+    ],
+    ids=["verify-n", "verify-all-n", "gen-n", "cross-check-n", "dump-relations-n",
+         "verify-out", "gen-out", "cross-check-out", "dump-relations-out"],
+)
+def test_a_repeated_n_or_out_exits_2(flag, args, tmp_path):
+    # the last value would win silently: another n, or one file of two
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "qlie.cli", *args], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not SUMMARY_LINE.search(proc.stderr)
+    assert list(tmp_path.iterdir()) == []
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == f"qlie: error: {flag} given more than once; give it once"
+
+
+def test_n_and_out_are_not_suite_flags(tmp_path):
+    # every suite takes --n and --out; only value and override flags are
+    # checked against what the selected suites use
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", "components", "--n", "1", "--out", str(out))
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())[0]["suite"] == "components"
+
+
 def test_out_into_missing_directory_exits_2(tmp_path):
     proc = run_cli("verify", "braid", "--n", "1", "--out", str(tmp_path / "no" / "report.json"))
     assert proc.returncode == 2

@@ -428,7 +428,10 @@ def test_kernel_tables_equal_the_kernel(name):
             for out in ({}, {**cancelling, extra: Fraction(1, 3)}):
                 got = dict(out)
                 for (e, m), q in terms.items():
-                    _image([(q, [table])], [_pack_fields(e, width, 1) | start | m << 6 * width], got)
+                    key = _pack_fields(e, width, 1) | start | m << 6 * width
+                    for image_key, v in _image([(q, [table])], [key]).items():
+                        got[image_key] = got.get(image_key, 0) + v
+                got = {key: q for key, q in got.items() if q}
                 total = dict(out)
                 for key, q in want.items():
                     total[key] = total.get(key, 0) + q
