@@ -36,7 +36,9 @@ wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
 `tracemalloc` peak of `qlie.cli.main`, in MiB; unlike the times, these do
 not drift with the host.  Each file also records the ROADMAP's two measures
 of simplicity for its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat
-src/qlie/*.py | wc -l`), beside `module_lines`, the lines of each of those
+src/qlie/*.py | wc -l`), beside `code_lines`, those lines that hold code,
+not blank, a comment or part of a docstring, so that editing a docstring
+does not move the count, and `module_lines`, the lines of each of those
 files, so that code moved between modules is not read as a reduction, and
 `public_names`, the length of `qlie.__all__`, beside `public_members`, the
 number of public members of the classes in `qlie.__all__` (the names in
@@ -50,6 +52,7 @@ committed.  Standard library only.
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -59,6 +62,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 from qlie import cli
@@ -165,11 +169,34 @@ print(json.dumps([len(qlie.__all__), members]))
 """
 
 
+# tokens that hold no code
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+def _code_lines(source: str) -> int:
+    """The lines of source that hold a token of code and are no part of a
+    module, class or function docstring."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
 def _size(src: Path) -> dict:
-    """The lines of src/qlie/*.py, in all and per file, and the public names and class members."""
-    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted((src / "qlie").glob("*.py"))}
+    """The lines of src/qlie/*.py, in all, holding code and per file, and
+    the public names and class members."""
+    paths = sorted((src / "qlie").glob("*.py"))
+    lines = {path.name: path.read_bytes().count(b"\n") for path in paths}
     names, members = _run(src, [], SURFACE_CHILD)
-    return {"src_lines": sum(lines.values()), "module_lines": lines, "public_names": names,
+    return {"src_lines": sum(lines.values()),
+            "code_lines": sum(_code_lines(path.read_text()) for path in paths),
+            "module_lines": lines, "public_names": names,
             "public_members": sum(map(len, members.values())), "class_members": members}
 
 
@@ -241,7 +268,8 @@ def main(argv: list[str]) -> int:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
     for suffix, size in zip(("parent", "change"), sizes):
-        print(f"{suffix}: {size['src_lines']} src lines, {size['public_names']} public names, "
+        print(f"{suffix}: {size['src_lines']} src lines, {size['code_lines']} code lines, "
+              f"{size['public_names']} public names, "
               f"{size['public_members']} public class members")
 
     for side, (suffix, ids) in enumerate(zip(("-parent", ""), _git_ids())):

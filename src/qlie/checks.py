@@ -19,18 +19,20 @@ int of `width`-bit fields (Monagan & Pearce, CASC 2007), from the lowest:
 three index fields, the first index highest, so packed indices sort as
 their tuples do; three start fields, the index the term started from, a
 monomial or an output row; and on top the packed b/C/p monomial of
-`scalars`, there because its p field is signed.  A functional-route field
-holds an exponent plus one, so that -1 fits.  The routes share one product
-loop, a slab at a time, every start that shares a first index, through
-tables keyed by the two index fields a factor reads, which one builder
-makes from a kernel's basis images (`laurent._basis_image`) or a leaf's
-rows.  So moving a term is one int add; the loop adds and multiplies
-rationals, ints unless an input has a fraction, and builds no Scalar.  A
-word's first factor cannot merge two terms, so its terms go in a plain
-list, and only the later factors merge.  The matrices of rho, s, r and the
-braid operator that `cybe`, `components`, `ybfr` and `cross-check` take as
-leaves are tabulated from the same basis images (`_functional_matrix`), so
-a passing run builds no LaurentFn and composes no Operator.
+`scalars`, there because its p field is signed.  A field always holds an
+index: on the functional route, exponent e has index e + 1, as in the
+matrices, so x^-1 is index 0 (`_index_images`), and a witness prints
+exponents again.  The routes share one product loop, a slab at a time,
+every start that shares a first index, through tables keyed by the two
+index fields a factor reads, which one builder makes from a kernel's basis
+images in indices or a leaf's rows.  So moving a term is one int add; the
+loop adds and multiplies rationals, ints unless an input has a fraction,
+and builds no Scalar.  A word's first factor cannot merge two terms, so its
+terms go in a plain list, and only the later factors merge.  The matrices
+of rho, s, r and the braid operator that `cybe`, `components`, `ybfr` and
+`cross-check` take as leaves are tabulated from the same basis images
+(`_functional_matrix`), so a passing run builds no LaurentFn and composes
+no Operator.
 
 A run's --beta/--C/--p values are an evaluation homomorphism, so a
 specialized difference is the specialization of the symbolic one: every
@@ -47,7 +49,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from itertools import groupby, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
@@ -249,8 +251,8 @@ def check_identities(
     the layout of the module docstring, a field `bit_length` bits of the
     leaves' size n on the matrix route and of domain.stop on the functional
     one.  Each factor is a table built once per call by `_table`: a
-    kernel's images of the basis monomials of SpaceConfig(domain.stop), or
-    a leaf's two-leg rows, which hold no copy per spectator index.  The
+    kernel's `_index_images` on SpaceConfig(domain.stop), or a leaf's
+    two-leg rows, which hold no copy per spectator index.  The
     functional route adds lhs - rhs into one total, which must be empty;
     the matrix route compares the two sides' slab dicts once.  Only a slab
     that differs is split by start and decoded, row by row, in sorted order.
@@ -272,12 +274,12 @@ def check_identities(
     matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
-        fwidth = domain.stop.bit_length()  # exponents plus one lie in [0, domain.stop]
-        kernels = {(name, slots): _table(((e, _basis_image(name, *e)) for e in basis_monomials(cfg, 2)),
-                                         slots, fwidth, 1)
+        fwidth = domain.stop.bit_length()  # indices lie in [0, domain.stop]
+        kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, fwidth)
                    for name, slots in factors}
-        packed = [[_pack_fields((e0, *rest), fwidth, 1) for rest in product(domain, repeat=2)]
-                  for e0 in domain]
+        indices = range(domain.start + 1, domain.stop + 1)
+        packed = [[_pack_fields((i0, *rest), fwidth) for rest in product(indices, repeat=2)]
+                  for i0 in indices]
         slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
     for tag, lhs, rhs in identities:
         named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
@@ -290,11 +292,13 @@ def check_identities(
                 col.checked += len(starts)
                 total = _image(words, starts)
                 for start, row in sorted(_by_start(total, fwidth).items()):
-                    if values := col.specialize(_decoded(row, fwidth, 3, 1)):
+                    if values := col.specialize(_decoded(row, fwidth, 3)):
+                        # an index is an exponent plus one
                         col.witnesses.append({
                             **tag, "side": "functional",
-                            "monomial": list(_unpack_fields(start, fwidth, 3, 1)),
-                            "value": str(LaurentFn(cfg, 3, values)),
+                            "monomial": [i - 1 for i in _unpack_fields(start, fwidth)],
+                            "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
+                                                            for index, v in values.items()})),
                         })
             tag = {**tag, "side": "matrix"}
         col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
@@ -353,22 +357,22 @@ def _image(words: list, starts: list[int]) -> Flat:
     return total
 
 
-def _table(images, slots: tuple[int, int], width: int, bias: int = 0) -> tuple[int, dict[int, list]]:
+def _table(images, slots: tuple[int, int], width: int) -> tuple[int, dict[int, list]]:
     """A two-slot factor on slots a and b as a table (mask, rows) for `_image`.
 
     `images` gives pairs (source, terms), source an index pair and terms its
-    (target, packed monomial, q) triples, target an index pair; a field
-    holds an index plus bias.  rows[source's fields] lists (move, q), move
-    taking the key of source to that of target and adding the monomial;
-    mask holds the fields of slots a and b.
+    (target, packed monomial, q) triples, target an index pair.
+    rows[source's fields] lists (move, q), move taking the key of source to
+    that of target and adding the monomial; mask holds the fields of slots a
+    and b.
     """
     field, (a, b) = (1 << width) - 1, slots
     sa, sb, mono = (2 - a) * width, (2 - b) * width, 6 * width
     rows: dict[int, list] = {}
-    for (ea, eb), terms in images:
-        row = rows.setdefault(ea + bias << sa | eb + bias << sb, [])
+    for (ia, ib), terms in images:
+        row = rows.setdefault(ia << sa | ib << sb, [])
         for (x, y), m, q in terms:
-            row.append(((x - ea << sa) + (y - eb << sb) + (m << mono), q))
+            row.append(((x - ia << sa) + (y - ib << sb) + (m << mono), q))
     return field << sa | field << sb, rows
 
 
@@ -380,20 +384,19 @@ def _rows(entries: dict, slots: tuple[int, int], width: int) -> tuple[int, dict[
                   slots, width)
 
 
-def _pack_fields(index: Sequence[int], width: int, bias: int = 0) -> int:
-    """The three index fields of a flat key holding index + bias, index[0]
-    highest; an index shorter than three leaves the lowest fields 0."""
+def _pack_fields(index: Sequence[int], width: int) -> int:
+    """The three index fields of a flat key holding index, index[0] highest;
+    an index shorter than three leaves the lowest fields 0."""
     key = 0
-    for e in index:
-        key = key << width | e + bias
+    for i in index:
+        key = key << width | i
     return key << (3 - len(index)) * width
 
 
-def _unpack_fields(key: int, width: int, count: int = 3, bias: int = 0) -> tuple[int, ...]:
-    """The first `count` indices in the three index fields of key, bias removed."""
+def _unpack_fields(key: int, width: int, count: int = 3) -> tuple[int, ...]:
+    """The first `count` indices in the three index fields of key."""
     mask = (1 << width) - 1
-    index = ((key >> 2 * width & mask) - bias, (key >> width & mask) - bias, (key & mask) - bias)
-    return index[:count]
+    return (key >> 2 * width & mask, key >> width & mask, key & mask)[:count]
 
 
 def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
@@ -405,23 +408,30 @@ def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
     return rows
 
 
-def _decoded(terms: Flat, width: int, legs: int, bias: int = 0) -> dict:
+def _decoded(terms: Flat, width: int, legs: int) -> dict:
     """Flat terms of one start as a flat row {(index on legs, packed monomial): q}."""
     low, mono = (1 << 3 * width) - 1, 6 * width
-    return {(_unpack_fields(key & low, width, legs, bias), key >> mono): q for key, q in terms.items()}
+    return {(_unpack_fields(key & low, width, legs), key >> mono): q for key, q in terms.items()}
+
+
+def _index_images(name: str, n: int) -> Iterator[tuple[tuple[int, int], list]]:
+    """The named kernel of `laurent._KERNELS` on the basis pairs of
+    SpaceConfig(n), in indices: pairs (source, terms) as `_table` reads
+    them, each index the exponent plus one, so that x^-1 is index 0."""
+    for ea, eb in basis_monomials(SpaceConfig(n), 2):
+        images = _basis_image(name, ea, eb)
+        yield (ea + 1, eb + 1), [((x + 1, y + 1), m, q) for (x, y), m, q in images]
 
 
 def _functional_matrix(name: str, n: int) -> Operator:
     """Matrix of the named kernel of `laurent._KERNELS` on SpaceConfig(n).
 
     Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the kernel's
-    image of x^(K-1) y^(L-1), tabulated from `_basis_image` over the basis
-    pairs, so no LaurentFn is built; it equals `operators.from_functional`
-    of the kernel's functional operator, the reference the tests compare.
+    image of x^(K-1) y^(L-1), read off `_index_images`, so no LaurentFn is
+    built; it equals `operators.from_functional` of the kernel's functional
+    operator, the reference the tests compare.
     """
-    terms = ((((x + 1, y + 1), (ea + 1, eb + 1)), m, q)
-             for ea, eb in basis_monomials(SpaceConfig(n), 2)
-             for (x, y), m, q in _basis_image(name, ea, eb))
+    terms = (((out, inp), m, q) for inp, images in _index_images(name, n) for out, m, q in images)
     return Operator(n, 2, _by_index(terms), lo=0)
 
 
@@ -617,11 +627,9 @@ def suite_qlie(
     Each family is thus one run of the engine's product loop, `_image`, on
     `_rows` tables of E, each row checked at n^3 inputs.
     """
-    extended = extended_rhat(n, constants).entries
-    border = {key: c for key, c in extended.items() if 0 in key[0] + key[1]}
-    # the closed-form sigma is E's body, the entries with no index 0
-    sigma = _given_or("sigma", sigma, n, 1, lambda n: Operator(
-        n, 2, {key: c for key, c in extended.items() if key not in border}, lo=1))
+    border = {key: c for key, c in extended_rhat(n, constants).entries.items()
+              if 0 in key[0] + key[1]}
+    sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
     col = Collector("qlie", n, subs)
     width = n.bit_length()
     E = border | sigma.entries  # with this run's sigma as its body

@@ -13,7 +13,6 @@ import re
 import signal
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -66,14 +65,6 @@ class InputError(Exception):
     """A flag value that argparse takes but that cannot be read or used; exits 2 like a bad flag."""
 
 
-@dataclass
-class Config:
-    n: int
-    subs: Optional[dict] = None  # the values of beta, c and p given; None if all are symbolic
-    fmt: str = "json"
-    out: Optional[str] = None
-
-
 class _Once(argparse.Action):
     """Store a value flag and list it in `args.given`; giving it again is an error."""
 
@@ -89,8 +80,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(parser, args)
-        return _COMMANDS[args.command](args, cfg)
+        _validate(parser, args)
+        return args.run(args)
     except InputError as exc:
         parser.error(str(exc))
 
@@ -118,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("target", choices=("sigma", "sigma-family", "extended", "constants"))
     common(gen)
     values(gen)
-    gen.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
+    gen.add_argument("--format", dest="fmt", action=_Once, choices=("json", "csv", "text"),
+                     default="json")
+    gen.set_defaults(run=_cmd_gen)
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("suite", choices=(*SUITES, "all"))
@@ -138,6 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="(K;I,J)=COEFF",
         help="override one structure constant (mutation testing)",
     )
+    ver.set_defaults(run=_cmd_verify)
 
     cross = sub.add_parser("cross-check", help="functional matrix vs closed-form blocks")
     common(cross)
@@ -146,13 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="negate the C-term of the functional operator (mutation testing)",
     )
+    cross.set_defaults(run=_cmd_cross_check)
 
     dump = sub.add_parser("dump-relations", help="dump every exchange and calculus relation")
     common(dump)
+    dump.set_defaults(run=_cmd_dump)
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Config:
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit 2 on a value the run cannot use; set `args.subs`, the values of
+    beta, c and p given, or None when all are symbolic."""
     if args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
 
@@ -175,16 +173,16 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--out '': expected a file path")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"--out {args.out!r}: no such directory")
-    return Config(n=args.n, subs=values or None, fmt=getattr(args, "fmt", "json"), out=args.out)
+    args.subs = values or None
 
 
-def _emit(text: str, cfg: Config) -> None:
-    if cfg.out is not None:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out is not None:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"--out {cfg.out!r}: {exc.strerror}") from None
+            raise InputError(f"--out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -192,17 +190,17 @@ def _emit(text: str, cfg: Config) -> None:
 # -- gen ---------------------------------------------------------------------
 
 
-def _cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     build = {
         "sigma": sigma_cg,
         "sigma-family": sigma_cg_family,
         "extended": extended_rhat,
         "constants": structure_constants,
     }[args.target]
-    built = build(cfg.n)
-    if cfg.subs:
-        built = built.map_entries(lambda s: s.substitute(**cfg.subs))
-    _emit({"json": built.to_json, "csv": built.to_csv, "text": built.to_text}[cfg.fmt](), cfg)
+    built = build(args.n)
+    if args.subs:
+        built = built.map_entries(lambda s: s.substitute(**args.subs))
+    _emit({"json": built.to_json, "csv": built.to_csv, "text": built.to_text}[args.fmt](), args)
     return 0
 
 
@@ -343,13 +341,13 @@ def _run_suites(
     return [reports[i] if i in reports else run(name) for i, name in enumerate(names)]
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     _reject_unused_flags(args, names)
-    inputs = _corrupted_inputs(args, names, cfg.n)
-    reports = _run_suites(names, lambda name: SUITES[name].run(cfg.n, cfg.subs, *inputs[name]))
+    inputs = _corrupted_inputs(args, names, args.n)
+    reports = _run_suites(names, lambda name: SUITES[name].run(args.n, args.subs, *inputs[name]))
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    _emit(payload, cfg)
+    _emit(payload, args)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -360,25 +358,17 @@ def _cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_cross_check(args: argparse.Namespace, cfg: Config) -> int:
-    report = checks.suite_cross_check(cfg.n, flip_s_sign=args.flip_s_sign)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", cfg)
+def _cmd_cross_check(args: argparse.Namespace) -> int:
+    report = checks.suite_cross_check(args.n, flip_s_sign=args.flip_s_sign)
+    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args)
     status = "PASS" if report.passed else "FAIL"
     print(f"cross-check: {status} ({report.failures} failures)", file=sys.stderr)
     return 0 if report.passed else 1
 
 
-def _cmd_dump(args: argparse.Namespace, cfg: Config) -> int:
-    _emit(rtt.dump_relations(cfg.n), cfg)
+def _cmd_dump(args: argparse.Namespace) -> int:
+    _emit(rtt.dump_relations(args.n), args)
     return 0
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "cross-check": _cmd_cross_check,
-    "dump-relations": _cmd_dump,
-}
 
 
 if __name__ == "__main__":

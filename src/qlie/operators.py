@@ -82,25 +82,12 @@ class Operator:
 
     def map_entries(self, fn: Callable[[Scalar], Scalar]) -> "Operator":
         """Apply fn to every coefficient (e.g. a specialization)."""
-        out = {}
-        for key, coeff in self.entries.items():
-            acc = fn(coeff)
-            if acc:
-                out[key] = acc
-        return self._wrap(out)
+        return Operator(self.n, self.legs, {key: fn(c) for key, c in self.entries.items()}, self.lo)
 
     def with_entry(self, out: Index, inp: Index, coeff: Scalar) -> "Operator":
         """Copy with one entry overridden (zero coefficient deletes it)."""
         key = (tuple(out), tuple(inp))
         return Operator(self.n, self.legs, {**self.entries, key: coeff}, self.lo)
-
-    def _wrap(self, entries: dict[Entry, Scalar]) -> "Operator":
-        op = Operator.__new__(Operator)
-        op.n = self.n
-        op.legs = self.legs
-        op.lo = self.lo
-        op.entries = entries
-        return op
 
     def _require_shape(self, other: "Operator") -> None:
         if self.shape() != other.shape():
@@ -153,15 +140,8 @@ def compose(a: Operator, b: Operator) -> Operator:
     ent: dict[Entry, Scalar] = {}
     for (out, mid), ca in a.entries.items():
         for inp, cb in b_by_out.get(mid, ()):
-            key = (out, inp)
-            acc = ent.get(key)
-            prod_ = ca * cb
-            acc = prod_ if acc is None else acc + prod_
-            if acc:
-                ent[key] = acc
-            else:
-                ent.pop(key, None)
-    return a._wrap(ent)
+            ent[out, inp] = ent.get((out, inp), ZERO) + ca * cb
+    return Operator(a.n, a.legs, ent, a.lo)
 
 
 def from_functional(op: Callable[[LaurentFn], LaurentFn], cfg: SpaceConfig) -> Operator:

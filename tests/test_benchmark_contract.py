@@ -1,8 +1,9 @@
 """What the benchmark under `perfbench/` needs from the program.
 
 The benchmark's own tests are not collected here, so a change that removes
-or renames a name it imports, or an attribute its tracer and self-test read,
-would otherwise show only when the benchmark runs.
+or renames a name it imports, a module its tracer imports by name, or an
+attribute its tracer and self-test read, would otherwise show only when the
+benchmark runs.
 """
 
 import ast
@@ -36,6 +37,28 @@ def _qlie_imports():
 IMPORTS = _qlie_imports()
 
 
+def _tracer_modules():
+    """The module names `perfbench/tracer.py` imports as strings: MODULES,
+    and the module field, the third, of each entry of FUNCTIONS, METHODS
+    and GENERATORS, an entry in a starred comprehension included."""
+    found = set()
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        name = getattr(node.targets[0], "id", None)
+        if name == "MODULES":
+            found |= {elt.value for elt in node.value.elts}
+        elif name in ("FUNCTIONS", "METHODS", "GENERATORS"):
+            for entry in node.value.elts:
+                if isinstance(entry, ast.Starred):
+                    entry = entry.value.elt
+                found.add(entry.elts[2].value)
+    return sorted(found)
+
+
+TRACED_MODULES = _tracer_modules()
+
+
 def test_the_benchmark_imports_from_qlie():
     assert {("qlie", "from_functional"), ("qlie", "Scalar"), ("qlie", "cli")} <= {
         (module, name) for _, module, name in IMPORTS
@@ -48,6 +71,16 @@ def test_each_imported_name_resolves(where, module, name):
     imported = importlib.import_module(module)
     if name is not None and not hasattr(imported, name):
         importlib.import_module(f"{module}.{name}")  # a submodule, or ImportError
+
+
+def test_the_tracer_imports_modules_by_name():
+    assert {"qlie", "qlie.checks", "qlie.cli", "qlie.scalars"} <= set(TRACED_MODULES)
+
+
+@pytest.mark.parametrize("module", TRACED_MODULES)
+def test_each_traced_module_imports(module):
+    # the tracer skips a missing attribute by design, but not a missing module
+    importlib.import_module(module)
 
 
 def test_attributes_the_tracer_and_self_test_read():

@@ -331,8 +331,9 @@ def test_an_empty_override_exits_2(args, message):
         ("verify", "braid", "--n", "2", "--C", "1", "--C", "2"),
         ("verify", "braid", "--n", "2", "--p", "2", "--p=symbolic"),
         ("gen", "sigma", "--n", "2", "--beta", "2", "--beta", "3"),
+        ("gen", "sigma", "--n", "1", "--format", "csv", "--format", "text"),
     ],
-    ids=["corrupt", "corrupt-constants", "beta", "C", "p", "gen-beta"],
+    ids=["corrupt", "corrupt-constants", "beta", "C", "p", "gen-beta", "gen-format"],
 )
 def test_a_repeated_value_flag_exits_2(args):
     # the last value would win silently, leaving the first one unused

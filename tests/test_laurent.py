@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie.checks import _FUNCTIONAL_OPS, _image, _pack_fields, _table
+from qlie.checks import _FUNCTIONAL_OPS, _image, _index_images, _pack_fields, _table
 from qlie.laurent import (
     _KERNELS,
     LaurentFn,
@@ -403,10 +403,11 @@ def test_basis_images_equal_the_definition(name):
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_tables_equal_the_kernel(name):
     # the engine applies each kernel as a table of its basis images on
-    # SpaceConfig(n), term by term, through its product loop: on multi-term
-    # inputs with nonzero spectator exponents, start fields and monomials,
-    # p^-1 among them, that must give exactly the operator's image, alone or
-    # added into an accumulator that cancels part of it
+    # SpaceConfig(n), in indices (exponent + 1), term by term, through its
+    # product loop: on multi-term inputs with nonzero spectator exponents,
+    # start fields and monomials, p^-1 among them, that must give exactly the
+    # operator's image, alone or added into an accumulator that cancels part
+    # of it
     rng = Random(f"table/{name}")
     monomials = [_pack(m) for m in ((0, 0, -1), (1, 0, 0), (0, 2, 1), (2, 1, -3))]
     coefficients = [1, -1, 3, Fraction(-2, 7)]
@@ -415,20 +416,19 @@ def test_kernel_tables_equal_the_kernel(name):
     for n in range(1, 9):
         cfg, width = SpaceConfig(n), n.bit_length()
         for slots in SLOT_PAIRS:
-            table = _table(((e, _basis_image(name, *e)) for e in basis_monomials(cfg, 2)),
-                           slots, width, 1)
+            table = _table(_index_images(name, n), slots, width)
             start = _pack_fields([rng.randint(1, n) for _ in range(3)], width) << 3 * width
             terms = {(tuple(rng.randint(-1, n - 1) for _ in range(3)), rng.choice(monomials)):
                      rng.choice(coefficients) for _ in range(16)}
             image = op(LaurentFn(cfg, 3, _by_index((e, m, q) for (e, m), q in terms.items())), slots)
-            want = {_pack_fields(e, width, 1) | start | m << 6 * width: q
+            want = {_pack_fields([x + 1 for x in e], width) | start | m << 6 * width: q
                     for e, coeff in image.terms() for m, q in coeff._terms.items()}
             cancelling = {key: -q for key, q in list(want.items())[::2]}
-            extra = _pack_fields((0, 0, 0), width, 1) | start
+            extra = _pack_fields((1, 1, 1), width) | start
             for out in ({}, {**cancelling, extra: Fraction(1, 3)}):
                 got = dict(out)
                 for (e, m), q in terms.items():
-                    key = _pack_fields(e, width, 1) | start | m << 6 * width
+                    key = _pack_fields([x + 1 for x in e], width) | start | m << 6 * width
                     for image_key, v in _image([(q, [table])], [key]).items():
                         got[image_key] = got.get(image_key, 0) + v
                 got = {key: q for key, q in got.items() if q}
