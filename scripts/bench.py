@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Time every `verify` suite and `cross-check` per n, for HEAD and for the working tree.
+"""Time every `verify` suite, `cross-check` and two `gen` exports per n, at HEAD and on disk.
 
 Usage: PYTHONPATH=src python scripts/bench.py LABEL
 
 Writes BENCH_<LABEL>-parent.json, the `src/` of the commit checked out
 (HEAD, exported once to a temporary directory), and BENCH_<LABEL>.json, the
-`src/` on disk, both compiled to bytecode first.  Nine paths are timed: the passing path of every suite, the exploratory `hecke`
-included; the specialized path, every suite but
-`rtt` (which takes no specialization) with `--beta=2/3 --C=-9/5 --p=8/7`;
+`src/` on disk, both compiled to bytecode first.  Eleven paths are timed:
+the passing path of every suite, the exploratory `hecke` included; the
+specialized path, every suite but `rtt` (which takes no specialization)
+with `--beta=2/3 --C=-9/5 --p=8/7`;
 the failing, witness-producing paths of `verify braid --corrupt
 "(1,2;2,1)=C"` and of `verify qlie --corrupt-constants "(2;1,2)=2C"`,
 whose witnesses lie in qlie families 1, 3 and 4; the two paths that run
@@ -16,7 +17,9 @@ whose witnesses lie in qlie families 1, 3 and 4; the two paths that run
 compared one weight grade at a time, and the off-support path of `verify
 rtt --corrupt-constants "(2;1,1)=C"`, which joins the weights 0 and 1, so
 their grades are compared together; `cross-check`, passing, and failing
-with `--flip-s-sign`; and `verify all`, passing.
+with `--flip-s-sign`; `verify all`, passing; and two exports, `gen
+extended --format csv` and `gen constants --format json`, whose cells are
+named by their target.
 Each run is one fresh subprocess that imports `qlie` from one of the two
 trees and times `qlie.cli.main`, exactly as `qlie verify SUITE --n N` would,
 and hashes its report, the stdout with every `"millis": N` masked.  For each
@@ -71,7 +74,7 @@ N = (5, 6, 7, 8, 9, 10)
 REPEATS = 5
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 # the paths with one command line per n, N standing for n; a cell's suite
-# is the word before --n
+# is the word before --n, a suite or a `gen` target
 FIXED = {
     "corrupt": ("verify", "braid", "--n", "N", "--corrupt", "(1,2;2,1)=C"),
     "qlie-corrupt": ("verify", "qlie", "--n", "N", "--corrupt-constants", "(2;1,2)=2C"),
@@ -80,6 +83,8 @@ FIXED = {
     "cross-check": ("cross-check", "--n", "N"),
     "cross-check-flipped": ("cross-check", "--n", "N", "--flip-s-sign"),
     "all": ("verify", "all", "--n", "N"),
+    "gen-csv": ("gen", "extended", "--n", "N", "--format", "csv"),
+    "gen-json": ("gen", "constants", "--n", "N", "--format", "json"),
 }
 ROOT = Path(cli.__file__).resolve().parents[2]
 

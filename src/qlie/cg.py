@@ -28,9 +28,8 @@ direct summand: b-terms of sigma take inputs holding n + 1 into level n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .operators import Entry, Operator
 from .scalars import BETA, C, ONE, ZERO, Scalar
@@ -95,29 +94,23 @@ class StructureTensor:
         """Apply fn to every coefficient (e.g. a specialization)."""
         return StructureTensor(self.n, {key: fn(coeff) for key, coeff in self.entries.items()})
 
-    def sorted_entries(self) -> Iterator[tuple[tuple[int, int, int], Scalar]]:
-        return iter(sorted(self.entries.items()))
-
     def to_json_dict(self) -> dict:
         return {
             "entries": [
                 {"upper": k, "lower": [i, j], "coeff": str(coeff)}
-                for (k, i, j), coeff in self.sorted_entries()
+                for (k, i, j), coeff in sorted(self.entries.items())
             ]
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     def to_csv(self) -> str:
         lines = ["upper,lower,coeff"]
-        for (k, i, j), coeff in self.sorted_entries():
+        for (k, i, j), coeff in sorted(self.entries.items()):
             lines.append(f"{k},{i} {j},{coeff}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         lines = [f"structure constants n={self.n} entries={len(self.entries)}"]
-        for (k, i, j), coeff in self.sorted_entries():
+        for (k, i, j), coeff in sorted(self.entries.items()):
             lines.append(f"C[{k};{i},{j}] = {coeff}")
         return "\n".join(lines) + "\n"
 
@@ -140,14 +133,21 @@ def structure_constants(n: int) -> StructureTensor:
 def extended_rhat(
     n: int, constants: Optional[StructureTensor] = None
 ) -> Operator:
-    """The extended braid matrix on capital indices 0..n.
+    """The extended braid matrix on capital indices 0..n, `_extended` of
+    sigma_cg(n); passing a custom structure tensor supports mutation testing."""
+    return _extended(sigma_cg(n), constants)
 
-    Blocks: the small-index block is sigma_cg(n); row pairs (0, j) against
-    column pairs (k, l) hold the structure constants; the two delta blocks
-    exchange index 0 with any capital index; every other entry is zero.
-    Passing a custom structure tensor supports mutation testing.
+
+def _extended(sigma: Operator, constants: Optional[StructureTensor]) -> Operator:
+    """The extended braid matrix with body sigma, a two-leg matrix on 1..n.
+
+    Blocks: the small-index block is sigma; row pairs (0, j) against column
+    pairs (k, l) hold the structure constants, the closed-form ones for
+    None; the two delta blocks exchange index 0 with any capital index;
+    every other entry is zero.
     """
-    ent = dict(sigma_cg(n).entries)
+    n = sigma.n
+    ent = dict(sigma.entries)
     for (k, i, j), coeff in _constants(n, constants).entries.items():
         ent[(0, k), (i, j)] = coeff
     for a in range(0, n + 1):

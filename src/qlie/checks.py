@@ -41,6 +41,19 @@ place the values are applied, substitutes them only into a row that
 differs.  A slab that passes is never decoded: the Collector turns flat
 terms back into Scalars only to decide a specialized verdict or print a
 witness.
+
+`braid` and the `extended` part of `ybe` state one identity.  With R =
+P Rhat, R12 R13 R23 = W Rhat23 Rhat12 Rhat23 and R23 R13 R12 = W Rhat12
+Rhat23 Rhat12, where W = P12 P13 P23 reverses the three legs.  Proof.
+Write R_ab = P_ab Rhat_ab, X_ba being X with its first leg on slot b, and
+move each P left, using P X_ab P = X_{pi(a) pi(b)} for the transposition
+pi of P: Rhat12 P13 = P13 Rhat32 and Rhat32 Rhat13 P23 = P23 Rhat23
+Rhat12, so R12 R13 R23 = P12 P13 P23 Rhat23 Rhat12 Rhat23; the other
+word is the mirror case, and P23 P13 P12 = W too.  So the part's matrix
+witnesses are braid's, each `out` (a, b, c) read as (c, b, a) and `lhs`
+and `rhs` swapped, for every Rhat:
+`test_braid_and_the_ybe_extended_part_are_one_identity` compares them over
+all 243 single-entry mutants of `extended_rhat(2)`.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family
+from .cg import StructureTensor, _extended, extended_rhat, sigma_cg, sigma_cg_family
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
 from .laurent import op_r, op_rhat, op_rho, op_s
 # no suite composes operators, but the benchmark's self-test and
@@ -385,12 +398,9 @@ def _rows(entries: dict, slots: tuple[int, int], width: int) -> tuple[int, dict[
 
 
 def _pack_fields(index: Sequence[int], width: int) -> int:
-    """The three index fields of a flat key holding index, index[0] highest;
-    an index shorter than three leaves the lowest fields 0."""
-    key = 0
-    for i in index:
-        key = key << width | i
-    return key << (3 - len(index)) * width
+    """The three index fields of a flat key holding the three indices of index, index[0] highest."""
+    i, j, k = index
+    return (i << width | j) << width | k
 
 
 def _unpack_fields(key: int, width: int, count: int = 3) -> tuple[int, ...]:
@@ -605,14 +615,15 @@ def suite_qlie(
     the braided Jacobi identity and two mixed sigma-C compatibilities, with
     witness indices (N, i, j, m) and (N, i, j, a, m), all in 1..n.
 
-    They are read off the braid relation of E, `extended_rhat(n, constants)`
-    with sigma as its body (Delius & Hueffmann, J. Phys. A 1996): a family's
-    entry is entry ((A, B, m), (N, i, j)) of sign * (E12 E23 E12 - E23 E12
-    E23), its rows (A, B, m) being (0, 0, m), (0, a, m) and (a, 0, m) and
-    its sign +1, -1 and +1 for families 1, 3 and 4.  Proof.  Let rho send T^A_K to (E^{Am}_{NK})_{N,m},
-    N and m in 0..n.  E's delta blocks make each image block-diagonal on {0}
-    and 1..n, with T^0_0 -> 1 and T^a_0 -> 0, so on 1..n rho is the
-    representation above, x_k being T^0_k and f(a, l) T^a_l.
+    They are read off the braid relation of E, `cg._extended(sigma,
+    constants)`, the extended matrix with sigma as its body (Delius &
+    Hueffmann, J. Phys. A 1996): a family's entry is entry ((A, B, m),
+    (N, i, j)) of sign * (E12 E23 E12 - E23 E12 E23), its rows (A, B, m)
+    being (0, 0, m), (0, a, m) and (a, 0, m) and its sign +1, -1 and +1
+    for families 1, 3 and 4.  Proof.  Let rho send T^A_K to
+    (E^{Am}_{NK})_{N,m}, N and m in 0..n.  E's delta blocks make each image
+    block-diagonal on {0} and 1..n, with T^0_0 -> 1 and T^a_0 -> 0, so on
+    1..n rho is the representation above, x_k being T^0_k and f(a, l) T^a_l.
     1. Entry (N, m) of rho(rtt(I, J, A, B)), the exchange relation
        E^{KL}_{IJ} T^A_K T^B_L - T^K_I T^L_J E^{AB}_{KL}, is sum E^{KL}_{IJ}
        E^{AM}_{NK} E^{Bm}_{ML} - sum E^{KM}_{NI} E^{Lm}_{MJ} E^{AB}_{KL}:
@@ -627,12 +638,10 @@ def suite_qlie(
     Each family is thus one run of the engine's product loop, `_image`, on
     `_rows` tables of E, each row checked at n^3 inputs.
     """
-    border = {key: c for key, c in extended_rhat(n, constants).entries.items()
-              if 0 in key[0] + key[1]}
     sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
+    E = _extended(sigma, constants).entries
     col = Collector("qlie", n, subs)
     width = n.bit_length()
-    E = border | sigma.entries  # with this run's sigma as its body
     e12, e23 = _rows(E, (0, 1), width), _rows(E, (1, 2), width)
     small = range(1, n + 1)
 

@@ -18,7 +18,7 @@ from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import checks, rtt
-from .cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from .cg import StructureTensor, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from .operators import Operator
 from .scalars import Scalar, ScalarParseError
 
@@ -80,9 +80,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(parser, args)
+        _validate(args)
         return args.run(args)
-    except InputError as exc:
+    except InputError as exc:  # the one way a bad value exits 2
         parser.error(str(exc))
 
 
@@ -148,11 +148,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Exit 2 on a value the run cannot use; set `args.subs`, the values of
-    beta, c and p given, or None when all are symbolic."""
+def _validate(args: argparse.Namespace) -> None:
+    """Raise InputError on a value the run cannot use; set `args.subs`, the
+    values of beta, c and p given, or None when all are symbolic."""
     if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
+        raise InputError(f"--n must be >= 1, got {args.n}")
 
     def rational(text: str, flag: str) -> Optional[Fraction]:
         if text == "symbolic":
@@ -160,7 +160,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            parser.error(f"{flag} expects a rational number or 'symbolic', got {text!r}")
+            raise InputError(f"{flag} expects a rational number or 'symbolic', got {text!r}") from None
 
     values = {
         key: value
@@ -168,11 +168,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if (value := rational(getattr(args, key, "symbolic"), flag)) is not None
     }
     if values.get("p") == 0:
-        parser.error("--p must be nonzero")
+        raise InputError("--p must be nonzero")
     if args.out == "":
-        parser.error("--out '': expected a file path")
+        raise InputError("--out '': expected a file path")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        parser.error(f"--out {args.out!r}: no such directory")
+        raise InputError(f"--out {args.out!r}: no such directory")
     args.subs = values or None
 
 
@@ -185,6 +185,11 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             raise InputError(f"--out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _json(doc: object) -> str:
+    """The text of every JSON document qlie writes: two-space indent and a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- gen ---------------------------------------------------------------------
@@ -200,7 +205,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     built = build(args.n)
     if args.subs:
         built = built.map_entries(lambda s: s.substitute(**args.subs))
-    _emit({"json": built.to_json, "csv": built.to_csv, "text": built.to_text}[args.fmt](), args)
+    export = {"json": lambda: _json(built.to_json_dict()), "csv": built.to_csv, "text": built.to_text}
+    _emit(export[args.fmt](), args)
     return 0
 
 
@@ -236,17 +242,17 @@ def _reject_unused_flags(args: argparse.Namespace, names: list[str]) -> None:
             )
 
 
-def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dict[str, list]:
-    """Apply every override for every selected suite, before any suite runs.
-
-    Returns per suite the arguments [op, constants] of its runner.
-    """
-    inputs = {name: [None, None] for name in names}
+def _corrupted_inputs(
+    args: argparse.Namespace, n: int
+) -> tuple[Optional[Operator], Optional[StructureTensor]]:
+    """The arguments op and constants of the runner of `args.suite`, each
+    None or overridden, before any suite runs.  `_reject_unused_flags`
+    refuses every override under `verify all`, so one reaches one suite."""
+    op = constants = None
     if args.corrupt is not None:
         try:
             out, inp, coeff = _override(args.corrupt)
-            for name in names:
-                inputs[name][0] = SUITES[name].target(n).with_entry(out, inp, coeff)
+            op = SUITES[args.suite].target(n).with_entry(out, inp, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
     if args.corrupt_constants is not None:
@@ -257,9 +263,7 @@ def _corrupted_inputs(args: argparse.Namespace, names: list[str], n: int) -> dic
             constants = structure_constants(n).with_entry(*upper, *lower, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt-constants {args.corrupt_constants!r}: {exc}") from None
-        for name in names:
-            inputs[name][1] = constants
-    return inputs
+    return op, constants
 
 
 def _cpus() -> set[int]:
@@ -344,10 +348,9 @@ def _run_suites(
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     _reject_unused_flags(args, names)
-    inputs = _corrupted_inputs(args, names, args.n)
-    reports = _run_suites(names, lambda name: SUITES[name].run(args.n, args.subs, *inputs[name]))
-    payload = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    _emit(payload, args)
+    op, constants = _corrupted_inputs(args, args.n)
+    reports = _run_suites(names, lambda name: SUITES[name].run(args.n, args.subs, op, constants))
+    _emit(_json([r.to_json_dict() for r in reports]), args)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -360,7 +363,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     report = checks.suite_cross_check(args.n, flip_s_sign=args.flip_s_sign)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args)
+    _emit(_json(report.to_json_dict()), args)
     status = "PASS" if report.passed else "FAIL"
     print(f"cross-check: {status} ({report.failures} failures)", file=sys.stderr)
     return 0 if report.passed else 1

@@ -10,11 +10,8 @@ from its entries, so no three-leg embedding is built.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .laurent import LaurentFn, SpaceConfig, StabilityError, basis_monomials
 from .scalars import ONE, ZERO, Scalar
@@ -95,35 +92,26 @@ class Operator:
 
     # -- export --------------------------------------------------------------
 
-    def sorted_entries(self) -> Iterator[tuple[Entry, Scalar]]:
-        return iter(sorted(self.entries.items()))
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "legs": self.legs,
             "entries": [
                 {"out": list(out), "in": list(inp), "coeff": str(coeff)}
-                for (out, inp), coeff in self.sorted_entries()
+                for (out, inp), coeff in sorted(self.entries.items())
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "legs", "out", "in", "coeff"])
-        for (out, inp), coeff in self.sorted_entries():
-            writer.writerow(
-                [self.n, self.legs, " ".join(map(str, out)), " ".join(map(str, inp)), str(coeff)]
-            )
-        return buf.getvalue()
+        lines = ["n,legs,out,in,coeff"]
+        for (out, inp), coeff in sorted(self.entries.items()):
+            lines.append(f"{self.n},{self.legs},{' '.join(map(str, out))},"
+                         f"{' '.join(map(str, inp))},{coeff}")
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         lines = [f"operator n={self.n} legs={self.legs} entries={len(self.entries)}"]
-        for (out, inp), coeff in self.sorted_entries():
+        for (out, inp), coeff in sorted(self.entries.items()):
             lines.append(f"[{','.join(map(str, out))};{','.join(map(str, inp))}] = {coeff}")
         return "\n".join(lines) + "\n"
 

@@ -61,6 +61,11 @@ def _rtt_tables(n: int) -> tuple[dict, dict, list]:
     return (*_index(extended_rhat(n).entries), t)
 
 
+def _bcc_tables(n: int, constants: Optional[StructureTensor]) -> tuple[tuple, tuple]:
+    """sigma_cg(n) and the constants, the closed-form ones for None, indexed for `_bcc_row`."""
+    return _index(sigma_cg(n).entries), _index_constants(_constants(n, constants).entries)
+
+
 def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) -> FlatRow:
     by_in, by_out, t = tables
     # Rhat^{KL}_{IJ} T^A_K T^B_L  -  T^K_I T^L_J Rhat^{AB}_{KL}
@@ -103,8 +108,7 @@ def bcc_relation(
     for idx in indices:
         if idx < 1 or idx > n:
             raise ValueError(f"index {idx} outside 1..{n}")
-    ct = _index_constants(_constants(n, constants).entries)
-    return _bcc_row(family, indices, n, _index(sigma_cg(n).entries), ct)
+    return _bcc_row(family, indices, n, *_bcc_tables(n, constants))
 
 
 def _rtt_rows(n: int) -> Iterator[tuple[tuple, FlatRow]]:
@@ -116,11 +120,10 @@ def _rtt_rows(n: int) -> Iterator[tuple[tuple, FlatRow]]:
 def _bcc_rows(
     n: int, constants: Optional[StructureTensor] = None
 ) -> Iterator[tuple[tuple, FlatRow]]:
-    sig = _index(sigma_cg(n).entries)
-    ct = _index_constants(_constants(n, constants).entries)
+    tables = _bcc_tables(n, constants)
     for family, arity in _ARITY.items():
         for indices in product(range(1, n + 1), repeat=arity):
-            yield ("bcc", family, *indices), _bcc_row(family, indices, n, sig, ct)
+            yield ("bcc", family, *indices), _bcc_row(family, indices, n, *tables)
 
 
 def _key_groups(n: int, constants: StructureTensor) -> Iterator[list[tuple[int, ...]]]:
@@ -169,14 +172,13 @@ def compare_relation_spans(
     ct = _constants(n, bcc_constants)
     collector = Collector("rtt", n)
     collector.checked += (n + 1) ** 4 + sum(n ** a for a in _ARITY.values())
-    tables = _rtt_tables(n)
-    sig, cti = _index(sigma_cg(n).entries), _index_constants(ct.entries)
+    tables, bcc_tables = _rtt_tables(n), _bcc_tables(n, ct)
     found: list[tuple[str, tuple]] = []
     for keys in _key_groups(n, ct):
         pairs = []
         for key in keys:
             family, indices, sign = _partner(*key)
-            partner = {wk: sign * q for wk, q in _bcc_row(family, indices, n, sig, cti).items()}
+            partner = {wk: sign * q for wk, q in _bcc_row(family, indices, n, *bcc_tables).items()}
             pairs.append((("rtt", *key), _rtt_row(*key, tables), ("bcc", family, *indices), partner))
         found += _outside_spans(pairs)
     # "bcc-span" sorts first, so every rtt-side witness comes first

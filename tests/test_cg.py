@@ -5,7 +5,7 @@ import pytest
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.checks import _FUNCTIONAL_OPS, suite_qlie
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s
-from qlie.operators import Operator, from_functional
+from qlie.operators import Operator, compose, from_functional
 from qlie.rtt import bcc_relation, compare_relation_spans
 from qlie.scalars import BETA, C, ONE, ZERO, Scalar
 
@@ -243,3 +243,49 @@ def test_extended_zero_pattern():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cross_construction_equality(n):
     assert from_functional(op_rhat, SpaceConfig(n)) == extended_rhat(n)
+
+
+# -- spectral identities, with `operators.compose` as the product ---------------------
+
+
+def shifted(op, c):
+    """op - c times the identity, on op's indices."""
+    diagonal = {(i, i): op.coeff(i, i) - c for i in product(op.indices(), repeat=2)}
+    return Operator(op.n, 2, {**op.entries, **diagonal}, op.lo)
+
+
+def factors(n):
+    rhat = extended_rhat(n)
+    return {"-1": shifted(rhat, ONE), "+1": shifted(rhat, -ONE), "-(b-1)": shifted(rhat, BETA - ONE)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_extended_matrix_satisfies_the_cubic(n):
+    # (R - 1)(R + 1)(R - (b - 1)) = 0
+    f = factors(n)
+    assert compose(compose(f["-1"], f["+1"]), f["-(b-1)"]).entries == {}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_no_quadratic_factor_pair_vanishes(n):
+    f = factors(n)
+    nonzero = {(a, b): len(compose(f[a], f[b]).entries)
+               for a, b in (("-1", "-(b-1)"), ("+1", "-(b-1)"), ("-1", "+1"))}
+    assert all(nonzero.values())
+    if n == 2:
+        assert list(nonzero.values()) == [12, 19, 8]
+
+
+def test_at_n1_the_extended_matrix_is_an_involution():
+    f = factors(1)
+    assert compose(f["-1"], f["+1"]).entries == {}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_family_satisfies_the_hecke_relation(n):
+    # sigma^2 = b sigma + (1 - b), as `hecke` checks for sigma_cg alone
+    sigma = sigma_cg_family(n)
+    rhs = {key: BETA * c for key, c in sigma.entries.items()}
+    for i in product(sigma.indices(), repeat=2):
+        rhs[i, i] = rhs.get((i, i), ZERO) + ONE - BETA
+    assert compose(sigma, sigma) == Operator(n, 2, rhs, lo=1)

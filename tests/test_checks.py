@@ -81,6 +81,42 @@ def test_flipped_leaf_is_the_flip_composed_with_r(n):
         assert all(flipped.entries[(b, a), inp] is c for ((a, b), inp), c in R.entries.items())
 
 
+def extended_mutants(n):
+    """The 243 single-entry mutants of extended_rhat(n) at the positions of
+    level 2: every entry position over 0..2, raised by 1, b or C."""
+    rhat = extended_rhat(n)
+    for out, inp in product(product(range(3), repeat=2), repeat=2):
+        for delta in (ONE, BETA, C):
+            yield rhat.with_entry(out, inp, rhat.coeff(out, inp) + delta)
+
+
+def test_braid_and_the_ybe_extended_part_are_one_identity(monkeypatch):
+    # with R = P Rhat, R12 R13 R23 and R23 R13 R12 are the reversal
+    # P12 P13 P23 times Rhat23 Rhat12 Rhat23 and Rhat12 Rhat23 Rhat12 (the
+    # `checks` docstring): a braid witness at out (a, b, c) is a ybe
+    # witness at (c, b, a), its sides swapped
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+    for rhat in extended_mutants(2):
+        braid, ybe = checks.suite_braid(2, rhat=rhat), checks.suite_ybe(2, rhat=rhat)
+        assert not braid.passed and braid.failures == ybe.failures
+        # the functional routes apply the kernel, which no mutant reaches
+        assert {w["side"] for w in braid.witnesses} == {"matrix"}
+        assert {(w["part"], w["side"]) for w in ybe.witnesses} == {("extended", "matrix")}
+        assert (sorted((w["out"][::-1], w["in"], w["rhs"], w["lhs"]) for w in braid.witnesses)
+                == sorted((w["out"], w["in"], w["lhs"], w["rhs"]) for w in ybe.witnesses))
+
+
+def test_level_2_braid_witnesses_are_those_of_level_3_on_level_2(monkeypatch):
+    # level n is an invariant subspace of level n + 1 (the `cg` docstring),
+    # and a mutant on level-2 indices keeps it so
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+    for low, high in zip(extended_mutants(2), extended_mutants(3)):
+        at_2 = [w for w in checks.suite_braid(2, rhat=low).witnesses if w["side"] == "matrix"]
+        at_3 = [w for w in checks.suite_braid(3, rhat=high).witnesses
+                if w["side"] == "matrix" and max(w["out"] + w["in"]) <= 2]
+        assert at_2 and at_3 == at_2
+
+
 # -- classical Yang-Baxter ----------------------------------------------------------
 
 

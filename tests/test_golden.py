@@ -14,7 +14,9 @@ operators became single-pass kernels and the matrix route went row by row.
 recorded before the relation builders moved to flat packed-key rows;
 `dump-relations --n 1` and `--n 3` were recorded before relations were
 printed straight from those rows, with `NCPoly` and its generator helpers
-still in place.
+still in place.  The `gen` cases, every target in every format at n = 2 and
+the constants at n = 3 with `--C=2/3` as CSV, were recorded before the
+exports lost `to_json` and `Operator.to_csv` its `csv` writer.
 Any later change to them must be intended.
 To re-record after an intended change, run `PYTHONPATH=src python
 tests/test_golden.py` and say in the change what moved and why.
