@@ -29,9 +29,15 @@ drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
 process seconds, `time.process_time` plus the user and system seconds of
 the children `cli.main` forks and reaps (`verify all` runs its suites on
-two processes), and `time.perf_counter` seconds, the exit code and the
-report's `report_sha256`; every cell whose two trees print different
-reports is listed on stdout.  Every `rtt` and `qlie` cell, passing or
+two processes), and their interquartile range, the median `time.perf_counter`
+seconds, the exit code, the report's `report_sha256` and
+`change_faster_pairs`, the number of the REPEATS pairs in which the change
+took fewer process seconds; every cell whose two trees print different
+reports is listed on stdout.  A median of 5 fresh subprocesses of a few
+milliseconds moves with the host by tens of percent, so stdout also lists
+the cells whose time difference is resolved: every pair agrees on which
+tree is faster, and the medians differ by more than the parent's
+interquartile range.  Only those cells' times may be quoted.  Every `rtt` and `qlie` cell, passing or
 failing, and every `specialized` cell also records its work and memory,
 counted in one more, untimed subprocess per tree, so no timed run is
 wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
@@ -206,19 +212,25 @@ def _size(src: Path) -> dict:
 
 
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
-    """Median times and the report digest of argv on each tree, the trees run alternately."""
+    """Median times and the report digest of argv on each tree, the trees run
+    alternately, with the spread of each tree's process seconds and the number
+    of repeats, each a pair of runs, in which the change ran faster."""
     runs: tuple[list, list] = ([], [])
     for r in range(REPEATS):
         for side in (0, 1) if r % 2 == 0 else (1, 0):
             runs[side].append(_run(trees[side], argv))
+    faster = sum(change[1] < parent[1] for parent, change in zip(*runs))
 
     def summary(side_runs: list) -> dict:
         (code,) = {code for code, _, _, _ in side_runs}
         digests = {digest for _, _, _, digest in side_runs}
         assert len(digests) == 1, f"{argv}: {len(digests)} reports in {REPEATS} repeats"
+        q1, _, q3 = statistics.quantiles([cpu for _, cpu, _, _ in side_runs], n=4)
         return {
             "exit": code,
             "process_time_s": round(statistics.median(cpu for _, cpu, _, _ in side_runs), 4),
+            "process_time_iqr_s": round(q3 - q1, 4),
+            "change_faster_pairs": faster,
             "perf_counter_s": round(statistics.median(wall for _, _, wall, _ in side_runs), 4),
             "report_sha256": digests.pop(),
         }
@@ -272,6 +284,16 @@ def main(argv: list[str]) -> int:
     for path, suite, n in differ:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
+    # a time difference counts only when every pair agrees on its sign and
+    # the medians differ by more than the parent's interquartile range
+    resolved = [(key, parent["process_time_s"], change["process_time_s"])
+                for key, (parent, change) in timed.items()
+                if change["change_faster_pairs"] in (0, REPEATS)
+                and abs(change["process_time_s"] - parent["process_time_s"])
+                > parent["process_time_iqr_s"]]
+    for (path, suite, n), before, after in resolved:
+        print(f"time resolved: {path} {suite} --n {n}: {before} -> {after} s")
+    print(f"{len(resolved)} of {len(timed)} cells resolve a time difference")
     for suffix, size in zip(("parent", "change"), sizes):
         print(f"{suffix}: {size['src_lines']} src lines, {size['code_lines']} code lines, "
               f"{size['public_names']} public names, "

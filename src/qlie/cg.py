@@ -130,12 +130,10 @@ def structure_constants(n: int) -> StructureTensor:
     return StructureTensor(n, ent)
 
 
-def extended_rhat(
-    n: int, constants: Optional[StructureTensor] = None
-) -> Operator:
+def extended_rhat(n: int) -> Operator:
     """The extended braid matrix on capital indices 0..n, `_extended` of
-    sigma_cg(n); passing a custom structure tensor supports mutation testing."""
-    return _extended(sigma_cg(n), constants)
+    sigma_cg(n) and the closed-form structure constants."""
+    return _extended(sigma_cg(n), None)
 
 
 def _extended(sigma: Operator, constants: Optional[StructureTensor]) -> Operator:

@@ -54,6 +54,20 @@ witnesses are braid's, each `out` (a, b, c) read as (c, b, a) and `lhs`
 and `rhs` swapped, for every Rhat:
 `test_braid_and_the_ybe_extended_part_are_one_identity` compares them over
 all 243 single-entry mutants of `extended_rhat(2)`.
+
+`cybe` and the `full` part of `ybfr` are `braid`'s identity on P (I + r).
+Expanding, (I + r12)(I + r13)(I + r23) - (I + r23)(I + r13)(I + r12) is
+CYBE(r) + (r12 r13 r23 - r23 r13 r12): the degree-1 terms cancel, and
+those of degree 2 are [r12,r13] + [r12,r23] + [r13,r23].  With R = I + r,
+so Rhat = P (I + r), the proof above makes the left side W (Rhat23 Rhat12
+Rhat23 - Rhat12 Rhat23 Rhat12), braid's rhs - lhs with its legs reversed.
+So for every r, braid's rhs - lhs at `out` (c, b, a) is cybe's value plus
+full's at (a, b, c), entry for entry.  When r is homogeneous of degree 1
+in (b, C), as the matrix of r is, the two parts have degrees 2 and 3, so
+braid fails exactly when cybe or full does:
+`test_cybe_and_the_ybfr_full_part_are_braid_on_the_identity_plus_r`
+compares them over all 324 mutants of `_functional_matrix("r", 2)` that
+move one entry by b, C, -b or -C.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ from .laurent import op_r, op_rhat, op_rho, op_s
 # no suite composes operators, but the benchmark's self-test and
 # tests/test_benchmark_contract.py pin `checks.compose` (ROADMAP item 8)
 from .operators import Operator, compose
-from .scalars import BETA, ONE, ZERO, Coeff, Scalar, _by_index
+from .scalars import BETA, ONE, ZERO, Coeff, Scalar, _by_index, _values
 
 WITNESS_CAP = 16
 
@@ -182,6 +196,7 @@ class Collector:
     """
 
     def __init__(self, suite: str, n: int, subs: Subs = None) -> None:
+        _values(**subs or {})  # a bad value raises whether or not a row differs
         self.suite = suite
         self.n = n
         self.subs = subs
@@ -261,14 +276,15 @@ def check_identities(
 
     Both routes run one product loop, `_image`, a slab at a time: every
     start monomial, or every output row, with one first index, as keys in
-    the layout of the module docstring, a field `bit_length` bits of the
-    leaves' size n on the matrix route and of domain.stop on the functional
-    one.  Each factor is a table built once per call by `_table`: a
-    kernel's `_index_images` on SpaceConfig(domain.stop), or a leaf's
-    two-leg rows, which hold no copy per spectator index.  The
-    functional route adds lhs - rhs into one total, which must be empty;
-    the matrix route compares the two sides' slab dicts once.  Only a slab
-    that differs is split by start and decoded, row by row, in sorted order.
+    the layout of the module docstring, a field the `bit_length` of the
+    leaves' size n, or of domain.stop when that is larger, on both routes:
+    packed keys sort as their index tuples at any width.  Each factor is a
+    table built once per call by `_table`: a kernel's `_index_images` on
+    SpaceConfig(domain.stop), or a leaf's two-leg rows, which hold no copy
+    per spectator index.  The functional route adds lhs - rhs into one
+    total, which must be empty; the matrix route compares the two sides'
+    slab dicts once.  Only a slab that differs is split by start and
+    decoded, row by row, in sorted order.
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing row, and a row whose sides
@@ -283,17 +299,16 @@ def check_identities(
         if name not in leaves or domain is not None and name not in _KERNELS:
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
-    width = leaf.n.bit_length()
+    width = max(leaf.n, domain.stop if domain is not None else 0).bit_length()
     matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
-        fwidth = domain.stop.bit_length()  # indices lie in [0, domain.stop]
-        kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, fwidth)
+        kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, width)
                    for name, slots in factors}
         indices = range(domain.start + 1, domain.stop + 1)
-        packed = [[_pack_fields((i0, *rest), fwidth) for rest in product(indices, repeat=2)]
+        packed = [[_pack_fields((i0, *rest), width) for rest in product(indices, repeat=2)]
                   for i0 in indices]
-        slabs = [[k | k << 3 * fwidth for k in slab] for slab in packed]
+        slabs = [[k | k << 3 * width for k in slab] for slab in packed]
     for tag, lhs, rhs in identities:
         named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
         legs = 3 if domain is not None or 2 in named else 2
@@ -304,12 +319,12 @@ def check_identities(
             for starts in slabs:
                 col.checked += len(starts)
                 total = _image(words, starts)
-                for start, row in sorted(_by_start(total, fwidth).items()):
-                    if values := col.specialize(_decoded(row, fwidth, 3)):
+                for start, row in sorted(_by_start(total, width).items()):
+                    if values := col.specialize(_decoded(row, width, 3)):
                         # an index is an exponent plus one
                         col.witnesses.append({
                             **tag, "side": "functional",
-                            "monomial": [i - 1 for i in _unpack_fields(start, fwidth)],
+                            "monomial": [i - 1 for i in _unpack_fields(start, width)],
                             "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
                                                             for index, v in values.items()})),
                         })
@@ -319,7 +334,7 @@ def check_identities(
                        for side in (lhs, rhs))
         # each two-leg row of a word's first factor, with every spectator
         # index in the field of slot 3 - a - b
-        spectators = leaf.indices() if legs == 3 else (0,)
+        spectators = range(leaf.lo, leaf.n + 1) if legs == 3 else (0,)
         outs = {mid + (s << (a + b - 1) * width) for _, ((name, (a, b)), *_) in (*lhs, *rhs)
                 for mid in matrices[name, (a, b)][1] for s in spectators}
         # packed rows sort as their index tuples; a slab shares out[0]
@@ -451,12 +466,21 @@ def _flipped(op: Operator) -> Operator:
     return Operator(op.n, 2, {((b, a), inp): c for ((a, b), inp), c in op.entries.items()}, op.lo)
 
 
-def _given_or(
-    name: str, op: Optional[Operator], n: int, lo: int, default: Callable[[int], Operator]
-) -> Operator:
-    """op, or default(n) when op is None; op must be a two-leg matrix on lo..n."""
+# the matrix each suite checks unless it is given one, whose entry `--corrupt`
+# overrides; cybe's looks `_functional_matrix` up when called
+DEFAULT_INPUTS: dict[str, Callable[[int], Operator]] = {
+    "braid": extended_rhat,
+    "ybe": extended_rhat,
+    "qlie": sigma_cg,
+    "cybe": lambda n: _functional_matrix("r", n),
+}
+
+
+def _given_or(suite: str, name: str, op: Optional[Operator], n: int, lo: int) -> Operator:
+    """op, or the suite's DEFAULT_INPUTS at n when op is None; op must be a
+    two-leg matrix on lo..n."""
     if op is None:
-        return default(n)
+        return DEFAULT_INPUTS[suite](n)
     _check_shape(name, op, n, lo)
     return op
 
@@ -490,7 +514,7 @@ def suite_braid(
     operator to every basis monomial of the 3-fold truncated space.
     """
     col = Collector("braid", n, subs)
-    R = _given_or("rhat", rhat, n, 0, extended_rhat)
+    R = _given_or("braid", "rhat", rhat, n, 0)
     check_identities(col, [({}, *_braid("rhat"))], {"rhat": R}, range(-1, n))
     return col.report()
 
@@ -505,7 +529,7 @@ def suite_ybe(
     family at p = 1 reproduces the plain braid matrix.
     """
     col = Collector("ybe", n, subs)
-    R = _given_or("rhat", rhat, n, 0, extended_rhat)
+    R = _given_or("ybe", "rhat", rhat, n, 0)
     check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": _flipped(R)}, range(-1, n))
 
     family = sigma_cg_family(n)
@@ -536,7 +560,7 @@ def suite_cybe(
     variable; the matrix route uses the matrix of r, or `r_matrix` when given.
     """
     col = Collector("cybe", n, subs)
-    r = _given_or("r_matrix", r_matrix, n, 0, lambda n: _functional_matrix("r", n))
+    r = _given_or("cybe", "r_matrix", r_matrix, n, 0)
     check_identities(col, [({}, _cybe("r"), ())], {"r": r}, range(0, n + 1))
     return col.report()
 
@@ -638,7 +662,7 @@ def suite_qlie(
     Each family is thus one run of the engine's product loop, `_image`, on
     `_rows` tables of E, each row checked at n^3 inputs.
     """
-    sigma = _given_or("sigma", sigma, n, 1, sigma_cg)
+    sigma = _given_or("qlie", "sigma", sigma, n, 1)
     E = _extended(sigma, constants).entries
     col = Collector("qlie", n, subs)
     width = n.bit_length()

@@ -27,32 +27,28 @@ class Suite(NamedTuple):
     """How `verify` runs one suite.
 
     `run(n, subs, op, constants)` runs it, op and constants replacing its
-    defaults when given.  `flags` are the flags it uses; giving a selected
-    suite any other one exits 2.  `target(n)` builds the matrix whose entry
-    `--corrupt` overrides, the one the suite checks by default.  Both look
-    their functions up when called, so a wrapped suite or builder runs.
+    defaults when given; it looks the suite up when called, so a wrapped
+    suite runs.  `flags` are the flags it uses; giving a selected suite any
+    other one exits 2.  `--corrupt` overrides an entry of the suite's
+    `checks.DEFAULT_INPUTS`.
     """
 
     run: Callable[..., checks.VerificationReport]
     flags: tuple[str, ...]
-    target: Optional[Callable[[int], Operator]] = None
 
 
 _VALUES = ("--beta", "--C", "--p")
 _CORRUPT = (*_VALUES, "--corrupt")
 SUITES = {
-    "braid": Suite(lambda n, subs, op, ct: checks.suite_braid(n, subs, rhat=op), _CORRUPT,
-                   lambda n: extended_rhat(n)),
-    "ybe": Suite(lambda n, subs, op, ct: checks.suite_ybe(n, subs, rhat=op), _CORRUPT,
-                 lambda n: extended_rhat(n)),
-    "cybe": Suite(lambda n, subs, op, ct: checks.suite_cybe(n, subs, r_matrix=op), _CORRUPT,
-                  lambda n: checks._functional_matrix("r", n)),
+    "braid": Suite(lambda n, subs, op, ct: checks.suite_braid(n, subs, rhat=op), _CORRUPT),
+    "ybe": Suite(lambda n, subs, op, ct: checks.suite_ybe(n, subs, rhat=op), _CORRUPT),
+    "cybe": Suite(lambda n, subs, op, ct: checks.suite_cybe(n, subs, r_matrix=op), _CORRUPT),
     "components": Suite(lambda n, subs, op, ct: checks.check_component_identities(n, subs),
                         _VALUES),
     "ybfr": Suite(lambda n, subs, op, ct: checks.check_quadratic_ybe_components(n, subs),
                   _VALUES),
     "qlie": Suite(lambda n, subs, op, ct: checks.suite_qlie(n, subs, sigma=op, constants=ct),
-                  (*_CORRUPT, "--corrupt-constants"), lambda n: sigma_cg(n)),
+                  (*_CORRUPT, "--corrupt-constants")),
     "rtt": Suite(lambda n, subs, op, ct: rtt.compare_relation_spans(n, bcc_constants=ct),
                  ("--corrupt-constants",)),
     "hecke": Suite(lambda n, subs, op, ct: checks.suite_hecke(n, subs), _VALUES),
@@ -252,7 +248,7 @@ def _corrupted_inputs(
     if args.corrupt is not None:
         try:
             out, inp, coeff = _override(args.corrupt)
-            op = SUITES[args.suite].target(n).with_entry(out, inp, coeff)
+            op = checks.DEFAULT_INPUTS[args.suite](n).with_entry(out, inp, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None
     if args.corrupt_constants is not None:

@@ -47,11 +47,6 @@ def _index(entries: Mapping[tuple, Scalar]) -> EntryIndex:
     return by_in, by_out
 
 
-def _index_constants(entries: Mapping[tuple[int, int, int], Scalar]) -> EntryIndex:
-    """`_index` of structure constants {(k, i, j): C^k_{ij}}."""
-    return _index({(k, (i, j)): v for (k, i, j), v in entries.items()})
-
-
 def _flat_row(parts: Iterable[tuple[tuple, tuple, int]]) -> FlatRow:
     """The sum of (word, terms, sign) parts; zero coefficients are dropped."""
     row: FlatRow = {}

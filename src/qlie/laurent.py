@@ -124,8 +124,8 @@ class LaurentFn:
     def terms(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
         return iter(sorted(self._terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentFn):

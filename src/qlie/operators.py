@@ -63,9 +63,6 @@ class Operator:
 
     # -- basic structure ----------------------------------------------------
 
-    def indices(self) -> range:
-        return range(self.lo, self.n + 1)
-
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.legs, self.lo)
 
@@ -85,10 +82,6 @@ class Operator:
         """Copy with one entry overridden (zero coefficient deletes it)."""
         key = (tuple(out), tuple(inp))
         return Operator(self.n, self.legs, {**self.entries, key: coeff}, self.lo)
-
-    def _require_shape(self, other: "Operator") -> None:
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
     # -- export --------------------------------------------------------------
 
@@ -121,7 +114,8 @@ class Operator:
 
 def compose(a: Operator, b: Operator) -> Operator:
     """Matrix product a . b (apply b first)."""
-    a._require_shape(b)
+    if a.shape() != b.shape():
+        raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")
     b_by_out: dict[Index, list[tuple[Index, Scalar]]] = {}
     for (out, inp), coeff in b.entries.items():
         b_by_out.setdefault(out, []).append((inp, coeff))

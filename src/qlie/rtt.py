@@ -49,7 +49,7 @@ from typing import Iterator, Optional
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg
 from .checks import Collector, VerificationReport
-from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _index_constants, _row_str
+from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _row_str
 from .linalg import Echelon, Row, echelon
 from .scalars import _by_index
 
@@ -63,7 +63,8 @@ def _rtt_tables(n: int) -> tuple[dict, dict, list]:
 
 def _bcc_tables(n: int, constants: Optional[StructureTensor]) -> tuple[tuple, tuple]:
     """sigma_cg(n) and the constants, the closed-form ones for None, indexed for `_bcc_row`."""
-    return _index(sigma_cg(n).entries), _index_constants(_constants(n, constants).entries)
+    ct = _constants(n, constants).entries
+    return _index(sigma_cg(n).entries), _index({(k, (i, j)): v for (k, i, j), v in ct.items()})
 
 
 def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) -> FlatRow:

@@ -111,6 +111,17 @@ def _by_index(terms: Iterable[tuple[tuple, int, Coeff]]) -> dict[tuple, "Scalar"
     return {index: _from_packed(_within_limit(t)) for index, t in grouped.items()}
 
 
+def _values(
+    beta: Optional[Coeff] = None, c: Optional[Coeff] = None, p: Optional[Coeff] = None
+) -> tuple[Optional[Coeff], Optional[Coeff], Optional[Coeff]]:
+    """The values of b, C and p, each exact through `_coerce` or None, a
+    symbol kept; p must be nonzero, since it occurs with negative exponents."""
+    beta, c, p = (None if v is None else _coerce(v) for v in (beta, c, p))
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    return beta, c, p
+
+
 @lru_cache(maxsize=1 << 12)
 def _substitute_key(key: int, beta: Optional[Coeff], c: Optional[Coeff],
                     p: Optional[Coeff]) -> tuple[int, Coeff]:
@@ -237,13 +248,8 @@ class Scalar:
         c: Optional[Coeff] = None,
         p: Optional[Coeff] = None,
     ) -> "Scalar":
-        """Partially evaluate some of b, C, p at rational values.
-
-        p must be nonzero (it occurs with negative exponents).
-        """
-        beta, c, p = (None if v is None else _coerce(v) for v in (beta, c, p))
-        if p == 0:
-            raise ValueError("p must be nonzero")
+        """Partially evaluate some of b, C, p at rational values, as `_values` reads them."""
+        beta, c, p = _values(beta, c, p)
         out: dict[int, Coeff] = {}
         for key, coeff in self._terms.items():
             key, factor = _substitute_key(key, beta, c, p)

@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
+from qlie.cg import _extended, extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.checks import _FUNCTIONAL_OPS, suite_qlie
 from qlie.laurent import LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s
 from qlie.operators import Operator, compose, from_functional
@@ -198,13 +198,13 @@ def test_extended_rejects_constants_of_another_size(n, size):
     # a smaller tensor used to drop the entries of its missing indices, a
     # larger one to fail on an index outside the matrix
     with pytest.raises(ValueError, match=f"^structure tensor must have size {n}, got {size}$"):
-        extended_rhat(n, structure_constants(size))
+        _extended(sigma_cg(n), structure_constants(size))
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda n, ct: extended_rhat(n, ct),
+        lambda n, ct: _extended(sigma_cg(n), ct),
         lambda n, ct: suite_qlie(n, constants=ct),
         lambda n, ct: bcc_relation(1, (1, 2), n, constants=ct),
         lambda n, ct: compare_relation_spans(n, bcc_constants=ct),
@@ -250,7 +250,7 @@ def test_cross_construction_equality(n):
 
 def shifted(op, c):
     """op - c times the identity, on op's indices."""
-    diagonal = {(i, i): op.coeff(i, i) - c for i in product(op.indices(), repeat=2)}
+    diagonal = {(i, i): op.coeff(i, i) - c for i in product(range(op.lo, op.n + 1), repeat=2)}
     return Operator(op.n, 2, {**op.entries, **diagonal}, op.lo)
 
 
@@ -286,6 +286,6 @@ def test_the_family_satisfies_the_hecke_relation(n):
     # sigma^2 = b sigma + (1 - b), as `hecke` checks for sigma_cg alone
     sigma = sigma_cg_family(n)
     rhs = {key: BETA * c for key, c in sigma.entries.items()}
-    for i in product(sigma.indices(), repeat=2):
+    for i in product(range(sigma.lo, sigma.n + 1), repeat=2):
         rhs[i, i] = rhs.get((i, i), ZERO) + ONE - BETA
     assert compose(sigma, sigma) == Operator(n, 2, rhs, lo=1)

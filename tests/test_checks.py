@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie import checks, cli, freealg, operators
+from qlie import checks, freealg, operators
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import _KERNELS, LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, from_functional
@@ -106,6 +106,44 @@ def test_braid_and_the_ybe_extended_part_are_one_identity(monkeypatch):
                 == sorted((w["out"], w["in"], w["lhs"], w["rhs"]) for w in ybe.witnesses))
 
 
+def matrix_values(identities, leaves):
+    """Each matrix witness of the identities, uncapped, as {(out, in): rhs - lhs, or value}."""
+    col = checks.Collector("values", 2)
+    checks.check_identities(col, identities, leaves)
+    value = Scalar.parse
+    return {(tuple(w["out"]), tuple(w["in"])):
+            value(w["rhs"]) - value(w["lhs"]) if "lhs" in w else value(w["value"])
+            for w in col.witnesses}
+
+
+def test_cybe_and_the_ybfr_full_part_are_braid_on_the_identity_plus_r():
+    # (I + r12)(I + r13)(I + r23) - (I + r23)(I + r13)(I + r12) is CYBE(r) +
+    # r12 r13 r23 - r23 r13 r12, and for Rhat = P (I + r) it is the leg
+    # reversal times braid's rhs - lhs (the `checks` docstring): so braid's
+    # rhs - lhs at out (c, b, a) is cybe's plus full's value at (a, b, c).
+    # r is homogeneous of degree 1 in (b, C), and so is each mutant: the two
+    # parts have degrees 2 and 3, and braid fails iff cybe or full does
+    r = checks._functional_matrix("r", 2)
+    full = checks._expression("r12*r13*r23-r23*r13*r12")
+    failing = 0
+    for out, inp in product(product(range(3), repeat=2), repeat=2):
+        for delta in (BETA, C, -BETA, -C):
+            mutant = r.with_entry(out, inp, r.coeff(out, inp) + delta)
+            plus = dict(mutant.entries)
+            for i in product(range(3), repeat=2):
+                plus[i, i] = plus.get((i, i), ZERO) + ONE
+            braid = matrix_values([({}, *checks._braid("rhat"))],
+                                  {"rhat": checks._flipped(Operator(2, 2, plus, lo=0))})
+            parts = [matrix_values([({}, expr, ())], {"r": mutant})
+                     for expr in (checks._cybe("r"), full)]
+            summed = {key: sum((part.get(key, ZERO) for part in parts), ZERO)
+                      for key in parts[0].keys() | parts[1].keys()}
+            assert {(o[::-1], i): v for (o, i), v in braid.items()} == summed, (out, inp, delta)
+            assert bool(braid) == any(parts)
+            failing += bool(braid)
+    assert failing
+
+
 def test_level_2_braid_witnesses_are_those_of_level_3_on_level_2(monkeypatch):
     # level n is an invariant subspace of level n + 1 (the `cg` docstring),
     # and a mutant on level-2 indices keeps it so
@@ -168,13 +206,13 @@ def test_suite_cybe_fails_with_corrupted_matrix():
 def test_s23_s12_kills_xyz():
     cfg = SpaceConfig(4)
     xyz = LaurentFn.monomial(cfg, (1, 1, 1))
-    assert op_s(op_s(xyz, (0, 1)), (1, 2)).is_zero()
+    assert not op_s(op_s(xyz, (0, 1)), (1, 2))
 
 
 def test_s12_s13_s23_kills_xyz():
     cfg = SpaceConfig(4)
     xyz = LaurentFn.monomial(cfg, (1, 1, 1))
-    assert op_s(op_s(op_s(xyz, (1, 2)), (0, 2)), (0, 1)).is_zero()
+    assert not op_s(op_s(op_s(xyz, (1, 2)), (0, 2)), (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -256,7 +294,8 @@ def qlie_reference(n, sigma, constants, subs):
         letters.setdefault(k, {}).setdefault(N, []).append((m, c))
     for ((a, m), (N, l)), c in sigma.entries.items():
         letters.setdefault((n + 1) * a + l, {}).setdefault(N, []).append((m, c))
-    sig, ct = freealg._index(sigma.entries), freealg._index_constants(constants.entries)
+    sig = freealg._index(sigma.entries)
+    ct = freealg._index({(k, (i, j)): v for (k, i, j), v in constants.entries.items()})
     witnesses = []
     for family in (1, 3, 4):
         found = {}
@@ -583,7 +622,7 @@ def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, bu
     fixed = {other: build_other(n) for other, build_other in fixed.items()}
     rng = Random(f"{kind}/{n}")
     positions = sorted(leaf.entries)
-    indices = leaf.indices()
+    indices = range(leaf.lo, leaf.n + 1)
     mutants = [leaf]
     for delta in (ONE, C, -BETA):
         # one existing entry and one structural zero, each shifted by delta
@@ -881,6 +920,26 @@ def test_a_passing_specialized_run_substitutes_nothing(monkeypatch):
         assert report.passed and report.symbolic == [], suite.__name__
 
 
+@pytest.mark.parametrize(
+    "subs, error",
+    [({"beta": 0.1}, TypeError), ({"p": 0}, ValueError), ({"gamma": 1}, TypeError),
+     ({"beta": "x"}, ValueError)],
+    ids=["float", "p-zero", "unknown-name", "no-rational"],
+)
+def test_a_bad_value_raises_whether_or_not_the_run_passes(subs, error):
+    # the values are read when a suite starts, not only where a row differs
+    raised = []
+    for rhat in (None, extended_rhat(2).with_entry((0, 2), (2, 1), C + C)):
+        with pytest.raises(error) as info:
+            checks.suite_braid(2, subs, rhat=rhat)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+    for suite in (checks.suite_ybe, checks.suite_cybe, checks.check_component_identities,
+                  checks.check_quadratic_ybe_components, checks.suite_qlie, checks.suite_hecke):
+        with pytest.raises(error):
+            suite(2, subs)
+
+
 def test_a_passing_run_builds_no_laurent_function_and_composes_nothing(monkeypatch):
     # the leaves come from the basis images and ybe's P.R from R's entries
     def refuse(*args, **kwargs):
@@ -893,7 +952,7 @@ def test_a_passing_run_builds_no_laurent_function_and_composes_nothing(monkeypat
                   checks.check_component_identities, checks.check_quadratic_ybe_components,
                   checks.suite_cross_check):
         assert suite(3).passed, suite.__name__
-    assert cli.SUITES["cybe"].target(3).shape() == (3, 2, 0)
+    assert checks.DEFAULT_INPUTS["cybe"](3).shape() == (3, 2, 0)
 
 
 def test_degenerate_specialization_beta0_c1():

@@ -15,7 +15,7 @@ def embed(op, pair):
     a, b = (int(c) - 1 for c in pair) if isinstance(pair, str) else pair
     ent = {}
     for ((o1, o2), (i1, i2)), coeff in op.entries.items():
-        for s in op.indices():
+        for s in range(op.lo, op.n + 1):
             out, inp = [s] * 3, [s] * 3
             out[a], out[b], inp[a], inp[b] = o1, o2, i1, i2
             ent[tuple(out), tuple(inp)] = coeff
