@@ -33,11 +33,13 @@ two processes), and their interquartile range, the median `time.perf_counter`
 seconds, the exit code, the report's `report_sha256` and
 `change_faster_pairs`, the number of the REPEATS pairs in which the change
 took fewer process seconds; every cell whose two trees print different
-reports is listed on stdout.  A median of 5 fresh subprocesses of a few
-milliseconds moves with the host by tens of percent, so stdout also lists
-the cells whose time difference is resolved: every pair agrees on which
-tree is faster, and the medians differ by more than the parent's
-interquartile range.  Only those cells' times may be quoted.  Every `rtt` and `qlie` cell, passing or
+reports is listed on stdout.  A median of fresh subprocesses of a few
+milliseconds moves with the host by tens of percent, and five pairs agree
+on a side by chance once in 16 cells, so stdout also lists the cells whose
+time difference is resolved: at least 9 of the 10 pairs agree on which
+tree is faster, as `perfbench` requires of a claimed gain, and the medians
+differ by more than the parent's interquartile range.  Only those cells'
+times may be quoted.  Every `rtt` and `qlie` cell, passing or
 failing, and every `specialized` cell also records its work and memory,
 counted in one more, untimed subprocess per tree, so no timed run is
 wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
@@ -77,7 +79,9 @@ from pathlib import Path
 from qlie import cli
 
 N = (5, 6, 7, 8, 9, 10)
-REPEATS = 5
+REPEATS = 10
+# a time difference is resolved when this many of the REPEATS pairs agree on its sign
+AGREEING = 9
 SPECIALIZED = ("--beta=2/3", "--C=-9/5", "--p=8/7")
 # the paths with one command line per n, N standing for n; a cell's suite
 # is the word before --n, a suite or a `gen` target
@@ -284,11 +288,12 @@ def main(argv: list[str]) -> int:
     for path, suite, n in differ:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
-    # a time difference counts only when every pair agrees on its sign and
+    # a time difference counts only when AGREEING pairs agree on its sign and
     # the medians differ by more than the parent's interquartile range
     resolved = [(key, parent["process_time_s"], change["process_time_s"])
                 for key, (parent, change) in timed.items()
-                if change["change_faster_pairs"] in (0, REPEATS)
+                if max(change["change_faster_pairs"], REPEATS - change["change_faster_pairs"])
+                >= AGREEING
                 and abs(change["process_time_s"] - parent["process_time_s"])
                 > parent["process_time_iqr_s"]]
     for (path, suite, n), before, after in resolved:

@@ -68,6 +68,19 @@ braid fails exactly when cybe or full does:
 `test_cybe_and_the_ybfr_full_part_are_braid_on_the_identity_plus_r`
 compares them over all 324 mutants of `_functional_matrix("r", 2)` that
 move one entry by b, C, -b or -C.
+
+A suite given an input that differs from its default checks only the
+identities that take that input, on the matrix route, the only route the
+input reaches.  The functional route applies the built-in kernels by name,
+and `ybe`'s `cg-family` parts and `qlie` family 2, when only the constants
+differ, check built-in matrices, so on such an input they would repeat the
+plain run's verdict at the same n.  The input is compared by value with
+`DEFAULT_INPUTS`, or the constants with `structure_constants`, so an
+override by an entry's own value prints the plain run's report, and a suite
+given nothing compares nothing.  The matrix witnesses still name their
+route, `"side": "matrix"`; only `checked` counts less:
+`test_an_overridden_run_drops_no_witness` compares the reports with those
+of every check over the mutants above and the constant mutants at n = 2.
 """
 
 from __future__ import annotations
@@ -79,6 +92,7 @@ from itertools import groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cg import StructureTensor, _extended, extended_rhat, sigma_cg, sigma_cg_family
+from .cg import structure_constants
 from .laurent import _KERNELS, LaurentFn, SpaceConfig, _apply_kernel, _basis_image, basis_monomials
 from .laurent import op_r, op_rhat, op_rho, op_s
 # no suite composes operators, but the benchmark's self-test and
@@ -485,6 +499,22 @@ def _given_or(suite: str, name: str, op: Optional[Operator], n: int, lo: int) ->
     return op
 
 
+def _differs(suite: str, op: Optional[Operator], n: int) -> bool:
+    """Whether op, the suite's input or None, was given and differs from its
+    DEFAULT_INPUTS at n."""
+    return op is not None and op != DEFAULT_INPUTS[suite](n)
+
+
+def _routes(
+    suite: str, op: Optional[Operator], n: int, domain: range
+) -> tuple[dict, Optional[range]]:
+    """The witness tag and the domain of an identity that takes the suite's
+    input op: the matrix route alone, its witnesses still naming it, when op
+    differs from the default (the module docstring's rule), else both routes
+    on domain."""
+    return ({"side": "matrix"}, None) if _differs(suite, op, n) else ({}, domain)
+
+
 def _check_shape(name: str, op: Operator, n: int, lo: int, like: str = "") -> None:
     if op.shape() != (n, 2, lo):
         raise ValueError(f"{name} must have size {n}, 2 legs and index base {lo}{like}, "
@@ -511,11 +541,14 @@ def suite_braid(
 
     The matrix route composes the extended matrix, or `rhat` when given; the
     functional route applies the braid words built from the functional
-    operator to every basis monomial of the 3-fold truncated space.
+    operator to every basis monomial of the 3-fold truncated space.  Given
+    an `rhat` that differs from the extended matrix, the run checks the
+    matrix route alone.
     """
     col = Collector("braid", n, subs)
     R = _given_or("braid", "rhat", rhat, n, 0)
-    check_identities(col, [({}, *_braid("rhat"))], {"rhat": R}, range(-1, n))
+    tag, domain = _routes("braid", rhat, n, range(-1, n))
+    check_identities(col, [(tag, *_braid("rhat"))], {"rhat": R}, domain)
     return col.report()
 
 
@@ -526,11 +559,16 @@ def suite_ybe(
 
     Rhat is the extended matrix, or `rhat` when given; P.Rhat is checked on
     both routes, the p-family on the matrix route.  Also checks that the
-    family at p = 1 reproduces the plain braid matrix.
+    family at p = 1 reproduces the plain braid matrix.  Given an `rhat` that
+    differs from the extended matrix, the run checks the `extended` part
+    alone, on the matrix route.
     """
     col = Collector("ybe", n, subs)
     R = _given_or("ybe", "rhat", rhat, n, 0)
-    check_identities(col, [({"part": "extended"}, *_ybe("R"))], {"R": _flipped(R)}, range(-1, n))
+    tag, domain = _routes("ybe", rhat, n, range(-1, n))
+    check_identities(col, [({"part": "extended", **tag}, *_ybe("R"))], {"R": _flipped(R)}, domain)
+    if domain is None:  # the family parts take no rhat
+        return col.report()
 
     family = sigma_cg_family(n)
     check_identities(col, [({"part": "cg-family"}, *_ybe("R"))], {"R": _flipped(family)})
@@ -558,10 +596,13 @@ def suite_cybe(
 
     The functional route covers every monomial of degree at most n per
     variable; the matrix route uses the matrix of r, or `r_matrix` when given.
+    Given an `r_matrix` that differs from the matrix of r, the run checks the
+    matrix route alone.
     """
     col = Collector("cybe", n, subs)
     r = _given_or("cybe", "r_matrix", r_matrix, n, 0)
-    check_identities(col, [({}, _cybe("r"), ())], {"r": r}, range(0, n + 1))
+    tag, domain = _routes("cybe", r_matrix, n, range(0, n + 1))
+    check_identities(col, [(tag, _cybe("r"), ())], {"r": r}, domain)
     return col.report()
 
 
@@ -661,7 +702,12 @@ def suite_qlie(
        image has entry (0, m) = 0 for m >= 1.  So no input is filtered.
     Each family is thus one run of the engine's product loop, `_image`, on
     `_rows` tables of E, each row checked at n^3 inputs.
+
+    Family 2 takes sigma alone, so a run whose constants differ from the
+    closed form and whose sigma does not checks families 1, 3 and 4 alone.
     """
+    only_constants = (constants is not None and constants != structure_constants(n)
+                      and not _differs("qlie", sigma, n))
     sigma = _given_or("qlie", "sigma", sigma, n, 1)
     E = _extended(sigma, constants).entries
     col = Collector("qlie", n, subs)
@@ -684,8 +730,9 @@ def suite_qlie(
             col.witnesses.append({"family": family, "indices": list(indices), "value": str(value)})
 
     read(1, 1, [(0, 0, m) for m in small])
-    # family 2: braid relation for sigma, on the matrix route alone
-    check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma})
+    if not only_constants:
+        # family 2: braid relation for sigma, on the matrix route alone
+        check_identities(col, [({"family": 2}, *_braid("sigma"))], {"sigma": sigma})
     read(3, -1, [(0, a, m) for a in small for m in small])
     read(4, 1, [(a, 0, m) for a in small for m in small])
     return col.report()

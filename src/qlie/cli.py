@@ -248,6 +248,8 @@ def _corrupted_inputs(
     if args.corrupt is not None:
         try:
             out, inp, coeff = _override(args.corrupt)
+            if len(out) != 2 or len(inp) != 2:
+                raise ValueError("expected (I,J;K,L)=COEFF")
             op = checks.DEFAULT_INPUTS[args.suite](n).with_entry(out, inp, coeff)
         except ValueError as exc:
             raise InputError(f"--corrupt {args.corrupt!r}: {exc}") from None

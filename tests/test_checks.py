@@ -155,6 +155,55 @@ def test_level_2_braid_witnesses_are_those_of_level_3_on_level_2(monkeypatch):
         assert at_2 and at_3 == at_2
 
 
+def test_an_overridden_run_drops_no_witness(monkeypatch):
+    # an input that differs from the default is checked by what takes it, on
+    # the matrix route (the `checks` docstring); the reference runs both
+    # routes and the parts the rule skips, so every witness must be there
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+    matrix = 3 ** 6  # the entry positions of a three-leg matrix on 0..2
+
+    def agree(report, identities, leaves, domain, skipped=None):
+        reference = checks.Collector(report.suite, 2)
+        checks.check_identities(reference, identities, leaves, domain)
+        for part_identities, part_leaves in skipped or ():
+            checks.check_identities(reference, part_identities, part_leaves)
+        assert report.failures == len(reference.witnesses)
+        assert report.witnesses == reference.witnesses
+        assert report.checked == matrix
+
+    family = sigma_cg_family(2)
+    at_one = family.map_entries(lambda s: s.substitute(p=1))
+    ybe_skipped = [([({"part": "cg-family"}, *checks._ybe("R"))], {"R": checks._flipped(family)}),
+                   ([({"part": "cg-family-p1"}, *checks._identity("family12 = sigma12"))],
+                    {"family": at_one, "sigma": sigma_cg(2)})]
+    for rhat in extended_mutants(2):
+        agree(checks.suite_braid(2, rhat=rhat), [({}, *checks._braid("rhat"))], {"rhat": rhat},
+              range(-1, 2))
+        agree(checks.suite_ybe(2, rhat=rhat), [({"part": "extended"}, *checks._ybe("R"))],
+              {"R": checks._flipped(rhat)}, range(-1, 2), ybe_skipped)
+    r = checks._functional_matrix("r", 2)
+    for out, inp in product(product(range(3), repeat=2), repeat=2):
+        for delta in (BETA, C, -BETA, -C):
+            mutant = r.with_entry(out, inp, r.coeff(out, inp) + delta)
+            agree(checks.suite_cybe(2, r_matrix=mutant), [({}, checks._cybe("r"), ())],
+                  {"r": mutant}, range(0, 3))
+    # qlie family 2 takes sigma alone: the reference takes the mutant for
+    # the closed form, so the rule sees no override and checks every family
+    constants, sigma = structure_constants(2), sigma_cg(2)
+    family_2 = checks.Collector("qlie", 2)
+    checks.check_identities(family_2, [({"family": 2}, *checks._braid("sigma"))], {"sigma": sigma})
+    for (k, i, j), delta in product(product(range(1, 3), repeat=3), (ONE, BETA, C, P)):
+        mutant = constants.with_entry(k, i, j, constants.coeff(k, i, j) + delta)
+        report = checks.suite_qlie(2, constants=mutant)
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "structure_constants", lambda n: mutant)
+            reference = checks.suite_qlie(2, constants=mutant)
+        assert (report.failures, report.witnesses) == (reference.failures, reference.witnesses)
+        assert report.checked == reference.checked - family_2.checked == 2 ** 4 + 2 * 2 ** 5
+        assert checks.suite_qlie(2, sigma=sigma, constants=mutant).checked == report.checked
+    assert not family_2.witnesses
+
+
 # -- classical Yang-Baxter ----------------------------------------------------------
 
 

@@ -240,7 +240,11 @@ def test_verify_seed_flag():
         ),
         (
             ("verify", "braid", "--n", "2", "--corrupt", "(1,1,1;1,1)=2"),  # wrong arity
-            "--corrupt '(1,1,1;1,1)=2': index tuple of wrong length in ((1, 1, 1), (1, 1))",
+            "--corrupt '(1,1,1;1,1)=2': expected (I,J;K,L)=COEFF",
+        ),
+        (
+            ("verify", "braid", "--n", "3", "--corrupt", "(1,2;2)=1"),  # one index short
+            "--corrupt '(1,2;2)=1': expected (I,J;K,L)=COEFF",
         ),
         (
             ("verify", "rtt", "--n", "2", "--corrupt-constants", "(3;1,2)=C"),  # out of range
@@ -264,8 +268,9 @@ def test_verify_seed_flag():
             "--corrupt-constants '(2;1,2)= 2/0': zero denominator (at position 11)",
         ),
     ],
-    ids=["corrupt-range", "corrupt-arity", "corrupt-constants-range", "corrupt-range-braid",
-         "corrupt-range-qlie", "corrupt-coefficient-position", "constants-coefficient-position"],
+    ids=["corrupt-range", "corrupt-arity", "corrupt-arity-short", "corrupt-constants-range",
+         "corrupt-range-braid", "corrupt-range-qlie", "corrupt-coefficient-position",
+         "constants-coefficient-position"],
 )
 def test_bad_overrides_exit_2_without_traceback(args, message):
     proc = run_cli(*args)
@@ -501,6 +506,17 @@ def test_corrupt_overrides_the_matrix_the_suite_checks(suite, default, n):
     entry = f"({','.join(map(str, out))};{','.join(map(str, inp))})={coeff}"
     plain = run_cli("verify", suite, "--n", str(n))
     same = run_cli("verify", suite, "--n", str(n), "--corrupt", entry)
+    assert same.returncode == plain.returncode == 0
+    assert _masked(same.stdout) == _masked(plain.stdout)
+    assert _masked(same.stderr) == _masked(plain.stderr)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_constant_set_to_its_own_value_prints_the_plain_qlie_report(n):
+    # the constants are compared by value, so family 2 is checked as in the plain run
+    (k, i, j), coeff = max(structure_constants(n).entries.items())
+    plain = run_cli("verify", "qlie", "--n", str(n))
+    same = run_cli("verify", "qlie", "--n", str(n), "--corrupt-constants", f"({k};{i},{j})={coeff}")
     assert same.returncode == plain.returncode == 0
     assert _masked(same.stdout) == _masked(plain.stdout)
     assert _masked(same.stderr) == _masked(plain.stderr)
