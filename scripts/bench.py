@@ -40,12 +40,13 @@ time difference is resolved: at least 9 of the 10 pairs agree on which
 tree is faster, as `perfbench` requires of a claimed gain, and the medians
 differ by more than the parent's interquartile range.  Only those cells'
 times may be quoted.  Every `rtt` and `qlie` cell, passing or
-failing, and every `specialized` cell also records its work and memory,
-counted in one more, untimed subprocess per tree, so no timed run is
-wrapped or traced: the number of `Scalar.__mul__`, `Scalar.exact_div` and
-`Scalar.substitute` calls, the number of `LaurentFn` constructions and the
-`tracemalloc` peak of `qlie.cli.main`, in MiB; unlike the times, these do
-not drift with the host.  Each file also records the ROADMAP's two measures
+failing, every `specialized` cell and every `corrupt` cell also records
+its work and memory, counted in one more, untimed subprocess per tree, so
+no timed run is wrapped or traced: the number of `Scalar.__mul__`,
+`Scalar.exact_div`, `Scalar.substitute` and `Scalar.__str__` calls (the
+last, `str_calls`, the witness values printed), the number of `LaurentFn`
+constructions and the `tracemalloc` peak of `qlie.cli.main`, in MiB;
+unlike the times, these do not drift with the host.  Each file also records the ROADMAP's two measures
 of simplicity for its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat
 src/qlie/*.py | wc -l`), beside `code_lines`, those lines that hold code,
 not blank, a comment or part of a docstring, so that editing a docstring
@@ -116,15 +117,16 @@ masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
 print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
 """
 
-# one untimed run with Scalar.__mul__, Scalar.exact_div, Scalar.substitute
-# and LaurentFn constructions counted and memory traced: [exit code, counts
-# and tracemalloc peak]
+# one untimed run with Scalar.__mul__, Scalar.exact_div, Scalar.substitute,
+# Scalar.__str__ and LaurentFn constructions counted and memory traced:
+# [exit code, counts and tracemalloc peak]
 COUNT_CHILD = """
 import contextlib, io, json, sys, tracemalloc
 from qlie import cli
 from qlie.laurent import LaurentFn
 from qlie.scalars import Scalar
-counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0, "laurentfn_calls": 0}
+counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0, "str_calls": 0,
+          "laurentfn_calls": 0}
 def counted(name, method):
     def wrapper(*args, **kwargs):
         counts[name] += 1
@@ -133,6 +135,7 @@ def counted(name, method):
 Scalar.__mul__ = counted("mul_calls", Scalar.__mul__)
 Scalar.exact_div = counted("exact_div_calls", Scalar.exact_div)
 Scalar.substitute = counted("substitute_calls", Scalar.substitute)
+Scalar.__str__ = counted("str_calls", Scalar.__str__)
 LaurentFn.__init__ = counted("laurentfn_calls", LaurentFn.__init__)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     tracemalloc.start()
@@ -277,7 +280,7 @@ def main(argv: list[str]) -> int:
         sizes = [_size(tree) for tree in trees]
         timed = {key: _cell(trees, cell_argv) for key, cell_argv in cells.items()}
         for key, pair in timed.items():
-            if key[1] in ("rtt", "qlie") or key[0] == "specialized":
+            if key[1] in ("rtt", "qlie") or key[0] in ("specialized", "corrupt"):
                 for side, summary in enumerate(pair):
                     code, counts = _run(trees[side], cells[key], COUNT_CHILD)
                     assert code == summary["exit"]

@@ -37,10 +37,12 @@ no Operator.
 A run's --beta/--C/--p values are an evaluation homomorphism, so a
 specialized difference is the specialization of the symbolic one: every
 suite checks its symbolic inputs, and `Collector.specialize`, the one
-place the values are applied, substitutes them only into a row that
+place the values are applied, substitutes them only into a position that
 differs.  A slab that passes is never decoded: the Collector turns flat
 terms back into Scalars only to decide a specialized verdict or print a
-witness.
+witness, and prints only the WITNESS_CAP witnesses a report keeps; a
+symbolic run counts the failing positions past them from their packed
+keys.
 
 `braid` and the `extended` part of `ybe` state one identity.  With R =
 P Rhat, R12 R13 R23 = W Rhat23 Rhat12 Rhat23 and R23 R13 R12 = W Rhat12
@@ -203,10 +205,16 @@ class VerificationReport:
 
 
 class Collector:
-    """Specialization, check count and witnesses of one suite run.
+    """Specialization, check count, failure count and witnesses of one suite run.
 
     Create it when the suite starts; `report()` takes the elapsed time from
-    then and caps the witness list.
+    then.  Every failure goes through `witness` or `counted`: `failures`
+    counts them all, and `witnesses` keeps the first WITNESS_CAP, in the
+    order they fail, so only those are decoded and printed.  Once the list
+    is full, a symbolic run counts its failing positions straight from the
+    packed keys whose terms differ (`counted`); a specialized one still
+    substitutes every such position, since a value can erase a difference,
+    but prints none of them.
     """
 
     def __init__(self, suite: str, n: int, subs: Subs = None) -> None:
@@ -215,10 +223,26 @@ class Collector:
         self.n = n
         self.subs = subs
         self.checked = 0
+        self.failures = 0
         self.witnesses: list[dict] = []
         self._t0 = time.perf_counter()
 
-    def specialize(self, row: dict) -> dict[tuple, Scalar]:
+    def witness(self, build: Callable[[], dict]) -> None:
+        """Count one failure, and keep the witness `build` makes while the list has room."""
+        self.failures += 1
+        if len(self.witnesses) < WITNESS_CAP:
+            self.witnesses.append(build())
+
+    def counted(self, positions: set) -> bool:
+        """Count `positions` as failures with no witness, and return True,
+        once the list is full on a symbolic run, where every position whose
+        flat terms differ fails; else count nothing and return False."""
+        if self.subs or len(self.witnesses) < WITNESS_CAP:
+            return False
+        self.failures += len(positions)
+        return True
+
+    def specialize(self, row: dict) -> dict:
         """The Scalars of a flat row {(index, packed monomial): q}, by index,
         specialized; those that vanish are left out.  The one place where a
         run's values are applied."""
@@ -227,23 +251,29 @@ class Collector:
             return by_index
         return {index: v for index, s in by_index.items() if (v := s.substitute(**self.subs))}
 
-    def row(self, out: tuple, lhs: dict, rhs: Optional[dict], tag: dict) -> None:
-        """Witnesses of one output row, `lhs` and `rhs` flat rows {(in, packed monomial): q}.
+    def entries(self, tag: dict, lhs: Flat, rhs: Optional[Flat], width: int, legs: int) -> None:
+        """Witnesses of a matrix slab's entries, `lhs` and `rhs` its two
+        sides' flat terms, keyed as `check_identities` packs them.
 
         Every nonzero entry of lhs when rhs is None, else every position where
-        the two differ once specialized; in input order.
+        the two differ once specialized; in output, then input, order.  Only
+        the positions whose flat terms differ are decoded.
         """
-        lhs = self.specialize(lhs)
-        rhs = None if rhs is None else self.specialize(rhs)
-        for inp in sorted(lhs.keys() | (rhs or {}).keys()):
-            ca = lhs.get(inp, ZERO)
-            if rhs is None:
-                values = {"value": str(ca)}
-            elif ca != (cb := rhs.get(inp, ZERO)):
-                values = {"lhs": str(ca), "rhs": str(cb)}
-            else:
+        entry, mono = (1 << 6 * width) - 1, 6 * width
+        differ = {key & entry for key, _ in lhs.items() ^ (rhs or {}).items()}
+        if self.counted(differ):
+            return
+        sides = [self.specialize({(key & entry, key >> mono): q for key, q in terms.items()
+                                  if key & entry in differ}) for terms in (lhs, rhs or {})]
+        for position in sorted(differ):
+            ca, cb = (side.get(position, ZERO) for side in sides)
+            if ca == cb:
                 continue
-            self.witnesses.append({**tag, "out": list(out), "in": list(inp), **values})
+            self.witness(lambda: {
+                **tag, "out": list(_unpack_fields(position >> 3 * width, width, legs)),
+                "in": list(_unpack_fields(position, width, legs)),
+                **({"value": str(ca)} if rhs is None else {"lhs": str(ca), "rhs": str(cb)}),
+            })
 
     def report(self) -> VerificationReport:
         fixed = set(self.subs or ())
@@ -252,10 +282,10 @@ class Collector:
             suite=self.suite,
             n=self.n,
             symbolic=symbolic,
-            passed=not self.witnesses,
+            passed=not self.failures,
             checked=self.checked,
-            failures=len(self.witnesses),
-            witnesses=self.witnesses[:WITNESS_CAP],
+            failures=self.failures,
+            witnesses=list(self.witnesses),
             millis=int((time.perf_counter() - self._t0) * 1000),
         )
 
@@ -297,12 +327,17 @@ def check_identities(
     SpaceConfig(domain.stop), or a leaf's two-leg rows, which hold no copy
     per spectator index.  The functional route adds lhs - rhs into one
     total, which must be empty; the matrix route compares the two sides'
-    slab dicts once.  Only a slab that differs is split by start and
-    decoded, row by row, in sorted order.
+    slab dicts once.  Only a slab that differs reaches `col`, and of it only
+    the positions whose flat terms differ: on the functional route the
+    distinct start fields of the total, on the matrix route the output and
+    input fields of the symmetric difference of the two sides' terms.  While
+    `col` keeps fewer than WITNESS_CAP witnesses, those positions are
+    decoded in sorted order; once it is full, a symbolic run only counts
+    them (`Collector.counted`).
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
-    values: `col` specializes each differing row, and a row whose sides
-    agree once specialized yields no witness.  Witnesses start with the
+    values: `col` specializes each differing position, and one whose sides
+    agree once specialized is no failure.  Witnesses start with the
     identity's tag and print the specialized value.
     """
     first, leaf = next(iter(leaves.items()))
@@ -314,6 +349,7 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = max(leaf.n, domain.stop if domain is not None else 0).bit_length()
+    low = (1 << 3 * width) - 1
     matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
@@ -333,10 +369,12 @@ def check_identities(
             for starts in slabs:
                 col.checked += len(starts)
                 total = _image(words, starts)
+                if not total or col.counted({key >> 3 * width & low for key in total}):
+                    continue
                 for start, row in sorted(_by_start(total, width).items()):
-                    if values := col.specialize(_decoded(row, width, 3)):
+                    if values := col.specialize(_decoded(row, width)):
                         # an index is an exponent plus one
-                        col.witnesses.append({
+                        col.witness(lambda: {
                             **tag, "side": "functional",
                             "monomial": [i - 1 for i in _unpack_fields(start, width)],
                             "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
@@ -355,15 +393,8 @@ def check_identities(
         for _, slab in groupby(sorted(outs), lambda out: out >> 2 * width):
             starts = [out | out << 3 * width for out in slab]
             lrows, rrows = _image(left, starts), _image(right, starts)
-            if lrows == rrows:
-                continue
-            lrows, rrows = _by_start(lrows, width), _by_start(rrows, width)
-            for out in sorted(lrows.keys() | rrows.keys()):
-                lrow, rrow = lrows.get(out, {}), rrows.get(out, {})
-                if lrow == rrow:
-                    continue
-                col.row(_unpack_fields(out, width, legs), _decoded(lrow, width, legs),
-                        _decoded(rrow, width, legs) if rhs else None, tag)
+            if lrows != rrows:
+                col.entries(tag, lrows, rrows if rhs else None, width, legs)
 
 
 def _image(words: list, starts: list[int]) -> Flat:
@@ -447,10 +478,10 @@ def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
     return rows
 
 
-def _decoded(terms: Flat, width: int, legs: int) -> dict:
-    """Flat terms of one start as a flat row {(index on legs, packed monomial): q}."""
+def _decoded(terms: Flat, width: int) -> dict:
+    """Flat terms of one start as a flat row {(index, packed monomial): q}."""
     low, mono = (1 << 3 * width) - 1, 6 * width
-    return {(_unpack_fields(key & low, width, legs), key >> mono): q for key, q in terms.items()}
+    return {(_unpack_fields(key & low, width), key >> mono): q for key, q in terms.items()}
 
 
 def _index_images(name: str, n: int) -> Iterator[tuple[tuple[int, int], list]]:
@@ -701,7 +732,9 @@ def suite_qlie(
        rtt(I, 0, A, B) are 0 by the delta blocks, and a block-diagonal
        image has entry (0, m) = 0 for m >= 1.  So no input is filtered.
     Each family is thus one run of the engine's product loop, `_image`, on
-    `_rows` tables of E, each row checked at n^3 inputs.
+    `_rows` tables of E, each row checked at n^3 inputs; its positions are
+    the start and index fields of the total's keys, which a full Collector
+    only counts.
 
     Family 2 takes sigma alone, so a run whose constants differ from the
     closed form and whose sigma does not checks families 1, 3 and 4 alone.
@@ -712,6 +745,7 @@ def suite_qlie(
     E = _extended(sigma, constants).entries
     col = Collector("qlie", n, subs)
     width = n.bit_length()
+    entry = (1 << 6 * width) - 1  # a key's start and index fields, its position
     e12, e23 = _rows(E, (0, 1), width), _rows(E, (1, 2), width)
     small = range(1, n + 1)
 
@@ -719,6 +753,8 @@ def suite_qlie(
         col.checked += len(outs) * n ** 3
         starts = [k | k << 3 * width for k in (_pack_fields(out, width) for out in outs)]
         total = _image([(sign, [e12, e23, e12]), (-sign, [e23, e12, e23])], starts)
+        if not total or col.counted({key & entry for key in total}):
+            return
         found = {}
         for key, q in total.items():
             (N, i, j), (A, B, m) = _unpack_fields(key, width), _unpack_fields(key >> 3 * width, width)
@@ -727,7 +763,7 @@ def suite_qlie(
             order = (m, N, i, j) if family == 1 else indices
             found[(order, indices), key >> 6 * width] = q
         for (_, indices), value in sorted(col.specialize(found).items()):
-            col.witnesses.append({"family": family, "indices": list(indices), "value": str(value)})
+            col.witness(lambda: {"family": family, "indices": list(indices), "value": str(value)})
 
     read(1, 1, [(0, 0, m) for m in small])
     if not only_constants:

@@ -179,25 +179,30 @@ def compare_relation_spans(
         pairs = []
         for key in keys:
             family, indices, sign = _partner(*key)
+            row = _rtt_row(*key, tables)
             partner = {wk: sign * q for wk, q in _bcc_row(family, indices, n, *bcc_tables).items()}
-            pairs.append((("rtt", *key), _rtt_row(*key, tables), ("bcc", family, *indices), partner))
+            # an agreeing pair holds one row object, converted once by `_outside_spans`
+            pairs.append((("rtt", *key), row, ("bcc", family, *indices),
+                          row if partner == row else partner))
         found += _outside_spans(pairs)
     # "bcc-span" sorts first, so every rtt-side witness comes first
     for outside, key in sorted(found):
-        collector.witnesses.append({"relation": list(key), "outside": outside})
+        collector.witness(lambda: {"relation": list(key), "outside": outside})
     return collector.report()
 
 
 def _outside_spans(pairs: list) -> Iterator[tuple[str, tuple]]:
     """(opposing span, key) of each nonzero row of a differing pair outside that span.
 
-    `pairs` holds (exchange key, row, calculus key, signed partner row).
-    Rows that share no word are independent, so span membership splits
-    over the connected components of the row-word graph (the trivial case
-    of the block triangular form): a row is tested by fraction-free
-    elimination against the opposing rows of its block, built when needed.
+    `pairs` holds (exchange key, row, calculus key, signed partner row),
+    one row object on both sides of a pair that agrees.  Rows that share
+    no word are independent, so span membership splits over the connected
+    components of the row-word graph (the trivial case of the block
+    triangular form): a row is tested by fraction-free elimination against
+    the opposing rows of its block, built when needed.  Each row object is
+    converted to coordinates once.
     """
-    differing = [pair for pair in pairs if pair[1] != pair[3]]
+    differing = [pair for pair in pairs if pair[1] is not pair[3]]
     unmatched = [(key, row, 1, "bcc-span") for key, row, _, _ in differing if row]
     unmatched += [(key, row, 0, "rtt-span") for _, _, key, row in differing if row]
     if not unmatched:
@@ -228,9 +233,13 @@ def _outside_spans(pairs: list) -> Iterator[tuple[str, tuple]]:
         for w, _ in row:
             parent[find(columns[w])] = first
 
+    converted: dict[int, Row] = {}  # by id: a row object is converted once
+
     def coordinates(row: FlatRow) -> Row:
-        scalars = _by_index((w, key, q) for (w, key), q in row.items())
-        return {columns[w]: s for w, s in scalars.items()}
+        if id(row) not in converted:
+            scalars = _by_index((w, key, q) for (w, key), q in row.items())
+            converted[id(row)] = {columns[w]: s for w, s in scalars.items()}
+        return converted[id(row)]
 
     # per block root, the rows of each side (0: rtt, 1: bcc)
     members: dict[int, tuple[list[FlatRow], list[FlatRow]]] = {}

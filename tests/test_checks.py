@@ -1,4 +1,5 @@
 import gc
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlie import checks, freealg, operators
+from qlie import checks, cli, freealg, operators
 from qlie.cg import extended_rhat, sigma_cg, sigma_cg_family, structure_constants
 from qlie.laurent import _KERNELS, LaurentFn, SpaceConfig, op_r, op_rhat, op_rho, op_s, permute
 from qlie.operators import Operator, compose, from_functional
 from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, _by_index, _pack
 from test_operators import embed
+from test_witness_pins import CORRUPTED_SUITES, _suite_with_corrupted
 
 
 # -- braid ---------------------------------------------------------------------
@@ -90,6 +92,22 @@ def extended_mutants(n):
             yield rhat.with_entry(out, inp, rhat.coeff(out, inp) + delta)
 
 
+def r_mutants():
+    """The 324 single-entry mutants of the matrix of r at n = 2: every entry
+    position over 0..2, moved by b, C, -b or -C."""
+    r = checks._functional_matrix("r", 2)
+    for out, inp in product(product(range(3), repeat=2), repeat=2):
+        for delta in (BETA, C, -BETA, -C):
+            yield r.with_entry(out, inp, r.coeff(out, inp) + delta)
+
+
+def constant_mutants():
+    """The 32 single-constant mutants at n = 2, raised by 1, b, C or p."""
+    constants = structure_constants(2)
+    for (k, i, j), delta in product(product(range(1, 3), repeat=3), (ONE, BETA, C, P)):
+        yield constants.with_entry(k, i, j, constants.coeff(k, i, j) + delta)
+
+
 def test_braid_and_the_ybe_extended_part_are_one_identity(monkeypatch):
     # with R = P Rhat, R12 R13 R23 and R23 R13 R12 are the reversal
     # P12 P13 P23 times Rhat23 Rhat12 Rhat23 and Rhat12 Rhat23 Rhat12 (the
@@ -109,7 +127,9 @@ def test_braid_and_the_ybe_extended_part_are_one_identity(monkeypatch):
 def matrix_values(identities, leaves):
     """Each matrix witness of the identities, uncapped, as {(out, in): rhs - lhs, or value}."""
     col = checks.Collector("values", 2)
-    checks.check_identities(col, identities, leaves)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+        checks.check_identities(col, identities, leaves)
     value = Scalar.parse
     return {(tuple(w["out"]), tuple(w["in"])):
             value(w["rhs"]) - value(w["lhs"]) if "lhs" in w else value(w["value"])
@@ -181,19 +201,15 @@ def test_an_overridden_run_drops_no_witness(monkeypatch):
               range(-1, 2))
         agree(checks.suite_ybe(2, rhat=rhat), [({"part": "extended"}, *checks._ybe("R"))],
               {"R": checks._flipped(rhat)}, range(-1, 2), ybe_skipped)
-    r = checks._functional_matrix("r", 2)
-    for out, inp in product(product(range(3), repeat=2), repeat=2):
-        for delta in (BETA, C, -BETA, -C):
-            mutant = r.with_entry(out, inp, r.coeff(out, inp) + delta)
-            agree(checks.suite_cybe(2, r_matrix=mutant), [({}, checks._cybe("r"), ())],
-                  {"r": mutant}, range(0, 3))
+    for mutant in r_mutants():
+        agree(checks.suite_cybe(2, r_matrix=mutant), [({}, checks._cybe("r"), ())],
+              {"r": mutant}, range(0, 3))
     # qlie family 2 takes sigma alone: the reference takes the mutant for
     # the closed form, so the rule sees no override and checks every family
-    constants, sigma = structure_constants(2), sigma_cg(2)
+    sigma = sigma_cg(2)
     family_2 = checks.Collector("qlie", 2)
     checks.check_identities(family_2, [({"family": 2}, *checks._braid("sigma"))], {"sigma": sigma})
-    for (k, i, j), delta in product(product(range(1, 3), repeat=3), (ONE, BETA, C, P)):
-        mutant = constants.with_entry(k, i, j, constants.coeff(k, i, j) + delta)
+    for mutant in constant_mutants():
         report = checks.suite_qlie(2, constants=mutant)
         with monkeypatch.context() as patch:
             patch.setattr(checks, "structure_constants", lambda n: mutant)
@@ -525,9 +541,10 @@ def test_malformed_statements_raise_a_value_error_naming_them(parse, text, found
 # -- the identity engine ---------------------------------------------------------------
 
 
-def test_engine_witness_keys_for_a_failing_identity():
+def test_engine_witness_keys_for_a_failing_identity(monkeypatch):
     # no CLI input makes components/ybfr fail, so their witness shapes are
     # pinned here: s12 neither vanishes nor equals rho12
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
     s12, rho12 = checks._expression("s12"), checks._expression("rho12")
     leaves = {name: from_functional(op, SpaceConfig(2)) for name, op in (("s", op_s), ("rho", op_rho))}
     for rhs, matrix_keys in (
@@ -635,9 +652,9 @@ def _reference_matrix_route(col, identities, leaves, domain=None):
             position = {**tag, "out": list(out), "in": list(inp)}
             a, b = left.coeff(out, inp), right.coeff(out, inp)
             if not rhs:
-                col.witnesses.append({**position, "value": str(a)})
+                col.witness(lambda: {**position, "value": str(a)})
             elif a != b:
-                col.witnesses.append({**position, "lhs": str(a), "rhs": str(b)})
+                col.witness(lambda: {**position, "lhs": str(a), "rhs": str(b)})
 
 
 def _hecke_rhs(n):
@@ -666,7 +683,9 @@ MATRIX_ROUTE_CASES = [
 @pytest.mark.parametrize(
     "kind, identities, name, build, fixed", MATRIX_ROUTE_CASES, ids=[c[0] for c in MATRIX_ROUTE_CASES]
 )
-def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, build, fixed, n):
+def test_row_wise_matrix_route_matches_whole_products(kind, identities, name, build, fixed, n,
+                                                      monkeypatch):
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
     leaf = build(n)
     fixed = {other: build_other(n) for other, build_other in fixed.items()}
     rng = Random(f"{kind}/{n}")
@@ -705,10 +724,13 @@ def _matrix_routes_agree(identities, leaves, subs=None):
     the reference multiplies the leaves they specialize to.
     """
     engine, reference = checks.Collector("engine", 2, subs), checks.Collector("engine", 2)
-    checks.check_identities(engine, identities, leaves)
-    if subs:
-        leaves = {name: op.map_entries(lambda s: s.substitute(**subs)) for name, op in leaves.items()}
-    _reference_matrix_route(reference, identities, leaves)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+        checks.check_identities(engine, identities, leaves)
+        if subs:
+            leaves = {name: op.map_entries(lambda s: s.substitute(**subs))
+                      for name, op in leaves.items()}
+        _reference_matrix_route(reference, identities, leaves)
     assert engine.witnesses == reference.witnesses
     got, want = engine.report(), reference.report()
     assert (got.checked, got.failures, got.witnesses) == (want.checked, want.failures, want.witnesses)
@@ -821,7 +843,7 @@ def _reference_functional_route(col, identities, domain):
                       if (v := coeff.substitute(**col.subs) if col.subs else coeff)}
             if values:
                 value = str(LaurentFn(cfg, 3, values))
-                col.witnesses.append({**tag, "side": "functional", "monomial": list(exps), "value": value})
+                col.witness(lambda: {**tag, "side": "functional", "monomial": list(exps), "value": value})
 
 
 @settings(max_examples=60, deadline=None)
@@ -837,21 +859,24 @@ def test_functional_route_matches_composed_public_operators(n, polynomial, sides
     engine = checks.Collector("engine", n, subs or None)
     reference = checks.Collector("engine", n, subs or None)
     leaves = {name: _leaf(name, n) for name in OPS}
-    checks.check_identities(engine, identities, leaves, domain)
-    _reference_functional_route(reference, identities, domain)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+        checks.check_identities(engine, identities, leaves, domain)
+        _reference_functional_route(reference, identities, domain)
     assert [w for w in engine.witnesses if w["side"] == "functional"] == reference.witnesses
     assert engine.checked == reference.checked + len(identities) * (n + 1) ** 6
 
 
 @pytest.mark.parametrize("polynomial", [False, True], ids=["laurent", "polynomial"])
 @pytest.mark.parametrize("n", [3, 4, 7, 8])
-def test_key_fields_hold_the_largest_index(n, polynomial):
+def test_key_fields_hold_the_largest_index(n, polynomial, monkeypatch):
     # the engine packs each index in a field of n.bit_length() bits (the
     # matrix route, indices 0..n) or domain.stop.bit_length() bits (the
     # functional route, exponents plus one, 0..stop): n = 3, 4, 7 and 8 sit
     # on both sides of a step in those widths.  A false identity fails on
     # both routes, a leaf corrupted at its largest indices on the matrix
     # route; every witness must match the references.
+    monkeypatch.setattr(checks, "WITNESS_CAP", 10 ** 6)
     domain = range(0, n + 1) if polynomial else range(-1, n)
     rho = _leaf("rho", n)
     corrupted = rho.with_entry((n, n), (0, n), rho.coeff((n, n), (0, n)) + C)
@@ -1080,3 +1105,70 @@ def test_witness_list_is_capped_but_counted():
     assert not report.passed
     assert len(report.witnesses) <= checks.WITNESS_CAP
     assert report.failures >= len(report.witnesses)
+
+
+def _s12_is_rho12(subs):
+    """s12 = rho12 on both routes at degree 4, which fails at 230 positions."""
+    col = checks.Collector("components", 4, subs)
+    leaves = {name: _leaf(name, 4) for name in ("s", "rho")}
+    identity = ({}, checks._expression("s12"), checks._expression("rho12"))
+    checks.check_identities(col, [identity], leaves, range(0, 5))
+    return col.report()
+
+
+def test_a_capped_report_is_the_uncapped_one_cut_short():
+    # past the cap a symbolic run counts its failing positions from the flat
+    # keys, and a specialized one substitutes them but prints none, so every
+    # report must be the uncapped run's with its witness list cut at the cap
+    values = {"beta": Fraction(2, 3), "c": Fraction(-9, 5), "p": Fraction(8, 7)}
+    rhat = extended_rhat(3)
+    # a late entry raised by b - 2/3, which the values erase past the cap,
+    # and an early one by C: 36 failures when symbolic, 27 once specialized
+    erased = rhat.with_entry((3, 3), (3, 3), rhat.coeff((3, 3), (3, 3)) + BETA - Scalar.parse("2/3"))
+    erased = erased.with_entry((1, 1), (1, 1), erased.coeff((1, 1), (1, 1)) + C)
+    runs = [
+        *(("matrix", lambda suite=suite, mutant=mutant: suite(2, rhat=mutant))
+          for mutant in extended_mutants(2) for suite in (checks.suite_braid, checks.suite_ybe)),
+        *(("matrix", lambda mutant=mutant: checks.suite_cybe(2, r_matrix=mutant))
+          for mutant in r_mutants()),
+        *(("qlie", lambda mutant=mutant: checks.suite_qlie(2, constants=mutant))
+          for mutant in constant_mutants()),
+        # the helper sets the cap; read it when called, patched or not
+        *(("matrix", lambda case=case: _suite_with_corrupted(*case, cap=checks.WITNESS_CAP))
+          for case in CORRUPTED_SUITES.values()),
+        ("matrix", lambda: checks.suite_cross_check(6, flip_s_sign=True)),
+        ("qlie", lambda: checks.suite_qlie(3, sigma=sigma_cg_family(3))),
+        ("functional", lambda: _s12_is_rho12(None)),
+        ("specialized matrix", lambda: checks.suite_braid(3, values, rhat=erased)),
+        ("specialized qlie", lambda: checks.suite_qlie(3, values, sigma=sigma_cg_family(3))),
+        ("specialized functional", lambda: _s12_is_rho12(values)),
+    ]
+    past_cap = set()
+    for label, run in runs:
+        capped = run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "WITNESS_CAP", 10 ** 6)
+            full = run()
+        assert ((capped.passed, capped.failures, capped.checked, capped.witnesses)
+                == (full.passed, full.failures, full.checked, full.witnesses[:checks.WITNESS_CAP]))
+        if capped.failures > checks.WITNESS_CAP:
+            past_cap.add(label)
+    assert past_cap == {label for label, _ in runs}
+    assert (checks.suite_braid(3, rhat=erased).failures,
+            checks.suite_braid(3, values, rhat=erased).failures) == (36, 27)
+
+
+@pytest.mark.parametrize("argv, failures", [
+    (("verify", "braid", "--n", "5", "--corrupt", "(5,5;3,4)=2"), 143),
+    (("verify", "qlie", "--n", "5", "--corrupt", "(5,5;4,2)=-C"), 139),
+], ids=["braid", "qlie"])
+def test_only_the_kept_witnesses_are_printed(argv, failures, monkeypatch, capsys):
+    # a failing run formats the values of the witnesses it keeps and of no
+    # other failing position: at most two Scalars (lhs and rhs) per witness
+    calls = []
+    to_text = Scalar.__str__
+    monkeypatch.setattr(Scalar, "__str__", lambda s: calls.append(1) or to_text(s))
+    assert cli.main(list(argv)) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["failures"] == failures and len(report["witnesses"]) == checks.WITNESS_CAP
+    assert len(calls) <= 2 * checks.WITNESS_CAP

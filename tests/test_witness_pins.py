@@ -99,8 +99,9 @@ CORRUPTED_SUITES = {
 }
 
 
-def _suite_with_corrupted(suite, corrupted, entries):
-    """The uncapped report of suite at n = 2, its `corrupted` leaf raised by C at entries."""
+def _suite_with_corrupted(suite, corrupted, entries, cap=None):
+    """The report of suite at n = 2, its `corrupted` leaf raised by C at
+    entries, with the witness cap at `cap`, uncapped unless given."""
     build = checks._functional_matrix
 
     def leaf(name, n):
@@ -111,7 +112,7 @@ def _suite_with_corrupted(suite, corrupted, entries):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(checks, "_functional_matrix", leaf)
-        patch.setattr(checks, "WITNESS_CAP", UNCAPPED)
+        patch.setattr(checks, "WITNESS_CAP", cap or UNCAPPED)
         return suite(2)
 
 
@@ -128,7 +129,9 @@ CASES = {
 
 
 def record(name):
-    col = CASES[name]()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "WITNESS_CAP", UNCAPPED)
+        col = CASES[name]()
     return json.dumps({"checked": col.checked, "witnesses": col.witnesses}, indent=1)
 
 
