@@ -45,7 +45,10 @@ its work and memory, counted in one more, untimed subprocess per tree, so
 no timed run is wrapped or traced: the number of `Scalar.__mul__`,
 `Scalar.exact_div`, `Scalar.substitute` and `Scalar.__str__` calls (the
 last, `str_calls`, the witness values printed), the number of `LaurentFn`
-constructions and the `tracemalloc` peak of `qlie.cli.main`, in MiB;
+constructions, `pairs_split`, the keyed pairs `rtt` hands to its exact
+span test (`rtt._outside_spans`), those of the grade groups whose signed
+sweep did not cancel, 0 off `rtt`, and the `tracemalloc` peak of
+`qlie.cli.main`, in MiB;
 unlike the times, these do not drift with the host.  Each file also records the ROADMAP's two measures
 of simplicity for its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat
 src/qlie/*.py | wc -l`), beside `code_lines`, those lines that hold code,
@@ -118,15 +121,20 @@ print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()])
 """
 
 # one untimed run with Scalar.__mul__, Scalar.exact_div, Scalar.substitute,
-# Scalar.__str__ and LaurentFn constructions counted and memory traced:
-# [exit code, counts and tracemalloc peak]
+# Scalar.__str__ and LaurentFn constructions and the pairs rtt splits out
+# counted and memory traced: [exit code, counts and tracemalloc peak]
 COUNT_CHILD = """
 import contextlib, io, json, sys, tracemalloc
-from qlie import cli
+from qlie import cli, rtt
 from qlie.laurent import LaurentFn
 from qlie.scalars import Scalar
 counts = {"mul_calls": 0, "exact_div_calls": 0, "substitute_calls": 0, "str_calls": 0,
-          "laurentfn_calls": 0}
+          "laurentfn_calls": 0, "pairs_split": 0}
+outside_spans = rtt._outside_spans
+def split(pairs):
+    counts["pairs_split"] += len(pairs)
+    return outside_spans(pairs)
+rtt._outside_spans = split
 def counted(name, method):
     def wrapper(*args, **kwargs):
         counts[name] += 1

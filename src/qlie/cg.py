@@ -24,17 +24,26 @@ Tower: each of these matrices at level n + 1, restricted to indices <= n,
 is its level-n matrix, and no entry takes an input within level n to an
 output holding n + 1.  So level n is an invariant subspace, though not a
 direct summand: b-terms of sigma take inputs holding n + 1 into level n.
+
+`sigma_cg`, `structure_constants` and `extended_rhat` keep their last
+result, so a run that overrides an entry of one (`qlie verify --corrupt`)
+and compares its input with the default builds that default once.  Every
+Operator and StructureTensor is a value: no method changes one in place,
+and `with_entry` and `map_entries` return a new one, so the shared result
+is safe to hand to every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .operators import Entry, Operator
 from .scalars import BETA, C, ONE, ZERO, Scalar
 
 
+@lru_cache(maxsize=1)
 def sigma_cg(n: int) -> Operator:
     """The Cremmer-Gervais braid matrix on small indices 1..n."""
     if n < 1:
@@ -115,6 +124,7 @@ class StructureTensor:
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=1)
 def structure_constants(n: int) -> StructureTensor:
     """Structure constants of the quantum Lie algebra: C^j_{j1} = -C^j_{1j} = C.
 
@@ -130,6 +140,7 @@ def structure_constants(n: int) -> StructureTensor:
     return StructureTensor(n, ent)
 
 
+@lru_cache(maxsize=1)
 def extended_rhat(n: int) -> Operator:
     """The extended braid matrix on capital indices 0..n, `_extended` of
     sigma_cg(n) and the closed-form structure constants."""

@@ -286,8 +286,8 @@ def _run_suites(
     It can when there are two CPUs to run on, `os.fork` exists and no other
     thread runs, which the child could find holding a lock.  A forked child
     and the caller take suite indices from one queue, a pipe holding one
-    byte per suite, written last suite first: `rtt`, the longest suite,
-    starts at once (longest job first; Graham, SIAM J. Appl. Math. 1969).
+    byte per suite, written last suite first: the suites start in reverse
+    `verify all` order, `rtt` first.
     The child sends each report back as one JSON line.  Any suite the caller
     has no report of, because it raised or because the child raised, died or
     sent a line that cannot be read, runs again in the caller, in order.  So

@@ -9,7 +9,10 @@ over all capital index tuples, Rhat being E = `extended_rhat(n)`, yields
 quadratic relations in the free algebra on x and f; these are compared, as
 linear spans over the fraction field of the scalar ring, with the four
 directly-substituted relation families of the bicovariant calculus, built
-by `freealg._bcc_row`, as `freealg` flat rows.
+by `freealg._bcc_terms`.  Each side has one builder of packed terms
+(`_rtt_terms`, `freealg._bcc_terms`), which the single-relation readers
+(`rtt_relation`, `bcc_relation`, `dump_relations`) and the comparison all
+call.
 
 Theorem.  Let E have any body sigma and constants C, and the calculus
 relations the same.  Exchange relation (I, J, A, B) is 0 when I = 0 or
@@ -38,8 +41,16 @@ constant makes the n (n+1) pairs it enters differ.
 
 While the constants lie on their support, every relation is homogeneous
 in `cg`'s weight grading, of its key's grade (`_key_groups`), so the
-comparison takes one grade at a time: a tracemalloc peak of 1.6 MiB at
+comparison takes one grade at a time: a tracemalloc peak of 1.2 MiB at
 n = 12, against 85 MiB with every relation held at once.
+
+Each group is compared in one signed sweep: every key's exchange relation
+with sign + and its partner's calculus relation times the partner's sign
+with sign - go into one dict of packed terms, each relation at the key's
+position in the group (`freealg`).  The position keeps the pairs apart, so
+a group whose terms all cancel is exactly a group whose pairs all agree,
+and only a group that does not cancel is split into keyed pairs
+(`_split`) for the exact span test.
 """
 
 from __future__ import annotations
@@ -49,32 +60,42 @@ from typing import Iterator, Optional
 
 from .cg import StructureTensor, _constants, extended_rhat, sigma_cg
 from .checks import Collector, VerificationReport
-from .freealg import _ARITY, FlatRow, _bcc_row, _flat_row, _index, _row_str
+from .freealg import _ARITY, FlatRow, _bcc_terms, _index, _layout, _row, _row_str, _rows
 from .linalg import Echelon, Row, echelon
 from .scalars import _by_index
 
-def _rtt_tables(n: int) -> tuple[dict, dict, list]:
-    """Rhat by input and output pair, and T[upper][lower] as a word or None, a structural zero."""
+def _rtt_tables(n: int) -> tuple[dict, dict, list, list]:
+    """Rhat indexed by input and output pair (`freealg.EntryIndex`), and T
+    by rows, t[upper][lower], and by columns, t[lower][upper], each entry a
+    generator code, 0 for the unit or None for a structural zero."""
     m = n + 1
-    t = [[(m * upper + lower,) if lower else None for lower in range(m)] for upper in range(m)]
-    t[0] = [(lower,) if lower else () for lower in range(m)]
-    return (*_index(extended_rhat(n).entries), t)
+    t = [[m * upper + lower if lower else None for lower in range(m)] for upper in range(m)]
+    t[0] = list(range(m))
+    return (*_index(extended_rhat(n).entries, n), t, list(zip(*t)))
 
 
 def _bcc_tables(n: int, constants: Optional[StructureTensor]) -> tuple[tuple, tuple]:
-    """sigma_cg(n) and the constants, the closed-form ones for None, indexed for `_bcc_row`."""
-    ct = _constants(n, constants).entries
-    return _index(sigma_cg(n).entries), _index({(k, (i, j)): v for (k, i, j), v in ct.items()})
+    """sigma_cg(n) and the constants, the closed-form ones for None, indexed for `_bcc_terms`."""
+    ct = {(k, (i, j)): v for (k, i, j), v in _constants(n, constants).entries.items()}
+    return _index(sigma_cg(n).entries, n), _index(ct, n)
 
 
-def _rtt_row(I: int, J: int, A: int, B: int, tables: tuple[dict, dict, list]) -> FlatRow:
-    by_in, by_out, t = tables
-    # Rhat^{KL}_{IJ} T^A_K T^B_L  -  T^K_I T^L_J Rhat^{AB}_{KL}
-    parts = [(t[A][K], t[B][L], terms, 1) for (K, L), terms in by_in.get((I, J), ())]
-    parts += [(t[K][I], t[L][J], terms, -1) for (K, L), terms in by_out.get((A, B), ())]
-    return _flat_row(
-        (ta + tb, terms, sign) for ta, tb, terms, sign in parts if ta is not None and tb is not None
-    )
+def _rtt_terms(out: dict, keys: list, n: int, tables: tuple[dict, dict, list, list]) -> None:
+    """Add the exchange relation of each key (I, J, A, B) of `keys` into out
+    at its position, as packed terms (`freealg`)."""
+    by_in, by_out, t, columns = tables
+    base, width = _layout(n)
+    get = out.get
+    for pos, (I, J, A, B) in enumerate(keys):
+        at = pos << width
+        # Rhat^{KL}_{IJ} T^A_K T^B_L  -  T^K_I T^L_J Rhat^{AB}_{KL}, by_out's terms negated
+        for entries, first, second in ((by_in.get((I, J), ()), t[A], t[B]),
+                                       (by_out.get((A, B), ()), columns[I], columns[J])):
+            for (K, L), _, key, q in entries:
+                c1, c2 = first[K], second[L]
+                if c1 is not None and c2 is not None:
+                    k = key + (at + (c1 * base + c2 if c2 else c1))
+                    out[k] = get(k, 0) + q
 
 
 def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> FlatRow:
@@ -87,7 +108,7 @@ def rtt_relation(I: int, J: int, A: int, B: int, n: int) -> FlatRow:
     for idx in (I, J, A, B):
         if idx < 0 or idx > n:
             raise ValueError(f"index {idx} outside 0..{n}")
-    return _rtt_row(I, J, A, B, _rtt_tables(n))
+    return _row(_rtt_terms, (I, J, A, B), n, _rtt_tables(n))
 
 
 def bcc_relation(
@@ -109,13 +130,13 @@ def bcc_relation(
     for idx in indices:
         if idx < 1 or idx > n:
             raise ValueError(f"index {idx} outside 1..{n}")
-    return _bcc_row(family, indices, n, *_bcc_tables(n, constants))
+    return _row(_bcc_terms, (family, indices, 1), n, *_bcc_tables(n, constants))
 
 
 def _rtt_rows(n: int) -> Iterator[tuple[tuple, FlatRow]]:
     tables = _rtt_tables(n)
     for I, J, A, B in product(range(0, n + 1), repeat=4):
-        yield ("rtt", I, J, A, B), _rtt_row(I, J, A, B, tables)
+        yield ("rtt", I, J, A, B), _row(_rtt_terms, (I, J, A, B), n, tables)
 
 
 def _bcc_rows(
@@ -124,7 +145,7 @@ def _bcc_rows(
     tables = _bcc_tables(n, constants)
     for family, arity in _ARITY.items():
         for indices in product(range(1, n + 1), repeat=arity):
-            yield ("bcc", family, *indices), _bcc_row(family, indices, n, *tables)
+            yield ("bcc", family, *indices), _row(_bcc_terms, (family, indices, 1), n, *tables)
 
 
 def _key_groups(n: int, constants: StructureTensor) -> Iterator[list[tuple[int, ...]]]:
@@ -165,10 +186,14 @@ def compare_relation_spans(
 
     Only the keys of `_key_groups` are built, each beside its partner: the
     other exchange rows are 0 by the module's theorem, and in every span.
-    A pair that agrees is in both spans; `_outside_spans` tests the rest.
-    Each group is generated, compared and dropped on its own, so memory is
-    bounded by the largest group, and no block of `_outside_spans` crosses
-    a group.  Witnesses are sorted back into key order, `rtt`-side first.
+    A pair that agrees is in both spans.  A group is swept once (the
+    module docstring); one that does not cancel is split into its pairs,
+    from the sweep's own terms and a copy of its exchange side, so no
+    relation is built twice, and `_outside_spans` tests the pairs that
+    differ.  Each group is generated, compared and dropped on its own, so
+    memory is bounded by the largest group, and no block of
+    `_outside_spans` crosses a group.  Witnesses are sorted back into key
+    order, `rtt`-side first.
     """
     ct = _constants(n, bcc_constants)
     collector = Collector("rtt", n)
@@ -176,19 +201,29 @@ def compare_relation_spans(
     tables, bcc_tables = _rtt_tables(n), _bcc_tables(n, ct)
     found: list[tuple[str, tuple]] = []
     for keys in _key_groups(n, ct):
-        pairs = []
-        for key in keys:
-            family, indices, sign = _partner(*key)
-            row = _rtt_row(*key, tables)
-            partner = {wk: sign * q for wk, q in _bcc_row(family, indices, n, *bcc_tables).items()}
-            # an agreeing pair holds one row object, converted once by `_outside_spans`
-            pairs.append((("rtt", *key), row, ("bcc", family, *indices),
-                          row if partner == row else partner))
-        found += _outside_spans(pairs)
+        terms: dict = {}
+        _rtt_terms(terms, keys, n, tables)
+        exchange = terms.copy()
+        partners = [_partner(*key) for key in keys]
+        _bcc_terms(terms, [(family, idx, -sign) for family, idx, sign in partners], n, *bcc_tables)
+        if any(terms.values()):
+            found += _outside_spans(list(_split(keys, partners, exchange, terms, n)))
     # "bcc-span" sorts first, so every rtt-side witness comes first
     for outside, key in sorted(found):
         collector.witness(lambda: {"relation": list(key), "outside": outside})
     return collector.report()
+
+
+def _split(keys: list, partners: list, exchange: dict, rest: dict, n: int) -> Iterator[tuple]:
+    """The keyed pairs of a group for `_outside_spans`: each key's exchange
+    row and its signed partner row, the exchange row less what the sweep
+    left at the key's position; one row object where the two agree.  Every
+    key of `exchange` is a key of `rest`, which began as its copy."""
+    rows = _rows(exchange, n)
+    calculus = _rows({k: exchange.get(k, 0) - q for k, q in rest.items()}, n)
+    for pos, (key, (family, indices, _)) in enumerate(zip(keys, partners)):
+        row, partner = rows.get(pos, {}), calculus.get(pos, {})
+        yield ("rtt", *key), row, ("bcc", family, *indices), row if partner == row else partner
 
 
 def _outside_spans(pairs: list) -> Iterator[tuple[str, tuple]]:

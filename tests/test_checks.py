@@ -351,7 +351,7 @@ def test_qlie_axioms_fail_with_corrupted_sigma():
 
 def qlie_reference(n, sigma, constants, subs):
     """The family 1, 3 and 4 witnesses of `suite_qlie`, uncapped, from the
-    calculus relations of `freealg._bcc_row` in the representation x_k ->
+    calculus relations of `freealg._bcc_terms` in the representation x_k ->
     (C^m_{Nk})_{N,m}, f(a,l) -> (sigma^{am}_{Nl})_{N,m}, a word going to the
     product of its letters' matrices, in Scalar arithmetic."""
     letters = {}  # letters[code][N] lists (m, entry (N, m))
@@ -359,13 +359,13 @@ def qlie_reference(n, sigma, constants, subs):
         letters.setdefault(k, {}).setdefault(N, []).append((m, c))
     for ((a, m), (N, l)), c in sigma.entries.items():
         letters.setdefault((n + 1) * a + l, {}).setdefault(N, []).append((m, c))
-    sig = freealg._index(sigma.entries)
-    ct = freealg._index({(k, (i, j)): v for (k, i, j), v in constants.entries.items()})
+    sig = freealg._index(sigma.entries, n)
+    ct = freealg._index({(k, (i, j)): v for (k, i, j), v in constants.entries.items()}, n)
     witnesses = []
     for family in (1, 3, 4):
         found = {}
         for indices in product(range(1, n + 1), repeat=freealg._ARITY[family]):
-            row = freealg._bcc_row(family, indices, n, sig, ct)
+            row = freealg._row(freealg._bcc_terms, (family, indices, 1), n, sig, ct)
             value = {}
             for word, coeff in _by_index((w, key, q) for (w, key), q in row.items()).items():
                 matrix = {(N, N): coeff for N in range(1, n + 1)}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qlie import cli, rtt
+from qlie import cg, cli, rtt
 from qlie.cg import extended_rhat, sigma_cg, structure_constants
 from qlie.laurent import SpaceConfig, op_r
 from qlie.operators import from_functional
@@ -483,6 +483,21 @@ def test_main_builds_one_parser(capsys):
     assert cli.main(["verify", "braid", "--n", "1"]) == 0
     assert cli.main(["verify", "hecke", "--n", "1"]) == 0
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [("braid", "--corrupt", "(1,2;2,1)=C"),
+                                  ("qlie", "--corrupt", "(1,2;2,1)=C"),
+                                  ("qlie", "--corrupt-constants", "(2;1,2)=2C")],
+                         ids=["braid", "qlie", "qlie-constants"])
+def test_an_overridden_run_builds_each_default_once(argv, capsys):
+    # the CLI builds a default to override an entry of it, and the suite
+    # builds it again to compare its input with it: the builds, the cache
+    # misses of the cg builders, count each default once
+    builders = (cg.sigma_cg, cg.structure_constants, cg.extended_rhat)
+    for build in builders:
+        build.cache_clear()
+    assert cli.main(["verify", argv[0], "--n", "3", *argv[1:]]) == 1
+    assert [build.cache_info().misses for build in builders] == [1, 1, int(argv[0] == "braid")]
 
 
 def _masked(text):

@@ -5,7 +5,8 @@ import pytest
 
 from qlie import rtt
 from qlie.cg import structure_constants
-from qlie.checks import WITNESS_CAP
+from qlie.checks import WITNESS_CAP, Collector
+from qlie.freealg import _ARITY
 from qlie.rtt import (
     _bcc_rows,
     _key_groups,
@@ -233,7 +234,8 @@ def test_off_support_constant_is_compared_in_one_group():
 
 def test_span_comparison_memory_is_bounded_by_one_grade():
     # all relations at once peaked at 13.7 MiB, and at 16.2 MiB with C^2_{11}
-    # raised by C, off its support; the largest grade needs about 0.6 MiB
+    # raised by C, off its support; one grade at a time peaks at about
+    # 0.4 MiB passing and 0.6 MiB with that constant
     ct = structure_constants(8)
     for constants, passes in ((ct, True), (ct.with_entry(2, 1, 1, ct.coeff(2, 1, 1) + C), False)):
         tracemalloc.start()
@@ -269,6 +271,68 @@ def test_spans_equal(n):
 @pytest.mark.slow
 def test_spans_equal_n3():
     assert compare_relation_spans(3).passed
+
+
+def test_a_passing_run_splits_no_group(monkeypatch):
+    # every group of a passing run cancels in its signed sweep, so none is
+    # split into keyed pairs
+    def refuse(*args):
+        raise AssertionError("a group of a passing run was split")
+
+    monkeypatch.setattr(rtt, "_split", refuse)
+    for n in range(1, 6):
+        assert compare_relation_spans(n).passed
+
+
+def _per_pair_report(n, constants):
+    """The span comparison as a loop over keyed pairs, as reference: each
+    key's exchange row beside its partner's row times its sign, one row
+    object where they agree, every group through `_outside_spans`."""
+    collector = Collector("rtt", n)
+    collector.checked += (n + 1) ** 4 + sum(n ** a for a in _ARITY.values())
+    found = []
+    for keys in _key_groups(n, constants):
+        pairs = []
+        for key in keys:
+            family, indices, sign = rtt._partner(*key)
+            row = rtt_relation(*key, n)
+            partner = {w: sign * q for w, q in bcc_relation(family, indices, n, constants).items()}
+            pairs.append((("rtt", *key), row, ("bcc", family, *indices),
+                          row if partner == row else partner))
+        found += rtt._outside_spans(pairs)
+    for outside, key in sorted(found):
+        collector.witness(lambda: {"relation": list(key), "outside": outside})
+    return collector.report()
+
+
+def test_the_sweep_reports_as_the_per_pair_loop(monkeypatch):
+    # every single-constant mutant at n = 2, P_INV putting a negative p
+    # field into the packed keys, and two constants off the support at n = 3:
+    # the same report, and the groups the sweep splits are the reference's
+    # groups that hold a differing pair, pair for pair
+    base = structure_constants(2)
+    mutants = [(2, base.with_entry(*position, base.coeff(*position) + delta))
+               for position in product((1, 2), repeat=3)
+               for delta in (ONE, -ONE, BETA, C, P, P_INV)]
+    three = structure_constants(3)
+    mutants += [(3, three.with_entry(2, 1, 1, C)), (3, three.with_entry(3, 1, 1, -C))]
+    outside_spans, tested = rtt._outside_spans, []
+
+    def record(pairs):
+        tested.append(pairs)
+        return outside_spans(pairs)
+
+    monkeypatch.setattr(rtt, "_outside_spans", record)
+    for n, constants in mutants:
+        report = compare_relation_spans(n, constants)
+        split = tested[:]
+        tested.clear()
+        reference = _per_pair_report(n, constants)
+        assert not reference.passed
+        assert (report.passed, report.failures, report.witnesses) == \
+            (reference.passed, reference.failures, reference.witnesses)
+        assert split == [pairs for pairs in tested if any(p[1] != p[3] for p in pairs)]
+        tested.clear()
 
 
 def test_correct_input_is_settled_without_elimination(monkeypatch):
