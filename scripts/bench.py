@@ -53,8 +53,9 @@ unlike the times, these do not drift with the host.  Each file also records the 
 of simplicity for its tree: `src_lines`, the lines of `src/qlie/*.py` (`cat
 src/qlie/*.py | wc -l`), beside `code_lines`, those lines that hold code,
 not blank, a comment or part of a docstring, so that editing a docstring
-does not move the count, and `module_lines`, the lines of each of those
-files, so that code moved between modules is not read as a reduction, and
+does not move the count, and `module_lines` and `module_code_lines`, the
+lines and the code lines of each of those files, so that code moved between
+modules is not read as a reduction, and
 `public_names`, the length of `qlie.__all__`, beside `public_members`, the
 number of public members of the classes in `qlie.__all__` (the names in
 `vars(cls)` that do not start with "_"), listed per class in
@@ -219,10 +220,10 @@ def _size(src: Path) -> dict:
     the public names and class members."""
     paths = sorted((src / "qlie").glob("*.py"))
     lines = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    code = {path.name: _code_lines(path.read_text()) for path in paths}
     names, members = _run(src, [], SURFACE_CHILD)
-    return {"src_lines": sum(lines.values()),
-            "code_lines": sum(_code_lines(path.read_text()) for path in paths),
-            "module_lines": lines, "public_names": names,
+    return {"src_lines": sum(lines.values()), "code_lines": sum(code.values()),
+            "module_lines": lines, "module_code_lines": code, "public_names": names,
             "public_members": sum(map(len, members.values())), "class_members": members}
 
 

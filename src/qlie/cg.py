@@ -20,6 +20,24 @@ index, and C^j_{kl} is nonzero only on the support j = k + l - 1, where
 w(j) = w(k) + w(l).  So every exchange and calculus relation is homogeneous
 (see `rtt`); a mutated constant off the support breaks this.
 
+Classical limit: with e_ij (x) e_kl the entry of output (i, k) and input
+(j, l), P sigma_cg(n) - I = b r_CG, P the flip of the two legs, where
+
+    r_CG = sum_{i>j} e_ij (x) e_ji - sum_{i>j} e_ii (x) e_jj
+         + sum_{i<j, k>=1, j+k<=n} (e_ji (x) e_{i+k,j+k} - e_{i+k,j+k} (x) e_ji)
+
+is the Belavin-Drinfeld r-matrix of the Cremmer-Gervais triple (Belavin &
+Drinfeld 1982, Gerstenhaber & Giaquinto 1997): the last sum is sum_{alpha>0}
+sum_k e_-alpha ^ e_{T^k alpha} for the shift T(alpha_i) = alpha_{i+1},
+which takes {alpha_1..alpha_{n-2}} to {alpha_2..alpha_{n-1}}, and
+-sum_{i>j} e_ii (x) e_jj is its Cartan part.  Proof.  P takes the flip
+term to I, and the b-term at s, from input (k, l), to output (k + l - s,
+s): s = min(k, l) gives the first sum for k < l and the second for k > l,
+and each other s one term of the last, with shift |s - min(k, l)|.  So r
++ r21 = b (P - I), the split Casimir of gl_n less the identity, and P
+extended_rhat(n) - I is b r_CG + C sum_{a=2..n} (e_aa (x) e_01 - e_a1 (x)
+e_0a): the delta blocks become I, and the constants move to output (a, 0).
+
 Tower: each of these matrices at level n + 1, restricted to indices <= n,
 is its level-n matrix, and no entry takes an input within level n to an
 output holding n + 1.  So level n is an invariant subspace, though not a

@@ -76,10 +76,11 @@ identities that take that input, on the matrix route, the only route the
 input reaches.  The functional route applies the built-in kernels by name,
 and `ybe`'s `cg-family` parts and `qlie` family 2, when only the constants
 differ, check built-in matrices, so on such an input they would repeat the
-plain run's verdict at the same n.  The input is compared by value with
-`DEFAULT_INPUTS`, or the constants with `structure_constants`, so an
-override by an entry's own value prints the plain run's report, and a suite
-given nothing compares nothing.  The matrix witnesses still name their
+plain run's verdict at the same n.  One call, `_input`, decides this for
+each suite: it returns the input, its witness tag and its domain, comparing
+the input by value with `DEFAULT_INPUTS`, as `suite_qlie` compares the
+constants with `structure_constants`, so an override by an entry's own
+value prints the plain run's report.  The matrix witnesses still name their
 route, `"side": "matrix"`; only `checked` counts less:
 `test_an_overridden_run_drops_no_witness` compares the reports with those
 of every check over the mutants above and the constant mutants at n = 2.
@@ -90,6 +91,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -349,7 +351,7 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = max(leaf.n, domain.stop if domain is not None else 0).bit_length()
-    low = (1 << 3 * width) - 1
+    low, mono = (1 << 3 * width) - 1, 6 * width
     matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
     if domain is not None:
         cfg = SpaceConfig(domain.stop)
@@ -371,8 +373,12 @@ def check_identities(
                 total = _image(words, starts)
                 if not total or col.counted({key >> 3 * width & low for key in total}):
                     continue
-                for start, row in sorted(_by_start(total, width).items()):
-                    if values := col.specialize(_decoded(row, width)):
+                rows: dict[int, dict] = {}  # by start: {(index, packed monomial): q}
+                for key, q in total.items():
+                    start = key >> 3 * width & low
+                    rows.setdefault(start, {})[_unpack_fields(key & low, width), key >> mono] = q
+                for start, row in sorted(rows.items()):
+                    if values := col.specialize(row):
                         # an index is an exponent plus one
                         col.witness(lambda: {
                             **tag, "side": "functional",
@@ -469,21 +475,6 @@ def _unpack_fields(key: int, width: int, count: int = 3) -> tuple[int, ...]:
     return (key >> 2 * width & mask, key >> width & mask, key & mask)[:count]
 
 
-def _by_start(terms: Flat, width: int) -> dict[int, Flat]:
-    """A slab's terms split by the packed start fields of their keys."""
-    low = (1 << 3 * width) - 1
-    rows: dict[int, Flat] = {}
-    for key, q in terms.items():
-        rows.setdefault(key >> 3 * width & low, {})[key] = q
-    return rows
-
-
-def _decoded(terms: Flat, width: int) -> dict:
-    """Flat terms of one start as a flat row {(index, packed monomial): q}."""
-    low, mono = (1 << 3 * width) - 1, 6 * width
-    return {(_unpack_fields(key & low, width), key >> mono): q for key, q in terms.items()}
-
-
 def _index_images(name: str, n: int) -> Iterator[tuple[tuple[int, int], list]]:
     """The named kernel of `laurent._KERNELS` on the basis pairs of
     SpaceConfig(n), in indices: pairs (source, terms) as `_table` reads
@@ -493,13 +484,16 @@ def _index_images(name: str, n: int) -> Iterator[tuple[tuple[int, int], list]]:
         yield (ea + 1, eb + 1), [((x + 1, y + 1), m, q) for (x, y), m, q in images]
 
 
+@lru_cache(maxsize=4)  # one slot each for rho, s, r and rhat at one n
 def _functional_matrix(name: str, n: int) -> Operator:
     """Matrix of the named kernel of `laurent._KERNELS` on SpaceConfig(n).
 
     Entry (I,J; K,L) is the coefficient of x^(I-1) y^(J-1) in the kernel's
     image of x^(K-1) y^(L-1), read off `_index_images`, so no LaurentFn is
     built; it equals `operators.from_functional` of the kernel's functional
-    operator, the reference the tests compare.
+    operator, the reference the tests compare.  Like `cg`'s builders it
+    keeps its results, an Operator being a value, so an overridden `cybe`
+    run builds the default it edits and compares with once.
     """
     terms = (((out, inp), m, q) for inp, images in _index_images(name, n) for out, m, q in images)
     return Operator(n, 2, _by_index(terms), lo=0)
@@ -521,29 +515,23 @@ DEFAULT_INPUTS: dict[str, Callable[[int], Operator]] = {
 }
 
 
-def _given_or(suite: str, name: str, op: Optional[Operator], n: int, lo: int) -> Operator:
-    """op, or the suite's DEFAULT_INPUTS at n when op is None; op must be a
-    two-leg matrix on lo..n."""
-    if op is None:
-        return DEFAULT_INPUTS[suite](n)
-    _check_shape(name, op, n, lo)
-    return op
+def _input(
+    suite: str, name: str, op: Optional[Operator], n: int, lo: int, domain: Optional[range]
+) -> tuple[Operator, dict, Optional[range]]:
+    """The suite's input, its witness tag and its domain.
 
-
-def _differs(suite: str, op: Optional[Operator], n: int) -> bool:
-    """Whether op, the suite's input or None, was given and differs from its
-    DEFAULT_INPUTS at n."""
-    return op is not None and op != DEFAULT_INPUTS[suite](n)
-
-
-def _routes(
-    suite: str, op: Optional[Operator], n: int, domain: range
-) -> tuple[dict, Optional[range]]:
-    """The witness tag and the domain of an identity that takes the suite's
-    input op: the matrix route alone, its witnesses still naming it, when op
-    differs from the default (the module docstring's rule), else both routes
-    on domain."""
-    return ({"side": "matrix"}, None) if _differs(suite, op, n) else ({}, domain)
+    op, which must be a two-leg matrix on lo..n, when given and not equal
+    to the suite's DEFAULT_INPUTS at n: then the identities that take it run
+    on the matrix route alone, their witnesses still naming it (the module
+    docstring's rule).  Else the default, an untagged witness and both
+    routes on domain.
+    """
+    if op is not None:
+        _check_shape(name, op, n, lo)
+    default = DEFAULT_INPUTS[suite](n)
+    if op is None or op == default:
+        return default, {}, domain
+    return op, {"side": "matrix"}, None
 
 
 def _check_shape(name: str, op: Operator, n: int, lo: int, like: str = "") -> None:
@@ -577,8 +565,7 @@ def suite_braid(
     matrix route alone.
     """
     col = Collector("braid", n, subs)
-    R = _given_or("braid", "rhat", rhat, n, 0)
-    tag, domain = _routes("braid", rhat, n, range(-1, n))
+    R, tag, domain = _input("braid", "rhat", rhat, n, 0, range(-1, n))
     check_identities(col, [(tag, *_braid("rhat"))], {"rhat": R}, domain)
     return col.report()
 
@@ -595,8 +582,7 @@ def suite_ybe(
     alone, on the matrix route.
     """
     col = Collector("ybe", n, subs)
-    R = _given_or("ybe", "rhat", rhat, n, 0)
-    tag, domain = _routes("ybe", rhat, n, range(-1, n))
+    R, tag, domain = _input("ybe", "rhat", rhat, n, 0, range(-1, n))
     check_identities(col, [({"part": "extended", **tag}, *_ybe("R"))], {"R": _flipped(R)}, domain)
     if domain is None:  # the family parts take no rhat
         return col.report()
@@ -631,8 +617,7 @@ def suite_cybe(
     matrix route alone.
     """
     col = Collector("cybe", n, subs)
-    r = _given_or("cybe", "r_matrix", r_matrix, n, 0)
-    tag, domain = _routes("cybe", r_matrix, n, range(0, n + 1))
+    r, tag, domain = _input("cybe", "r_matrix", r_matrix, n, 0, range(0, n + 1))
     check_identities(col, [(tag, _cybe("r"), ())], {"r": r}, domain)
     return col.report()
 
@@ -739,9 +724,8 @@ def suite_qlie(
     Family 2 takes sigma alone, so a run whose constants differ from the
     closed form and whose sigma does not checks families 1, 3 and 4 alone.
     """
-    only_constants = (constants is not None and constants != structure_constants(n)
-                      and not _differs("qlie", sigma, n))
-    sigma = _given_or("qlie", "sigma", sigma, n, 1)
+    sigma, overridden, _ = _input("qlie", "sigma", sigma, n, 1, None)
+    only_constants = not overridden and constants not in (None, structure_constants(n))
     E = _extended(sigma, constants).entries
     col = Collector("qlie", n, subs)
     width = n.bit_length()

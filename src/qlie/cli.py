@@ -169,6 +169,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise InputError("--out '': expected a file path")
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise InputError(f"--out {args.out!r}: no such directory")
+    if args.out is not None and os.path.isdir(args.out):
+        raise InputError(f"--out {args.out!r}: is a directory")
     args.subs = values or None
 
 

@@ -152,26 +152,24 @@ def _key_groups(n: int, constants: StructureTensor) -> Iterator[list[tuple[int, 
     """The exchange keys (i, j, A, B) with i, j >= 1, in key order, one list per cell of grades.
 
     With `cg`'s weight w(i) = max(i - 1, 0), key (i, j, A, B) and its
-    partner have grade (w(A)+w(B), w(i)+w(j)).  Index pairs grouped by
-    weight give each grade's keys, so no list of all keys is built.  A
-    constant C^k_{ij} off the support k = i + j - 1 joins the weights w(k)
-    and w(i)+w(j); a cell is a pair of classes (upper, lower) of the
-    partition of the weights 0..2n-2 those joins generate.  On the support
-    every class is one weight, and every cell one grade.
+    partner have grade (w(A)+w(B), w(i)+w(j)).  A constant C^k_{ij} off
+    the support k = i + j - 1 joins the weights w(k) and w(i)+w(j); a cell
+    is a pair of classes (upper, lower) of the partition of the weights
+    0..2n-2 those joins generate.  On the support every class is one
+    weight, and every cell one grade.  One walk over the index pairs of
+    0..n, in order, lists each class's pairs in order, so the keys of a
+    cell, lower pair then upper pair, come out in key order unsorted, and
+    no list of all keys is built.
     """
-    by_weight: dict[int, list] = {}  # index pairs over 0..n
-    for i, j in product(range(n + 1), repeat=2):
-        by_weight.setdefault(max(i - 1, 0) + max(j - 1, 0), []).append((i, j))
     label = list(range(2 * n - 1))  # each weight's class
     for k, i, j in constants.entries:
         old, new = label[i + j - 2], label[k - 1]
         label = [new if c == old else c for c in label]
-    classes: dict[int, list] = {}
-    for weight, c in enumerate(label):
-        classes.setdefault(c, []).append(weight)
-    for uppers, lowers in product(classes.values(), repeat=2):
-        yield sorted((*lower, *upper) for U, L in product(uppers, lowers)
-                     for lower in by_weight[L] if all(lower) for upper in by_weight[U])
+    pairs: dict[int, list] = {}  # each class's index pairs, in order
+    for i, j in product(range(n + 1), repeat=2):
+        pairs.setdefault(label[max(i - 1, 0) + max(j - 1, 0)], []).append((i, j))
+    for uppers, lowers in product(pairs.values(), repeat=2):
+        yield [(*lower, *upper) for lower in lowers if all(lower) for upper in uppers]
 
 
 def _partner(i: int, j: int, A: int, B: int) -> tuple[int, tuple[int, ...], int]:

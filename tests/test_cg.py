@@ -289,3 +289,54 @@ def test_the_family_satisfies_the_hecke_relation(n):
     for i in product(range(sigma.lo, sigma.n + 1), repeat=2):
         rhs[i, i] = rhs.get((i, i), ZERO) + ONE - BETA
     assert compose(sigma, sigma) == Operator(n, 2, rhs, lo=1)
+
+
+# -- the classical limit: P sigma = I + b r_CG ------------------------------------------
+
+
+def b_r_cg(n):
+    """b r_CG on 1..n, written out from the Belavin-Drinfeld form of the
+    `cg` docstring, no code shared with qlie.cg: e_ij (x) e_kl is the entry
+    with output (i, k) and input (j, l), and no two terms share an entry."""
+    r = {}
+    for i, j in product(range(1, n + 1), repeat=2):
+        if i > j:
+            r[(i, j), (j, i)] = BETA  # e_ij (x) e_ji
+            r[(i, j), (i, j)] = -BETA  # -e_ii (x) e_jj, the Cartan part
+        for k in range(1, n - j + 1) if i < j else ():
+            r[(j, i + k), (i, j + k)] = BETA  # e_ji (x) e_{i+k,j+k}
+            r[(i + k, j), (j + k, i)] = -BETA  # -e_{i+k,j+k} (x) e_ji
+    return r
+
+
+def flipped_less_one(op):
+    """P op - I, P the flip of the two legs."""
+    entries = {((b, a), inp): c for ((a, b), inp), c in op.entries.items()}
+    for pair in product(range(op.lo, op.n + 1), repeat=2):
+        entries[pair, pair] = entries.get((pair, pair), ZERO) - ONE
+    return Operator(op.n, 2, entries, op.lo)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_p_sigma_less_one_is_b_r_cg(n):
+    assert flipped_less_one(sigma_cg(n)) == Operator(n, 2, b_r_cg(n), lo=1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_p_extended_less_one_is_b_r_cg_and_the_constants(n):
+    want = b_r_cg(n)
+    for a in range(2, n + 1):  # C (e_aa (x) e_01 - e_a1 (x) e_0a)
+        want[(a, 0), (a, 1)], want[(a, 0), (1, a)] = C, -C
+    assert flipped_less_one(extended_rhat(n)) == Operator(n, 2, want, lo=0)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_symmetric_part_of_r_is_b_times_p_less_one(n):
+    # r + r21 = b (P - I): the split Casimir of gl_n less the identity
+    r = flipped_less_one(sigma_cg(n)).entries
+    symmetric = dict(r)
+    for ((a, b), (c, d)), v in r.items():
+        symmetric[(b, a), (d, c)] = symmetric.get(((b, a), (d, c)), ZERO) + v
+    one = Operator(n, 2, {(pair, pair): ONE for pair in product(range(1, n + 1), repeat=2)}, lo=1)
+    want = flipped_less_one(one).map_entries(lambda s: BETA * s)
+    assert Operator(n, 2, symmetric, lo=1) == want

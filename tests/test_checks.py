@@ -175,6 +175,21 @@ def test_level_2_braid_witnesses_are_those_of_level_3_on_level_2(monkeypatch):
         assert at_2 and at_3 == at_2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("suite, given", [
+    (checks.suite_braid, lambda n: {"rhat": extended_rhat(n)}),
+    (checks.suite_ybe, lambda n: {"rhat": extended_rhat(n)}),
+    (checks.suite_cybe, lambda n: {"r_matrix": checks._functional_matrix("r", n)}),
+    (checks.suite_qlie, lambda n: {"sigma": sigma_cg(n), "constants": structure_constants(n)}),
+], ids=["braid", "ybe", "cybe", "qlie"])
+def test_a_suite_given_its_own_default_prints_the_plain_report(suite, given, n):
+    # inputs are compared by value: a copy of the default is no override
+    copied = {name: op.map_entries(lambda s: s) for name, op in given(n).items()}
+    plain, same = (suite(n, **inputs).to_json_dict() for inputs in ({}, copied))
+    plain["millis"] = same["millis"] = 0
+    assert same == plain
+
+
 def test_an_overridden_run_drops_no_witness(monkeypatch):
     # an input that differs from the default is checked by what takes it, on
     # the matrix route (the `checks` docstring); the reference runs both

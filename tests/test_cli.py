@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qlie import cg, cli, rtt
+from qlie import cg, checks, cli, rtt
 from qlie.cg import extended_rhat, sigma_cg, structure_constants
 from qlie.laurent import SpaceConfig, op_r
 from qlie.operators import from_functional
@@ -416,6 +416,16 @@ def test_out_into_missing_directory_exits_2(tmp_path):
     assert proc.stderr.strip().splitlines()[-1].startswith("qlie: error: ")
 
 
+def test_out_naming_a_directory_exits_2_before_any_suite_runs(tmp_path):
+    # the suites would all run before the write to a directory fails
+    proc = run_cli("verify", "all", "--n", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not SUMMARY_LINE.search(proc.stderr)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == f"qlie: error: --out {str(tmp_path)!r}: is a directory"
+
+
 def test_cross_check_passes():
     proc = run_cli("cross-check", "--n", "2")
     assert proc.returncode == 0
@@ -485,19 +495,22 @@ def test_main_builds_one_parser(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("argv", [("braid", "--corrupt", "(1,2;2,1)=C"),
-                                  ("qlie", "--corrupt", "(1,2;2,1)=C"),
-                                  ("qlie", "--corrupt-constants", "(2;1,2)=2C")],
-                         ids=["braid", "qlie", "qlie-constants"])
-def test_an_overridden_run_builds_each_default_once(argv, capsys):
+@pytest.mark.parametrize("argv, misses", [
+    (("braid", "--corrupt", "(1,2;2,1)=C"), [1, 1, 1, 0]),
+    (("qlie", "--corrupt", "(1,2;2,1)=C"), [1, 1, 0, 0]),
+    (("qlie", "--corrupt-constants", "(2;1,2)=2C"), [1, 1, 0, 0]),
+    (("cybe", "--corrupt", "(1,2;2,1)=C"), [0, 0, 0, 1]),
+], ids=["braid", "qlie", "qlie-constants", "cybe"])
+def test_an_overridden_run_builds_each_default_once(argv, misses, capsys):
     # the CLI builds a default to override an entry of it, and the suite
     # builds it again to compare its input with it: the builds, the cache
-    # misses of the cg builders, count each default once
-    builders = (cg.sigma_cg, cg.structure_constants, cg.extended_rhat)
+    # misses of the cg builders and of the kernel matrices, count each
+    # default once
+    builders = (cg.sigma_cg, cg.structure_constants, cg.extended_rhat, checks._functional_matrix)
     for build in builders:
         build.cache_clear()
     assert cli.main(["verify", argv[0], "--n", "3", *argv[1:]]) == 1
-    assert [build.cache_info().misses for build in builders] == [1, 1, int(argv[0] == "braid")]
+    assert [build.cache_info().misses for build in builders] == misses
 
 
 def _masked(text):

@@ -169,6 +169,35 @@ def test_grade_groups_hold_every_key_once(n):
     assert len(set(grades)) == len(groups)
 
 
+def sorted_key_groups(n, constants):
+    """`_key_groups` as built before it walked the index pairs once: pairs
+    grouped by weight, weights by class, and every group's keys sorted."""
+    by_weight = {}
+    for i, j in product(range(n + 1), repeat=2):
+        by_weight.setdefault(max(i - 1, 0) + max(j - 1, 0), []).append((i, j))
+    label = list(range(2 * n - 1))
+    for k, i, j in constants.entries:
+        old, new = label[i + j - 2], label[k - 1]
+        label = [new if c == old else c for c in label]
+    classes = {}
+    for weight, c in enumerate(label):
+        classes.setdefault(c, []).append(weight)
+    for uppers, lowers in product(classes.values(), repeat=2):
+        yield sorted((*lower, *upper) for U, L in product(uppers, lowers)
+                     for lower in by_weight[L] if all(lower) for upper in by_weight[U])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_key_groups_are_the_sorted_weight_classes(n):
+    # the same groups in the same order, each already in key order, for the
+    # closed form and every single-constant mutant
+    base = structure_constants(n)
+    mutants = [base.with_entry(k, i, j, base.coeff(k, i, j) + delta)
+               for k, i, j in product(range(1, n + 1), repeat=3) for delta in (ONE, C)]
+    for ct in (base, *mutants):
+        assert list(_key_groups(n, ct)) == list(sorted_key_groups(n, ct)), ct.entries
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_single_constant_mutants_keep_their_relations_graded(n):
     # a constant off the support k = i + j - 1 merges its weights into one
