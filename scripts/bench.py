@@ -28,20 +28,27 @@ each, the first of each pair swapping every repeat, so the host's speed
 drift falls on both sides of a cell alike.  Every repeat of a cell on one
 tree must print the same report.  Each file records, per cell, the median
 process seconds, `time.process_time` plus the user and system seconds of
-the children `cli.main` forks and reaps (`verify all` runs its suites on
-two processes), and their interquartile range, the median `time.perf_counter`
-seconds, the exit code, the report's `report_sha256` and
-`change_faster_pairs`, the number of the REPEATS pairs in which the change
-took fewer process seconds; every cell whose two trees print different
-reports is listed on stdout.  A median of fresh subprocesses of a few
+the children `cli.main` forks and reaps (`verify all` runs its suites, and
+a large call of `checks.check_identities` its two routes, on two
+processes), with their interquartile range and `change_faster_pairs`, the
+number of the REPEATS pairs in which the change took fewer process
+seconds; the median `time.perf_counter` seconds, with their interquartile
+range `perf_counter_iqr_s` and `change_faster_wall_pairs`, the pairs in
+which the change took fewer wall seconds; `forks`, the `os.fork` calls of
+one run, and `children_maxrss_mib`, the largest `ru_maxrss` of the
+children any repeat reaped, which `perfbench`, reading `RUSAGE_SELF`, does
+not see; the exit code and the report's `report_sha256`.  Every cell whose
+two trees print different reports or fork a different number of times is
+listed on stdout.  A median of fresh subprocesses of a few
 milliseconds moves with the host by tens of percent, and five pairs agree
 on a side by chance once in 16 cells, so stdout also lists the cells whose
-time difference is resolved: at least 9 of the 10 pairs agree on which
-tree is faster, as `perfbench` requires of a claimed gain, and the medians
-differ by more than the parent's interquartile range.  Only those cells'
-times may be quoted.  Every `rtt` and `qlie` cell, passing or
+process or wall time difference is resolved: at least 9 of the 10 pairs
+agree on which tree is faster, as `perfbench` requires of a claimed gain,
+and the medians differ by more than the parent's interquartile range.
+Only those cells' times may be quoted.  Every `rtt` and `qlie` cell, passing or
 failing, every `specialized` cell and every `corrupt` cell also records
-its work and memory, counted in one more, untimed subprocess per tree, so
+its work and memory, counted in one more, untimed subprocess per tree,
+pinned to one CPU so that it forks no route, so
 no timed run is wrapped or traced: the number of `Scalar.__mul__`,
 `Scalar.exact_div`, `Scalar.substitute` and `Scalar.__str__` calls (the
 last, `str_calls`, the witness values printed), the number of `LaurentFn`
@@ -104,28 +111,35 @@ FIXED = {
 ROOT = Path(cli.__file__).resolve().parents[2]
 
 # one timed run in a subprocess: [exit code, process seconds, wall seconds,
-# sha256 of the report with its times masked]; the process seconds add those
-# of the children cli.main forks and reaps
+# sha256 of the report with its times masked, os.fork calls, the largest
+# ru_maxrss of the children in MiB]; the process seconds add those of the
+# children cli.main forks and reaps
 CHILD = """
-import contextlib, hashlib, io, json, re, resource, sys, time
+import contextlib, hashlib, io, json, os, re, resource, sys, time
 from qlie import cli
 def children():
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 report = io.StringIO()
 with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
     cpu, wall = time.process_time() + children(), time.perf_counter()
     code = cli.main(sys.argv[1:])
     cpu, wall = time.process_time() + children() - cpu, time.perf_counter() - wall
 masked = re.sub(r'"millis": \\d+', '"millis": N', report.getvalue())
-print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest()]))
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(json.dumps([code, cpu, wall, hashlib.sha256(masked.encode()).hexdigest(), len(forks), rss]))
 """
 
 # one untimed run with Scalar.__mul__, Scalar.exact_div, Scalar.substitute,
 # Scalar.__str__ and LaurentFn constructions and the pairs rtt splits out
-# counted and memory traced: [exit code, counts and tracemalloc peak]
+# counted and memory traced: [exit code, counts and tracemalloc peak]; pinned
+# to one CPU, so that it forks no child whose counts it would not see
 COUNT_CHILD = """
-import contextlib, io, json, sys, tracemalloc
+import contextlib, io, json, os, sys, tracemalloc
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from qlie import cli, rtt
 from qlie.laurent import LaurentFn
 from qlie.scalars import Scalar
@@ -228,26 +242,40 @@ def _size(src: Path) -> dict:
 
 
 def _cell(trees: tuple[Path, Path], argv: list[str]) -> tuple[dict, dict]:
-    """Median times and the report digest of argv on each tree, the trees run
-    alternately, with the spread of each tree's process seconds and the number
-    of repeats, each a pair of runs, in which the change ran faster."""
+    """Median times, forks, children's memory and the report digest of argv
+    on each tree, the trees run alternately, with the spread of each tree's
+    process and wall seconds and the number of repeats, each a pair of runs,
+    in which the change took fewer of them."""
     runs: tuple[list, list] = ([], [])
     for r in range(REPEATS):
         for side in (0, 1) if r % 2 == 0 else (1, 0):
             runs[side].append(_run(trees[side], argv))
-    faster = sum(change[1] < parent[1] for parent, change in zip(*runs))
+
+    def faster(column: int) -> int:
+        return sum(change[column] < parent[column] for parent, change in zip(*runs))
+
+    def median_iqr(side_runs: list, column: int) -> tuple[float, float]:
+        values = [run[column] for run in side_runs]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        return round(statistics.median(values), 4), round(q3 - q1, 4)
 
     def summary(side_runs: list) -> dict:
-        (code,) = {code for code, _, _, _ in side_runs}
-        digests = {digest for _, _, _, digest in side_runs}
+        (code,) = {run[0] for run in side_runs}
+        digests = {run[3] for run in side_runs}
         assert len(digests) == 1, f"{argv}: {len(digests)} reports in {REPEATS} repeats"
-        q1, _, q3 = statistics.quantiles([cpu for _, cpu, _, _ in side_runs], n=4)
+        (forks,) = {run[4] for run in side_runs}
+        cpu, cpu_iqr = median_iqr(side_runs, 1)
+        wall, wall_iqr = median_iqr(side_runs, 2)
         return {
             "exit": code,
-            "process_time_s": round(statistics.median(cpu for _, cpu, _, _ in side_runs), 4),
-            "process_time_iqr_s": round(q3 - q1, 4),
-            "change_faster_pairs": faster,
-            "perf_counter_s": round(statistics.median(wall for _, _, wall, _ in side_runs), 4),
+            "process_time_s": cpu,
+            "process_time_iqr_s": cpu_iqr,
+            "change_faster_pairs": faster(1),
+            "perf_counter_s": wall,
+            "perf_counter_iqr_s": wall_iqr,
+            "change_faster_wall_pairs": faster(2),
+            "forks": forks,
+            "children_maxrss_mib": round(max(run[5] for run in side_runs), 1),
             "report_sha256": digests.pop(),
         }
 
@@ -301,16 +329,23 @@ def main(argv: list[str]) -> int:
         print(f"report differs: {path} {suite} --n {n}")
     print(f"{len(differ)} of {len(timed)} cells print a different report")
     # a time difference counts only when AGREEING pairs agree on its sign and
-    # the medians differ by more than the parent's interquartile range
-    resolved = [(key, parent["process_time_s"], change["process_time_s"])
-                for key, (parent, change) in timed.items()
-                if max(change["change_faster_pairs"], REPEATS - change["change_faster_pairs"])
-                >= AGREEING
-                and abs(change["process_time_s"] - parent["process_time_s"])
-                > parent["process_time_iqr_s"]]
-    for (path, suite, n), before, after in resolved:
-        print(f"time resolved: {path} {suite} --n {n}: {before} -> {after} s")
-    print(f"{len(resolved)} of {len(timed)} cells resolve a time difference")
+    # the medians differ by more than the parent's interquartile range; process
+    # and wall time are judged alike
+    for clock, time_key, iqr_key, pairs_key in (
+        ("process", "process_time_s", "process_time_iqr_s", "change_faster_pairs"),
+        ("wall", "perf_counter_s", "perf_counter_iqr_s", "change_faster_wall_pairs"),
+    ):
+        resolved = [(key, parent[time_key], change[time_key])
+                    for key, (parent, change) in timed.items()
+                    if max(change[pairs_key], REPEATS - change[pairs_key]) >= AGREEING
+                    and abs(change[time_key] - parent[time_key]) > parent[iqr_key]]
+        for (path, suite, n), before, after in resolved:
+            print(f"{clock} time resolved: {path} {suite} --n {n}: {before} -> {after} s")
+        print(f"{len(resolved)} of {len(timed)} cells resolve a {clock} time difference")
+    forked = [(key, parent["forks"], change["forks"]) for key, (parent, change) in timed.items()
+              if parent["forks"] != change["forks"]]
+    for (path, suite, n), before, after in forked:
+        print(f"forks differ: {path} {suite} --n {n}: {before} -> {after}")
     for suffix, size in zip(("parent", "change"), sizes):
         print(f"{suffix}: {size['src_lines']} src lines, {size['code_lines']} code lines, "
               f"{size['public_names']} public names, "

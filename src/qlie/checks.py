@@ -84,14 +84,30 @@ value prints the plain run's report.  The matrix witnesses still name their
 route, `"side": "matrix"`; only `checked` counts less:
 `test_an_overridden_run_drops_no_witness` compares the reports with those
 of every check over the mutants above and the constant mutants at n = 2.
+
+A call on both routes runs each route as one job, which builds only its
+own tables and returns each identity's check count, failure count and
+first witnesses; the caller merges them identity by identity, the
+functional route first, so a report is the one a single loop makes.  A
+call with SPLIT_STARTS start monomials or more, n >= 7, hands its two jobs
+to `_run_jobs`, the one fork queue, which also runs the suites of `verify
+all`: on the caller and one forked child when there are two CPUs to run
+on, else in order.  A process pinned to one CPU never forks, so on two
+CPUs `verify all`, whose two processes are pinned one CPU each, forks once
+and no fork nests.  `check_identities` gives the rule's measured crossover.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 import re
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -105,6 +121,10 @@ from .operators import Operator, compose
 from .scalars import BETA, ONE, ZERO, Coeff, Scalar, _by_index, _values
 
 WITNESS_CAP = 16
+# a call that runs both routes on at least this many start monomials, n >= 7
+# on either domain, runs each route as a job of `_run_jobs` (the crossover
+# measured in `check_identities`)
+SPLIT_STARTS = 512
 
 # substitution mapping: keys among {"beta", "c", "p"} with rational values
 Subs = Optional[dict]
@@ -216,7 +236,9 @@ class Collector:
     is full, a symbolic run counts its failing positions straight from the
     packed keys whose terms differ (`counted`); a specialized one still
     substitutes every such position, since a value can erase a difference,
-    but prints none of them.
+    but prints none of them.  A `part` collects one identity on one route
+    and has room only for the witnesses its collector still lacks; `merge`
+    adds its outcome back.
     """
 
     def __init__(self, suite: str, n: int, subs: Subs = None) -> None:
@@ -227,19 +249,36 @@ class Collector:
         self.checked = 0
         self.failures = 0
         self.witnesses: list[dict] = []
+        self.kept = 0  # witnesses kept before these, by the collector this is a part of
         self._t0 = time.perf_counter()
+
+    def part(self) -> Collector:
+        """An empty Collector of the same run, with room for the witnesses this one lacks."""
+        part = Collector(self.suite, self.n, self.subs)
+        part.kept = self.kept + len(self.witnesses)
+        return part
+
+    def merge(self, checked: int, failures: int, witnesses: list[dict]) -> None:
+        """Add the outcome of a part, keeping its witnesses while the list has room."""
+        self.checked += checked
+        self.failures += failures
+        self.witnesses += witnesses[:WITNESS_CAP - self.kept - len(self.witnesses)]
+
+    def outcome(self) -> list:
+        """[checked, failures, witnesses], what `merge` takes, as JSON holds it."""
+        return [self.checked, self.failures, self.witnesses]
 
     def witness(self, build: Callable[[], dict]) -> None:
         """Count one failure, and keep the witness `build` makes while the list has room."""
         self.failures += 1
-        if len(self.witnesses) < WITNESS_CAP:
+        if self.kept + len(self.witnesses) < WITNESS_CAP:
             self.witnesses.append(build())
 
     def counted(self, positions: set) -> bool:
         """Count `positions` as failures with no witness, and return True,
         once the list is full on a symbolic run, where every position whose
         flat terms differ fails; else count nothing and return False."""
-        if self.subs or len(self.witnesses) < WITNESS_CAP:
+        if self.subs or self.kept + len(self.witnesses) < WITNESS_CAP:
             return False
         self.failures += len(positions)
         return True
@@ -293,6 +332,92 @@ class Collector:
 
 
 # ---------------------------------------------------------------------------
+# two processes
+# ---------------------------------------------------------------------------
+
+
+def _cpus() -> set[int]:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process on cpus alone, where the platform and the host let it."""
+    if hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):  # a CPU the host does not give
+            os.sched_setaffinity(0, cpus)
+
+
+def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """job() for each job, in order, each result one JSON can hold; on two
+    processes when it can.
+
+    It can when there are two jobs or more, two CPUs to run on, `os.fork`
+    exists and no other thread runs, which the child could find holding a
+    lock.  A process pinned to one CPU never forks, so jobs that a job
+    started on a forked child, or on a caller left one CPU, run in order.  A
+    forked child and the caller take job indices from one queue, a pipe
+    holding one byte per job, so there are at most 256 jobs, written last
+    job first: the jobs start in reverse order.  While they run, the child
+    is pinned to one of the CPUs and the caller to the others, since a host
+    that does not balance load between CPUs would often run both on the
+    caller's; the caller gets its CPUs back at the end.  The child sends
+    each result back as one JSON line.  Any job the caller has no result
+    of, because it raised or because the child raised, died or sent a line
+    that cannot be read, runs again in the caller, in order.  So the
+    results, and the first exception in order, are those of one process.
+    """
+    if len(jobs) > 256:
+        raise ValueError(f"{len(jobs)} jobs; the queue takes at most 256")
+    cpus = _cpus()
+    if len(jobs) < 2 or not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
+        return [job() for job in jobs]
+    child_cpus = {max(cpus)}
+    queue, queue_in = os.pipe()
+    os.write(queue_in, bytes(reversed(range(len(jobs)))))
+    os.close(queue_in)
+    results, results_in = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child ends here, whatever happens
+        try:
+            _pin(child_cpus)
+            os.close(results)
+            with open(results_in, "w") as out:
+                while index := os.read(queue, 1):
+                    out.write(json.dumps([index[0], jobs[index[0]]()]) + "\n")
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(results_in)
+    done: dict[int, object] = {}
+    try:
+        _pin(cpus - child_cpus)
+        while index := os.read(queue, 1):
+            try:
+                done[index[0]] = jobs[index[0]]()
+            except Exception:  # it runs again below, in order; the child takes the rest
+                break
+        with open(results, "rb", closefd=False) as lines:
+            for line in lines:
+                with contextlib.suppress(ValueError, TypeError):  # its job runs again below
+                    i, result = json.loads(line)
+                    done[i] = result
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _pin(cpus)
+        os.close(queue)
+        os.close(results)
+        with contextlib.suppress(ChildProcessError):  # reaped already if SIGCHLD is ignored
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
+
+
+# ---------------------------------------------------------------------------
 # the identity engine
 # ---------------------------------------------------------------------------
 
@@ -333,14 +458,35 @@ def check_identities(
     the positions whose flat terms differ: on the functional route the
     distinct start fields of the total, on the matrix route the output and
     input fields of the symmetric difference of the two sides' terms.  While
-    `col` keeps fewer than WITNESS_CAP witnesses, those positions are
-    decoded in sorted order; once it is full, a symbolic run only counts
-    them (`Collector.counted`).
+    `col` and the route's part of it keep fewer than WITNESS_CAP witnesses,
+    those positions are decoded in sorted order; once they are full, a
+    symbolic run only counts them (`Collector.counted`).
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing position, and one whose sides
     agree once specialized is no failure.  Witnesses start with the
     identity's tag and print the specialized value.
+
+    Each route is one job, `_functional_route` or `_matrix_route`, which
+    builds only its own tables and returns, per identity, the
+    `Collector.outcome` of a `part` of `col`: its checks, its failures and
+    the witnesses that `col` and the route's earlier identities leave room
+    for, so a route decodes at most WITNESS_CAP of them.  They merge
+    into `col` identity by identity, the functional route first, as one loop
+    over both routes would add them, so every report is the same whichever
+    process ran a route.  A call on both routes whose domain holds at least
+    SPLIT_STARTS start monomials, n >= 7 on either domain, hands its two
+    jobs to `_run_jobs`, which runs them on the caller and one forked child
+    when it can; any other call runs its routes in order, so a small run
+    pays no fork.  The rule counts start monomials, not starts times words:
+    at n = 7 a suite's time per start is 34-59 us across braid, cybe,
+    components and ybfr, but per start and word it spreads 2-17 us, as the
+    suites with many words have short, sparse ones.  A fork costs about
+    3 ms: `_run_jobs` of two empty jobs takes 2.6-3.3 ms.
+    Specialized, in process, on 2 vCPUs, the split run was faster than the
+    serial one in 0-1 of 21 alternating pairs per suite at n = 5, in 2-10
+    at n = 6, and in 13-21 at n = 7 (braid 30.4 -> 22.9 ms, ybfr 48.4 ->
+    37.8 ms, medians).
     """
     first, leaf = next(iter(leaves.items()))
     for name, op in leaves.items():
@@ -351,43 +497,77 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = max(leaf.n, domain.stop if domain is not None else 0).bit_length()
-    low, mono = (1 << 3 * width) - 1, 6 * width
-    matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
+    jobs = [partial(_matrix_route, col, identities, factors, leaves, domain, width)]
     if domain is not None:
-        cfg = SpaceConfig(domain.stop)
-        kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, width)
-                   for name, slots in factors}
-        indices = range(domain.start + 1, domain.stop + 1)
-        packed = [[_pack_fields((i0, *rest), width) for rest in product(indices, repeat=2)]
-                  for i0 in indices]
-        slabs = [[k | k << 3 * width for k in slab] for slab in packed]
+        jobs.insert(0, partial(_functional_route, col, identities, factors, domain, width))
+    split = domain is not None and len(domain) ** 3 >= SPLIT_STARTS
+    results = _run_jobs(jobs) if split else [job() for job in jobs]
+    # identity by identity, the functional route first
+    for outcomes in zip(*results):
+        for outcome in outcomes:
+            col.merge(*outcome)
+
+
+def _functional_route(
+    col: Collector, identities: Sequence[Identity], factors: set, domain: range, width: int
+) -> list[list]:
+    """The `Collector.outcome` of each identity on the functional route, a
+    `part` of col, from kernel tables of its own."""
+    low, mono = (1 << 3 * width) - 1, 6 * width
+    cfg = SpaceConfig(domain.stop)
+    kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, width)
+               for name, slots in factors}
+    indices = range(domain.start + 1, domain.stop + 1)
+    slabs = [[k | k << 3 * width for k in
+              (_pack_fields((i0, *rest), width) for rest in product(indices, repeat=2))]
+             for i0 in indices]
+    # the route's own tally, so that no part decodes a witness an earlier one leaves no room for
+    route, outcomes = col.part(), []
     for tag, lhs, rhs in identities:
+        part = route.part()
+        # lhs - rhs, each word's factors in the order they apply
+        words = [(sign, [kernels[factor] for factor in reversed(word)])
+                 for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))]
+        for starts in slabs:
+            part.checked += len(starts)
+            total = _image(words, starts)
+            if not total or part.counted({key >> 3 * width & low for key in total}):
+                continue
+            rows: dict[int, dict] = {}  # by start: {(index, packed monomial): q}
+            for key, q in total.items():
+                start = key >> 3 * width & low
+                rows.setdefault(start, {})[_unpack_fields(key & low, width), key >> mono] = q
+            for start, row in sorted(rows.items()):
+                if values := part.specialize(row):
+                    # an index is an exponent plus one
+                    part.witness(lambda: {
+                        **tag, "side": "functional",
+                        "monomial": [i - 1 for i in _unpack_fields(start, width)],
+                        "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
+                                                        for index, v in values.items()})),
+                    })
+        outcomes.append(part.outcome())
+        route.merge(*outcomes[-1])
+    return outcomes
+
+
+def _matrix_route(
+    col: Collector, identities: Sequence[Identity], factors: set, leaves: dict[str, Operator],
+    domain: Optional[range], width: int,
+) -> list[list]:
+    """The `Collector.outcome` of each identity on the matrix route, a
+    `part` of col, from leaf tables of its own."""
+    leaf = next(iter(leaves.values()))
+    matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
+    # the route's own tally, so that no part decodes a witness an earlier one leaves no room for
+    route, outcomes = col.part(), []
+    for tag, lhs, rhs in identities:
+        part = route.part()
         named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
         legs = 3 if domain is not None or 2 in named else 2
         if domain is not None:
-            # lhs - rhs, each word's factors in the order they apply
-            words = [(sign, [kernels[factor] for factor in reversed(word)])
-                     for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))]
-            for starts in slabs:
-                col.checked += len(starts)
-                total = _image(words, starts)
-                if not total or col.counted({key >> 3 * width & low for key in total}):
-                    continue
-                rows: dict[int, dict] = {}  # by start: {(index, packed monomial): q}
-                for key, q in total.items():
-                    start = key >> 3 * width & low
-                    rows.setdefault(start, {})[_unpack_fields(key & low, width), key >> mono] = q
-                for start, row in sorted(rows.items()):
-                    if values := col.specialize(row):
-                        # an index is an exponent plus one
-                        col.witness(lambda: {
-                            **tag, "side": "functional",
-                            "monomial": [i - 1 for i in _unpack_fields(start, width)],
-                            "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
-                                                            for index, v in values.items()})),
-                        })
             tag = {**tag, "side": "matrix"}
-        col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
+        part.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
         left, right = ([(sign, [matrices[factor] for factor in word]) for sign, word in side]
                        for side in (lhs, rhs))
         # each two-leg row of a word's first factor, with every spectator
@@ -400,7 +580,10 @@ def check_identities(
             starts = [out | out << 3 * width for out in slab]
             lrows, rrows = _image(left, starts), _image(right, starts)
             if lrows != rrows:
-                col.entries(tag, lrows, rrows if rhs else None, width, legs)
+                part.entries(tag, lrows, rrows if rhs else None, width, legs)
+        outcomes.append(part.outcome())
+        route.merge(*outcomes[-1])
+    return outcomes
 
 
 def _image(words: list, starts: list[int]) -> Flat:

@@ -1,18 +1,21 @@
 """Command-line front end: generate matrices, run suites, export reports.
 
+`verify` runs its suites as jobs of `checks._run_jobs`, the one fork queue,
+which also splits a large `checks.check_identities` call into its two
+routes: on the caller and one forked child when the process may run on two
+CPUs, in order otherwise.  `verify all` forks once there and pins each of
+its two processes to one CPU, so on two CPUs no route split nests in it.
+
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on bad flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
-import signal
 import sys
-import threading
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -266,83 +269,13 @@ def _corrupted_inputs(
     return op, constants
 
 
-def _cpus() -> set[int]:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return os.sched_getaffinity(0)
-    return set(range(os.cpu_count() or 1))
-
-
-def _pin(cpus: set[int]) -> None:
-    """Run this process on cpus alone, where the platform and the host let it."""
-    if hasattr(os, "sched_setaffinity"):
-        with contextlib.suppress(OSError):  # a CPU the host does not give
-            os.sched_setaffinity(0, cpus)
-
-
 def _run_suites(
     names: list[str], run: Callable[[str], checks.VerificationReport]
 ) -> list[checks.VerificationReport]:
-    """run(name) for each name, in order; on two processes when it can.
-
-    It can when there are two CPUs to run on, `os.fork` exists and no other
-    thread runs, which the child could find holding a lock.  A forked child
-    and the caller take suite indices from one queue, a pipe holding one
-    byte per suite, written last suite first: the suites start in reverse
-    `verify all` order, `rtt` first.
-    The child sends each report back as one JSON line.  Any suite the caller
-    has no report of, because it raised or because the child raised, died or
-    sent a line that cannot be read, runs again in the caller, in order.  So
-    the reports, and the first exception in order, are those of one process.
-    """
-    cpus = _cpus()
-    if len(names) < 2 or not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
-        return [run(name) for name in names]
-    # the child on one CPU and the caller on the others: a host that does
-    # not balance load between CPUs would often run both on the caller's
-    child_cpus = {max(cpus)}
-    queue, queue_in = os.pipe()
-    os.write(queue_in, bytes(reversed(range(len(names)))))
-    os.close(queue_in)
-    results, results_in = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child ends here, whatever happens
-        try:
-            _pin(child_cpus)
-            os.close(results)
-            with open(results_in, "w") as out:
-                while index := os.read(queue, 1):
-                    out.write(json.dumps([index[0], vars(run(names[index[0]]))]) + "\n")
-                    out.flush()
-        finally:
-            os._exit(0)
-    os.close(results_in)
-    reports: dict[int, checks.VerificationReport] = {}
-    try:
-        _pin(cpus - child_cpus)
-        while index := os.read(queue, 1):
-            try:
-                reports[index[0]] = run(names[index[0]])
-            except Exception:  # it runs again below, in order; the child takes the rest
-                break
-        with open(results, "rb", closefd=False) as lines:
-            for line in lines:
-                try:
-                    i, fields = json.loads(line)
-                    reports[i] = checks.VerificationReport(**fields)
-                except (ValueError, TypeError):  # its suite runs again below
-                    pass
-    except BaseException:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _pin(cpus)
-        os.close(queue)
-        os.close(results)
-        with contextlib.suppress(ChildProcessError):  # reaped already if SIGCHLD is ignored
-            os.waitpid(pid, 0)
-    return [reports[i] if i in reports else run(name) for i, name in enumerate(names)]
+    """run(name) for each name, in order, as jobs of `checks._run_jobs`:
+    on two processes when it can, `rtt`, the last, first."""
+    jobs = [lambda name=name: vars(run(name)) for name in names]
+    return [checks.VerificationReport(**fields) for fields in checks._run_jobs(jobs)]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

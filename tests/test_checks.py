@@ -1,5 +1,10 @@
 import gc
 import json
+import os
+import re
+import signal
+import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,7 +20,7 @@ from qlie.laurent import _KERNELS, LaurentFn, SpaceConfig, op_r, op_rhat, op_rho
 from qlie.operators import Operator, compose, from_functional
 from qlie.scalars import BETA, C, ONE, P, P_INV, ZERO, Scalar, _by_index, _pack
 from test_operators import embed
-from test_witness_pins import CORRUPTED_SUITES, _suite_with_corrupted
+from test_witness_pins import CORRUPTED_SUITES, RECORDED, _suite_with_corrupted
 
 
 # -- braid ---------------------------------------------------------------------
@@ -1187,3 +1192,171 @@ def test_only_the_kept_witnesses_are_printed(argv, failures, monkeypatch, capsys
     (report,) = json.loads(capsys.readouterr().out)
     assert report["failures"] == failures and len(report["witnesses"]) == checks.WITNESS_CAP
     assert len(calls) <= 2 * checks.WITNESS_CAP
+
+
+# -- both routes on two processes -------------------------------------------------
+
+# the smallest n whose domain, n + 1 values per variable, holds SPLIT_STARTS
+# start monomials: the first n at which a run forks for its both-route calls
+SPLIT_N = next(n for n in range(1, 100) if (n + 1) ** 3 >= checks.SPLIT_STARTS)
+VALUES = ("--beta=2/3", "--C=-9/5", "--p=8/7")
+ROUTE_SUITES = ("braid", "ybe", "cybe", "components", "ybfr")
+
+
+def _on_cpus(cpus, run):
+    """(run(), or the type and message of what it raised; the forks it made)
+    with `cpus` CPUs to run on: the process's own where it has two, which it
+    must get back, with every child reaped."""
+    own = checks._cpus()
+    given = own if cpus > 1 and len(own) > 1 else set(range(cpus))
+    forks = []
+    fork = os.fork
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_cpus", lambda: given)
+        patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        try:
+            outcome = run()
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert checks._cpus() == own
+    return outcome, len(forks)
+
+
+def _verify(capsys, *argv):
+    """(exit code, stdout, stderr) of `qlie verify ARGV`, every time masked."""
+    code = cli.main(["verify", *argv])
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"millis": \d+', '"millis": 0', out), re.sub(r"\d+ ms\)", "0 ms)", err)
+
+
+def _report(suite, n=SPLIT_N):
+    """The report of the suite at n as JSON, its time masked."""
+    return {**getattr(checks, suite)(n).to_json_dict(), "millis": 0}
+
+
+@pytest.mark.parametrize("values", [(), VALUES], ids=["symbolic", "specialized"])
+@pytest.mark.parametrize("suite", ROUTE_SUITES)
+def test_both_routes_on_two_processes_report_what_one_reports(suite, values, monkeypatch, capsys):
+    both = []
+    engine = checks.check_identities
+    monkeypatch.setattr(checks, "check_identities", lambda col, identities, leaves, domain=None:
+                        both.append(domain is not None) or engine(col, identities, leaves, domain))
+    argv = (suite, "--n", str(SPLIT_N), *values)
+    two, forks = _on_cpus(2, lambda: _verify(capsys, *argv))
+    assert forks == sum(both) == 1
+    assert _on_cpus(1, lambda: _verify(capsys, *argv)) == (two, 0)
+    assert two[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_SUITES))
+def test_corrupted_leaves_on_two_processes_keep_their_pinned_witnesses(name, monkeypatch):
+    # the rule lowered, so that n = 2 splits
+    monkeypatch.setattr(checks, "SPLIT_STARTS", 1)
+    run = lambda: _suite_with_corrupted(*CORRUPTED_SUITES[name])
+    two, forks = _on_cpus(2, run)
+    one, _ = _on_cpus(1, run)
+    assert forks == 1
+    assert (two.failures, two.checked, two.witnesses) == (one.failures, one.checked, one.witnesses)
+    assert json.loads(RECORDED[f"{name}-corrupted"]) == {"checked": two.checked,
+                                                         "witnesses": two.witnesses}
+
+
+def test_a_run_below_the_rule_does_not_fork(capsys):
+    outcome, forks = _on_cpus(2, lambda: _verify(capsys, "braid", "--n", "2"))
+    assert forks == 0 and outcome[0] == 0
+
+
+@pytest.mark.parametrize("route", ["_functional_route", "_matrix_route"])
+def test_a_route_that_raises_raises_on_both_paths(route, monkeypatch):
+    def broken(*args):
+        raise ValueError(f"{route} is broken")
+
+    monkeypatch.setattr(checks, route, broken)
+    two, forks = _on_cpus(2, lambda: _report("suite_braid"))
+    assert forks == 1
+    assert two == _on_cpus(1, lambda: _report("suite_braid"))[0] == (ValueError, f"{route} is broken")
+
+
+def test_a_route_whose_child_dies_runs_again_in_the_caller(monkeypatch, tmp_path):
+    # the caller sleeps through the route it takes first, so the child takes
+    # the other, and dies in it
+    caller, log = os.getpid(), tmp_path / "pids"
+    for route in ("_functional_route", "_matrix_route"):
+        def dying(*args, run=getattr(checks, route)):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.2)
+            return run(*args)
+
+        monkeypatch.setattr(checks, route, dying)
+    two, forks = _on_cpus(2, lambda: _report("suite_ybe"))
+    assert forks == 1 and str(caller) in log.read_text().split()
+    assert len(set(log.read_text().split())) == 2  # the child took a route
+    assert two == _on_cpus(1, lambda: _report("suite_ybe"))[0]
+    assert two["pass"] and not two["witnesses"]
+
+
+def test_both_routes_do_not_fork_beside_another_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        two, forks = _on_cpus(2, lambda: _report("suite_cybe"))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == 0
+    assert two == _on_cpus(1, lambda: _report("suite_cybe"))[0]
+
+
+def test_verify_all_above_the_rule_forks_once_on_two_cpus(monkeypatch, capsys):
+    # each of its two processes is pinned to one CPU, so neither splits its routes
+    own = checks._cpus()
+    if len(own) < 2 or not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs two CPUs and CPU masks")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ("all", "--n", str(SPLIT_N))
+    try:
+        os.sched_setaffinity(0, set(sorted(own)[:2]))
+        two = _verify(capsys, *argv)
+        assert len(forks) == 1
+        os.sched_setaffinity(0, set(sorted(own)[:1]))
+        one = _verify(capsys, *argv)
+        assert len(forks) == 1
+    finally:
+        os.sched_setaffinity(0, own)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert two == one and two[0] == 0
+
+
+def test_the_queue_takes_at_most_256_jobs():
+    # one byte per job in the queue
+    jobs = [lambda i=i: i for i in range(257)]
+    for cpus in (2, 1):
+        assert _on_cpus(cpus, lambda: checks._run_jobs(jobs)) == (
+            (ValueError, "257 jobs; the queue takes at most 256"), 0)
+    assert _on_cpus(2, lambda: checks._run_jobs(jobs[:256])) == (list(range(256)), 1)
+
+
+def test_a_route_decodes_only_the_witnesses_its_report_can_keep(monkeypatch):
+    # s = rho fails on both routes at every slot pair; each route builds
+    # witnesses only while the route's earlier identities leave room
+    built = []
+    witness = checks.Collector.witness
+    monkeypatch.setattr(checks.Collector, "witness",
+                        lambda col, build: witness(col, lambda: built.append(1) or build()))
+    col = checks.Collector("components", 4)
+    identities = [({}, checks._expression(f"s{slots}"), checks._expression(f"rho{slots}"))
+                  for slots in ("12", "13", "23")]
+    leaves = {name: _leaf(name, 4) for name in ("s", "rho")}
+    checks.check_identities(col, identities, leaves, range(0, 5))
+    assert col.failures > 6 * checks.WITNESS_CAP and len(col.witnesses) == checks.WITNESS_CAP
+    assert len(built) <= 2 * checks.WITNESS_CAP

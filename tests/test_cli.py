@@ -629,11 +629,11 @@ def test_large_accepted_exponents_chain_exactly(entry):
 def _verify_in_process(monkeypatch, capsys, cpus, *argv):
     """(exit code, or exception type and message; masked stdout; masked stderr)
     of `qlie verify ARGV` through cli.main, with `cpus` CPUs to run on."""
-    own_cpus = cli._cpus
+    own_cpus = checks._cpus
     own = own_cpus()
     # two or more: the caller's own CPUs where it has two, which it must get back
     given = own if cpus > 1 and len(own) > 1 else set(range(cpus))
-    monkeypatch.setattr(cli, "_cpus", lambda: given)
+    monkeypatch.setattr(checks, "_cpus", lambda: given)
     try:
         outcome = cli.main(["verify", *argv])
     except Exception as exc:
@@ -654,7 +654,7 @@ def _slow_caller(monkeypatch, log, change=lambda name, run: run):
         def run(*args, run=change(name, suite.run)):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            if os.getpid() == caller and len(cli._cpus()) > 1:
+            if os.getpid() == caller and len(checks._cpus()) > 1:
                 time.sleep(0.2)
             return run(*args)
 
