@@ -236,9 +236,7 @@ class Collector:
     is full, a symbolic run counts its failing positions straight from the
     packed keys whose terms differ (`counted`); a specialized one still
     substitutes every such position, since a value can erase a difference,
-    but prints none of them.  A `part` collects one identity on one route
-    and has room only for the witnesses its collector still lacks; `merge`
-    adds its outcome back.
+    but prints none of them.
     """
 
     def __init__(self, suite: str, n: int, subs: Subs = None) -> None:
@@ -249,36 +247,19 @@ class Collector:
         self.checked = 0
         self.failures = 0
         self.witnesses: list[dict] = []
-        self.kept = 0  # witnesses kept before these, by the collector this is a part of
         self._t0 = time.perf_counter()
-
-    def part(self) -> Collector:
-        """An empty Collector of the same run, with room for the witnesses this one lacks."""
-        part = Collector(self.suite, self.n, self.subs)
-        part.kept = self.kept + len(self.witnesses)
-        return part
-
-    def merge(self, checked: int, failures: int, witnesses: list[dict]) -> None:
-        """Add the outcome of a part, keeping its witnesses while the list has room."""
-        self.checked += checked
-        self.failures += failures
-        self.witnesses += witnesses[:WITNESS_CAP - self.kept - len(self.witnesses)]
-
-    def outcome(self) -> list:
-        """[checked, failures, witnesses], what `merge` takes, as JSON holds it."""
-        return [self.checked, self.failures, self.witnesses]
 
     def witness(self, build: Callable[[], dict]) -> None:
         """Count one failure, and keep the witness `build` makes while the list has room."""
         self.failures += 1
-        if self.kept + len(self.witnesses) < WITNESS_CAP:
+        if len(self.witnesses) < WITNESS_CAP:
             self.witnesses.append(build())
 
     def counted(self, positions: set) -> bool:
         """Count `positions` as failures with no witness, and return True,
         once the list is full on a symbolic run, where every position whose
         flat terms differ fails; else count nothing and return False."""
-        if self.subs or self.kept + len(self.witnesses) < WITNESS_CAP:
+        if self.subs or len(self.witnesses) < WITNESS_CAP:
             return False
         self.failures += len(positions)
         return True
@@ -458,35 +439,43 @@ def check_identities(
     the positions whose flat terms differ: on the functional route the
     distinct start fields of the total, on the matrix route the output and
     input fields of the symmetric difference of the two sides' terms.  While
-    `col` and the route's part of it keep fewer than WITNESS_CAP witnesses,
-    those positions are decoded in sorted order; once they are full, a
-    symbolic run only counts them (`Collector.counted`).
+    the route's Collector keeps fewer than WITNESS_CAP witnesses, those
+    positions are decoded in sorted order; once it is full, a symbolic run
+    only counts them (`Collector.counted`).
 
     Both routes run on the symbolic leaves and kernels, whatever the run's
     values: `col` specializes each differing position, and one whose sides
     agree once specialized is no failure.  Witnesses start with the
     identity's tag and print the specialized value.
 
-    Each route is one job, `_functional_route` or `_matrix_route`, which
-    builds only its own tables and returns, per identity, the
-    `Collector.outcome` of a `part` of `col`: its checks, its failures and
-    the witnesses that `col` and the route's earlier identities leave room
-    for, so a route decodes at most WITNESS_CAP of them.  They merge
-    into `col` identity by identity, the functional route first, as one loop
-    over both routes would add them, so every report is the same whichever
-    process ran a route.  A call on both routes whose domain holds at least
-    SPLIT_STARTS start monomials, n >= 7 on either domain, hands its two
-    jobs to `_run_jobs`, which runs them on the caller and one forked child
-    when it can; any other call runs its routes in order, so a small run
-    pays no fork.  The rule counts start monomials, not starts times words:
-    at n = 7 a suite's time per start is 34-59 us across braid, cybe,
-    components and ybfr, but per start and word it spreads 2-17 us, as the
-    suites with many words have short, sparse ones.  A fork costs about
-    3 ms: `_run_jobs` of two empty jobs takes 2.6-3.3 ms.
-    Specialized, in process, on 2 vCPUs, the split run was faster than the
-    serial one in 0-1 of 21 alternating pairs per suite at n = 5, in 2-10
-    at n = 6, and in 13-21 at n = 7 (braid 30.4 -> 22.9 ms, ybfr 48.4 ->
-    37.8 ms, medians).
+    Each route, `_functional_route` or `_matrix_route`, builds only its own
+    tables and checks one identity per step; one job, `_outcomes`, runs it
+    on a Collector that starts with `col`'s witnesses, so a route decodes at
+    most the WITNESS_CAP a report keeps, and returns each identity's checks,
+    failures and new witnesses.  They merge into `col` identity by identity,
+    the functional route first, as one loop over both routes would add them,
+    so every report is the same whichever process ran a route.  A call on
+    both routes whose domain holds at least SPLIT_STARTS start monomials,
+    n >= 7 on either domain, hands its two jobs to `_run_jobs`, which runs
+    them on the caller and one forked child when it can; any other call runs
+    its routes in order, so a small run pays no fork.  The rule reads the
+    domain alone: a run's values are read only where a position differs,
+    so a passing call does the same work symbolic or specialized, and the
+    two cross over at the same n.  It counts start monomials, not starts
+    times words: at n = 7 a suite's time per start is 34-59 us across braid,
+    cybe, components and ybfr, but per start and word it spreads 2-17 us, as
+    the suites with many words have short, sparse ones.  A fork costs about
+    3 ms: `_run_jobs` of two empty jobs takes 2.6-3.3 ms.  In process, on 2
+    vCPUs, braid, ybe, cybe, components and ybfr ran in 21 rounds of four
+    runs, symbolic and specialized, serial and split, in rotated order; over
+    two such measurements the split run was faster in 0-16 of the 21 pairs
+    per suite at n = 5 (most 0-8), 2-21 at n = 6, and at n = 7 in 13-21
+    symbolic and 14-21 specialized (braid 31.8 -> 22.8 ms symbolic and
+    32.8 -> 22.1 ms specialized, medians).  In a fresh process, one call
+    per `qlie verify`, n = 7 is about even: the split run was faster in
+    6-10 of 11 alternating pairs symbolic and 7-11 specialized, and at n = 8
+    in 7-11 both ways; a call forked at n = 7 took 7-13 ms more process
+    time there, its child's included.
     """
     first, leaf = next(iter(leaves.items()))
     for name, op in leaves.items():
@@ -497,22 +486,38 @@ def check_identities(
             kind = "kernel" if name in leaves else "leaf"
             raise ValueError(f"an identity names {name!r}, which is no {kind}")
     width = max(leaf.n, domain.stop if domain is not None else 0).bit_length()
-    jobs = [partial(_matrix_route, col, identities, factors, leaves, domain, width)]
+    jobs = [partial(_outcomes, col, _matrix_route, identities, factors, leaves, domain, width)]
     if domain is not None:
-        jobs.insert(0, partial(_functional_route, col, identities, factors, domain, width))
+        jobs.insert(0, partial(_outcomes, col, _functional_route, identities, factors, domain, width))
     split = domain is not None and len(domain) ** 3 >= SPLIT_STARTS
     results = _run_jobs(jobs) if split else [job() for job in jobs]
     # identity by identity, the functional route first
     for outcomes in zip(*results):
-        for outcome in outcomes:
-            col.merge(*outcome)
+        for checked, failures, witnesses in outcomes:
+            col.checked += checked
+            col.failures += failures
+            col.witnesses += witnesses[:WITNESS_CAP - len(col.witnesses)]
+
+
+def _outcomes(col: Collector, route: Callable[..., Iterator[None]], *args) -> list[list]:
+    """[checked, failures, witnesses] of each identity that route(part,
+    *args) checks, yielding after each.  part is a Collector of col's run
+    that starts with col's witnesses, so the route decodes only as many as
+    col still has room for."""
+    part = Collector(col.suite, col.n, col.subs)
+    part.witnesses = list(col.witnesses)
+    outcomes, mark = [], (0, 0, len(part.witnesses))
+    for _ in route(part, *args):
+        outcomes.append([part.checked - mark[0], part.failures - mark[1], part.witnesses[mark[2]:]])
+        mark = (part.checked, part.failures, len(part.witnesses))
+    return outcomes
 
 
 def _functional_route(
     col: Collector, identities: Sequence[Identity], factors: set, domain: range, width: int
-) -> list[list]:
-    """The `Collector.outcome` of each identity on the functional route, a
-    `part` of col, from kernel tables of its own."""
+) -> Iterator[None]:
+    """Check each identity on the functional route into col, from kernel
+    tables of its own, yielding after each."""
     low, mono = (1 << 3 * width) - 1, 6 * width
     cfg = SpaceConfig(domain.stop)
     kernels = {(name, slots): _table(_index_images(name, domain.stop), slots, width)
@@ -521,53 +526,45 @@ def _functional_route(
     slabs = [[k | k << 3 * width for k in
               (_pack_fields((i0, *rest), width) for rest in product(indices, repeat=2))]
              for i0 in indices]
-    # the route's own tally, so that no part decodes a witness an earlier one leaves no room for
-    route, outcomes = col.part(), []
     for tag, lhs, rhs in identities:
-        part = route.part()
         # lhs - rhs, each word's factors in the order they apply
         words = [(sign, [kernels[factor] for factor in reversed(word)])
                  for sign, word in (*lhs, *((-sign, word) for sign, word in rhs))]
         for starts in slabs:
-            part.checked += len(starts)
+            col.checked += len(starts)
             total = _image(words, starts)
-            if not total or part.counted({key >> 3 * width & low for key in total}):
+            if not total or col.counted({key >> 3 * width & low for key in total}):
                 continue
             rows: dict[int, dict] = {}  # by start: {(index, packed monomial): q}
             for key, q in total.items():
                 start = key >> 3 * width & low
                 rows.setdefault(start, {})[_unpack_fields(key & low, width), key >> mono] = q
             for start, row in sorted(rows.items()):
-                if values := part.specialize(row):
+                if values := col.specialize(row):
                     # an index is an exponent plus one
-                    part.witness(lambda: {
+                    col.witness(lambda: {
                         **tag, "side": "functional",
                         "monomial": [i - 1 for i in _unpack_fields(start, width)],
                         "value": str(LaurentFn(cfg, 3, {tuple(i - 1 for i in index): v
                                                         for index, v in values.items()})),
                     })
-        outcomes.append(part.outcome())
-        route.merge(*outcomes[-1])
-    return outcomes
+        yield
 
 
 def _matrix_route(
     col: Collector, identities: Sequence[Identity], factors: set, leaves: dict[str, Operator],
     domain: Optional[range], width: int,
-) -> list[list]:
-    """The `Collector.outcome` of each identity on the matrix route, a
-    `part` of col, from leaf tables of its own."""
+) -> Iterator[None]:
+    """Check each identity on the matrix route into col, from leaf tables
+    of its own, yielding after each."""
     leaf = next(iter(leaves.values()))
     matrices = {(name, slots): _rows(leaves[name].entries, slots, width) for name, slots in factors}
-    # the route's own tally, so that no part decodes a witness an earlier one leaves no room for
-    route, outcomes = col.part(), []
     for tag, lhs, rhs in identities:
-        part = route.part()
         named = {slot for _, word in (*lhs, *rhs) for _, pair in word for slot in pair}
         legs = 3 if domain is not None or 2 in named else 2
         if domain is not None:
             tag = {**tag, "side": "matrix"}
-        part.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
+        col.checked += (leaf.n + 1 - leaf.lo) ** (2 * legs)
         left, right = ([(sign, [matrices[factor] for factor in word]) for sign, word in side]
                        for side in (lhs, rhs))
         # each two-leg row of a word's first factor, with every spectator
@@ -580,10 +577,8 @@ def _matrix_route(
             starts = [out | out << 3 * width for out in slab]
             lrows, rrows = _image(left, starts), _image(right, starts)
             if lrows != rrows:
-                part.entries(tag, lrows, rrows if rhs else None, width, legs)
-        outcomes.append(part.outcome())
-        route.merge(*outcomes[-1])
-    return outcomes
+                col.entries(tag, lrows, rrows if rhs else None, width, legs)
+        yield
 
 
 def _image(words: list, starts: list[int]) -> Flat:

@@ -1346,17 +1346,32 @@ def test_the_queue_takes_at_most_256_jobs():
     assert _on_cpus(2, lambda: checks._run_jobs(jobs[:256])) == (list(range(256)), 1)
 
 
-def test_a_route_decodes_only_the_witnesses_its_report_can_keep(monkeypatch):
-    # s = rho fails on both routes at every slot pair; each route builds
-    # witnesses only while the route's earlier identities leave room
+def _s_is_rho(monkeypatch, earlier):
+    """(the Collector, the witnesses built) of checking s = rho at each slot
+    pair, on both routes at n = 4, after `earlier` witnesses of another call."""
     built = []
     witness = checks.Collector.witness
     monkeypatch.setattr(checks.Collector, "witness",
                         lambda col, build: witness(col, lambda: built.append(1) or build()))
     col = checks.Collector("components", 4)
+    col.witnesses = list(earlier)
     identities = [({}, checks._expression(f"s{slots}"), checks._expression(f"rho{slots}"))
                   for slots in ("12", "13", "23")]
     leaves = {name: _leaf(name, 4) for name in ("s", "rho")}
     checks.check_identities(col, identities, leaves, range(0, 5))
+    return col, built
+
+
+def test_a_route_decodes_only_the_witnesses_its_report_can_keep(monkeypatch):
+    # s = rho fails on both routes at every slot pair; each route builds
+    # witnesses only while the route's earlier identities leave room
+    col, built = _s_is_rho(monkeypatch, [])
     assert col.failures > 6 * checks.WITNESS_CAP and len(col.witnesses) == checks.WITNESS_CAP
     assert len(built) <= 2 * checks.WITNESS_CAP
+
+
+def test_a_route_decodes_only_the_witnesses_an_earlier_call_leaves_room_for(monkeypatch):
+    earlier = [{"earlier": i} for i in range(checks.WITNESS_CAP - 3)]
+    col, built = _s_is_rho(monkeypatch, earlier)
+    assert col.witnesses[:len(earlier)] == earlier and len(col.witnesses) == checks.WITNESS_CAP
+    assert len(built) <= 2 * 3
